@@ -1,7 +1,7 @@
 """Two-map S-iteration toolkit with gated delta-squared acceleration,
 stability certificates, damped-recursion verification and a batch CLI."""
 
-from .aitken import AitkenWindow, accelerate_sequence, aitken_correct
+from .aitken import accelerate_sequence
 from .diagnostics import (
     ConvergenceReport,
     LimitEstimate,
@@ -11,15 +11,7 @@ from .diagnostics import (
     limit_identity_residuals,
     sequences_equivalent,
 )
-from .engine import (
-    JungckConfig,
-    PowerCache,
-    identity_residual,
-    identity_residuals,
-    jungck_step,
-    power_apply,
-    run,
-)
+from .engine import JungckConfig, identity_residual, identity_residuals, run
 from .errors import (
     ConfigError,
     ConfigParseError,

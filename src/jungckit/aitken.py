@@ -12,89 +12,22 @@ the caller's policy switches it off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SequenceTooShortError
-from .model import GatePolicy, Vector, as_state
+from .errors import DimensionMismatchError, NonFiniteError, SequenceTooShortError
+from .model import GatePolicy, Vector
 
 DEFAULT_FLOOR_SCALE = 1e-12
+
+#: elements per block of windows, so temporaries stay bounded for any length
+BLOCK_ELEMENTS = 8192
 
 
 def denominator_floor(s0: Vector, floor_scale: float) -> Vector:
     """Relative floor under which a second difference counts as zero."""
     return floor_scale * (1.0 + np.abs(s0))
-
-
-@dataclass(frozen=True)
-class AitkenWindow:
-    """Three consecutive raw terms with the effective per-component gate."""
-
-    s0: Vector
-    s1: Vector
-    s2: Vector
-    gate: np.ndarray
-
-    def __post_init__(self):
-        shapes = {self.s0.shape, self.s1.shape, self.s2.shape, self.gate.shape}
-        if len(shapes) != 1:
-            raise DimensionMismatchError(f"window parts disagree in shape: {shapes}")
-
-    @classmethod
-    def build(
-        cls,
-        s0,
-        s1,
-        s2,
-        policy: GatePolicy | None = None,
-        index: int = 0,
-        floor_scale: float = DEFAULT_FLOOR_SCALE,
-    ) -> "AitkenWindow":
-        """Assemble a window, AND-ing the policy gate with the floor rule.
-
-        The floor rule always wins: components whose second difference
-        magnitude is at or below the floor get gate 0 regardless of policy.
-        """
-        s0 = as_state(s0)
-        s1 = as_state(s1, dim=s0.size)
-        s2 = as_state(s2, dim=s0.size)
-        d2 = s0 - 2.0 * s1 + s2
-        wanted = (policy or GatePolicy.always_on()).policy_gate(index, d2)
-        live = np.abs(d2) > denominator_floor(s0, floor_scale)
-        return cls(s0=s0, s1=s1, s2=s2, gate=(wanted & live.astype(np.int64)))
-
-
-def _corrected(window: AitkenWindow) -> tuple[Vector, np.ndarray]:
-    """Corrected term plus the gate actually honoured (overflow lanes drop to 0)."""
-    s0, s1, s2 = window.s0, window.s1, window.s2
-    d1 = s1 - s0
-    d2 = s0 - 2.0 * s1 + s2
-    mask = window.gate.astype(bool)
-    quotient = np.zeros_like(s0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(d1 * d1, d2, out=quotient, where=mask)
-        out = np.where(mask, s0 - quotient, s0)
-    # (s1-s0)^2 can overflow past the floor's protection; fall back to raw
-    bad = mask & ~np.isfinite(out)
-    effective = window.gate.copy()
-    if bad.any():
-        out[bad] = s0[bad]
-        effective[bad] = 0
-    # gate-0 components must be bit-identical to the input
-    out[~effective.astype(bool)] = s0[~effective.astype(bool)]
-    return out, effective
-
-
-def aitken_correct(window: AitkenWindow) -> Vector:
-    """Apply the gated correction; gate-0 components return s0 bit-identically.
-
-    The output is always finite: gated components are raw copies, and a
-    correction whose quotient overflows falls back to the raw value.
-    """
-    out, _ = _corrected(window)
-    return out
 
 
 def accelerate_sequence(
@@ -105,8 +38,11 @@ def accelerate_sequence(
     """Correct a whole sequence; term k uses the window (k, k+1, k+2).
 
     Returns ``(accelerated, gates)`` with N-2 rows each: the corrected
-    terms and the per-component gates actually applied (policy AND floor,
-    with overflow fallbacks reported as gate 0).
+    terms and the per-component gates actually applied.  A gate is 1 only
+    where the policy asks for the correction, the second difference clears
+    the floor (the floor always wins) and the corrected value is finite;
+    (s1-s0)^2 can overflow past the floor's protection.  Gate-0 components
+    are bit-identical copies of s0, so the output is always finite.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim == 1:
@@ -114,11 +50,26 @@ def accelerate_sequence(
     n = arr.shape[0]
     if n < 3:
         raise SequenceTooShortError(f"need at least 3 terms, got {n}")
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise DimensionMismatchError(f"terms must be non-empty 1-D vectors, got shape {arr.shape[1:]}")
     policy = policy or GatePolicy.always_on()
 
-    accel = np.empty((n - 2, arr.shape[1]))
-    gates = np.empty((n - 2, arr.shape[1]), dtype=np.int64)
-    for k in range(n - 2):
-        w = AitkenWindow.build(arr[k], arr[k + 1], arr[k + 2], policy, k, floor_scale)
-        accel[k], gates[k] = _corrected(w)
+    d = arr.shape[1]
+    accel = np.empty((n - 2, d))
+    gates = np.empty((n - 2, d), dtype=np.int64)
+    rows = max(1, BLOCK_ELEMENTS // d)
+    for lo in range(0, n - 2, rows):
+        hi = min(lo + rows, n - 2)
+        window = arr[lo:hi + 2]
+        if not np.all(np.isfinite(window)):
+            raise NonFiniteError("sequence has non-finite entries")
+        s0, s1, s2 = window[:-2], window[1:-1], window[2:]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d1 = s1 - s0
+            d2 = s0 - 2.0 * s1 + s2
+            corrected = s0 - d1 * d1 / d2
+        gate = policy.gates(lo, d2) & (np.abs(d2) > denominator_floor(s0, floor_scale))
+        gate &= np.isfinite(corrected)
+        accel[lo:hi] = np.where(gate, corrected, s0)
+        gates[lo:hi] = gate
     return accel, gates

@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -218,7 +218,7 @@ def _parse_jungck(node: dict) -> JungckScenario:
     where = "jungck"
     _check_keys(node, {
         "s", "t", "a", "b", "gate_z", "gate_y", "z0", "steps", "solve_tol",
-        "floor_scale", "power_mode", "nonneg_domain", "stability",
+        "floor_scale", "nonneg_domain", "stability",
     }, where)
     for key in ("s", "t", "a", "b", "z0", "steps"):
         if key not in node:
@@ -232,9 +232,6 @@ def _parse_jungck(node: dict) -> JungckScenario:
     steps = _get_int(node, "steps", where, required=True)
     solve_tol = _get_number(node, "solve_tol", where, default=1e-10)
     floor_scale = _get_number(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
-    power_mode = node.get("power_mode")
-    if power_mode is not None and power_mode not in engine.POWER_MODES:
-        raise ConfigValidationError(f"{where}.power_mode: unknown mode {power_mode!r}")
     nonneg = node.get("nonneg_domain", False)
     if not isinstance(nonneg, bool):
         raise ConfigValidationError(f"{where}.nonneg_domain: expected true/false")
@@ -258,8 +255,7 @@ def _parse_jungck(node: dict) -> JungckScenario:
         cfg = engine.JungckConfig(
             pair=pair, a=a, b=b, gates_z=gate_z, gates_y=gate_y,
             z0=np.atleast_1d(np.asarray(node["z0"], dtype=float)),
-            steps=steps, floor_scale=floor_scale, power_mode=power_mode,
-            nonneg_domain=nonneg,
+            steps=steps, floor_scale=floor_scale, nonneg_domain=nonneg,
         )
     except (JungckitError, ValueError, TypeError) as exc:
         raise ConfigValidationError(f"{where}: {exc}") from exc
@@ -735,36 +731,22 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.scenario = args.scenario
     block = cfg.active()
     if args.steps is not None:
-        if cfg.scenario == "jungck":
-            old = block.cfg
-            block.cfg = engine.JungckConfig(
-                pair=old.pair, a=old.a, b=old.b, gates_z=old.gates_z, gates_y=old.gates_y,
-                z0=old.z0, steps=args.steps, floor_scale=old.floor_scale,
-                power_mode=old.power_mode, nonneg_domain=old.nonneg_domain,
-            )
-        elif cfg.scenario == "venter":
-            old = block.cfg
-            block.cfg = venter.VenterConfig(alpha=old.alpha, gamma=old.gamma, omega=old.omega,
-                                            sigma=old.sigma, x0=old.x0, steps=args.steps)
+        if cfg.scenario in ("jungck", "venter"):
+            block.cfg = replace(block.cfg, steps=args.steps)
         elif cfg.scenario == "stability-scan":
-            cfg.scan = ScanSpec(**{**cfg.scan.__dict__, "steps": args.steps})
+            cfg.scan = replace(cfg.scan, steps=args.steps)
         else:
             raise ConfigValidationError("--steps does not apply to aitken-only (set sequence.length)")
     if args.tolerance is not None:
         if cfg.scenario == "jungck":
-            old = block.cfg
-            pair = make_operator_pair(old.pair.s, old.pair.t, tol=args.tolerance)
-            block.cfg = engine.JungckConfig(
-                pair=pair, a=old.a, b=old.b, gates_z=old.gates_z, gates_y=old.gates_y,
-                z0=old.z0, steps=old.steps, floor_scale=old.floor_scale,
-                power_mode=old.power_mode, nonneg_domain=old.nonneg_domain,
-            )
+            pair = block.cfg.pair
+            block.cfg = replace(block.cfg, pair=make_operator_pair(pair.s, pair.t, tol=args.tolerance))
         elif cfg.scenario == "venter":
             block.eps = args.tolerance
         elif cfg.scenario == "aitken-only":
             block.floor_scale = args.tolerance
         else:
-            cfg.scan = ScanSpec(**{**cfg.scan.__dict__, "tail_tol": args.tolerance})
+            cfg.scan = replace(cfg.scan, tail_tol=args.tolerance)
     return cfg
 
 

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aitken import DEFAULT_FLOOR_SCALE, AitkenWindow, aitken_correct
+from .aitken import accelerate_sequence
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
 from .model import IterationTrace, Vector
 
@@ -55,8 +55,8 @@ def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
 
     if settled:
         return LimitEstimate(value=arr[-1].copy(), method="last-term")
-    window = AitkenWindow.build(arr[-3], arr[-2], arr[-1], floor_scale=DEFAULT_FLOOR_SCALE)
-    return LimitEstimate(value=aitken_correct(window), method="extrapolation")
+    accel, _ = accelerate_sequence(arr[-3:])
+    return LimitEstimate(value=accel[0], method="extrapolation")
 
 
 def acceleration_ratio(

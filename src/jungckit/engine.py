@@ -14,87 +14,49 @@ explore unstable regions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
-from .errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    NonFiniteError,
-    SolveError,
-)
+from .errors import IndexOutOfRangeError, NonFiniteError, SolveError
 from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state
 
-POWER_MODES = ("matrix-cached", "repeated-apply")
 
+def matrix_powers(t: Operator) -> Iterator[np.ndarray]:
+    """Yield T^0 = I, T^1, T^2, ... of a matrix map, holding one power at a time.
 
-class PowerCache:
-    """Incrementally cached powers of a matrix operator.
-
-    Powers are built by one extra multiply per new exponent, so a run that
-    asks for n = 0, 1, 2, ... costs one matrix product per step.  Requests
-    are answered from the cache for any already-computed exponent.
+    Each power is the product T @ T^(n-1); every consumer relies on that
+    order for bit-identical results.  Raises ``NonFiniteError`` in place of
+    yielding a power that overflowed.
     """
-
-    def __init__(self, op: Operator):
-        if not op.is_linear:
-            raise NonFiniteError("matrix-cached powers need a matrix operator")
-        self.op = op
-        self._powers = [np.eye(op.dim)]
-
-    def matrix(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise IndexOutOfRangeError("powers are defined for n >= 0")
+    m = np.eye(t.dim)
+    n = 0
+    while True:
+        yield m
+        n += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(self._powers) <= n:
-                nxt = self.op.matrix @ self._powers[-1]
-                if not np.all(np.isfinite(nxt)):
-                    raise NonFiniteError(f"power {len(self._powers)} of the update map overflowed")
-                self._powers.append(nxt)
-        return self._powers[n]
+            m = t.matrix @ m
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteError(f"power {n} of the update map overflowed")
 
-    def apply(self, n: int, x: Vector) -> Vector:
+
+def _apply_power(t: Operator, power: Optional[np.ndarray], n: int, x: Vector) -> Vector:
+    """t^n(x): one product with the matrix power, or n compositions of a callback t."""
+    if power is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.matrix(n) @ x
+            out = power @ x
         if not np.all(np.isfinite(out)):
             raise NonFiniteError(f"t^{n} x is non-finite")
         return out
-
-
-def power_apply(
-    t: Operator,
-    n: int,
-    x: Vector,
-    mode: str = "matrix-cached",
-    cache: PowerCache | None = None,
-) -> Vector:
-    """Apply the n-th power of ``t`` to ``x``; n = 0 returns x unchanged.
-
-    ``matrix-cached`` multiplies a cached matrix power (pass a shared
-    ``cache`` to amortize across calls); ``repeated-apply`` composes the
-    map n times and is the only mode for callback operators.  Raises
-    ``NonFiniteError`` as soon as an intermediate overflows.
-    """
-    if mode not in POWER_MODES:
-        raise ValueError(f"unknown power mode {mode!r}")
-    if n < 0:
-        raise IndexOutOfRangeError("powers are defined for n >= 0")
-    x = as_state(x, dim=t.dim)
-    if n == 0:
-        return x
-    if mode == "matrix-cached":
-        cache = cache if cache is not None else PowerCache(t)
-        return cache.apply(n, x)
-    out = x
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
-            out = t(out)
-            if not np.all(np.isfinite(out)):
+            x = t(x)
+            if not np.all(np.isfinite(x)):
                 raise NonFiniteError("repeated application of the update map overflowed")
-    return out
+    return x
 
 
 @dataclass
@@ -109,7 +71,6 @@ class JungckConfig:
     z0: Vector = None
     steps: int = 50
     floor_scale: float = DEFAULT_FLOOR_SCALE
-    power_mode: Optional[str] = None  # None -> pick by operator kind
     nonneg_domain: bool = False
 
     def __post_init__(self):
@@ -122,50 +83,16 @@ class JungckConfig:
             raise ValueError("correction gates need steps >= 3 (two-term lookahead)")
         if self.floor_scale <= 0:
             raise ValueError("floor_scale must be positive")
-        if self.power_mode is None:
-            self.power_mode = "matrix-cached" if self.pair.t.is_linear else "repeated-apply"
-        if self.power_mode not in POWER_MODES:
-            raise ValueError(f"unknown power mode {self.power_mode!r}")
-        if self.power_mode == "matrix-cached" and not self.pair.t.is_linear:
-            raise ValueError("matrix-cached powers need a matrix update map")
 
     @property
     def dim(self) -> int:
         return self.pair.dim
 
 
-def _tpow(cfg: JungckConfig, cache: Optional[PowerCache], n: int, x: Vector) -> Vector:
-    if cfg.power_mode == "matrix-cached":
-        return cache.apply(n, x)
-    return power_apply(cfg.pair.t, n, x, mode="repeated-apply")
-
-
 def _check_finite(name: str, v: Vector, n: int) -> Vector:
     if not np.all(np.isfinite(v)):
         raise NonFiniteError(f"{name} is non-finite at step {n}")
     return v
-
-
-def jungck_step(
-    cfg: JungckConfig,
-    n: int,
-    z_n: Vector,
-    sz_n: Vector,
-    cache: PowerCache | None = None,
-) -> tuple[Vector, Vector, Vector, Vector]:
-    """One full step at index n: returns (y_n, sy_n, z_next, sz_next)."""
-    if cache is None and cfg.power_mode == "matrix-cached":
-        cache = PowerCache(cfg.pair.t)
-    a_n = cfg.a(n)
-    b_n = cfg.b(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _check_finite("t^n z_n", _tpow(cfg, cache, n, z_n), n)
-        sy_n = _check_finite("sy_n", (1.0 - b_n) * sz_n + b_n * w, n)
-        y_n = cfg.pair.solve(sy_n)
-        v = _check_finite("t^n y_n", _tpow(cfg, cache, n, y_n), n)
-        sz_next = _check_finite("sz_next", (1.0 - a_n) * w + a_n * v, n)
-        z_next = cfg.pair.solve(sz_next)
-    return y_n, sy_n, z_next, sz_next
 
 
 def run(cfg: JungckConfig) -> IterationTrace:
@@ -179,53 +106,33 @@ def run(cfg: JungckConfig) -> IterationTrace:
     a_vals = cfg.a.array(n_steps)
     b_vals = cfg.b.array(n_steps)
 
-    cache = PowerCache(cfg.pair.t) if cfg.power_mode == "matrix-cached" else None
-    z_rows = [cfg.z0]
-    sz_rows: list[Vector] = []
-    y_rows: list[Vector] = []
-    sy_rows: list[Vector] = []
-    tz_rows: list[Vector] = []
-    ty_rows: list[Vector] = []
+    t = cfg.pair.t
+    stream = matrix_powers(t) if t.is_linear else itertools.repeat(None)
+    d = cfg.dim
+    z, y, sz, sy, tz, ty = (np.empty((n_steps, d)) for _ in range(6))
+    z[0] = cfg.z0
+    m = 0  # complete rows carry all six quantities
 
     diverged = False
     failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sz_rows.append(_check_finite("s(z0)", cfg.pair.s(cfg.z0), 0))
-            for n in range(n_steps):
-                w = _check_finite("t^n z_n", _tpow(cfg, cache, n, z_rows[n]), n)
-                sy_n = _check_finite("sy_n", (1.0 - b_vals[n]) * sz_rows[n] + b_vals[n] * w, n)
-                y_n = cfg.pair.solve(sy_n)
-                v = _check_finite("t^n y_n", _tpow(cfg, cache, n, y_n), n)
-                tz_rows.append(w)
-                sy_rows.append(sy_n)
-                y_rows.append(y_n)
-                ty_rows.append(v)
-                if n == n_steps - 1:
+            sz[0] = _check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
+            for n, power in zip(range(n_steps), stream):
+                tz[n] = _apply_power(t, power, n, z[n])
+                sy[n] = _check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz[n], n)
+                y[n] = cfg.pair.solve(sy[n])
+                ty[n] = _apply_power(t, power, n, y[n])
+                m = n + 1
+                if m == n_steps:
                     break
-                sz_next = _check_finite("sz_next", (1.0 - a_vals[n]) * w + a_vals[n] * v, n)
-                z_next = cfg.pair.solve(sz_next)
-                sz_rows.append(sz_next)
-                z_rows.append(z_next)
+                sz[m] = _check_finite("sz_next", (1.0 - a_vals[n]) * tz[n] + a_vals[n] * ty[n], n)
+                z[m] = cfg.pair.solve(sz[m])
     except (NonFiniteError, SolveError) as exc:
         diverged = True
         failure = str(exc)
 
-    m = len(y_rows)  # complete rows carry all six quantities
-    d = cfg.dim
-
-    def stack(rows, count):
-        if count == 0:
-            return np.empty((0, d))
-        return np.vstack(rows[:count])
-
-    z = stack(z_rows, m)
-    sz = stack(sz_rows, m)
-    y = stack(y_rows, m)
-    sy = stack(sy_rows, m)
-    tz = stack(tz_rows, m)
-    ty = stack(ty_rows, m)
-
+    z, y, sz, sy, tz, ty = (rows[:m] for rows in (z, y, sz, sy, tz, ty))
     if m >= 3:
         asz, gz = accelerate_sequence(sz, cfg.gates_z, cfg.floor_scale)
         asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)

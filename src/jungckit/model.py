@@ -224,6 +224,8 @@ class Schedule:
             raise ValueError(f"bad clamp range {self.clamp!r}")
         if self.form in ("one-minus-inv", "inv", "inv-pow") and self.k < 1:
             raise ValueError("rational schedules need k >= 1 so n=0 is evaluable")
+        if not all(math.isfinite(v) for v in (self.c, self.p, *self.values)):
+            raise ValueError("schedule parameters and values must be finite")
 
     @classmethod
     def constant(cls, c: float, clamp=(0.0, 1.0)) -> "Schedule":
@@ -286,8 +288,8 @@ def schedule_eval(s: Schedule, n: int) -> float:
             raise IndexOutOfRangeError(f"explicit schedule has {len(s.values)} values, asked for n={n}")
         raw = s.values[n]
     lo, hi = s.clamp
-    if raw < lo or raw > hi:
-        clamped = min(max(raw, lo), hi)
+    if not lo <= raw <= hi:
+        clamped = min(hi, max(lo, raw))
         log.debug("schedule value %g at n=%d clamped into [%g, %g]", raw, n, lo, hi)
         return clamped
     return raw
@@ -313,7 +315,7 @@ class GatePolicy:
     def __post_init__(self):
         if self.mode not in GATE_MODES:
             raise ValueError(f"unknown gate mode {self.mode!r}")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError("gate threshold must be nonnegative")
         if any(v not in (0, 1) for v in self.values):
             raise ValueError("explicit gate values must be 0 or 1")
@@ -338,17 +340,21 @@ class GatePolicy:
     def is_always_off(self) -> bool:
         return self.mode == "always-off" or (self.mode == "list" and all(v == 0 for v in self.values))
 
-    def policy_gate(self, index: int, d2: Vector) -> np.ndarray:
-        """Requested (pre-floor) gate for window ``index``, one int per component."""
+    def gates(self, start: int, d2: np.ndarray) -> np.ndarray:
+        """Requested (pre-floor) gates for windows start, start+1, ...: one
+        boolean row per row of the second differences ``d2``."""
         if self.mode == "always-on":
-            return np.ones_like(d2, dtype=np.int64)
+            return np.ones(d2.shape, dtype=bool)
         if self.mode == "always-off":
-            return np.zeros_like(d2, dtype=np.int64)
+            return np.zeros(d2.shape, dtype=bool)
         if self.mode == "threshold":
-            return (np.abs(d2) > self.tau).astype(np.int64)
-        if index >= len(self.values):
-            raise IndexOutOfRangeError(f"explicit gate list has {len(self.values)} values, asked for index {index}")
-        return np.full(d2.shape, self.values[index], dtype=np.int64)
+            return np.abs(d2) > self.tau
+        stop = start + d2.shape[0]
+        if stop > len(self.values):
+            raise IndexOutOfRangeError(
+                f"explicit gate list has {len(self.values)} values, asked for index {max(start, len(self.values))}"
+            )
+        return np.broadcast_to(np.array(self.values[start:stop], dtype=bool)[:, None], d2.shape)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import JungckConfig, run
 from .model import GatePolicy, Operator, Schedule, make_operator_pair
-from .stability import certify, cross_validate
+from .stability import NORM_FLOOR, certify, cross_validate, row_norms
 
 MONOTONE_SLACK = 1e-9
 
@@ -141,9 +141,9 @@ def run_scan(spec: ScanSpec) -> ScanResult:
             report = cross_validate(report, trace)
             sim = report.simulation_agrees
             notes.extend(report.simulation_notes)
-            zn = np.linalg.norm(trace.z, axis=1)
+            zn = row_norms(trace.z)
             if any(p in certified for p in ("i", "ii", "iii")) and len(zn) >= 2:
-                monotone_ok = bool(np.all(zn[1:] <= zn[:-1] * (1.0 + MONOTONE_SLACK)))
+                monotone_ok = bool(np.all(zn[1:] <= zn[:-1] * (1.0 + MONOTONE_SLACK) + NORM_FLOOR))
             if ("iv" in certified or "v" in certified) and len(zn) >= 1 and zn[0] > 0:
                 final_ratio = float(zn[-1] / zn[0])
         outcomes.append(

@@ -5,50 +5,119 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jungckit import (
-    AitkenWindow,
     GatePolicy,
+    IndexOutOfRangeError,
+    NonFiniteError,
     SequenceTooShortError,
     accelerate_sequence,
-    aitken_correct,
 )
+from jungckit.aitken import BLOCK_ELEMENTS, DEFAULT_FLOOR_SCALE
 from jungckit.errors import DimensionMismatchError
+from jungckit.model import GATE_MODES
 
 
 def geometric(limit, coeff, ratio, length):
     return np.array([limit + coeff * ratio**n for n in range(length)])
 
 
+def reference_accelerate(raw, policy, floor_scale=DEFAULT_FLOOR_SCALE):
+    """The per-window loop the blocked corrector replaced, kept as its reference."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    accel = np.empty((arr.shape[0] - 2, arr.shape[1]))
+    gates = np.empty(accel.shape, dtype=np.int64)
+    for k in range(accel.shape[0]):
+        s0, s1, s2 = arr[k], arr[k + 1], arr[k + 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = s0 - 2.0 * s1 + s2
+            if policy.mode == "always-on":
+                wanted = np.ones_like(d2, dtype=np.int64)
+            elif policy.mode == "always-off":
+                wanted = np.zeros_like(d2, dtype=np.int64)
+            elif policy.mode == "threshold":
+                wanted = (np.abs(d2) > policy.tau).astype(np.int64)
+            else:
+                wanted = np.full(d2.shape, policy.values[k], dtype=np.int64)
+            gate = wanted & (np.abs(d2) > floor_scale * (1.0 + np.abs(s0))).astype(np.int64)
+            d1 = s1 - s0
+            mask = gate.astype(bool)
+            quotient = np.zeros_like(s0)
+            np.divide(d1 * d1, d2, out=quotient, where=mask)
+            out = np.where(mask, s0 - quotient, s0)
+        bad = mask & ~np.isfinite(out)
+        out[bad] = s0[bad]
+        gate[bad] = 0
+        out[~gate.astype(bool)] = s0[~gate.astype(bool)]
+        accel[k], gates[k] = out, gate
+    return accel, gates
+
+
 class TestWindowCorrection:
     def test_exact_on_geometric_window(self):
         # x_n = 3 + 2*(0.5)^n gives the window (5, 4, 3.5); correction lands on 3
-        w = AitkenWindow.build([5.0], [4.0], [3.5])
-        assert aitken_correct(w)[0] == pytest.approx(3.0, abs=1e-14)
+        accel, _ = accelerate_sequence([5.0, 4.0, 3.5])
+        assert accel[0, 0] == pytest.approx(3.0, abs=1e-14)
 
     def test_constant_window_forces_gate_off(self):
-        w = AitkenWindow.build([7.0], [7.0], [7.0])
-        assert w.gate.tolist() == [0]
-        assert aitken_correct(w)[0] == 7.0
+        accel, gates = accelerate_sequence([7.0, 7.0, 7.0])
+        assert gates.tolist() == [[0]]
+        assert accel[0, 0] == 7.0
 
     def test_harmonic_window_quotient(self):
         # (1, 1/2, 1/3): second difference 1/3, correction 1 - (1/4)/(1/3) = 1/4
-        w = AitkenWindow.build([1.0], [0.5], [1.0 / 3.0])
-        assert aitken_correct(w)[0] == pytest.approx(0.25, rel=1e-14)
+        accel, _ = accelerate_sequence([1.0, 0.5, 1.0 / 3.0])
+        assert accel[0, 0] == pytest.approx(0.25, rel=1e-14)
 
     def test_floor_beats_policy(self):
-        w = AitkenWindow.build([1.0], [1.0], [1.0 + 1e-15], policy=GatePolicy.always_on())
-        assert w.gate.tolist() == [0]
+        _, gates = accelerate_sequence([1.0, 1.0, 1.0 + 1e-15], GatePolicy.always_on())
+        assert gates.tolist() == [[0]]
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            AitkenWindow.build([1.0, 2.0], [1.0], [1.0])
+            accelerate_sequence(np.ones((3, 2, 2)))
 
     def test_componentwise_gating(self):
         # first component constant (gated), second geometric (corrected)
-        w = AitkenWindow.build([7.0, 5.0], [7.0, 4.0], [7.0, 3.5])
-        out = aitken_correct(w)
-        assert w.gate.tolist() == [0, 1]
-        assert out[0] == 7.0
-        assert out[1] == pytest.approx(3.0, abs=1e-14)
+        accel, gates = accelerate_sequence([[7.0, 5.0], [7.0, 4.0], [7.0, 3.5]])
+        assert gates.tolist() == [[0, 1]]
+        assert accel[0, 0] == 7.0
+        assert accel[0, 1] == pytest.approx(3.0, abs=1e-14)
+
+    def test_non_finite_terms_rejected(self):
+        with pytest.raises(NonFiniteError):
+            accelerate_sequence([1.0, np.nan, 2.0])
+
+
+@st.composite
+def hostile_sequences(draw):
+    """A raw sequence with magnitudes across 1e-300..1e300, constant and
+    near-linear stretches (zero or tiny second differences), plus a policy.
+    ``d`` is either small, so the windows span several blocks, or wider
+    than one block, so every block holds a single window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(8, 64))
+        n = draw(st.integers(3, 2 * (BLOCK_ELEMENTS // d) + 5))
+    else:
+        d = draw(st.integers(BLOCK_ELEMENTS + 1, BLOCK_ELEMENTS + 64))
+        n = draw(st.integers(3, 6))
+    lo, hi = sorted(draw(st.tuples(st.integers(-300, 300), st.integers(-300, 300))))
+    raw = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, d))
+    for k in range(2, n):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            raw[k] = raw[k - 1]
+        elif kind == 1:
+            raw[k] = 2.0 * raw[k - 1] - raw[k - 2] + raw[k] * 1e-17
+    mode = draw(st.sampled_from(GATE_MODES))
+    if mode == "threshold":
+        policy = GatePolicy.threshold(10.0 ** draw(st.integers(-300, 300)))
+    elif mode == "list":
+        policy = GatePolicy.from_values(rng.integers(0, 2, size=n - 2))
+    else:
+        policy = GatePolicy(mode=mode)
+    return raw, policy, 10.0 ** draw(st.integers(-16, -6))
 
 
 class TestAccelerateSequence:
@@ -103,9 +172,22 @@ class TestAccelerateSequence:
             [0.0, 0.0, 0.0],
             [1e-300, 2e-300, 4e-300],
         ]
-        for s0, s1, s2 in cases:
-            w = AitkenWindow.build([s0], [s1], [s2])
-            assert np.isfinite(aitken_correct(w)).all()
+        for window in cases:
+            accel, _ = accelerate_sequence(window)
+            assert np.isfinite(accel).all()
+
+    @given(hostile_sequences())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_window_reference_bit_for_bit(self, case):
+        raw, policy, floor_scale = case
+        accel, gates = accelerate_sequence(raw, policy, floor_scale)
+        ref_accel, ref_gates = reference_accelerate(raw, policy, floor_scale)
+        assert accel.tobytes() == ref_accel.tobytes()
+        assert gates.dtype == ref_gates.dtype and gates.tobytes() == ref_gates.tobytes()
+
+    def test_gate_list_must_cover_every_window(self):
+        with pytest.raises(IndexOutOfRangeError):
+            accelerate_sequence([1.0, 0.5, 0.25, 0.125], GatePolicy.from_values([1]))
 
 
 class TestAccelerationEffect:

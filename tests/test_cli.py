@@ -209,3 +209,20 @@ class TestMain:
         # eps tightened below the reachable decay: the verdict must flip to FAIL
         assert main(["--config", path, "--output", str(out), "--tolerance", "1e-9", "--quiet"]) == 1
         assert "FAIL decay-to-zero" in (out / "report.txt").read_text()
+
+    def test_tolerance_override_jungck_rebuilds_pair(self, tmp_path):
+        path = self.write(tmp_path, MINIMAL_JUNGCK)
+        out = tmp_path / "out"
+        assert main(["--config", path, "--output", str(out), "--tolerance", "1e-8", "--quiet"]) == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 51
+        # s = 2 has minimum modulus 2: a tolerance above it makes the pair singular
+        assert main(["--config", path, "--tolerance", "3.0", "--quiet"]) == 2
+
+    def test_nan_schedule_parameter_exits_two(self, tmp_path):
+        text = MINIMAL_JUNGCK.replace("a: {form: constant, value: 0.5}", "a: {form: inv-pow, p: .nan}")
+        assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
+
+    def test_power_mode_is_an_unknown_key(self, tmp_path, capsys):
+        path = self.write(tmp_path, MINIMAL_JUNGCK + "  power_mode: matrix-cached\n")
+        assert main(["--config", path, "--quiet"]) == 2
+        assert "unknown key(s) ['power_mode']" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """The two-map iteration engine and its step identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,11 @@ from jungckit import (
     GatePolicy,
     IndexOutOfRangeError,
     JungckConfig,
-    NonFiniteError,
     Operator,
-    PowerCache,
     Schedule,
     identity_residual,
     identity_residuals,
-    jungck_step,
     make_operator_pair,
-    power_apply,
     run,
 )
 
@@ -38,63 +36,100 @@ def scalar_config(**kw):
 
 class TestPowerApply:
     def test_scalar_cube(self):
-        t = Operator.scaled_identity(0.5, 1)
-        assert power_apply(t, 3, np.array([8.0]))[0] == pytest.approx(1.0)
+        tr = run(scalar_config(steps=4))
+        assert tr.tz[3] == pytest.approx(0.5**3 * tr.z[3])
+        assert tr.ty[3] == pytest.approx(0.5**3 * tr.y[3])
 
     def test_zeroth_power_is_identity(self):
-        t = Operator.from_matrix([[2.0, 1.0], [0.0, 2.0]])
-        x = np.array([3.0, -4.0])
-        assert np.array_equal(power_apply(t, 0, x), x)
+        pair = make_operator_pair(Operator.scaled_identity(4.0, 2),
+                                  Operator.from_matrix([[2.0, 1.0], [0.0, 2.0]]))
+        tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                              z0=[3.0, -4.0], steps=3))
+        assert np.array_equal(tr.tz[0], tr.z[0]) and np.array_equal(tr.ty[0], tr.y[0])
 
     def test_swap_matrix_squares_to_identity(self):
-        t = Operator.from_matrix([[0.0, 1.0], [1.0, 0.0]])
-        out = power_apply(t, 2, np.array([3.0, 4.0]))
-        assert out == pytest.approx([3.0, 4.0])
+        pair = make_operator_pair(Operator.scaled_identity(2.0, 2),
+                                  Operator.from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+        tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                              z0=[3.0, 4.0], steps=3))
+        assert tr.tz[2] == pytest.approx(tr.z[2])
+        assert tr.ty[2] == pytest.approx(tr.y[2])
 
     def test_modes_agree(self):
+        # the same t as a matrix (one product with T^n) and as a callback (n compositions)
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4))
-        t = Operator.from_matrix(m / np.linalg.norm(m, 2) * 1.1)
-        cache = PowerCache(t)
-        for n in range(31):
-            x = rng.normal(size=4)
-            a = power_apply(t, n, x, mode="matrix-cached", cache=cache)
-            b = power_apply(t, n, x, mode="repeated-apply")
-            assert np.linalg.norm(a - b) <= 1e-9 * (1 + np.linalg.norm(a))
+        m = m / np.linalg.norm(m, 2) * 1.1
+        s = Operator.from_matrix(rng.normal(size=(4, 4)) + 4 * np.eye(4))
+        z0 = rng.normal(size=4)
+
+        def trace(t):
+            return run(JungckConfig(pair=make_operator_pair(s, t), a=Schedule.constant(0.4),
+                                    b=Schedule.constant(0.6), z0=z0, steps=31))
+
+        by_matrix = trace(Operator.from_matrix(m))
+        by_callback = trace(Operator.from_callable(lambda x: m @ x, 4))
+        assert not by_matrix.diverged and by_matrix.n_raw == by_callback.n_raw == 31
+        for name in ("z", "y", "tz", "ty"):
+            a, b = getattr(by_matrix, name), getattr(by_callback, name)
+            assert np.all(np.linalg.norm(a - b, axis=1) <= 1e-9 * (1 + np.linalg.norm(a, axis=1)))
 
     def test_overflow_raises(self):
-        t = Operator.scaled_identity(1e200, 1)
-        with pytest.raises(NonFiniteError):
-            power_apply(t, 3, np.array([1.0]))
+        pair = make_operator_pair(Operator.identity(1), Operator.scaled_identity(1e200, 1))
+        tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                              z0=[1e-250], steps=5))
+        assert tr.diverged and tr.failure == "power 2 of the update map overflowed"
+        assert tr.n_raw == 2
 
     def test_callback_needs_repeated_apply(self):
-        t = Operator.from_callable(lambda x: 0.5 * x, 1)
-        out = power_apply(t, 3, np.array([8.0]), mode="repeated-apply")
-        assert out[0] == pytest.approx(1.0)
+        pair = make_operator_pair(Operator.scaled_identity(2.0, 1),
+                                  Operator.from_callable(lambda x: 0.5 * x, 1),
+                                  s_solve=lambda v: v / 2.0)
+        tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                              z0=[1.0], steps=4))
+        assert tr.tz[3] == pytest.approx(0.5**3 * tr.z[3])
+
+    def test_memory_does_not_grow_with_powers(self):
+        # every power of a d=60 map for 400 steps would take 11.5 MB; the
+        # stream holds one, so only the O(steps * d) trace rows may grow
+        rng = np.random.default_rng(8)
+        d = 60
+        raw = rng.normal(size=(d, d))
+        pair = make_operator_pair(Operator.from_matrix(rng.normal(size=(d, d)) + 30 * np.eye(d)),
+                                  Operator.from_matrix(raw * (0.9 / np.linalg.norm(raw, 2))))
+
+        def peak(steps):
+            cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                               z0=rng.normal(size=d), steps=steps)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        all_powers = 400 * d * d * 8
+        assert peak(400) - peak(50) < all_powers / 4
 
 
 class TestStep:
     def test_hand_computed_step(self):
         # d=1, s=2, t=0.5, a=b=0.5, z0=1: y0=0.75, Sy0=1.5, z1=0.4375, Sz1=0.875
-        cfg = scalar_config()
-        y0, sy0, z1, sz1 = jungck_step(cfg, 0, np.array([1.0]), np.array([2.0]))
-        assert sy0[0] == pytest.approx(1.5)
-        assert y0[0] == pytest.approx(0.75)
-        assert sz1[0] == pytest.approx(0.875)
-        assert z1[0] == pytest.approx(0.4375)
+        tr = run(scalar_config())
+        assert tr.sy[0, 0] == pytest.approx(1.5)
+        assert tr.y[0, 0] == pytest.approx(0.75)
+        assert tr.sz[1, 0] == pytest.approx(0.875)
+        assert tr.z[1, 0] == pytest.approx(0.4375)
 
     def test_a_zero_uses_only_z_powers(self):
-        cfg = scalar_config(a=Schedule.constant(0.0), b=Schedule.constant(0.7))
-        z = np.array([0.6])
-        _, _, _, sz1 = jungck_step(cfg, 2, z, np.array([1.2]))
-        expected = power_apply(cfg.pair.t, 2, z)
-        assert sz1 == pytest.approx(expected)
+        tr = run(scalar_config(a=Schedule.constant(0.0), b=Schedule.constant(0.7), steps=4))
+        assert tr.sz[3] == pytest.approx(tr.tz[2])
+        assert tr.tz[2] == pytest.approx(0.25 * tr.z[2])
 
     def test_b_one_maps_sy_to_power(self):
-        cfg = scalar_config(b=Schedule.constant(1.0))
-        z = np.array([0.6])
-        _, sy, _, _ = jungck_step(cfg, 3, z, np.array([1.2]))
-        assert sy == pytest.approx(power_apply(cfg.pair.t, 3, z))
+        tr = run(scalar_config(b=Schedule.constant(1.0), steps=4))
+        assert tr.sy[3] == pytest.approx(tr.tz[3])
+        assert tr.tz[3] == pytest.approx(0.5**3 * tr.z[3])
 
 
 class TestRun:

@@ -13,6 +13,7 @@ from jungckit import (
     Schedule,
     SingularOperatorError,
     SolveError,
+    accelerate_sequence,
     as_state,
     make_operator_pair,
     min_modulus,
@@ -143,23 +144,43 @@ class TestSchedule:
         with pytest.raises(IndexOutOfRangeError):
             schedule_eval(Schedule.constant(0.5), -1)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Schedule.constant(float("nan")),
+            lambda: Schedule.constant(float("inf"), clamp=(0.0, float("inf"))),
+            lambda: Schedule.inv_pow(p=float("nan")),
+            lambda: Schedule.from_values([0.5, float("nan")]),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestGatePolicy:
+    # a window (0, 0, x) has second difference x, so these policies see d2 = x
     def test_modes_produce_binary_values(self):
-        d2 = np.array([0.0, 1.0, -2.0])
+        window = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -2.0]]
         for policy in (GatePolicy.always_on(), GatePolicy.always_off(), GatePolicy.threshold(0.5)):
-            gate = policy.policy_gate(0, d2)
+            _, gate = accelerate_sequence(window, policy)
             assert set(np.unique(gate)) <= {0, 1}
 
     def test_threshold_gates_small_denominators(self):
-        gate = GatePolicy.threshold(0.5).policy_gate(0, np.array([0.1, 0.6, -0.7]))
-        assert gate.tolist() == [0, 1, 1]
+        window = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.1, 0.6, -0.7]]
+        _, gate = accelerate_sequence(window, GatePolicy.threshold(0.5))
+        assert gate.tolist() == [[0, 1, 1]]
 
     def test_explicit_list_broadcasts_and_exhausts(self):
         policy = GatePolicy.from_values([1, 0])
-        assert policy.policy_gate(1, np.array([5.0, 5.0])).tolist() == [0, 0]
+        _, gate = accelerate_sequence([[5.0, 5.0], [0.0, 0.0], [5.0, 5.0], [0.0, 0.0]], policy)
+        assert gate.tolist() == [[1, 1], [0, 0]]
         with pytest.raises(IndexOutOfRangeError):
-            policy.policy_gate(2, np.array([5.0]))
+            accelerate_sequence([5.0, 0.0, 5.0, 0.0, 5.0], policy)
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ValueError):
+            GatePolicy.threshold(float("nan"))
 
     def test_rejects_non_binary_values(self):
         with pytest.raises(ValueError):

@@ -46,3 +46,12 @@ class TestSweep:
             ScanSpec(count=0)
         with pytest.raises(ValueError):
             ScanSpec(steps=2)
+
+    @pytest.mark.parametrize("count, seed", [(1, 202139719), (5, 574699369), (5, 1022609264),
+                                             (5, 1310565892), (5, 341885161)])
+    def test_underflowing_iterates_are_no_violation(self, count, seed):
+        # the first four collapse to about 1e-162, where squared entries underflow:
+        # an unscaled norm reported ||y_n|| == ||z_n|| although y_n is smaller.
+        # The last reaches single subnormals, where a scaled norm alone gave
+        # ||y_33|| = 2 ||z_33|| from rounding noise
+        assert not run_scan(ScanSpec(count=count, dim=5, steps=1000, horizon=1000, seed=seed)).violations
