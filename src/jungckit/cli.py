@@ -4,7 +4,7 @@ Config files are strict YAML key/value trees (unknown keys are errors).
 Each run writes ``trace.csv`` and ``report.txt`` into the output directory;
 the report has one check per line prefixed PASS, FAIL or INFO, and the
 process exits 0 only when no FAIL line was emitted (2 for usage/config
-problems).  Numbers are serialized with shortest round-trip decimals, so
+problems); a jungck run that diverged is a FAIL.  Numbers are serialized with shortest round-trip decimals, so
 identical configs produce byte-identical CSVs.
 """
 
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,14 +33,13 @@ from .errors import (
     NotConvergingError,
     SequenceTooShortError,
 )
-from .model import GatePolicy, IterationTrace, Operator, Schedule, make_operator_pair
+from .model import GatePolicy, Operator, Schedule, make_operator_pair
 from .scan import ScanSpec, run_scan
-
-SCENARIOS = ("jungck", "venter", "aitken-only", "stability-scan")
 
 IDENTITY_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-6
 NONNEG_SLACK = 1e-12
+BLOCK_CELLS = 8192  # trace.csv is formatted in row blocks of about this many cells
 
 
 # ---------------------------------------------------------------------------
@@ -56,25 +56,31 @@ def _check_keys(node: dict, allowed: set, where: str) -> None:
     if unknown:
         raise ConfigValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
 
-def _get_number(node: dict, key: str, where: str, default=None, required=False):
-    if key not in node:
-        if required:
-            raise ConfigValidationError(f"{where}: missing required key '{key}'")
-        return default
-    v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigValidationError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+# YAML 1.1 loads a float only with a dot and a signed exponent: 1e-6 is a string
+_EXPONENT_FLOAT = re.compile(r"([-+]?[0-9]+)(?:\.([0-9]*))?[eE]([-+]?)([0-9]+)")
 
-def _get_int(node: dict, key: str, where: str, default=None, required=False):
+def _number(value: Any, where: str, integer: bool = False):
+    """``value`` as a float, or as an int with ``integer``; anything else, bools too, is a config error."""
+    if not isinstance(value, bool) and isinstance(value, int if integer else (int, float)):
+        return value if integer else float(value)
+    m = _EXPONENT_FLOAT.fullmatch(value) if isinstance(value, str) and not integer else None
+    hint = f" (YAML 1.1 reads it as a string; write {m[1]}.{m[2] or 0}e{m[3] or '+'}{m[4]})" if m else ""
+    raise ConfigValidationError(f"{where}: expected {'an integer' if integer else 'a number'}, got {value!r}{hint}")
+
+def _get(node: dict, key: str, where: str, default=None, required=False, integer=False):
     if key not in node:
         if required:
             raise ConfigValidationError(f"{where}: missing required key '{key}'")
         return default
+    return _number(node[key], f"{where}.{key}", integer)
+
+def _get_pair(node: dict, key: str, where: str, default: tuple) -> tuple:
+    if key not in node:
+        return default
     v = node[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigValidationError(f"{where}.{key}: expected an integer, got {v!r}")
-    return v
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ConfigValidationError(f"{where}.{key}: expected [lo, hi]")
+    return tuple(_number(x, f"{where}.{key}[{i}]") for i, x in enumerate(v))
 
 
 def parse_operator(node: Any, where: str) -> Operator:
@@ -87,15 +93,15 @@ def parse_operator(node: Any, where: str) -> Operator:
             raise ConfigValidationError(f"{where}.matrix: {exc}") from exc
     _check_keys(node, {"name", "dim", "value"}, where)
     name = node.get("name")
-    dim = _get_int(node, "dim", where, required=True)
-    if dim is None or dim < 1:
+    dim = _get(node, "dim", where, required=True, integer=True)
+    if dim < 1:
         raise ConfigValidationError(f"{where}.dim: must be >= 1")
     if name == "identity":
         return Operator.identity(dim)
     if name == "zero":
         return Operator.zero(dim)
     if name == "scale":
-        value = _get_number(node, "value", where, required=True)
+        value = _get(node, "value", where, required=True)
         return Operator.scaled_identity(value, dim)
     raise ConfigValidationError(f"{where}.name: unknown built-in {name!r} (identity, zero, scale)")
 
@@ -104,11 +110,7 @@ def parse_schedule(node: Any, where: str, clamp=(0.0, 1.0), enforce_clamp=True) 
     node = _require_mapping(node, where)
     _check_keys(node, {"form", "value", "k", "p", "values", "clamp"}, where)
     form = node.get("form")
-    if "clamp" in node:
-        c = node["clamp"]
-        if not (isinstance(c, list) and len(c) == 2):
-            raise ConfigValidationError(f"{where}.clamp: expected [lo, hi]")
-        clamp = (float(c[0]), float(c[1]))
+    clamp = _get_pair(node, "clamp", where, clamp)
     lo, hi = clamp
 
     def check_range(v, label):
@@ -117,28 +119,24 @@ def parse_schedule(node: Any, where: str, clamp=(0.0, 1.0), enforce_clamp=True) 
 
     try:
         if form == "constant":
-            value = _get_number(node, "value", where, required=True)
+            value = _get(node, "value", where, required=True)
             check_range(value, "value")
             return Schedule.constant(value, clamp=clamp)
         if form == "one-minus-inv":
-            return Schedule.one_minus_inv(k=_get_int(node, "k", where, default=2), clamp=clamp)
+            return Schedule.one_minus_inv(k=_get(node, "k", where, default=2, integer=True), clamp=clamp)
         if form == "inv":
-            return Schedule.inv(k=_get_int(node, "k", where, default=2), clamp=clamp)
+            return Schedule.inv(k=_get(node, "k", where, default=2, integer=True), clamp=clamp)
         if form == "inv-pow":
-            return Schedule.inv_pow(
-                k=_get_int(node, "k", where, default=2),
-                p=_get_number(node, "p", where, default=2.0),
-                clamp=clamp,
-            )
+            return Schedule.inv_pow(k=_get(node, "k", where, default=2, integer=True),
+                                    p=_get(node, "p", where, default=2.0), clamp=clamp)
         if form == "list":
             values = node.get("values")
             if not isinstance(values, list) or not values:
                 raise ConfigValidationError(f"{where}.values: expected a non-empty list")
+            values = [_number(v, f"{where}.values[{i}]") for i, v in enumerate(values)]
             for i, v in enumerate(values):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigValidationError(f"{where}.values[{i}]: expected a number")
-                check_range(float(v), f"values[{i}]")
-            return Schedule.from_values([float(v) for v in values], clamp=clamp)
+                check_range(v, f"values[{i}]")
+            return Schedule.from_values(values, clamp=clamp)
     except ValueError as exc:
         raise ConfigValidationError(f"{where}: {exc}") from exc
     raise ConfigValidationError(f"{where}.form: unknown form {form!r}")
@@ -154,7 +152,7 @@ def parse_gate(node: Any, where: str) -> GatePolicy:
         if mode == "always-off":
             return GatePolicy.always_off()
         if mode == "threshold":
-            return GatePolicy.threshold(_get_number(node, "tau", where, required=True))
+            return GatePolicy.threshold(_get(node, "tau", where, required=True))
         if mode == "list":
             values = node.get("values")
             if not isinstance(values, list) or not values:
@@ -203,12 +201,8 @@ class ExperimentConfig:
     scan: Optional[ScanSpec] = None
 
     def active(self):
-        block = {
-            "jungck": self.jungck,
-            "venter": self.venter,
-            "aitken-only": self.aitken,
-            "stability-scan": self.scan,
-        }[self.scenario]
+        key, _, _ = SCENARIOS[self.scenario]
+        block = getattr(self, key)
         if block is None:
             raise ConfigValidationError(f"scenario '{self.scenario}' has no matching config block")
         return block
@@ -229,9 +223,9 @@ def _parse_jungck(node: dict) -> JungckScenario:
     b = parse_schedule(node["b"], f"{where}.b")
     gate_z = parse_gate(node["gate_z"], f"{where}.gate_z") if "gate_z" in node else GatePolicy.always_on()
     gate_y = parse_gate(node["gate_y"], f"{where}.gate_y") if "gate_y" in node else GatePolicy.always_on()
-    steps = _get_int(node, "steps", where, required=True)
-    solve_tol = _get_number(node, "solve_tol", where, default=1e-10)
-    floor_scale = _get_number(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
+    steps = _get(node, "steps", where, required=True, integer=True)
+    solve_tol = _get(node, "solve_tol", where, default=1e-10)
+    floor_scale = _get(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
     nonneg = node.get("nonneg_domain", False)
     if not isinstance(nonneg, bool):
         raise ConfigValidationError(f"{where}.nonneg_domain: expected true/false")
@@ -244,9 +238,9 @@ def _parse_jungck(node: dict) -> JungckScenario:
         if not isinstance(positivity, bool):
             raise ConfigValidationError(f"{where}.stability.positivity: expected true/false")
         stability_opts = StabilityOptions(
-            horizon=_get_int(sub, "horizon", f"{where}.stability", default=200),
-            tail_start=_get_int(sub, "tail_start", f"{where}.stability", default=0),
-            tail_tol=_get_number(sub, "tail_tol", f"{where}.stability", default=0.01),
+            horizon=_get(sub, "horizon", f"{where}.stability", default=200, integer=True),
+            tail_start=_get(sub, "tail_start", f"{where}.stability", default=0, integer=True),
+            tail_tol=_get(sub, "tail_tol", f"{where}.stability", default=0.01),
             positivity=positivity,
         )
 
@@ -272,10 +266,10 @@ def _parse_venter(node: dict) -> VenterScenario:
     zero = Schedule.constant(0.0, clamp=(0.0, math.inf))
     gamma = parse_schedule(node["gamma"], f"{where}.gamma", clamp=(0.0, math.inf)) if "gamma" in node else zero
     omega = parse_schedule(node["omega"], f"{where}.omega", clamp=(0.0, math.inf)) if "omega" in node else zero
-    sigma = _get_number(node, "sigma", where, default=0.0)
-    x0 = _get_number(node, "x0", where, required=True)
-    steps = _get_int(node, "steps", where, required=True)
-    eps = _get_number(node, "eps", where, default=1e-3)
+    sigma = _get(node, "sigma", where, default=0.0)
+    x0 = _get(node, "x0", where, required=True)
+    steps = _get(node, "steps", where, required=True, integer=True)
+    eps = _get(node, "eps", where, default=1e-3)
     if sigma < 0:
         raise ConfigValidationError(f"{where}.sigma: must be >= 0, got {sigma}")
     if x0 < 0:
@@ -298,7 +292,7 @@ def _parse_aitken(node: dict) -> AitkenScenario:
         limit = np.atleast_1d(np.asarray(seq_node.get("limit", 0.0), dtype=float))
         coeff = np.atleast_1d(np.asarray(seq_node.get("coeff", 1.0), dtype=float))
         ratio = np.atleast_1d(np.asarray(seq_node.get("ratio", 0.5), dtype=float))
-        length = _get_int(seq_node, "length", f"{where}.sequence", default=30)
+        length = _get(seq_node, "length", f"{where}.sequence", default=30, integer=True)
         if length < 3:
             raise ConfigValidationError(f"{where}.sequence.length: need >= 3 terms")
         if np.any(np.abs(ratio) >= 1):
@@ -318,32 +312,23 @@ def _parse_aitken(node: dict) -> AitkenScenario:
     else:
         raise ConfigValidationError(f"{where}.sequence.kind: unknown kind {kind!r} (geometric, values)")
     gate = parse_gate(node["gate"], f"{where}.gate") if "gate" in node else GatePolicy.always_on()
-    floor_scale = _get_number(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
+    floor_scale = _get(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
     return AitkenScenario(values=values, gate=gate, floor_scale=floor_scale, geometric_limit=geometric_limit)
 
 
 def _parse_scan(node: dict) -> ScanSpec:
     where = "scan"
     _check_keys(node, {"count", "dim", "steps", "horizon", "seed", "mu_range", "t_norm_range", "tail_tol"}, where)
-
-    def pair_of(key, default):
-        if key not in node:
-            return default
-        v = node[key]
-        if not (isinstance(v, list) and len(v) == 2):
-            raise ConfigValidationError(f"{where}.{key}: expected [lo, hi]")
-        return (float(v[0]), float(v[1]))
-
     try:
         return ScanSpec(
-            count=_get_int(node, "count", where, default=100),
-            dim=_get_int(node, "dim", where, default=5),
-            steps=_get_int(node, "steps", where, default=300),
-            horizon=_get_int(node, "horizon", where, default=300),
-            seed=_get_int(node, "seed", where, default=12345),
-            mu_range=pair_of("mu_range", (0.8, 2.5)),
-            t_norm_range=pair_of("t_norm_range", (0.05, 0.9)),
-            tail_tol=_get_number(node, "tail_tol", where, default=0.01),
+            count=_get(node, "count", where, default=100, integer=True),
+            dim=_get(node, "dim", where, default=5, integer=True),
+            steps=_get(node, "steps", where, default=300, integer=True),
+            horizon=_get(node, "horizon", where, default=300, integer=True),
+            seed=_get(node, "seed", where, default=12345, integer=True),
+            mu_range=_get_pair(node, "mu_range", where, (0.8, 2.5)),
+            t_norm_range=_get_pair(node, "t_norm_range", where, (0.05, 0.9)),
+            tail_tol=_get(node, "tail_tol", where, default=0.01),
         )
     except ValueError as exc:
         raise ConfigValidationError(f"{where}: {exc}") from exc
@@ -358,23 +343,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
         loc = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
         raise ConfigParseError(f"config is not valid YAML{loc}: {exc}") from exc
     doc = _require_mapping(doc, "config")
-    _check_keys(doc, {"scenario", "output", "jungck", "venter", "aitken", "scan"}, "config")
+    _check_keys(doc, {"scenario", "output"} | {key for key, _, _ in SCENARIOS.values()}, "config")
     scenario = doc.get("scenario")
     if scenario not in SCENARIOS:
-        raise ConfigValidationError(f"config.scenario: expected one of {SCENARIOS}, got {scenario!r}")
+        raise ConfigValidationError(f"config.scenario: expected one of {tuple(SCENARIOS)}, got {scenario!r}")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigValidationError("config.output: expected a path string")
 
     cfg = ExperimentConfig(scenario=scenario, output=output)
-    if "jungck" in doc:
-        cfg.jungck = _parse_jungck(_require_mapping(doc["jungck"], "jungck"))
-    if "venter" in doc:
-        cfg.venter = _parse_venter(_require_mapping(doc["venter"], "venter"))
-    if "aitken" in doc:
-        cfg.aitken = _parse_aitken(_require_mapping(doc["aitken"], "aitken"))
-    if "scan" in doc:
-        cfg.scan = _parse_scan(_require_mapping(doc["scan"], "scan"))
+    for key, parse, _ in SCENARIOS.values():
+        if key in doc:
+            setattr(cfg, key, parse(_require_mapping(doc[key], key)))
     cfg.active()  # the chosen scenario must have its block
     return cfg
 
@@ -387,42 +367,45 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 # serialization
 
 
-def fmt(x) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(x))
+def write_csv(columns, path: Path) -> None:
+    """Write ``(name, values)`` columns as one CSV table.
 
-
-def _vector_headers(prefix: str, dim: int) -> list[str]:
-    return [f"{prefix}[{i}]" for i in range(dim)]
-
-
-def write_jungck_csv(trace: IterationTrace, path: Path) -> None:
-    d = trace.dim
-    header = (
-        ["n"]
-        + _vector_headers("z", d) + _vector_headers("y", d)
-        + _vector_headers("Sz", d) + _vector_headers("Sy", d)
-        + _vector_headers("ASz", d) + _vector_headers("ASy", d)
-        + _vector_headers("gate_z", d) + _vector_headers("gate_y", d)
-        + ["identity_residual"]
-    )
-    residuals = engine.identity_residuals(trace)
+    A 2-D value becomes the columns ``name[0]``, ``name[1]``, ...  Floats
+    are written with ``repr`` (the shortest round-trip decimal), everything
+    else with ``str``.  A column shorter than the longest leaves its trailing
+    cells empty.  Rows are formatted in blocks of about ``BLOCK_CELLS``
+    cells, column by column, so a long trace never sits in memory as text.
+    ``path`` stays the last argument: the benchmark's byte counter reads it there.
+    """
+    header, flat = [], []
+    for name, values in columns:
+        if getattr(values, "ndim", 1) == 2:
+            header += [f"{name}[{i}]" for i in range(values.shape[1])]
+            flat += list(values.T)
+        else:
+            header.append(name)
+            flat.append(values)
+    n_rows = max((len(v) for v in flat), default=0)
+    step = max(1, BLOCK_CELLS // len(flat))
     with path.open("w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for n in range(trace.n_raw):
-            row = [str(n)]
-            for arr in (trace.z, trace.y, trace.sz, trace.sy):
-                row.extend(fmt(v) for v in arr[n])
-            if n < trace.n_accel:
-                for arr in (trace.asz, trace.asy):
-                    row.extend(fmt(v) for v in arr[n])
-                for arr in (trace.gates_z, trace.gates_y):
-                    row.extend(str(int(v)) for v in arr[n])
-            else:
-                row.extend([""] * (4 * d))
-            row.append(fmt(residuals[n]) if n < len(residuals) else "")
-            writer.writerow(row)
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            writer.writerows(zip(*(_cells(v[lo:hi], hi - lo) for v in flat)))
+
+
+def _cells(part, count: int) -> list:
+    """``count`` cells of one column block, the missing tail left empty."""
+    if isinstance(part, np.ndarray):
+        part = part.tolist()  # Python scalars; str of a float is its repr
+    cells = list(map(str, part))
+    return cells + [""] * (count - len(cells))
+
+
+def _optional(values, show=lambda v: str(v).lower()) -> list:
+    """Cells of optional values: empty for None, else ``show`` (default: a lower-case bool)."""
+    return ["" if v is None else show(v) for v in values]
 
 
 def read_jungck_csv(path: Path) -> dict:
@@ -440,57 +423,6 @@ def read_jungck_csv(path: Path) -> dict:
             else:
                 out[name].append(float(cell))
     return out
-
-
-def write_venter_csv(trace: venter.VenterTrace, path: Path) -> None:
-    header = ["n", "x", "k_hat", "alpha", "gamma", "omega",
-              "sum_alpha_x", "sum_gamma_x", "sum_omega", "sum_x"]
-    n_steps = trace.steps
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for n in range(n_steps + 1):
-            row = [str(n), fmt(trace.x[n])]
-            if n < n_steps:
-                row += [fmt(trace.k_hat[n]), fmt(trace.alpha_vals[n]), fmt(trace.gamma_vals[n]),
-                        fmt(trace.omega_vals[n]), fmt(trace.sum_alpha_x[n]), fmt(trace.sum_gamma_x[n]),
-                        fmt(trace.sum_omega[n])]
-            else:
-                row += [""] * 7
-            row.append(fmt(trace.sum_x[n]))
-            writer.writerow(row)
-
-
-def write_aitken_csv(values: np.ndarray, accel: np.ndarray, gates: np.ndarray, path: Path) -> None:
-    d = values.shape[1]
-    header = ["n"] + _vector_headers("x", d) + _vector_headers("Ax", d) + _vector_headers("gate", d)
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for n in range(values.shape[0]):
-            row = [str(n)] + [fmt(v) for v in values[n]]
-            if n < accel.shape[0]:
-                row += [fmt(v) for v in accel[n]]
-                row += [str(int(g)) for g in gates[n]]
-            else:
-                row += [""] * (2 * d)
-            writer.writerow(row)
-
-
-def write_scan_csv(result, path: Path) -> None:
-    header = ["index", "certified", "predicted", "simulation_agrees", "monotone_ok", "final_ratio"]
-    with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for o in result.outcomes:
-            writer.writerow([
-                str(o.index),
-                "+".join(o.certified) if o.certified else "none",
-                o.predicted,
-                "" if o.simulation_agrees is None else str(o.simulation_agrees).lower(),
-                "" if o.monotone_ok is None else str(o.monotone_ok).lower(),
-                "" if o.final_ratio is None else fmt(o.final_ratio),
-            ])
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +449,22 @@ class Report:
         return "".join(f"{status} {text}\n" for status, text in self.lines)
 
 
-def _norm(v) -> float:
-    return float(np.linalg.norm(v))
-
-
 def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
     cfg = scn.cfg
     trace = engine.run(cfg)
-    write_jungck_csv(trace, outdir / "trace.csv")
+    residuals = engine.identity_residuals(trace)
+    write_csv([("n", range(trace.n_raw)), ("z", trace.z), ("y", trace.y), ("Sz", trace.sz), ("Sy", trace.sy),
+               ("ASz", trace.asz), ("ASy", trace.asy), ("gate_z", trace.gates_z), ("gate_y", trace.gates_y),
+               ("identity_residual", residuals)], outdir / "trace.csv")
     pair = cfg.pair
     report.add("INFO", f"jungck run: dim={cfg.dim} steps={cfg.steps} rows={trace.n_raw}")
     if pair.norms_available:
         report.add("INFO", f"operator data: min_modulus(s)={pair.s_min_modulus:.6g} "
                            f"norm(s)={pair.s_norm:.6g} norm(t)={pair.t_norm:.6g}")
     if trace.diverged:
-        report.add("INFO", f"run diverged and was truncated: {trace.failure}")
+        report.add("FAIL", f"run diverged and was truncated: {trace.failure}")
 
     if trace.n_raw >= 2:
-        residuals = engine.identity_residuals(trace)
         rel = residuals / (1.0 + np.linalg.norm(trace.sz[1:], axis=1))
         worst = float(np.max(rel))
         report.ok(worst <= IDENTITY_TOL, f"identity-residual: max relative {worst:.3e} (tol {IDENTITY_TOL:g})")
@@ -606,7 +536,10 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
 def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
     cfg = scn.cfg
     trace = venter.venter_run(cfg)
-    write_venter_csv(trace, outdir / "trace.csv")
+    write_csv([("n", range(trace.steps + 1)), ("x", trace.x), ("k_hat", trace.k_hat),
+               ("alpha", trace.alpha_vals), ("gamma", trace.gamma_vals), ("omega", trace.omega_vals),
+               ("sum_alpha_x", trace.sum_alpha_x), ("sum_gamma_x", trace.sum_gamma_x),
+               ("sum_omega", trace.sum_omega), ("sum_x", trace.sum_x)], outdir / "trace.csv")
     report.add("INFO", f"venter run: steps={cfg.steps} sigma={cfg.sigma:g} x0={cfg.x0:g}")
     k_hat = trace.k_hat_final
     report.add("INFO", f"cesaro mean K_hat at horizon: {k_hat!r}")
@@ -642,11 +575,12 @@ def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
 
 def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
     accel, gates = accelerate_sequence(scn.values, scn.gate, scn.floor_scale)
-    write_aitken_csv(scn.values, accel, gates, outdir / "trace.csv")
+    write_csv([("n", range(len(scn.values))), ("x", scn.values), ("Ax", accel), ("gate", gates)],
+              outdir / "trace.csv")
     report.add("INFO", f"aitken run: {scn.values.shape[0]} terms, dim={scn.values.shape[1]}")
     if scn.geometric_limit is not None:
         lim = scn.geometric_limit
-        tol = 1e-10 * (1.0 + _norm(lim))
+        tol = 1e-10 * (1.0 + float(np.linalg.norm(lim)))
         worst = float(np.max(np.linalg.norm(accel - lim[None, :], axis=1)))
         report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
         ratios = diagnostics.acceleration_ratio(scn.values, accel, lim)
@@ -666,7 +600,12 @@ def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
 
 def _run_scan(spec: ScanSpec, outdir: Path, report: Report) -> None:
     result = run_scan(spec)
-    write_scan_csv(result, outdir / "trace.csv")
+    outs = result.outcomes
+    write_csv([("index", [o.index for o in outs]), ("certified", ["+".join(o.certified) or "none" for o in outs]),
+               ("predicted", [o.predicted for o in outs]),
+               ("simulation_agrees", _optional(o.simulation_agrees for o in outs)),
+               ("monotone_ok", _optional(o.monotone_ok for o in outs)),
+               ("final_ratio", _optional((o.final_ratio for o in outs), repr))], outdir / "trace.csv")
     counts = result.counts_by_property()
     report.add("INFO", f"scan: {spec.count} configs, dim={spec.dim}, steps={spec.steps}, seed={spec.seed}")
     report.add("INFO", "certified counts: " + " ".join(f"{k}={v}" for k, v in counts.items()))
@@ -675,6 +614,16 @@ def _run_scan(spec: ScanSpec, outdir: Path, report: Report) -> None:
     report.ok(not violations, f"certificate soundness: {len(violations)} violation(s)")
     for o in violations:
         report.add("INFO", f"violating config index {o.index}: certified={o.certified} notes={o.notes}")
+
+
+#: scenario name -> (config block, parser, runner); the block is also the
+#: ExperimentConfig attribute that holds the parsed scenario
+SCENARIOS = {
+    "jungck": ("jungck", _parse_jungck, _run_jungck),
+    "venter": ("venter", _parse_venter, _run_venter),
+    "aitken-only": ("aitken", _parse_aitken, _run_aitken),
+    "stability-scan": ("scan", _parse_scan, _run_scan),
+}
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None, quiet: bool = False) -> int:
@@ -687,15 +636,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None, 
     outdir.mkdir(parents=True, exist_ok=True)
     report = Report()
     try:
-        block = cfg.active()
-        if cfg.scenario == "jungck":
-            _run_jungck(block, outdir, report)
-        elif cfg.scenario == "venter":
-            _run_venter(block, outdir, report)
-        elif cfg.scenario == "aitken-only":
-            _run_aitken(block, outdir, report)
-        else:
-            _run_scan(block, outdir, report)
+        _, _, run = SCENARIOS[cfg.scenario]
+        run(cfg.active(), outdir, report)
     except JungckitError as exc:
         report.add("FAIL", f"run aborted: {exc}")
     (outdir / "report.txt").write_text(report.render())

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteError,
+    ScheduleViolationError,
     SingularOperatorError,
     SolveError,
 )
@@ -282,7 +283,12 @@ def schedule_eval(s: Schedule, n: int) -> float:
     elif s.form == "inv":
         raw = 1.0 / (n + s.k)
     elif s.form == "inv-pow":
-        raw = 1.0 / float(n + s.k) ** s.p
+        try:
+            raw = 1.0 / float(n + s.k) ** s.p
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ScheduleViolationError(
+                f"inv-pow schedule 1/(n+k)^p overflows in floating point at n={n} (k={s.k}, p={s.p!r}): {exc}"
+            ) from exc
     else:
         if n >= len(s.values):
             raise IndexOutOfRangeError(f"explicit schedule has {len(s.values)} values, asked for n={n}")

@@ -1,9 +1,16 @@
 """Config parsing, CSV emission, reports and exit codes."""
 
+import csv
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from jungckit import engine, venter
+from jungckit.aitken import accelerate_sequence
 from jungckit.cli import (
+    BLOCK_CELLS,
     ConfigParseError,
     ConfigValidationError,
     main,
@@ -11,6 +18,9 @@ from jungckit.cli import (
     read_jungck_csv,
     run_experiment,
 )
+from jungckit.scan import run_scan
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL_JUNGCK = """
 scenario: jungck
@@ -30,6 +40,35 @@ venter:
   x0: 1.0
   steps: 500
   eps: 1.0e-2
+"""
+
+SCAN = """
+scenario: stability-scan
+scan: {count: 10, dim: 3, steps: 60, horizon: 60, seed: 11}
+"""
+
+DIVERGING = """
+scenario: jungck
+jungck:
+  s: {name: identity, dim: 1}
+  t: {name: scale, dim: 1, value: 1.0e+200}
+  a: {form: constant, value: 0.5}
+  b: {form: constant, value: 0.5}
+  z0: [1.0e-250]
+  steps: 10
+"""
+
+TWO_STEP_GATES_OFF = """
+scenario: jungck
+jungck:
+  s: {name: scale, dim: 2, value: 2.0}
+  t: {name: scale, dim: 2, value: 0.5}
+  a: {form: constant, value: 0.5}
+  b: {form: constant, value: 0.5}
+  gate_z: {mode: always-off}
+  gate_y: {mode: always-off}
+  z0: [1.0, -0.5]
+  steps: 2
 """
 
 
@@ -161,10 +200,7 @@ aitken:
         assert "PASS geometric exactness" in (tmp_path / "report.txt").read_text()
 
     def test_scan_scenario(self, tmp_path):
-        cfg = parse_config_text("""
-scenario: stability-scan
-scan: {count: 10, dim: 3, steps: 60, horizon: 60, seed: 11}
-""")
+        cfg = parse_config_text(SCAN)
         assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 0
         report = (tmp_path / "report.txt").read_text()
         assert "PASS certificate soundness: 0 violation(s)" in report
@@ -226,3 +262,195 @@ class TestMain:
         path = self.write(tmp_path, MINIMAL_JUNGCK + "  power_mode: matrix-cached\n")
         assert main(["--config", path, "--quiet"]) == 2
         assert "unknown key(s) ['power_mode']" in capsys.readouterr().err
+
+    def test_diverged_run_fails(self, tmp_path):
+        path = self.write(tmp_path, DIVERGING)
+        out = tmp_path / "out"
+        assert main(["--config", path, "--output", str(out), "--quiet"]) == 1
+        report = (out / "report.txt").read_text()
+        assert "FAIL run diverged and was truncated: power 2 of the update map overflowed" in report
+        assert len((out / "trace.csv").read_text().splitlines()) == 3  # header + rows 0 and 1
+
+    @pytest.mark.parametrize("p", ["400.0", "-2000.0"])
+    @pytest.mark.parametrize("text,old,new", [
+        (MINIMAL_JUNGCK, "a: {form: constant, value: 0.5}", "a: {form: inv-pow, k: 2, p: P}"),
+        (VENTER, "x0: 1.0", "gamma: {form: inv-pow, k: 2, p: P}\n  x0: 1.0"),
+    ], ids=["jungck-a", "venter-gamma"])
+    def test_inv_pow_overflow_aborts_the_run(self, tmp_path, text, old, new, p):
+        path = self.write(tmp_path, text.replace(old, new.replace("P", p)))
+        out = tmp_path / "out"
+        assert main(["--config", path, "--output", str(out), "--quiet"]) == 1
+        report = (out / "report.txt").read_text()
+        assert "FAIL run aborted: inv-pow schedule" in report
+        assert f"(k=2, p={float(p)!r})" in report
+
+    @pytest.mark.parametrize("text,old,new,where", [
+        (MINIMAL_JUNGCK, "a: {form: constant, value: 0.5}", "a: {form: constant, value: 0.5, clamp: [[0], 1]}",
+         "jungck.a.clamp[0]"),
+        (MINIMAL_JUNGCK, "a: {form: constant, value: 0.5}", "a: {form: constant, value: 0.5, clamp: [true, 1]}",
+         "jungck.a.clamp[0]"),
+        (SCAN, "seed: 11", "seed: 11, mu_range: [null, 2]", "scan.mu_range[0]"),
+        (MINIMAL_JUNGCK, "a: {form: constant, value: 0.5}", 'a: {form: list, values: [0.5, "x"]}',
+         "jungck.a.values[1]"),
+    ], ids=["clamp-list", "clamp-bool", "mu-range-null", "values-string"])
+    def test_non_numbers_exit_two(self, tmp_path, capsys, text, old, new, where):
+        text = text.replace(old, new, 1)
+        with pytest.raises(ConfigValidationError, match=re.escape(f"{where}: expected a number")):
+            parse_config_text(text)
+        assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
+        assert f"config error: {where}: expected a number" in capsys.readouterr().err
+
+    def test_yaml11_exponent_names_the_float_form(self, tmp_path, capsys):
+        path = self.write(tmp_path, VENTER.replace("eps: 1.0e-2", "eps: 1e-6"))
+        assert main(["--config", path, "--quiet"]) == 2
+        assert "venter.eps: expected a number, got '1e-6'" in (err := capsys.readouterr().err)
+        assert "write 1.0e-6" in err
+
+
+
+# ---------------------------------------------------------------------------
+# the four per-scenario writers that write_csv replaced, kept as its reference
+
+
+def ref_fmt(x) -> str:
+    return repr(float(x))
+
+
+def ref_vector_headers(prefix: str, dim: int) -> list:
+    return [f"{prefix}[{i}]" for i in range(dim)]
+
+
+def ref_write_jungck_csv(trace, path):
+    d = trace.dim
+    header = (
+        ["n"]
+        + ref_vector_headers("z", d) + ref_vector_headers("y", d)
+        + ref_vector_headers("Sz", d) + ref_vector_headers("Sy", d)
+        + ref_vector_headers("ASz", d) + ref_vector_headers("ASy", d)
+        + ref_vector_headers("gate_z", d) + ref_vector_headers("gate_y", d)
+        + ["identity_residual"]
+    )
+    residuals = engine.identity_residuals(trace)
+    with path.open("w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for n in range(trace.n_raw):
+            row = [str(n)]
+            for arr in (trace.z, trace.y, trace.sz, trace.sy):
+                row.extend(ref_fmt(v) for v in arr[n])
+            if n < trace.n_accel:
+                for arr in (trace.asz, trace.asy):
+                    row.extend(ref_fmt(v) for v in arr[n])
+                for arr in (trace.gates_z, trace.gates_y):
+                    row.extend(str(int(v)) for v in arr[n])
+            else:
+                row.extend([""] * (4 * d))
+            row.append(ref_fmt(residuals[n]) if n < len(residuals) else "")
+            writer.writerow(row)
+
+
+def ref_write_venter_csv(trace, path):
+    header = ["n", "x", "k_hat", "alpha", "gamma", "omega",
+              "sum_alpha_x", "sum_gamma_x", "sum_omega", "sum_x"]
+    n_steps = trace.steps
+    with path.open("w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for n in range(n_steps + 1):
+            row = [str(n), ref_fmt(trace.x[n])]
+            if n < n_steps:
+                row += [ref_fmt(trace.k_hat[n]), ref_fmt(trace.alpha_vals[n]), ref_fmt(trace.gamma_vals[n]),
+                        ref_fmt(trace.omega_vals[n]), ref_fmt(trace.sum_alpha_x[n]),
+                        ref_fmt(trace.sum_gamma_x[n]), ref_fmt(trace.sum_omega[n])]
+            else:
+                row += [""] * 7
+            row.append(ref_fmt(trace.sum_x[n]))
+            writer.writerow(row)
+
+
+def ref_write_aitken_csv(values, accel, gates, path):
+    d = values.shape[1]
+    header = ["n"] + ref_vector_headers("x", d) + ref_vector_headers("Ax", d) + ref_vector_headers("gate", d)
+    with path.open("w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for n in range(values.shape[0]):
+            row = [str(n)] + [ref_fmt(v) for v in values[n]]
+            if n < accel.shape[0]:
+                row += [ref_fmt(v) for v in accel[n]]
+                row += [str(int(g)) for g in gates[n]]
+            else:
+                row += [""] * (2 * d)
+            writer.writerow(row)
+
+
+def ref_write_scan_csv(result, path):
+    header = ["index", "certified", "predicted", "simulation_agrees", "monotone_ok", "final_ratio"]
+    with path.open("w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for o in result.outcomes:
+            writer.writerow([
+                str(o.index),
+                "+".join(o.certified) if o.certified else "none",
+                o.predicted,
+                "" if o.simulation_agrees is None else str(o.simulation_agrees).lower(),
+                "" if o.monotone_ok is None else str(o.monotone_ok).lower(),
+                "" if o.final_ratio is None else ref_fmt(o.final_ratio),
+            ])
+
+
+def ref_write(cfg, path):
+    scn = cfg.active()
+    if cfg.scenario == "jungck":
+        ref_write_jungck_csv(engine.run(scn.cfg), path)
+    elif cfg.scenario == "venter":
+        ref_write_venter_csv(venter.venter_run(scn.cfg), path)
+    elif cfg.scenario == "aitken-only":
+        accel, gates = accelerate_sequence(scn.values, scn.gate, scn.floor_scale)
+        ref_write_aitken_csv(scn.values, accel, gates, path)
+    else:
+        ref_write_scan_csv(run_scan(scn), path)
+
+
+def aitken_config(dim: int, length: int) -> str:
+    ratios = [0.999 - 0.1 * i for i in range(dim)]
+    return ("scenario: aitken-only\naitken:\n"
+            f"  sequence: {{kind: geometric, limit: 1.0, coeff: 2.0, ratio: {ratios}, length: {length}}}\n"
+            "  gate: {mode: threshold, tau: 1.0e-12}\n")
+
+
+def _block_rows(dim: int) -> int:
+    return BLOCK_CELLS // (1 + 3 * dim)  # columns n, x[...], Ax[...], gate[...]
+
+
+class TestWriterMatchesReference:
+    """trace.csv is byte-identical to the per-scenario writers it replaced."""
+
+    def check(self, tmp_path, text):
+        cfg = parse_config_text(text)
+        run_experiment(cfg, output_dir=tmp_path, quiet=True)
+        ref_write(parse_config_text(text), tmp_path / "ref.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_shipped_config(self, tmp_path, name):
+        self.check(tmp_path, (CONFIGS / name).read_text())
+
+    def test_diverged_jungck_trace(self, tmp_path):
+        self.check(tmp_path, DIVERGING)
+
+    def test_two_step_trace_without_corrected_rows(self, tmp_path):
+        self.check(tmp_path, TWO_STEP_GATES_OFF)
+        cols = read_jungck_csv(tmp_path / "trace.csv")
+        assert cols["ASz[0]"] == cols["gate_y[1]"] == [None, None]
+
+    @pytest.mark.parametrize("dim,length", [
+        (1, 2 * _block_rows(1) + 2),                       # Ax ends exactly on a block boundary
+        (3, 3 * _block_rows(3) + 2),
+        (1, 2 * _block_rows(1) + _block_rows(1) // 2 + 2),  # Ax ends mid-block
+        (3, _block_rows(3) + 7),
+    ])
+    def test_aitken_longer_than_one_block(self, tmp_path, dim, length):
+        assert length > _block_rows(dim)
+        self.check(tmp_path, aitken_config(dim, length))

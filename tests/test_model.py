@@ -11,6 +11,7 @@ from jungckit import (
     NonFiniteError,
     Operator,
     Schedule,
+    ScheduleViolationError,
     SingularOperatorError,
     SolveError,
     accelerate_sequence,
@@ -139,6 +140,12 @@ class TestSchedule:
     )
     def test_series_divergence_classification(self, sched, expected):
         assert sched.series_diverges() is expected
+
+    @pytest.mark.parametrize("p,n", [(400.0, 4), (-2000.0, 0)])
+    def test_inv_pow_overflow_is_a_schedule_violation(self, p, n):
+        # (n + k)^400 overflows once n + k > 5; (n + k)^-2000 underflows to 0 and 1/0 fails
+        with pytest.raises(ScheduleViolationError, match=rf"n={n} \(k=2, p={p!r}\)"):
+            Schedule.inv_pow(k=2, p=p).array(n + 1)
 
     def test_negative_index_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
