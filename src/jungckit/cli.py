@@ -4,7 +4,8 @@ Config files are strict YAML key/value trees (unknown keys are errors).
 Each run writes ``trace.csv`` and ``report.txt`` into the output directory;
 the report has one check per line prefixed PASS, FAIL or INFO, and the
 process exits 0 only when no FAIL line was emitted (2 for usage/config
-problems); a jungck run that diverged is a FAIL.  Numbers are serialized with shortest round-trip decimals, so
+problems); a jungck run that diverged is a FAIL, and so is a run in which
+no check ran.  Numbers are serialized with shortest round-trip decimals, so
 identical configs produce byte-identical CSVs.
 """
 
@@ -66,6 +67,12 @@ def _number(value: Any, where: str, integer: bool = False):
     m = _EXPONENT_FLOAT.fullmatch(value) if isinstance(value, str) and not integer else None
     hint = f" (YAML 1.1 reads it as a string; write {m[1]}.{m[2] or 0}e{m[3] or '+'}{m[4]})" if m else ""
     raise ConfigValidationError(f"{where}: expected {'an integer' if integer else 'a number'}, got {value!r}{hint}")
+
+def _numbers(value: Any, where: str):
+    """``value`` with every entry read by ``_number``; lists may nest."""
+    if isinstance(value, list):
+        return [_numbers(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return _number(value, where)
 
 def _get(node: dict, key: str, where: str, default=None, required=False, integer=False):
     if key not in node:
@@ -226,6 +233,7 @@ def _parse_jungck(node: dict) -> JungckScenario:
     steps = _get(node, "steps", where, required=True, integer=True)
     solve_tol = _get(node, "solve_tol", where, default=1e-10)
     floor_scale = _get(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
+    z0 = _numbers(node["z0"], f"{where}.z0")
     nonneg = node.get("nonneg_domain", False)
     if not isinstance(nonneg, bool):
         raise ConfigValidationError(f"{where}.nonneg_domain: expected true/false")
@@ -248,7 +256,7 @@ def _parse_jungck(node: dict) -> JungckScenario:
         pair = make_operator_pair(s_op, t_op, tol=solve_tol)
         cfg = engine.JungckConfig(
             pair=pair, a=a, b=b, gates_z=gate_z, gates_y=gate_y,
-            z0=np.atleast_1d(np.asarray(node["z0"], dtype=float)),
+            z0=np.atleast_1d(np.asarray(z0, dtype=float)),
             steps=steps, floor_scale=floor_scale, nonneg_domain=nonneg,
         )
     except (JungckitError, ValueError, TypeError) as exc:
@@ -289,9 +297,10 @@ def _parse_aitken(node: dict) -> AitkenScenario:
     geometric_limit = None
     if kind == "geometric":
         _check_keys(seq_node, {"kind", "limit", "coeff", "ratio", "length"}, f"{where}.sequence")
-        limit = np.atleast_1d(np.asarray(seq_node.get("limit", 0.0), dtype=float))
-        coeff = np.atleast_1d(np.asarray(seq_node.get("coeff", 1.0), dtype=float))
-        ratio = np.atleast_1d(np.asarray(seq_node.get("ratio", 0.5), dtype=float))
+        limit, coeff, ratio = (
+            np.atleast_1d(np.asarray(_numbers(seq_node.get(key, default), f"{where}.sequence.{key}"), dtype=float))
+            for key, default in (("limit", 0.0), ("coeff", 1.0), ("ratio", 0.5))
+        )
         length = _get(seq_node, "length", f"{where}.sequence", default=30, integer=True)
         if length < 3:
             raise ConfigValidationError(f"{where}.sequence.length: need >= 3 terms")
@@ -306,7 +315,7 @@ def _parse_aitken(node: dict) -> AitkenScenario:
         raw = seq_node.get("values")
         if not isinstance(raw, list) or len(raw) < 3:
             raise ConfigValidationError(f"{where}.sequence.values: need a list of >= 3 terms")
-        values = np.atleast_2d(np.asarray(raw, dtype=float))
+        values = np.atleast_2d(np.asarray(_numbers(raw, f"{where}.sequence.values"), dtype=float))
         if values.shape[0] < 3:
             values = values.T
     else:
@@ -444,6 +453,11 @@ class Report:
     @property
     def failed(self) -> bool:
         return any(status == "FAIL" for status, _ in self.lines)
+
+    @property
+    def checked(self) -> bool:
+        """Whether any PASS or FAIL line was emitted."""
+        return any(status != "INFO" for status, _ in self.lines)
 
     def render(self) -> str:
         return "".join(f"{status} {text}\n" for status, text in self.lines)
@@ -630,7 +644,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None, 
     """Run the configured scenario; write trace.csv and report.txt.
 
     Returns the exit status: 0 when every enabled check passed, 1 when any
-    FAIL line was emitted or the run errored.
+    FAIL line was emitted, no check ran or the run errored.
     """
     outdir = Path(output_dir or cfg.output or "out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -640,6 +654,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None, 
         run(cfg.active(), outdir, report)
     except JungckitError as exc:
         report.add("FAIL", f"run aborted: {exc}")
+    if not report.checked:
+        report.add("FAIL", f"no check ran: every check of this {cfg.scenario} run was skipped or does not apply")
     (outdir / "report.txt").write_text(report.render())
     if not quiet:
         sys.stdout.write(report.render())

@@ -25,37 +25,58 @@ from .errors import IndexOutOfRangeError, NonFiniteError, SolveError
 from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state
 
 
-def matrix_powers(t: Operator) -> Iterator[np.ndarray]:
-    """Yield T^0 = I, T^1, T^2, ... of a matrix map, holding one power at a time.
+#: elements per block of powers: a block holds max(1, BLOCK_ELEMENTS // d^2) powers
+BLOCK_ELEMENTS = 2048
+
+
+def matrix_power_blocks(t: Operator) -> Iterator[np.ndarray]:
+    """Yield consecutive ``(k, d, d)`` blocks of T^0 = I, T^1, T^2, ... of a
+    matrix map, with ``k = max(1, BLOCK_ELEMENTS // d^2)``.
 
     Each power is the product T @ T^(n-1); every consumer relies on that
-    order for bit-identical results.  Raises ``NonFiniteError`` in place of
-    yielding a power that overflowed.
+    order for bit-identical results.  A yielded block may be overwritten by
+    the next one, so use it before asking for more.  When a power
+    overflows, the finite powers before it are yielded first and
+    ``NonFiniteError`` is raised in place of the next block.
     """
-    m = np.eye(t.dim)
-    n = 0
-    while True:
-        yield m
-        n += 1
+    d = t.dim
+    k = max(1, BLOCK_ELEMENTS // (d * d))
+    buf = np.zeros((k, d, d))
+    np.fill_diagonal(buf[0], 1.0)
+    prev = buf[0]
+    for n in itertools.count(0, k):  # n: the first power in the block
+        # not held across the yield: it would set the consumer's error state too
         with np.errstate(over="ignore", invalid="ignore"):
-            m = t.matrix @ m
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteError(f"power {n} of the update map overflowed")
+            for j in range(1 if n == 0 else 0, k):
+                np.matmul(t.matrix, prev, out=buf[j])
+                prev = buf[j]
+        finite = np.isfinite(buf).all(axis=(1, 2))
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            if bad:
+                yield buf[:bad]
+            raise NonFiniteError(f"power {n + bad} of the update map overflowed")
+        yield buf
+        if k == 1:
+            # a power cannot be written over its predecessor, so a one-power
+            # block takes a new buffer, and the old one is freed once the
+            # consumer lets go of it, as with a plain T @ T^(n-1)
+            buf = np.empty((1, d, d))
 
 
 def _apply_power(t: Operator, power: Optional[np.ndarray], n: int, x: Vector) -> Vector:
-    """t^n(x): one product with the matrix power, or n compositions of a callback t."""
+    """t^n(x): one product with the matrix power, or n compositions of a callback t.
+
+    The caller holds ``np.errstate`` that ignores overflow."""
     if power is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = power @ x
-        if not np.all(np.isfinite(out)):
+        out = power @ x
+        if not np.isfinite(out).all():
             raise NonFiniteError(f"t^{n} x is non-finite")
         return out
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            x = t(x)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteError("repeated application of the update map overflowed")
+    for _ in range(n):
+        x = t(x)
+        if not np.isfinite(x).all():
+            raise NonFiniteError("repeated application of the update map overflowed")
     return x
 
 
@@ -90,7 +111,7 @@ class JungckConfig:
 
 
 def _check_finite(name: str, v: Vector, n: int) -> Vector:
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteError(f"{name} is non-finite at step {n}")
     return v
 
@@ -107,7 +128,10 @@ def run(cfg: JungckConfig) -> IterationTrace:
     b_vals = cfg.b.array(n_steps)
 
     t = cfg.pair.t
-    stream = matrix_powers(t) if t.is_linear else itertools.repeat(None)
+    if t.is_linear:
+        stream = (power for block in matrix_power_blocks(t) for power in block)
+    else:
+        stream = itertools.repeat(None)
     d = cfg.dim
     z, y, sz, sy, tz, ty = (np.empty((n_steps, d)) for _ in range(6))
     z[0] = cfg.z0

@@ -153,7 +153,7 @@ class OperatorPair:
             raise SolveError(f"solve callback failed: {exc}") from exc
         if u.shape != (self.dim,):
             raise SolveError("solve callback changed the dimension")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise SolveError("solve produced non-finite values")
         return u
 
@@ -252,8 +252,31 @@ class Schedule:
         return schedule_eval(self, n)
 
     def array(self, count: int) -> np.ndarray:
-        """Evaluate at n = 0..count-1."""
-        return np.array([schedule_eval(self, n) for n in range(count)])
+        """Evaluate at n = 0..count-1, bit-identical to ``schedule_eval`` at each n."""
+        n = np.arange(max(count, 0))
+        if self.form == "constant":
+            raw = np.full(n.size, float(self.c))
+        elif self.form == "one-minus-inv":
+            raw = 1.0 - 1.0 / (n + self.k)
+        elif self.form == "inv":
+            raw = 1.0 / (n + self.k)
+        elif self.form == "inv-pow":
+            # numpy's power differs from libm's pow in the last bit on some values
+            raw = np.array([_inv_pow(self, i) for i in range(n.size)], dtype=float)
+        else:
+            if n.size > len(self.values):
+                raise IndexOutOfRangeError(
+                    f"explicit schedule has {len(self.values)} values, asked for n={len(self.values)}"
+                )
+            raw = np.array(self.values[:n.size], dtype=float)
+        lo, hi = self.clamp
+        low, high = raw < lo, raw > hi
+        clamped = np.flatnonzero(low | high)
+        if clamped.size:
+            log.debug("%d schedule value(s) clamped into [%g, %g], first at n=%d", clamped.size, lo, hi, clamped[0])
+            # below lo, schedule_eval's min(hi, max(lo, raw)) is min(hi, lo), down to the sign of a zero
+            raw = np.where(low, min(hi, lo), np.where(high, hi, raw))
+        return raw
 
     def series_diverges(self) -> Optional[bool]:
         """Whether the partial sums of the schedule tend to +inf.
@@ -283,12 +306,7 @@ def schedule_eval(s: Schedule, n: int) -> float:
     elif s.form == "inv":
         raw = 1.0 / (n + s.k)
     elif s.form == "inv-pow":
-        try:
-            raw = 1.0 / float(n + s.k) ** s.p
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise ScheduleViolationError(
-                f"inv-pow schedule 1/(n+k)^p overflows in floating point at n={n} (k={s.k}, p={s.p!r}): {exc}"
-            ) from exc
+        raw = _inv_pow(s, n)
     else:
         if n >= len(s.values):
             raise IndexOutOfRangeError(f"explicit schedule has {len(s.values)} values, asked for n={n}")
@@ -299,6 +317,16 @@ def schedule_eval(s: Schedule, n: int) -> float:
         log.debug("schedule value %g at n=%d clamped into [%g, %g]", raw, n, lo, hi)
         return clamped
     return raw
+
+
+def _inv_pow(s: Schedule, n: int) -> float:
+    """1/(n+k)^p with Python's float power, which ``Schedule.array`` shares."""
+    try:
+        return 1.0 / float(n + s.k) ** s.p
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ScheduleViolationError(
+            f"inv-pow schedule 1/(n+k)^p overflows in floating point at n={n} (k={s.k}, p={s.p!r}): {exc}"
+        ) from exc
 
 
 GATE_MODES = ("always-on", "always-off", "threshold", "list")

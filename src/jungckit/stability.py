@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import JungckConfig, matrix_powers
+from .engine import JungckConfig, matrix_power_blocks
 from .errors import NonFiniteError, NormsUnavailableError, TraceMismatchError
-from .model import IterationTrace, Schedule, spectral_norm
+from .model import IterationTrace, Schedule
 
 #: slack used when replaying certified bounds against simulation
 CROSS_VALIDATE_SLACK = 1e-6
@@ -33,9 +33,15 @@ def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     if not t.is_linear:
         raise NormsUnavailableError("power norms need a matrix update map")
     norms = np.full(horizon + 1, math.inf)
+    n = 0
     try:
-        for n, m in zip(range(horizon + 1), matrix_powers(t)):
-            norms[n] = spectral_norm(m)
+        for block in matrix_power_blocks(t):
+            block = block[:horizon + 1 - n]
+            # one stacked SVD per block; singular values come largest first
+            norms[n:n + len(block)] = np.linalg.svd(block, compute_uv=False)[:, 0]
+            n += len(block)
+            if n > horizon:
+                break
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
     return norms
@@ -174,8 +180,7 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
 
 
 def _tail_close_to_one(sched: Schedule, horizon: int, tol: float) -> tuple[bool, float]:
-    lo = horizon // 2
-    vals = np.array([sched(n) for n in range(lo, horizon + 1)])
+    vals = sched.array(horizon + 1)[horizon // 2:]
     dev = float(np.max(np.abs(vals - 1.0)))
     return dev <= tol, dev
 

@@ -47,6 +47,22 @@ scenario: stability-scan
 scan: {count: 10, dim: 3, steps: 60, horizon: 60, seed: 11}
 """
 
+AITKEN_VALUES = """
+scenario: aitken-only
+aitken:
+  sequence: {kind: values, values: [1.0, 0.5, 0.25, 0.125, 0.0625]}
+"""
+
+VENTER_ALL_SKIPPED = """
+scenario: venter
+venter:
+  alpha: {form: constant, value: 0.5}
+  gamma: {form: constant, value: 0.5}
+  sigma: 0.1
+  x0: 1.0
+  steps: 50
+"""
+
 DIVERGING = """
 scenario: jungck
 jungck:
@@ -292,13 +308,28 @@ class TestMain:
         (SCAN, "seed: 11", "seed: 11, mu_range: [null, 2]", "scan.mu_range[0]"),
         (MINIMAL_JUNGCK, "a: {form: constant, value: 0.5}", 'a: {form: list, values: [0.5, "x"]}',
          "jungck.a.values[1]"),
-    ], ids=["clamp-list", "clamp-bool", "mu-range-null", "values-string"])
+        (MINIMAL_JUNGCK, "z0: [1.0]", "z0: [true]", "jungck.z0[0]"),
+        (AITKEN_VALUES, "0.25, 0.125", "0.25, true", "aitken.sequence.values[3]"),
+        (AITKEN_VALUES, "[1.0, 0.5, 0.25, 0.125, 0.0625]", "[[1.0, 2.0], [0.5, 1.0], [0.25, true]]",
+         "aitken.sequence.values[2][1]"),
+        (AITKEN_VALUES, "kind: values, values: [1.0, 0.5, 0.25, 0.125, 0.0625]",
+         "kind: geometric, limit: [1.0, true], length: 5", "aitken.sequence.limit[1]"),
+    ], ids=["clamp-list", "clamp-bool", "mu-range-null", "values-string", "z0-bool", "aitken-values-bool",
+            "aitken-values-nested-bool", "aitken-limit-bool"])
     def test_non_numbers_exit_two(self, tmp_path, capsys, text, old, new, where):
         text = text.replace(old, new, 1)
         with pytest.raises(ConfigValidationError, match=re.escape(f"{where}: expected a number")):
             parse_config_text(text)
         assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
         assert f"config error: {where}: expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [VENTER_ALL_SKIPPED, AITKEN_VALUES], ids=["venter", "aitken-values"])
+    def test_run_without_checks_fails(self, tmp_path, text):
+        out = tmp_path / "out"
+        assert main(["--config", self.write(tmp_path, text), "--output", str(out), "--quiet"]) == 1
+        lines = (out / "report.txt").read_text().splitlines()
+        assert all(line.startswith("INFO ") for line in lines[:-1])
+        assert lines[-1].startswith("FAIL no check ran: ")
 
     def test_yaml11_exponent_names_the_float_form(self, tmp_path, capsys):
         path = self.write(tmp_path, VENTER.replace("eps: 1.0e-2", "eps: 1e-6"))
@@ -427,15 +458,16 @@ def _block_rows(dim: int) -> int:
 class TestWriterMatchesReference:
     """trace.csv is byte-identical to the per-scenario writers it replaced."""
 
-    def check(self, tmp_path, text):
+    def check(self, tmp_path, text) -> int:
         cfg = parse_config_text(text)
-        run_experiment(cfg, output_dir=tmp_path, quiet=True)
+        status = run_experiment(cfg, output_dir=tmp_path, quiet=True)
         ref_write(parse_config_text(text), tmp_path / "ref.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        return status
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
     def test_shipped_config(self, tmp_path, name):
-        self.check(tmp_path, (CONFIGS / name).read_text())
+        assert self.check(tmp_path, (CONFIGS / name).read_text()) == 0
 
     def test_diverged_jungck_trace(self, tmp_path):
         self.check(tmp_path, DIVERGING)

@@ -1,21 +1,29 @@
 """The two-map iteration engine and its step identity."""
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     GatePolicy,
     IndexOutOfRangeError,
     JungckConfig,
+    NonFiniteError,
     Operator,
     Schedule,
+    engine,
     identity_residual,
     identity_residuals,
     make_operator_pair,
+    power_norms,
     run,
+    spectral_norm,
 )
+from jungckit.engine import BLOCK_ELEMENTS, matrix_power_blocks
 
 
 def scalar_pair(s=2.0, t=0.5):
@@ -245,3 +253,146 @@ class TestLimitEquivalence:
         l_raw = estimate_limit(tr.sz).value
         l_acc = estimate_limit(tr.asz).value
         assert np.linalg.norm(l_raw - l_acc) <= 1e-6 * (1 + np.linalg.norm(l_raw))
+
+
+# ---------------------------------------------------------------------------
+# the one-power stream and the per-power norm loop that the blocked stream
+# replaced, kept as its reference
+
+
+def reference_matrix_powers(t):
+    m = np.eye(t.dim)
+    n = 0
+    while True:
+        yield m
+        n += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = t.matrix @ m
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteError(f"power {n} of the update map overflowed")
+
+
+def reference_power_norms(cfg, horizon):
+    norms = np.full(horizon + 1, math.inf)
+    try:
+        for n, m in zip(range(horizon + 1), reference_matrix_powers(cfg.pair.t)):
+            norms[n] = spectral_norm(m)
+    except NonFiniteError:
+        pass
+    return norms
+
+
+def reference_run(cfg):
+    """``run`` fed one power per block by the reference stream."""
+    one_power_blocks = lambda t: (m[None] for m in reference_matrix_powers(t))
+    with mock.patch.object(engine, "matrix_power_blocks", one_power_blocks):
+        return run(cfg)
+
+
+TRACE_FIELDS = ("z", "y", "sz", "sy", "tz", "ty", "asz", "asy", "gates_z", "gates_y", "a_vals", "b_vals")
+
+
+def block_len(d):
+    return max(1, BLOCK_ELEMENTS // (d * d))
+
+
+@st.composite
+def stream_cases(draw):
+    """A map of dimension 1..50 (many, few or one power per block) and a count
+    of powers that ends on a block boundary or inside a block; about half of
+    the maps overflow at power 2 (the first that can: T^1 = T @ I is exact)
+    or at the first, middle or last power of a block."""
+    d = draw(st.integers(1, 50))
+    k = block_len(d)
+    count = max(3, draw(st.integers(1, 2)) * k + draw(st.sampled_from([0, 1, k // 2, k - 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    targets = sorted(n for n in {2, k - 1, k, k + k // 2, 2 * k - 1, 2 * k} if n >= 2)
+    overflow_at = draw(st.one_of(st.none(), st.sampled_from(targets)))
+    if overflow_at is None:
+        raw = rng.normal(size=(d, d))
+        t = raw * (draw(st.floats(0.3, 1.2)) / np.linalg.norm(raw, 2))
+    else:
+        # entries of (c P)^n are 0 or c^n, and c^n first overflows at n = overflow_at
+        c = 2.0 ** (1024 / (overflow_at - 0.5))
+        t = c * np.eye(d)[rng.permutation(d)]
+    s = rng.normal(size=(d, d)) + (d + 2) * np.eye(d)
+    cfg = JungckConfig(pair=make_operator_pair(Operator.from_matrix(s), Operator.from_matrix(t)),
+                       a=Schedule.constant(0.4), b=Schedule.one_minus_inv(k=3),
+                       gates_z=GatePolicy.threshold(1e-9),
+                       z0=rng.normal(size=d) * (1.0 if overflow_at is None else 1e-300), steps=count)
+    return cfg, count - 1, overflow_at
+
+
+class TestPowerStream:
+    def test_blocks_of_powers(self):
+        t = Operator.from_matrix([[0.0, 2.0], [1.0, 0.0]])
+        k = block_len(2)
+        stream = matrix_power_blocks(t)
+        first, second = next(stream).copy(), next(stream).copy()
+        assert first.shape == second.shape == (k, 2, 2)
+        powers = [m.copy() for _, m in zip(range(2 * k), reference_matrix_powers(t))]
+        assert np.array_equal(np.concatenate([first, second]), np.array(powers))
+
+    def test_many_powers_per_block_share_one_buffer(self):
+        stream = matrix_power_blocks(Operator.from_matrix(np.eye(5) * 0.5))
+        assert len({next(stream).__array_interface__["data"][0] for _ in range(6)}) == 1
+
+    def test_overflow_yields_the_finite_prefix_then_raises(self):
+        k = block_len(1)
+        t = Operator.scaled_identity(2.0 ** (1024 / (k + 2.5)), 1)  # power k + 3 overflows
+        stream = matrix_power_blocks(t)
+        assert len(next(stream)) == k and len(next(stream)) == 3
+        with pytest.raises(NonFiniteError, match=rf"^power {k + 3} of the update map overflowed$"):
+            next(stream)
+
+    def test_consumer_error_state_is_left_alone(self):
+        before = np.geterr()
+        stream = matrix_power_blocks(Operator.scaled_identity(1e200, 2))
+        next(stream)
+        assert np.geterr() == before
+        with pytest.raises(NonFiniteError):
+            next(stream)
+        assert np.geterr() == before
+
+    @given(stream_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_power_norms_match_the_reference(self, case):
+        cfg, horizon, overflow_at = case
+        norms = power_norms(cfg, horizon)
+        assert norms.tobytes() == reference_power_norms(cfg, horizon).tobytes()
+        if overflow_at is not None:
+            assert np.isfinite(norms).sum() == min(overflow_at, horizon + 1)
+
+    @given(stream_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_run_matches_the_reference(self, case):
+        cfg = case[0]
+        got, ref = run(cfg), reference_run(cfg)
+        for name in TRACE_FIELDS:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert (got.diverged, got.failure) == (ref.diverged, ref.failure)
+
+    def test_power_norms_memory_does_not_grow_with_the_horizon(self):
+        # one power at d=60 (one per block) takes 28.8 kB: the stream holds at
+        # most two at a time, and a horizon of 400 holds no more than one of 50
+        rng = np.random.default_rng(8)
+        d = 60
+        raw = rng.normal(size=(d, d))
+        pair = make_operator_pair(Operator.from_matrix(rng.normal(size=(d, d)) + 30 * np.eye(d)),
+                                  Operator.from_matrix(raw * (0.9 / np.linalg.norm(raw, 2))))
+        cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                           z0=rng.normal(size=d), steps=3)
+
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                power_norms(cfg, horizon)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        power = d * d * 8
+        assert peak(400) - peak(50) < power
+        assert peak(400) < 3 * power
+

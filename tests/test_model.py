@@ -1,8 +1,11 @@
 """Operator pairs, schedules and gate policies."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jungckit import (
     DimensionMismatchError,
@@ -21,6 +24,26 @@ from jungckit import (
     schedule_eval,
     spectral_norm,
 )
+from jungckit.model import SCHEDULE_FORMS
+
+
+def reference_array(sched, count):
+    """Schedule.array as it was: schedule_eval at each n."""
+    return np.array([schedule_eval(sched, n) for n in range(count)], dtype=float)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def schedules(draw):
+    form = draw(st.sampled_from(SCHEDULE_FORMS))
+    clamp = tuple(sorted(draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2))))
+    if form == "constant":
+        return Schedule.constant(draw(finite), clamp=clamp)
+    if form == "list":
+        return Schedule.from_values(draw(st.lists(finite, max_size=40)), clamp=clamp)
+    return Schedule(form=form, k=draw(st.integers(1, 10**6)), p=draw(st.floats(-400.0, 400.0)), clamp=clamp)
 
 
 class TestAsState:
@@ -146,6 +169,33 @@ class TestSchedule:
         # (n + k)^400 overflows once n + k > 5; (n + k)^-2000 underflows to 0 and 1/0 fails
         with pytest.raises(ScheduleViolationError, match=rf"n={n} \(k=2, p={p!r}\)"):
             Schedule.inv_pow(k=2, p=p).array(n + 1)
+
+    @given(schedules(), st.integers(0, 60))
+    @example(Schedule.constant(-1.0, clamp=(0.0, -0.0)), 2)  # the clamped value keeps hi's sign
+    @settings(max_examples=300, deadline=None)
+    def test_array_matches_schedule_eval(self, sched, count):
+        try:
+            expected = reference_array(sched, count)
+        except (IndexOutOfRangeError, ScheduleViolationError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                sched.array(count)
+            return
+        got = sched.array(count)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("form", ["one-minus-inv", "inv"])
+    def test_closed_forms_match_over_a_long_range(self, form, k):
+        sched = Schedule(form=form, k=k)
+        assert sched.array(20_000).tobytes() == reference_array(sched, 20_000).tobytes()
+
+    def test_array_logs_one_clamp_line(self, caplog):
+        sched = Schedule.from_values([0.5, 2.0, 0.3, -1.0])
+        with caplog.at_level(logging.DEBUG, logger="jungckit.model"):
+            assert sched.array(4).tolist() == [0.5, 1.0, 0.3, 0.0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 schedule value(s) clamped into [0, 1], first at n=1"
+        ]
 
     def test_negative_index_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
