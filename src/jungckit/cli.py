@@ -94,8 +94,9 @@ def parse_operator(node: Any, where: str) -> Operator:
     node = _require_mapping(node, where)
     if "matrix" in node:
         _check_keys(node, {"matrix"}, where)
+        matrix = _numbers(node["matrix"], f"{where}.matrix")
         try:
-            return Operator.from_matrix(node["matrix"])
+            return Operator.from_matrix(matrix)
         except (JungckitError, ValueError, TypeError) as exc:
             raise ConfigValidationError(f"{where}.matrix: {exc}") from exc
     _check_keys(node, {"name", "dim", "value"}, where)
@@ -109,7 +110,10 @@ def parse_operator(node: Any, where: str) -> Operator:
         return Operator.zero(dim)
     if name == "scale":
         value = _get(node, "value", where, required=True)
-        return Operator.scaled_identity(value, dim)
+        try:
+            return Operator.scaled_identity(value, dim)
+        except JungckitError as exc:
+            raise ConfigValidationError(f"{where}.value: {exc}") from exc
     raise ConfigValidationError(f"{where}.name: unknown built-in {name!r} (identity, zero, scale)")
 
 
@@ -164,7 +168,8 @@ def parse_gate(node: Any, where: str) -> GatePolicy:
             values = node.get("values")
             if not isinstance(values, list) or not values:
                 raise ConfigValidationError(f"{where}.values: expected a non-empty list")
-            return GatePolicy.from_values(values)
+            return GatePolicy.from_values(_number(v, f"{where}.values[{i}]", integer=True)
+                                          for i, v in enumerate(values))
     except ValueError as exc:
         raise ConfigValidationError(f"{where}: {exc}") from exc
     raise ConfigValidationError(f"{where}.mode: unknown mode {mode!r}")
@@ -306,6 +311,11 @@ def _parse_aitken(node: dict) -> AitkenScenario:
             raise ConfigValidationError(f"{where}.sequence.length: need >= 3 terms")
         if np.any(np.abs(ratio) >= 1):
             raise ConfigValidationError(f"{where}.sequence.ratio: need |ratio| < 1")
+        sizes = {v.size for v in (limit, coeff, ratio)} - {1}
+        if any(v.ndim != 1 for v in (limit, coeff, ratio)) or 0 in sizes or len(sizes) > 1:
+            raise ConfigValidationError(
+                f"{where}.sequence: limit, coeff and ratio must be numbers or lists of one length"
+            )
         d = max(limit.size, coeff.size, ratio.size)
         limit, coeff, ratio = (np.broadcast_to(v, (d,)).astype(float) for v in (limit, coeff, ratio))
         values = np.array([limit + coeff * ratio ** n for n in range(length)])
@@ -315,11 +325,18 @@ def _parse_aitken(node: dict) -> AitkenScenario:
         raw = seq_node.get("values")
         if not isinstance(raw, list) or len(raw) < 3:
             raise ConfigValidationError(f"{where}.sequence.values: need a list of >= 3 terms")
-        values = np.atleast_2d(np.asarray(_numbers(raw, f"{where}.sequence.values"), dtype=float))
+        try:
+            values = np.atleast_2d(np.asarray(_numbers(raw, f"{where}.sequence.values"), dtype=float))
+        except ValueError as exc:  # ragged rows
+            raise ConfigValidationError(f"{where}.sequence.values: {exc}") from exc
+        if values.ndim != 2:
+            raise ConfigValidationError(f"{where}.sequence.values: expected numbers or rows of numbers")
         if values.shape[0] < 3:
             values = values.T
     else:
         raise ConfigValidationError(f"{where}.sequence.kind: unknown kind {kind!r} (geometric, values)")
+    if not np.isfinite(values).all():
+        raise ConfigValidationError(f"{where}.sequence: every term must be finite")
     gate = parse_gate(node["gate"], f"{where}.gate") if "gate" in node else GatePolicy.always_on()
     floor_scale = _get(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
     return AitkenScenario(values=values, gate=gate, floor_scale=floor_scale, geometric_limit=geometric_limit)
@@ -354,7 +371,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     doc = _require_mapping(doc, "config")
     _check_keys(doc, {"scenario", "output"} | {key for key, _, _ in SCENARIOS.values()}, "config")
     scenario = doc.get("scenario")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigValidationError(f"config.scenario: expected one of {tuple(SCENARIOS)}, got {scenario!r}")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):

@@ -112,12 +112,10 @@ def limit_identity_residuals(trace: IterationTrace) -> np.ndarray:
     """
     l_z = estimate_limit(trace.sz).value
     l_y = estimate_limit(trace.sy).value
-    a, b = trace.a_vals, trace.b_vals
-    out = np.empty(trace.n_raw)
-    for n in range(trace.n_raw):
-        expr = (1.0 + a[n] * (b[n] - 1.0)) * l_z - (1.0 - a[n]) * l_y - a[n] * b[n] * trace.ty[n]
-        out[n] = np.linalg.norm(expr)
-    return out
+    a, b = trace.a_vals[:, None], trace.b_vals[:, None]
+    r = (1.0 + a * (b - 1.0)) * l_z - (1.0 - a) * l_y - a * b * trace.ty
+    # np.linalg.norm of each row, bit for bit; norm(r, axis=1) sums in another order
+    return np.sqrt(np.vecdot(r, r))
 
 
 @dataclass

@@ -190,6 +190,13 @@ def identity_residual(trace: IterationTrace, n: int) -> float:
 
 
 def identity_residuals(trace: IterationTrace) -> np.ndarray:
-    """identity_residual at every index with a successor row."""
+    """identity_residual at every index with a successor row, as one array
+    expression bit-identical to the per-index function."""
     count = max(trace.n_raw - 1, 0)
-    return np.array([identity_residual(trace, n) for n in range(count)])
+    a = trace.a_vals[:count, None]
+    b = trace.b_vals[:count, None]
+    lhs = b * trace.sz[1:count + 1] + (1.0 - a) * (1.0 - b) * trace.sz[:count]
+    rhs = (1.0 - a) * trace.sy[:count] + a * b * trace.ty[:count]
+    r = lhs - rhs
+    # np.linalg.norm of each row, bit for bit; norm(r, axis=1) sums in another order
+    return np.sqrt(np.vecdot(r, r))

@@ -127,34 +127,32 @@ def sample_config(rng: np.random.Generator, spec: ScanSpec) -> JungckConfig:
 def run_scan(spec: ScanSpec) -> ScanResult:
     """Certify and simulate ``spec.count`` seeded random configurations."""
     rng = np.random.default_rng(spec.seed)
-    outcomes = []
-    for i in range(spec.count):
-        cfg = sample_config(rng, spec)
-        report = certify(cfg, horizon=max(spec.horizon, spec.steps), tail_tol=spec.tail_tol)
-        certified = report.applying()
-        monotone_ok = None
-        final_ratio = None
-        sim = None
-        notes = []
-        if certified:
-            trace = run(cfg)
-            report = cross_validate(report, trace)
-            sim = report.simulation_agrees
-            notes.extend(report.simulation_notes)
-            zn = row_norms(trace.z)
-            if any(p in certified for p in ("i", "ii", "iii")) and len(zn) >= 2:
-                monotone_ok = bool(np.all(zn[1:] <= zn[:-1] * (1.0 + MONOTONE_SLACK) + NORM_FLOOR))
-            if ("iv" in certified or "v" in certified) and len(zn) >= 1 and zn[0] > 0:
-                final_ratio = float(zn[-1] / zn[0])
-        outcomes.append(
-            ScanOutcome(
-                index=i,
-                certified=certified,
-                predicted=report.predicted,
-                simulation_agrees=sim,
-                monotone_ok=monotone_ok,
-                final_ratio=final_ratio,
-                notes=notes,
-            )
-        )
+    outcomes = [_scan_one(i, sample_config(rng, spec), spec) for i in range(spec.count)]
     return ScanResult(spec=spec, outcomes=outcomes)
+
+
+def _scan_one(index: int, cfg: JungckConfig, spec: ScanSpec) -> ScanOutcome:
+    """Certify one configuration and, when a certificate applies, simulate it.
+
+    The trace lives only in this call, so a sweep never holds two."""
+    report = certify(cfg, horizon=max(spec.horizon, spec.steps), tail_tol=spec.tail_tol)
+    certified = report.applying()
+    monotone_ok = None
+    final_ratio = None
+    if certified:
+        trace = run(cfg)
+        report = cross_validate(report, trace)
+        zn = row_norms(trace.z)
+        if any(p in certified for p in ("i", "ii", "iii")) and len(zn) >= 2:
+            monotone_ok = bool(np.all(zn[1:] <= zn[:-1] * (1.0 + MONOTONE_SLACK) + NORM_FLOOR))
+        if ("iv" in certified or "v" in certified) and len(zn) >= 1 and zn[0] > 0:
+            final_ratio = float(zn[-1] / zn[0])
+    return ScanOutcome(
+        index=index,
+        certified=certified,
+        predicted=report.predicted,
+        simulation_agrees=report.simulation_agrees,
+        monotone_ok=monotone_ok,
+        final_ratio=final_ratio,
+        notes=list(report.simulation_notes),
+    )

@@ -406,8 +406,7 @@ def check_positivity_constraints(
     else:
         a_tail_limit = None
 
-    s_inv = np.linalg.inv(cfg.pair.s.matrix)
-    min_s_inv = float(np.min(s_inv))
+    min_s_inv = float(np.min(cfg.pair.s_inverse))
     min_t = float(np.min(cfg.pair.t.matrix))
 
     ratios = None

@@ -13,12 +13,13 @@ with the horizon they were computed at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisViolatedError, ScheduleViolationError
+from .errors import HypothesisViolatedError, NonFiniteError, ScheduleViolationError
 from .model import Schedule
 
 #: K_hat this close to 1 makes the contraction-style bounds vacuous
@@ -37,10 +38,11 @@ class VenterConfig:
     steps: int = 100
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ScheduleViolationError("sigma must be >= 0")
-        if self.x0 < 0:
-            raise ScheduleViolationError("x0 must be >= 0")
+        # written so that NaN fails them too
+        if not 0 <= self.sigma < math.inf:
+            raise ScheduleViolationError("sigma must be finite and >= 0")
+        if not 0 <= self.x0 < math.inf:
+            raise ScheduleViolationError("x0 must be finite and >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -79,7 +81,8 @@ def venter_run(cfg: VenterConfig) -> VenterTrace:
 
     Every evaluated schedule value is checked for admissibility
     (alpha in (0, 1], gamma >= 0, omega >= 0); violations raise
-    ``ScheduleViolationError``.
+    ``ScheduleViolationError``.  An iterate or partial sum that overflows
+    raises ``NonFiniteError``.
     """
     n_steps = cfg.steps
     alpha = cfg.alpha.array(n_steps)
@@ -96,22 +99,29 @@ def venter_run(cfg: VenterConfig) -> VenterTrace:
 
     x = np.empty(n_steps + 1)
     x[0] = cfg.x0
-    for n in range(n_steps):
-        x[n + 1] = (1.0 - alpha[n] + gamma[n]) * x[n] + omega[n] + cfg.sigma
-
-    xs = x[:-1]
-    return VenterTrace(
-        x=x,
-        k_hat=np.cumsum(1.0 - alpha) / np.arange(1, n_steps + 1),
-        alpha_vals=alpha,
-        gamma_vals=gamma,
-        omega_vals=omega,
-        sum_alpha_x=np.cumsum(alpha * xs),
-        sum_gamma_x=np.cumsum(gamma * xs),
-        sum_omega=np.cumsum(omega),
-        sum_x=np.cumsum(x),
-        sigma=cfg.sigma,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            x[n + 1] = (1.0 - alpha[n] + gamma[n]) * x[n] + omega[n] + cfg.sigma
+        xs = x[:-1]
+        trace = VenterTrace(
+            x=x,
+            k_hat=np.cumsum(1.0 - alpha) / np.arange(1, n_steps + 1),
+            alpha_vals=alpha,
+            gamma_vals=gamma,
+            omega_vals=omega,
+            sum_alpha_x=np.cumsum(alpha * xs),
+            sum_gamma_x=np.cumsum(gamma * xs),
+            sum_omega=np.cumsum(omega),
+            sum_x=np.cumsum(x),
+            sigma=cfg.sigma,
+        )
+    for name in ("x", "sum_alpha_x", "sum_gamma_x", "sum_omega", "sum_x"):
+        finite = np.isfinite(getattr(trace, name))
+        if not finite.all():
+            raise NonFiniteError(
+                f"venter recursion overflowed: {name} is non-finite from n={int(np.argmin(finite))}"
+            )
+    return trace
 
 
 @dataclass

@@ -1,11 +1,18 @@
 """Config parsing, CSV emission, reports and exit codes."""
 
+import copy
 import csv
+import functools
+import math
+import operator
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from jungckit import engine, venter
 from jungckit.aitken import accelerate_sequence
@@ -18,6 +25,7 @@ from jungckit.cli import (
     read_jungck_csv,
     run_experiment,
 )
+from jungckit.errors import ConfigError
 from jungckit.scan import run_scan
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -323,6 +331,53 @@ class TestMain:
         assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
         assert f"config error: {where}: expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("t: {name: scale, dim: 1, value: 0.5}", "t: {matrix: [[true]]}",
+         "jungck.t.matrix[0][0]: expected a number, got True"),
+        ("s: {name: scale, dim: 1, value: 2.0}", 's: {matrix: [[2.0, 0.0], [0.0, "2"]]}',
+         "jungck.s.matrix[1][1]: expected a number, got '2'"),
+        ("z0: [1.0]", "z0: [1.0]\n  gate_z: {mode: list, values: [true, false, 1.0, 0]}",
+         "jungck.gate_z.values[0]: expected an integer, got True"),
+        ("z0: [1.0]", "z0: [1.0]\n  gate_y: {mode: list, values: [1, 0, 1.0, 0]}",
+         "jungck.gate_y.values[2]: expected an integer, got 1.0"),
+    ], ids=["matrix-bool", "matrix-string", "gate-bool", "gate-float"])
+    def test_matrix_and_gate_entries_exit_two(self, tmp_path, capsys, old, new, message):
+        text = MINIMAL_JUNGCK.replace(old, new, 1)
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            parse_config_text(text)
+        assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,old,new,message", [
+        (MINIMAL_JUNGCK, "scenario: jungck", "scenario: []", "config.scenario: expected one of"),
+        (MINIMAL_JUNGCK, "value: 2.0", "value: .nan", "jungck.s.value: operator matrix has non-finite entries"),
+        (VENTER, "x0: 1.0", "x0: .nan", "venter: x0 must be finite and >= 0"),
+        (VENTER, "x0: 1.0", "x0: 1.0\n  sigma: .inf", "venter: sigma must be finite and >= 0"),
+        (AITKEN_VALUES, "0.25, 0.125", "0.25, .nan", "aitken.sequence: every term must be finite"),
+        (AITKEN_VALUES, "[1.0, 0.5, 0.25, 0.125, 0.0625]", "[[1.0], [0.5, 1.0], [0.25]]",
+         "aitken.sequence.values: setting an array element with a sequence"),
+        (AITKEN_VALUES, "kind: values, values: [1.0, 0.5, 0.25, 0.125, 0.0625]",
+         "kind: geometric, limit: [1.0, 2.0], ratio: [0.5, 0.5, 0.5]",
+         "aitken.sequence: limit, coeff and ratio must be numbers or lists of one length"),
+    ], ids=["scenario-list", "scale-nan", "venter-x0-nan", "venter-sigma-inf", "aitken-values-nan",
+            "aitken-values-ragged", "aitken-lengths"])
+    def test_fuzzed_inputs_exit_two(self, tmp_path, capsys, text, old, new, message):
+        # each raised an untyped error or ran to a non-finite trace before
+        text = text.replace(old, new, 1)
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            parse_config_text(text)
+        assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_venter_overflow_aborts_the_run(self, tmp_path):
+        path = self.write(tmp_path, VENTER.replace("x0: 1.0", "gamma: {form: constant, value: 0.5}\n  x0: 1.0")
+                          .replace("steps: 500", "steps: 2000"))
+        out = tmp_path / "out"
+        assert main(["--config", path, "--output", str(out), "--quiet"]) == 1
+        assert ("FAIL run aborted: venter recursion overflowed: x is non-finite from n=1763"
+                in (out / "report.txt").read_text())
+        assert not (out / "trace.csv").exists()
+
     @pytest.mark.parametrize("text", [VENTER_ALL_SKIPPED, AITKEN_VALUES], ids=["venter", "aitken-values"])
     def test_run_without_checks_fails(self, tmp_path, text):
         out = tmp_path / "out"
@@ -486,3 +541,70 @@ class TestWriterMatchesReference:
     def test_aitken_longer_than_one_block(self, tmp_path, dim, length):
         assert length > _block_rows(dim)
         self.check(tmp_path, aitken_config(dim, length))
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing: a mutated shipped config ends in exit 2 or in a checked run
+
+#: the shipped configs, the scan cut from 40 configs to 4 to keep each example short
+FUZZ_BASES = {p.name: yaml.safe_load(p.read_text()) for p in CONFIGS.glob("*.yaml")}
+FUZZ_BASES["stability_scan.yaml"]["scan"]["count"] = 4
+
+#: what a mutation writes in place of a value; DROP deletes the key or list entry
+DROP = object()
+MUTANTS = (DROP, math.nan, True, False, "1e-6", None, "x", [], {}, 0, -1, 0.5, 2, [1.0], [0.5, 0.5], [[1.0]],
+           1.0e300)
+
+
+def _paths(node, prefix=()):
+    """The path of every mapping key and list entry under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config with one to three values dropped or replaced."""
+    doc = FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path, value = draw(st.sampled_from(paths)), draw(st.sampled_from(MUTANTS))
+        doc = copy.deepcopy(doc)
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return yaml.safe_dump(doc)
+
+
+def _is_finite_cell(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return True  # empty, a verdict or a certificate list
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_configs())
+def test_mutated_shipped_configs_exit_two_or_check(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
+        path.write_text(text)
+        status = main(["--config", str(path), "--output", str(out), "--quiet"])
+        if status == 2:
+            with pytest.raises(ConfigError):
+                parse_config_text(text)
+            return
+        assert status in (0, 1)
+        lines = (out / "report.txt").read_text().splitlines()
+        assert any(line.startswith(("PASS ", "FAIL ")) for line in lines)
+        if not (out / "trace.csv").exists():  # a typed error stopped the run before its trace
+            assert any(line.startswith("FAIL run aborted: ") for line in lines)
+            return
+        with (out / "trace.csv").open(newline="") as fh:
+            assert all(_is_finite_cell(cell) for row in list(csv.reader(fh))[1:] for cell in row)

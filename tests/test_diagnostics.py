@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     JungckConfig,
@@ -19,6 +20,7 @@ from jungckit import (
     run,
     sequences_equivalent,
 )
+from jungckit.model import IterationTrace
 
 
 def geometric(limit, coeff, ratio, length):
@@ -154,6 +156,44 @@ class TestLimitIdentityResiduals:
         tr = self.contractive_trace(Schedule.constant(1.0), Schedule.constant(1.0))
         res = limit_identity_residuals(tr)
         assert res[-1] <= 1e-10
+
+
+def reference_limit_identity_residuals(trace):
+    """limit_identity_residuals as it was: one norm per step."""
+    l_z = estimate_limit(trace.sz).value
+    l_y = estimate_limit(trace.sy).value
+    a, b = trace.a_vals, trace.b_vals
+    out = np.empty(trace.n_raw)
+    for n in range(trace.n_raw):
+        expr = (1.0 + a[n] * (b[n] - 1.0)) * l_z - (1.0 - a[n]) * l_y - a[n] * b[n] * trace.ty[n]
+        out[n] = np.linalg.norm(expr)
+    return out
+
+
+@st.composite
+def convergent_traces(draw):
+    """5..60 rows of geometric s-images in dimension 1..300, power images of any
+    magnitude from 1e-150 to 1e150, and blends that include 0 and 1."""
+    rows, d = draw(st.integers(5, 60)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = np.arange(rows)[:, None]
+    sz, sy = (rng.normal(size=d) + rng.normal(size=d) * rng.uniform(0.1, 0.9) ** n for _ in range(2))
+    ty = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
+    a, b = (np.where(rng.random(rows) < 0.2, rng.integers(0, 2, rows), rng.random(rows)) for _ in range(2))
+    empty = np.empty((0, d))
+    return IterationTrace(z=sz, y=sy, sz=sz, sy=sy, tz=ty, ty=ty, asz=empty, asy=empty,
+                          gates_z=empty, gates_y=empty, a_vals=a, b_vals=b,
+                          steps=rows, solve_tol=1e-10, floor_scale=1e-12)
+
+
+class TestLimitIdentityResidualsMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(convergent_traces())
+    def test_bit_identical(self, trace):
+        with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e150 overflow in both
+            got, want = limit_identity_residuals(trace), reference_limit_identity_residuals(trace)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConvergenceReport:

@@ -24,6 +24,7 @@ from jungckit import (
     spectral_norm,
 )
 from jungckit.engine import BLOCK_ELEMENTS, matrix_power_blocks
+from jungckit.model import IterationTrace
 
 
 def scalar_pair(s=2.0, t=0.5):
@@ -239,6 +240,19 @@ class TestIdentityResidual:
             assert np.all(res <= 1e-9 * scale)
 
 
+    def test_run_solves_without_factoring(self):
+        # s is factored once, when the pair is built; a step only multiplies
+        rng = np.random.default_rng(8)
+        pair = make_operator_pair(Operator.from_matrix(rng.normal(size=(6, 6)) + 4 * np.eye(6)),
+                                  Operator.scaled_identity(0.5, 6))
+        cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                           z0=rng.normal(size=6), steps=20)
+        with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("LU solve")), \
+                mock.patch.object(np.linalg, "inv", side_effect=AssertionError("inverse")):
+            tr = run(cfg)
+        assert not tr.diverged and tr.n_raw == 20
+
+
 class TestLimitEquivalence:
     def test_contractive_config_accel_reaches_same_limit(self):
         from jungckit import estimate_limit
@@ -396,3 +410,43 @@ class TestPowerStream:
         assert peak(400) - peak(50) < power
         assert peak(400) < 3 * power
 
+
+# ---------------------------------------------------------------------------
+# identity residuals: the per-index loop they replaced, kept as the reference
+
+
+def reference_identity_residuals(trace):
+    """identity_residuals as it was: identity_residual at each index."""
+    return np.array([identity_residual(trace, n) for n in range(max(trace.n_raw - 1, 0))])
+
+
+@st.composite
+def residual_traces(draw):
+    """A trace of 0..40 rows of dimension 1..300 with row magnitudes from 1e-150
+    to 1e150 (squares over- and underflow) and blends that include 0 and 1."""
+    rows, d = draw(st.integers(0, 40)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sz, sy, ty = (rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
+                  for _ in range(3))
+    a, b = (np.where(rng.random(rows) < 0.2, rng.integers(0, 2, rows), rng.random(rows)) for _ in range(2))
+    empty = np.empty((0, d))
+    return IterationTrace(z=sz, y=sy, sz=sz, sy=sy, tz=ty, ty=ty, asz=empty, asy=empty,
+                          gates_z=empty, gates_y=empty, a_vals=a, b_vals=b,
+                          steps=max(rows, 1), solve_tol=1e-10, floor_scale=1e-12)
+
+
+class TestIdentityResidualsMatchReference:
+    @settings(max_examples=80, deadline=None)
+    @given(residual_traces())
+    def test_bit_identical(self, trace):
+        with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e150 overflow in both
+            got, want = identity_residuals(trace), reference_identity_residuals(trace)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(stream_cases())
+    def test_bit_identical_on_runs(self, case):
+        trace = run(case[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # near-overflow traces square to inf
+            assert identity_residuals(trace).tobytes() == reference_identity_residuals(trace).tobytes()

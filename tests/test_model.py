@@ -116,6 +116,79 @@ class TestOperatorPair:
         assert spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]])) == np.inf
 
 
+#: the cached-inverse solve stays within SOLVE_C * d * eps * cond(s) of np.linalg.solve,
+#: relative to ||s^-1|| ||v|| for every right-hand side v and to ||x_ref|| for gaussian ones
+SOLVE_C = 4.0
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def conditioned_systems(draw):
+    """(s, v, kind): a d x d matrix, d <= 50, with cond(s) up to about 1e10, and a
+    right-hand side that is gaussian or lies along s's top or bottom left singular vector."""
+    d = draw(st.integers(1, 50))
+    log_cond = draw(st.floats(0.0, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    logs = np.concatenate(([log_cond], rng.uniform(0.0, log_cond, size=max(d - 2, 0)), [0.0]))[:d]
+    s = 10.0 ** draw(st.floats(-3.0, 3.0)) * (q1 @ np.diag(10.0 ** np.sort(logs)[::-1]) @ q2.T)
+    kind = draw(st.sampled_from(("gaussian", "top", "bottom")))
+    if kind == "gaussian":
+        v = rng.normal(size=d)
+    elif kind == "top":
+        v = q1[:, 0] + 10.0 ** draw(st.floats(-14.0, 0.0)) * rng.normal(size=d)
+    else:
+        v = q1[:, -1].copy()
+    return s, v, kind
+
+
+class TestCachedInverse:
+    @settings(max_examples=100, deadline=None)
+    @given(conditioned_systems())
+    def test_solve_matches_lu_within_tolerance(self, case):
+        s, v, kind = case
+        pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(len(v)))
+        x, x_ref = pair.solve(v), np.linalg.solve(s, v)
+        sv = np.linalg.svd(s, compute_uv=False)
+        bound = SOLVE_C * len(v) * EPS * (sv[0] / sv[-1])
+        err = np.linalg.norm(x - x_ref)
+        assert err <= bound * np.linalg.norm(v) / sv[-1]
+        if kind == "gaussian":
+            # along the top singular vector x_ref is small and this can miss by
+            # orders of magnitude: an explicit inverse is not backward stable
+            assert err <= bound * np.linalg.norm(x_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conditioned_systems())
+    def test_norms_from_one_svd_are_bit_identical(self, case):
+        s = case[0]
+        pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(len(s)))
+        assert pair.s_norm == spectral_norm(s)
+        assert pair.s_min_modulus == min_modulus(s)
+
+    def test_default_solve_is_one_product_with_the_cached_inverse(self):
+        rng = np.random.default_rng(3)
+        s = rng.normal(size=(6, 6)) + 3 * np.eye(6)
+        pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(6))
+        assert np.array_equal(pair.s_inverse, np.linalg.inv(s))
+        v = rng.normal(size=6)
+        assert np.array_equal(pair.solve(v), pair.s_inverse @ v)
+
+    def test_user_solver_is_kept(self):
+        solver = lambda v: v / 2.0
+        pair = make_operator_pair(Operator.scaled_identity(2.0, 3), Operator.identity(3), s_solve=solver)
+        assert pair.s_solve is solver
+        assert np.array_equal(pair.s_inverse, 0.5 * np.eye(3))
+        callback = make_operator_pair(Operator.from_callable(lambda x: 2 * x, 3), Operator.identity(3),
+                                      s_solve=solver)
+        assert callback.s_inverse is None
+
+    def test_pair_stays_hashable(self):
+        pair = make_operator_pair(Operator.identity(2), Operator.identity(2))
+        assert hash(pair) == hash(pair) and pair == pair
+
+
 class TestSchedule:
     @pytest.mark.parametrize(
         "sched,n,expected",

@@ -1,9 +1,11 @@
 """Randomized certificate sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jungckit import ScanSpec, run_scan
+from jungckit import ScanSpec, run, run_scan
 from jungckit.scan import sample_config, sample_operators
 
 
@@ -55,3 +57,22 @@ class TestSweep:
         # The last reaches single subnormals, where a scaled norm alone gave
         # ||y_33|| = 2 ||z_33|| from rounding noise
         assert not run_scan(ScanSpec(count=count, dim=5, steps=1000, horizon=1000, seed=seed)).violations
+
+    def test_sweep_holds_one_trace_at_a_time(self):
+        # all four configs certify and are simulated; holding the previous
+        # trace through the next run peaked at about 1.6x one run
+        spec = ScanSpec(count=4, dim=5, steps=300, horizon=300, seed=1)
+        rng = np.random.default_rng(spec.seed)
+        cfgs = [sample_config(rng, spec) for _ in range(spec.count)]
+
+        def peak(work):
+            tracemalloc.start()
+            try:
+                work()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        largest_run = max(peak(lambda c=c: run(c)) for c in cfgs)
+        assert run_scan(spec).certified_count == spec.count
+        assert peak(lambda: run_scan(spec)) <= 1.2 * largest_run

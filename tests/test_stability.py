@@ -238,6 +238,13 @@ class TestPositivityConstraints:
         rep = check_positivity_constraints(cfg, horizon=400, trace=run(cfg))
         assert rep.little_o_ratios is not None and len(rep.little_o_ratios) == 20
 
+    def test_min_inverse_entry_reads_the_cached_inverse(self):
+        s = np.random.default_rng(1).normal(size=(6, 6)) + 3 * np.eye(6)
+        cfg = linear_config(s, np.eye(6) * 0.5, Schedule.constant(1.0), Schedule.one_minus_inv(k=2),
+                            np.ones(6), steps=5)
+        rep = check_positivity_constraints(cfg, horizon=40)
+        assert rep.min_s_inv_entry == float(np.min(np.linalg.inv(s)))
+
     def test_derived_gamma_identity_values(self):
         gamma = derived_gamma_schedule(Schedule.constant(0.5), Schedule.constant(1.0), horizon=5)
         assert all(v == pytest.approx(1.5) for v in gamma.values)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     HypothesisViolatedError,
+    NonFiniteError,
     Schedule,
     ScheduleViolationError,
     VenterConfig,
@@ -47,6 +48,18 @@ class TestRun:
     def test_negative_sigma_rejected_at_construction(self):
         with pytest.raises(ScheduleViolationError):
             config(Schedule.constant(0.5), sigma=-1.0)
+
+    @pytest.mark.parametrize("field", ["sigma", "x0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_constants_rejected_at_construction(self, field, value):
+        with pytest.raises(ScheduleViolationError, match=f"{field} must be finite"):
+            config(Schedule.constant(0.5), **{field: value})
+
+    def test_overflow_raises(self):
+        # x grows like 1.5^n and overflows near n = 1763
+        growing = Schedule.constant(0.5, clamp=(0.0, math.inf))
+        with pytest.raises(NonFiniteError, match=r"x is non-finite from n=1763"):
+            venter_run(config(Schedule.inv(k=2), gamma=growing, steps=2000))
 
     def test_cesaro_mean_in_unit_interval(self):
         trace = venter_run(config(Schedule.inv(k=2), steps=50))
