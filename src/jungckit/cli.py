@@ -492,6 +492,8 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
     if pair.norms_available:
         report.add("INFO", f"operator data: min_modulus(s)={pair.s_min_modulus:.6g} "
                            f"norm(s)={pair.s_norm:.6g} norm(t)={pair.t_norm:.6g}")
+    if pair.inverse_solve_warning is not None:
+        report.add("INFO", f"solve accuracy: {pair.inverse_solve_warning}")
     if trace.diverged:
         report.add("FAIL", f"run diverged and was truncated: {trace.failure}")
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .aitken import accelerate_sequence
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
-from .model import IterationTrace, Vector
+from .model import IterationTrace, Vector, row_norms
 
 #: a final difference below this relative scale counts as numerically settled
 SETTLE_SCALE = 1e-10
@@ -114,8 +114,7 @@ def limit_identity_residuals(trace: IterationTrace) -> np.ndarray:
     l_y = estimate_limit(trace.sy).value
     a, b = trace.a_vals[:, None], trace.b_vals[:, None]
     r = (1.0 + a * (b - 1.0)) * l_z - (1.0 - a) * l_y - a * b * trace.ty
-    # np.linalg.norm of each row, bit for bit; norm(r, axis=1) sums in another order
-    return np.sqrt(np.vecdot(r, r))
+    return row_norms(r)
 
 
 @dataclass

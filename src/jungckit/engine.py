@@ -22,7 +22,7 @@ import numpy as np
 
 from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
 from .errors import IndexOutOfRangeError, NonFiniteError, SolveError
-from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state
+from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, row_norms
 
 
 #: elements per block of powers: a block holds max(1, BLOCK_ELEMENTS // d^2) powers
@@ -197,6 +197,4 @@ def identity_residuals(trace: IterationTrace) -> np.ndarray:
     b = trace.b_vals[:count, None]
     lhs = b * trace.sz[1:count + 1] + (1.0 - a) * (1.0 - b) * trace.sz[:count]
     rhs = (1.0 - a) * trace.sy[:count] + a * b * trace.ty[:count]
-    r = lhs - rhs
-    # np.linalg.norm of each row, bit for bit; norm(r, axis=1) sums in another order
-    return np.sqrt(np.vecdot(r, r))
+    return row_norms(lhs - rhs)

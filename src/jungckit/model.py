@@ -120,25 +120,45 @@ def min_modulus(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
+def row_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-ordered 2-D array, bit-identical to
+    ``np.linalg.norm`` of each row: a (1, d) @ (d, 1) product runs numpy's
+    dot kernel, as that norm does; ``norm(r, axis=1)`` sums in another order."""
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class OperatorPair:
     """The coupled maps of the two-map scheme.
 
     ``s`` is solved against at every step (must be injective on the working
-    space); ``t`` is the map whose powers drive the update.  Norm data and
-    the inverse of a matrix ``s`` are cached at construction; they are
-    ``None`` for callback operators.
+    space); ``t`` is the map whose powers drive the update.  Norm data is
+    cached by :func:`make_operator_pair` for matrix operators and ``None``
+    otherwise.  A matrix ``s`` is inverted once, here, into ``s_inverse``;
+    with ``s_solve`` left ``None`` every solve is one product with it.  A
+    callback ``s`` needs a user-supplied ``s_solve``.
     """
 
     s: Operator
     t: Operator
-    s_solve: Callable[[Vector], Vector]
+    s_solve: Optional[Callable[[Vector], Vector]]
     solve_tol: float
     s_min_modulus: Optional[float] = None
     s_norm: Optional[float] = None
     t_norm: Optional[float] = None
-    # kept out of __eq__ and __hash__: an array has no truth value and no hash
-    s_inverse: Optional[np.ndarray] = field(default=None, compare=False)
+    # derived from s, never passed in; kept out of __eq__ and __hash__, as an
+    # array has no truth value and no hash
+    s_inverse: Optional[np.ndarray] = field(init=False, default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.s.is_linear:
+            try:
+                inverse = np.linalg.inv(self.s.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise SingularOperatorError(f"s is not invertible: {exc}") from exc
+            object.__setattr__(self, "s_inverse", inverse)
+        elif self.s_solve is None:
+            raise SolveError("a callback map needs a user-supplied s_solve")
 
     @property
     def dim(self) -> int:
@@ -148,10 +168,33 @@ class OperatorPair:
     def norms_available(self) -> bool:
         return self.s_min_modulus is not None and self.t_norm is not None
 
+    @property
+    def inverse_solve_warning(self) -> Optional[str]:
+        """A note when solving with the cached inverse may miss ``solve_tol``.
+
+        The product ``s_inverse @ v`` is within about 4 * d * eps * cond(s)
+        of the solution relative to ||s^-1|| ||v||, which for ``v`` along the
+        top singular direction of ``s`` is 4 * d * eps * cond(s)^2 relative to
+        the solution itself (an LU solve stays near d * eps * cond(s)).
+        ``None`` when that bound is within ``solve_tol``, when a user solver
+        is used or when the norms of ``s`` are not known.
+        """
+        if self.s_solve is not None or self.s_norm is None or self.s_min_modulus is None:
+            return None
+        cond = self.s_norm / self.s_min_modulus
+        loss = 4.0 * self.dim * np.finfo(float).eps * cond * cond
+        if loss <= self.solve_tol:
+            return None
+        return (f"cond(s)={cond:.3e}: solving with the inverse of s can be off by up to "
+                f"4*d*eps*cond(s)^2={loss:.3e} relative, above solve_tol {self.solve_tol:g}")
+
     def solve(self, v: Vector) -> Vector:
         """Solve ``s(u) = v`` for ``u``; wraps any failure in SolveError."""
         try:
-            u = np.asarray(self.s_solve(v), dtype=float)
+            if self.s_solve is None:
+                u = self.s_inverse @ v
+            else:
+                u = np.asarray(self.s_solve(v), dtype=float)
         except Exception as exc:  # user solvers can raise anything
             raise SolveError(f"solve callback failed: {exc}") from exc
         if u.shape != (self.dim,):
@@ -167,13 +210,14 @@ def make_operator_pair(
     tol: float = 1e-10,
     s_solve: Callable[[Vector], Vector] | None = None,
 ) -> OperatorPair:
-    """Build an OperatorPair, caching ||t||, ||s||, the minimum modulus of
-    ``s`` and, for a matrix ``s``, its inverse.
+    """Build an OperatorPair, caching ||t||, ||s|| and the minimum modulus of
+    ``s``; the pair inverts a matrix ``s`` once.
 
-    A matrix ``s`` is factored once, here: unless the caller supplies
-    ``s_solve``, every solve is one product with the cached inverse.  For
-    any ``v`` that product differs from an LU solve of ``s(u) = v`` by at
-    most about 4 * d * eps * cond(s) * ||s^-1|| * ||v||.
+    Unless the caller supplies ``s_solve``, every solve of a matrix ``s`` is
+    one product with that inverse, which for any ``v`` differs from an LU
+    solve of ``s(u) = v`` by at most about 4 * d * eps * cond(s) * ||s^-1|| * ||v||;
+    a warning is logged when that can exceed ``tol`` relative to ``u``
+    (see ``OperatorPair.inverse_solve_warning``).
     Raises ``SingularOperatorError`` when a matrix ``s`` has minimum modulus
     at or below ``tol`` and ``DimensionMismatchError`` on unequal dimensions.
     A callback ``s`` requires a user-supplied ``s_solve``.
@@ -183,7 +227,7 @@ def make_operator_pair(
     if s.dim != t.dim:
         raise DimensionMismatchError(f"maps live in different dimensions: {s.dim} vs {t.dim}")
 
-    mu = s_nrm = t_nrm = s_inv = None
+    mu = s_nrm = t_nrm = None
     if s.is_linear:
         # one SVD gives both ends: singular values come largest first
         sv = np.linalg.svd(s.matrix, compute_uv=False)
@@ -192,18 +236,17 @@ def make_operator_pair(
             raise SingularOperatorError(
                 f"minimum modulus {mu:.3e} <= tol {tol:.3e}; the map is not safely invertible"
             )
-        s_inv = np.linalg.inv(s.matrix)
-        if s_solve is None:
-            s_solve = lambda v, _m=s_inv: _m @ v
-    elif s_solve is None:
-        raise SolveError("a callback map needs a user-supplied s_solve")
     if t.is_linear:
         t_nrm = spectral_norm(t.matrix)
 
-    return OperatorPair(
+    pair = OperatorPair(
         s=s, t=t, s_solve=s_solve, solve_tol=tol,
-        s_min_modulus=mu, s_norm=s_nrm, t_norm=t_nrm, s_inverse=s_inv,
+        s_min_modulus=mu, s_norm=s_nrm, t_norm=t_nrm,
     )
+    warning = pair.inverse_solve_warning
+    if warning is not None:
+        log.warning("%s", warning)
+    return pair
 
 
 SCHEDULE_FORMS = ("constant", "one-minus-inv", "inv", "inv-pow", "list")

@@ -253,6 +253,17 @@ class TestMain:
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.yaml"), "--quiet"]) == 2
 
+    def test_ill_conditioned_s_is_noted_in_the_report(self, tmp_path):
+        text = (MINIMAL_JUNGCK.replace("s: {name: scale, dim: 1, value: 2.0}", "s: {matrix: [[10000.0, 0.0], [0.0, 1.0]]}")
+                .replace("t: {name: scale, dim: 1, value: 0.5}", "t: {name: scale, dim: 2, value: 0.5}")
+                .replace("z0: [1.0]", "z0: [1.0, 1.0]"))
+        out = tmp_path / "out"
+        main(["--config", self.write(tmp_path, text), "--output", str(out), "--quiet"])
+        notes = [line for line in (out / "report.txt").read_text().splitlines() if "solve accuracy" in line]
+        assert len(notes) == 1 and notes[0].startswith("INFO solve accuracy: cond(s)=1.000e+04")
+        main(["--config", self.write(tmp_path, MINIMAL_JUNGCK), "--output", str(out), "--quiet"])
+        assert "solve accuracy" not in (out / "report.txt").read_text()
+
     def test_steps_override(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_JUNGCK)
         out = tmp_path / "out"

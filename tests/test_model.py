@@ -1,5 +1,6 @@
 """Operator pairs, schedules and gate policies."""
 
+import dataclasses
 import logging
 import re
 
@@ -13,6 +14,7 @@ from jungckit import (
     IndexOutOfRangeError,
     NonFiniteError,
     Operator,
+    OperatorPair,
     Schedule,
     ScheduleViolationError,
     SingularOperatorError,
@@ -117,7 +119,8 @@ class TestOperatorPair:
 
 
 #: the cached-inverse solve stays within SOLVE_C * d * eps * cond(s) of np.linalg.solve,
-#: relative to ||s^-1|| ||v|| for every right-hand side v and to ||x_ref|| for gaussian ones
+#: relative to ||s^-1|| ||v|| for every right-hand side v and to ||x_ref|| for gaussian ones;
+#: relative to ||x_ref|| that is SOLVE_C * d * eps * cond(s)^2 along s's top singular vector
 SOLVE_C = 4.0
 EPS = np.finfo(float).eps
 
@@ -151,13 +154,18 @@ class TestCachedInverse:
         pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(len(v)))
         x, x_ref = pair.solve(v), np.linalg.solve(s, v)
         sv = np.linalg.svd(s, compute_uv=False)
-        bound = SOLVE_C * len(v) * EPS * (sv[0] / sv[-1])
+        cond = sv[0] / sv[-1]
+        bound = SOLVE_C * len(v) * EPS * cond
         err = np.linalg.norm(x - x_ref)
         assert err <= bound * np.linalg.norm(v) / sv[-1]
+        assert err <= bound * cond * np.linalg.norm(x_ref)
         if kind == "gaussian":
             # along the top singular vector x_ref is small and this can miss by
             # orders of magnitude: an explicit inverse is not backward stable
             assert err <= bound * np.linalg.norm(x_ref)
+        if err > pair.solve_tol * np.linalg.norm(x_ref):
+            # a pair whose solve can miss its tolerance says so
+            assert pair.inverse_solve_warning is not None
 
     @settings(max_examples=60, deadline=None)
     @given(conditioned_systems())
@@ -183,6 +191,40 @@ class TestCachedInverse:
         callback = make_operator_pair(Operator.from_callable(lambda x: 2 * x, 3), Operator.identity(3),
                                       s_solve=solver)
         assert callback.s_inverse is None
+
+    def test_ill_conditioned_s_is_flagged(self, caplog):
+        s = np.diag([1.0e4, 1.0])
+        with caplog.at_level(logging.WARNING, logger="jungckit.model"):
+            pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(2))
+        # 4 * 2 * eps * 1e8 = 1.8e-7 > 1e-10
+        assert pair.inverse_solve_warning is not None
+        assert "cond(s)=1.000e+04" in pair.inverse_solve_warning
+        assert f"4*d*eps*cond(s)^2={8 * EPS * 1e8:.3e}" in pair.inverse_solve_warning
+        assert [r.getMessage() for r in caplog.records] == [pair.inverse_solve_warning]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="jungckit.model"):
+            assert make_operator_pair(Operator.from_matrix(s), Operator.identity(2),
+                                      tol=1e-6).inverse_solve_warning is None
+            assert make_operator_pair(Operator.from_matrix(np.diag([30.0, 1.0])),
+                                      Operator.identity(2)).inverse_solve_warning is None
+            assert make_operator_pair(Operator.from_matrix(s), Operator.identity(2),
+                                      s_solve=lambda v: np.linalg.solve(s, v)).inverse_solve_warning is None
+        assert not caplog.records
+
+    def test_inverse_is_derived_from_s(self):
+        s = np.array([[2.0, 1.0], [0.0, 4.0]])
+        pair = OperatorPair(Operator.from_matrix(s), Operator.identity(2), None, 1e-10)
+        assert np.array_equal(pair.s_inverse, np.linalg.inv(s))
+        assert np.array_equal(pair.solve(np.array([1.0, 2.0])), np.linalg.inv(s) @ [1.0, 2.0])
+        with pytest.raises(TypeError):
+            OperatorPair(Operator.from_matrix(s), Operator.identity(2), None, 1e-10, s_inverse=np.eye(2))
+        moved = dataclasses.replace(pair, s=Operator.scaled_identity(4.0, 2))
+        assert np.array_equal(moved.s_inverse, 0.25 * np.eye(2))
+        assert np.array_equal(moved.solve(np.array([1.0, 2.0])), [0.25, 0.5])
+        with pytest.raises(SingularOperatorError):
+            OperatorPair(Operator.from_matrix(np.zeros((2, 2))), Operator.identity(2), None, 1e-10)
+        with pytest.raises(SolveError):
+            OperatorPair(Operator.from_callable(lambda x: x, 2), Operator.identity(2), None, 1e-10)
 
     def test_pair_stays_hashable(self):
         pair = make_operator_pair(Operator.identity(2), Operator.identity(2))

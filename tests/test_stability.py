@@ -1,5 +1,7 @@
 """Certificates: constants, applicability checks, cross-validation, soundness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from jungckit import (
     JungckConfig,
     NormsUnavailableError,
     Operator,
+    OperatorPair,
     Schedule,
     StabilityConstants,
     TraceMismatchError,
@@ -244,6 +247,13 @@ class TestPositivityConstraints:
                             np.ones(6), steps=5)
         rep = check_positivity_constraints(cfg, horizon=40)
         assert rep.min_s_inv_entry == float(np.min(np.linalg.inv(s)))
+
+    def test_directly_built_pair_has_its_inverse(self):
+        cfg = self.demo_config()
+        s, t = cfg.pair.s, cfg.pair.t
+        direct = dataclasses.replace(cfg, pair=OperatorPair(s, t, None, 1e-10))
+        assert check_positivity_constraints(direct, horizon=400) == \
+            check_positivity_constraints(cfg, horizon=400)
 
     def test_derived_gamma_identity_values(self):
         gamma = derived_gamma_schedule(Schedule.constant(0.5), Schedule.constant(1.0), horizon=5)
