@@ -11,7 +11,7 @@ from .diagnostics import (
     limit_identity_residuals,
     sequences_equivalent,
 )
-from .engine import JungckConfig, identity_residual, identity_residuals, run
+from .engine import JungckConfig, identity_residuals, run
 from .errors import (
     ConfigError,
     ConfigParseError,
@@ -38,8 +38,6 @@ from .model import (
     Schedule,
     as_state,
     make_operator_pair,
-    min_modulus,
-    schedule_eval,
     spectral_norm,
 )
 from .scan import ScanResult, ScanSpec, run_scan
@@ -55,7 +53,6 @@ from .stability import (
     check_property_iv_v,
     compute_constants,
     cross_validate,
-    derived_gamma_schedule,
     power_norms,
 )
 from .venter import (

@@ -302,10 +302,13 @@ def _parse_aitken(node: dict) -> AitkenScenario:
     geometric_limit = None
     if kind == "geometric":
         _check_keys(seq_node, {"kind", "limit", "coeff", "ratio", "length"}, f"{where}.sequence")
-        limit, coeff, ratio = (
-            np.atleast_1d(np.asarray(_numbers(seq_node.get(key, default), f"{where}.sequence.{key}"), dtype=float))
-            for key, default in (("limit", 0.0), ("coeff", 1.0), ("ratio", 0.5))
-        )
+        try:
+            limit, coeff, ratio = (
+                np.atleast_1d(np.asarray(_numbers(seq_node.get(key, default), f"{where}.sequence.{key}"), dtype=float))
+                for key, default in (("limit", 0.0), ("coeff", 1.0), ("ratio", 0.5))
+            )
+        except ValueError as exc:  # ragged nested lists
+            raise ConfigValidationError(f"{where}.sequence: {exc}") from exc
         length = _get(seq_node, "length", f"{where}.sequence", default=30, integer=True)
         if length < 3:
             raise ConfigValidationError(f"{where}.sequence.length: need >= 3 terms")
@@ -432,23 +435,6 @@ def _cells(part, count: int) -> list:
 def _optional(values, show=lambda v: str(v).lower()) -> list:
     """Cells of optional values: empty for None, else ``show`` (default: a lower-case bool)."""
     return ["" if v is None else show(v) for v in values]
-
-
-def read_jungck_csv(path: Path) -> dict:
-    """Round-trip helper: columns back to lists (None for empty cells)."""
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    out: dict = {name: [] for name in header}
-    for row in body:
-        for name, cell in zip(header, row):
-            if cell == "":
-                out[name].append(None)
-            elif name == "n" or name.startswith("gate_"):
-                out[name].append(int(cell))
-            else:
-                out[name].append(float(cell))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -611,23 +597,22 @@ def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
     write_csv([("n", range(len(scn.values))), ("x", scn.values), ("Ax", accel), ("gate", gates)],
               outdir / "trace.csv")
     report.add("INFO", f"aitken run: {scn.values.shape[0]} terms, dim={scn.values.shape[1]}")
-    if scn.geometric_limit is not None:
-        lim = scn.geometric_limit
+    lim = scn.geometric_limit
+    if lim is not None:
         tol = 1e-10 * (1.0 + float(np.linalg.norm(lim)))
         worst = float(np.max(np.linalg.norm(accel - lim[None, :], axis=1)))
         report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
-        ratios = diagnostics.acceleration_ratio(scn.values, accel, lim)
-        if ratios:
-            report.add("INFO", f"acceleration ratios: first={ratios[0]:.3e} last={ratios[-1]:.3e}")
     else:
         try:
             est = diagnostics.estimate_limit(scn.values)
             report.add("INFO", f"limit estimate ({est.method}): {np.array2string(est.value, precision=8)}")
-            ratios = diagnostics.acceleration_ratio(scn.values, accel, est.value)
-            if ratios:
-                report.add("INFO", f"acceleration ratios: first={ratios[0]:.3e} last={ratios[-1]:.3e}")
+            lim = est.value
         except (NotConvergingError, SequenceTooShortError) as exc:
             report.add("INFO", f"limit estimate skipped: {exc}")
+    if lim is not None:
+        ratios = diagnostics.acceleration_ratio(scn.values, accel, lim)
+        if ratios:
+            report.add("INFO", f"acceleration ratios: first={ratios[0]:.3e} last={ratios[-1]:.3e}")
     report.add("INFO", f"gates applied: {int(np.sum(gates))} of {gates.size} components")
 
 
@@ -736,10 +721,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         cfg = _apply_overrides(cfg, args)
-    except (ConfigParseError, ConfigValidationError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except (JungckitError, ValueError) as exc:  # bad override combinations
+    except (JungckitError, ValueError) as exc:  # config errors and bad override combinations
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except OSError as exc:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .aitken import accelerate_sequence
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
-from .model import IterationTrace, Vector, row_norms
+from .model import IterationTrace, Vector, exact_row_norms
 
 #: a final difference below this relative scale counts as numerically settled
 SETTLE_SCALE = 1e-10
@@ -80,13 +80,11 @@ def acceleration_ratio(
         )
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
     floor = floor_scale * (1.0 + float(np.linalg.norm(lim)))
-    ratios: list[float] = []
-    for k in range(acc_arr.shape[0]):
-        den = float(np.linalg.norm(raw_arr[k] - lim))
-        if den <= floor:
-            break
-        ratios.append(float(np.linalg.norm(acc_arr[k] - lim)) / den)
-    return ratios
+    count = acc_arr.shape[0]
+    den = exact_row_norms(raw_arr[:count] - lim)
+    at_floor = np.flatnonzero(den <= floor)
+    stop = at_floor[0] if at_floor.size else count
+    return (exact_row_norms(acc_arr[:stop] - lim) / den[:stop]).tolist()
 
 
 def sequences_equivalent(a, b, tol: float) -> bool:
@@ -114,7 +112,7 @@ def limit_identity_residuals(trace: IterationTrace) -> np.ndarray:
     l_y = estimate_limit(trace.sy).value
     a, b = trace.a_vals[:, None], trace.b_vals[:, None]
     r = (1.0 + a * (b - 1.0)) * l_z - (1.0 - a) * l_y - a * b * trace.ty
-    return row_norms(r)
+    return exact_row_norms(r)
 
 
 @dataclass
@@ -141,9 +139,8 @@ def build_convergence_report(
     lim = est.value
     errors = np.linalg.norm(raw_arr - lim[None, :], axis=1)
     floor = RATIO_FLOOR_SCALE * (1.0 + float(np.linalg.norm(lim)))
-    step_ratios = [
-        float(errors[k + 1] / errors[k]) for k in range(len(errors) - 1) if errors[k] > floor
-    ]
+    above = errors[:-1] > floor
+    step_ratios = (errors[1:][above] / errors[:-1][above]).tolist()
     accel_ratios = acceleration_ratio(raw_arr, accel, lim)
     equivalent = None
     notes = [f"limit via {est.method}"]

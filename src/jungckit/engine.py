@@ -21,8 +21,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
-from .errors import IndexOutOfRangeError, NonFiniteError, SolveError
-from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, row_norms
+from .errors import NonFiniteError, SolveError
+from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, exact_row_norms
 
 
 #: elements per block of powers: a block holds max(1, BLOCK_ELEMENTS // d^2) powers
@@ -133,9 +133,9 @@ def run(cfg: JungckConfig) -> IterationTrace:
     else:
         stream = itertools.repeat(None)
     d = cfg.dim
-    z, y, sz, sy, tz, ty = (np.empty((n_steps, d)) for _ in range(6))
+    z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
     z[0] = cfg.z0
-    m = 0  # complete rows carry all six quantities
+    m = 0  # complete rows carry all five quantities
 
     diverged = False
     failure = None
@@ -143,20 +143,20 @@ def run(cfg: JungckConfig) -> IterationTrace:
         with np.errstate(over="ignore", invalid="ignore"):
             sz[0] = _check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
             for n, power in zip(range(n_steps), stream):
-                tz[n] = _apply_power(t, power, n, z[n])
-                sy[n] = _check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz[n], n)
+                tz = _apply_power(t, power, n, z[n])
+                sy[n] = _check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
                 y[n] = cfg.pair.solve(sy[n])
                 ty[n] = _apply_power(t, power, n, y[n])
                 m = n + 1
                 if m == n_steps:
                     break
-                sz[m] = _check_finite("sz_next", (1.0 - a_vals[n]) * tz[n] + a_vals[n] * ty[n], n)
+                sz[m] = _check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
                 z[m] = cfg.pair.solve(sz[m])
     except (NonFiniteError, SolveError) as exc:
         diverged = True
         failure = str(exc)
 
-    z, y, sz, sy, tz, ty = (rows[:m] for rows in (z, y, sz, sy, tz, ty))
+    z, y, sz, sy, ty = (rows[:m] for rows in (z, y, sz, sy, ty))
     if m >= 3:
         asz, gz = accelerate_sequence(sz, cfg.gates_z, cfg.floor_scale)
         asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)
@@ -165,36 +165,25 @@ def run(cfg: JungckConfig) -> IterationTrace:
         gz = gy = np.empty((0, d), dtype=np.int64)
 
     return IterationTrace(
-        z=z, y=y, sz=sz, sy=sy, tz=tz, ty=ty,
+        z=z, y=y, sz=sz, sy=sy, ty=ty,
         asz=asz, asy=asy, gates_z=gz, gates_y=gy,
         a_vals=a_vals[:m], b_vals=b_vals[:m],
-        steps=n_steps, solve_tol=cfg.pair.solve_tol, floor_scale=cfg.floor_scale,
-        diverged=diverged, failure=failure,
+        steps=n_steps, diverged=diverged, failure=failure,
     )
 
 
-def identity_residual(trace: IterationTrace, n: int) -> float:
-    """Norm of the step identity that couples the two recursions at index n.
+def identity_residuals(trace: IterationTrace) -> np.ndarray:
+    """Norm of the step identity that couples the two recursions, at every
+    index n with a successor row.
 
     The combination b_n*sz_{n+1} + (1-a_n)(1-b_n)*sz_n equals
-    (1-a_n)*sy_n + a_n*b_n*t^n(y_n) exactly in real arithmetic, so the
-    returned value is pure floating-point error.
+    (1-a_n)*sy_n + a_n*b_n*t^n(y_n) exactly in real arithmetic, so each
+    value is pure floating-point error.  Each norm is bit-identical to
+    ``np.linalg.norm`` of its row.
     """
-    if n < 0 or n + 1 >= trace.n_raw:
-        raise IndexOutOfRangeError(f"need rows n and n+1 in the trace, got n={n} of {trace.n_raw}")
-    a_n = trace.a_vals[n]
-    b_n = trace.b_vals[n]
-    lhs = b_n * trace.sz[n + 1] + (1.0 - a_n) * (1.0 - b_n) * trace.sz[n]
-    rhs = (1.0 - a_n) * trace.sy[n] + a_n * b_n * trace.ty[n]
-    return float(np.linalg.norm(lhs - rhs))
-
-
-def identity_residuals(trace: IterationTrace) -> np.ndarray:
-    """identity_residual at every index with a successor row, as one array
-    expression bit-identical to the per-index function."""
     count = max(trace.n_raw - 1, 0)
     a = trace.a_vals[:count, None]
     b = trace.b_vals[:count, None]
     lhs = b * trace.sz[1:count + 1] + (1.0 - a) * (1.0 - b) * trace.sz[:count]
     rhs = (1.0 - a) * trace.sy[:count] + a * b * trace.ty[:count]
-    return row_norms(lhs - rhs)
+    return exact_row_norms(lhs - rhs)

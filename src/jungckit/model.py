@@ -115,16 +115,21 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def min_modulus(m: np.ndarray) -> float:
-    """Smallest singular value: inf ||Mx||/||x|| over nonzero x, matrix case."""
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
-def row_norms(r: np.ndarray) -> np.ndarray:
+def exact_row_norms(r: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a C-ordered 2-D array, bit-identical to
     ``np.linalg.norm`` of each row: a (1, d) @ (d, 1) product runs numpy's
-    dot kernel, as that norm does; ``norm(r, axis=1)`` sums in another order."""
+    dot kernel, as that norm does; ``norm(r, axis=1)`` sums in another order.
+    Squares of entries below about 1e-154 underflow, so a tiny nonzero row
+    can come out 0; use :func:`safe_row_norms` where that matters."""
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def safe_row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, computed on the row scaled by its largest
+    absolute entry so that squares of tiny entries cannot underflow to 0."""
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    unit = rows / np.where(peak > 0, peak, 1.0)
+    return peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
 
 
 @dataclass(frozen=True)
@@ -300,11 +305,9 @@ class Schedule:
     def from_values(cls, values: Iterable[float], clamp=(0.0, 1.0)) -> "Schedule":
         return cls(form="list", values=tuple(float(v) for v in values), clamp=clamp)
 
-    def __call__(self, n: int) -> float:
-        return schedule_eval(self, n)
-
     def array(self, count: int) -> np.ndarray:
-        """Evaluate at n = 0..count-1, bit-identical to ``schedule_eval`` at each n."""
+        """Evaluate at n = 0..count-1, clamped into ``clamp``; an explicit
+        list raises past its length."""
         n = np.arange(max(count, 0))
         if self.form == "constant":
             raw = np.full(n.size, float(self.c))
@@ -326,7 +329,7 @@ class Schedule:
         clamped = np.flatnonzero(low | high)
         if clamped.size:
             log.debug("%d schedule value(s) clamped into [%g, %g], first at n=%d", clamped.size, lo, hi, clamped[0])
-            # below lo, schedule_eval's min(hi, max(lo, raw)) is min(hi, lo), down to the sign of a zero
+            # below lo the value is min(hi, lo), so a clamp range (0.0, -0.0) keeps hi's sign
             raw = np.where(low, min(hi, lo), np.where(high, hi, raw))
         return raw
 
@@ -347,32 +350,8 @@ class Schedule:
         return None
 
 
-def schedule_eval(s: Schedule, n: int) -> float:
-    """Evaluate a schedule at step ``n`` (deterministic, clamped)."""
-    if n < 0:
-        raise IndexOutOfRangeError("schedules are defined for n >= 0")
-    if s.form == "constant":
-        raw = s.c
-    elif s.form == "one-minus-inv":
-        raw = 1.0 - 1.0 / (n + s.k)
-    elif s.form == "inv":
-        raw = 1.0 / (n + s.k)
-    elif s.form == "inv-pow":
-        raw = _inv_pow(s, n)
-    else:
-        if n >= len(s.values):
-            raise IndexOutOfRangeError(f"explicit schedule has {len(s.values)} values, asked for n={n}")
-        raw = s.values[n]
-    lo, hi = s.clamp
-    if not lo <= raw <= hi:
-        clamped = min(hi, max(lo, raw))
-        log.debug("schedule value %g at n=%d clamped into [%g, %g]", raw, n, lo, hi)
-        return clamped
-    return raw
-
-
 def _inv_pow(s: Schedule, n: int) -> float:
-    """1/(n+k)^p with Python's float power, which ``Schedule.array`` shares."""
+    """1/(n+k)^p at step n with Python's float power."""
     try:
         return 1.0 / float(n + s.k) ** s.p
     except (OverflowError, ZeroDivisionError) as exc:
@@ -448,7 +427,7 @@ class IterationTrace:
     """Per-step record of the two-map iteration plus corrected companions.
 
     Raw rows n = 0..n_raw-1 hold z, y, the s-images sz/sy and the t-power
-    images tz/ty.  The corrected sequences asz/asy live at indices
+    images ty = t^n(y_n).  The corrected sequences asz/asy live at indices
     0..n_raw-3 (each needs the two following raw terms), alongside the
     effective per-component gates.  ``a_vals``/``b_vals`` are the schedule
     values actually used.
@@ -458,7 +437,6 @@ class IterationTrace:
     y: np.ndarray
     sz: np.ndarray
     sy: np.ndarray
-    tz: np.ndarray
     ty: np.ndarray
     asz: np.ndarray
     asy: np.ndarray
@@ -467,8 +445,6 @@ class IterationTrace:
     a_vals: np.ndarray
     b_vals: np.ndarray
     steps: int
-    solve_tol: float
-    floor_scale: float
     diverged: bool = False
     failure: Optional[str] = None
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
 from .errors import NonFiniteError, NormsUnavailableError, TraceMismatchError
-from .model import IterationTrace, Schedule
+from .model import IterationTrace, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
 CROSS_VALIDATE_SLACK = 1e-6
@@ -45,14 +45,6 @@ def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
     return norms
-
-
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, computed on the row scaled by its largest
-    absolute entry so that squares of tiny entries cannot underflow to 0."""
-    peak = np.max(np.abs(rows), axis=1, keepdims=True)
-    unit = rows / np.where(peak > 0, peak, 1.0)
-    return peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
 
 
 @dataclass(frozen=True)
@@ -286,8 +278,8 @@ def cross_validate(report: StabilityReport, trace: IterationTrace) -> StabilityR
         report.simulation_notes = ["no certificate applies; nothing to check"]
         return report
 
-    zn = row_norms(trace.z)
-    yn = row_norms(trace.y)
+    zn = safe_row_norms(trace.z)
+    yn = safe_row_norms(trace.y)
     checks: list[bool] = []
     notes: list[str] = []
 
@@ -332,10 +324,10 @@ class PositivityReport:
     """Checkable pieces of the global-stability constraint set.
 
     Range/limit demands on the schedules and entrywise nonnegativity of
-    s^-1 and t are pass/fail; the remaining clauses (power-norm decay
-    relative to iterate size, and the derived-schedule identity whose
-    summability demands are mutually inconsistent) are reported as raw
-    diagnostics without a verdict.
+    s^-1 and t are pass/fail.  The remaining clauses get no verdict:
+    power-norm decay relative to iterate size is reported as a raw ratio
+    stream, and the derived-schedule identity, whose summability demands
+    are mutually inconsistent, only as a note.
     """
 
     b_in_range: bool
@@ -348,7 +340,6 @@ class PositivityReport:
     min_s_inv_entry: float
     min_t_entry: float
     little_o_ratios: Optional[np.ndarray] = None
-    gamma_identity_preview: Optional[np.ndarray] = None
     notes: list = field(default_factory=list)
 
     @property
@@ -359,36 +350,18 @@ class PositivityReport:
         )
 
 
-def derived_gamma_schedule(alpha: Schedule, b: Schedule, horizon: int) -> Schedule:
-    """Explicit-list schedule gamma_n = (2 - alpha_n) / b_n over the horizon.
-
-    Offered for experimentation only: its own summability requirements
-    (a summable alpha that must also have divergent partial sums) cannot
-    be met simultaneously, so nothing in the toolkit certifies with it.
-    """
-    vals = []
-    for n in range(horizon + 1):
-        b_n = b(n)
-        if b_n == 0:
-            raise ZeroDivisionError(f"b_n = 0 at n={n}; the identity needs b_n in (0, 1]")
-        vals.append((2.0 - alpha(n)) / b_n)
-    return Schedule.from_values(vals, clamp=(-math.inf, math.inf))
-
-
 def check_positivity_constraints(
     cfg: JungckConfig,
     horizon: int,
     tol: float = 0.01,
     trace: IterationTrace | None = None,
-    alpha: Schedule | None = None,
 ) -> PositivityReport:
     """Evaluate the global-stability constraint set at a finite horizon.
 
     Checks: b in (0, 1] tending to 1; a in [0, 1] with tail limit 0 or 1;
     entrywise nonnegativity of s^-1 and t (sufficient for every composite
     power to preserve the nonnegative orthant).  With a trace, also emits
-    the ||t^n|| / ||y_n|| diagnostic stream; with an ``alpha`` schedule,
-    previews the derived gamma identity values.
+    the ||t^n|| / ||y_n|| diagnostic stream (inf where y_n = 0).
     """
     if not (cfg.pair.s.is_linear and cfg.pair.t.is_linear):
         raise NormsUnavailableError("positivity constraints need matrix operators")
@@ -412,19 +385,15 @@ def check_positivity_constraints(
     ratios = None
     if trace is not None and trace.n_raw:
         tn = power_norms(cfg, trace.n_raw - 1)
-        yn = np.linalg.norm(trace.y, axis=1)
+        yn = safe_row_norms(trace.y)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(yn > 0, tn / yn, np.inf)
 
-    preview = None
     notes = [
         "power-decay-vs-iterate clauses are diagnostics only (no verdict)",
         "derived-schedule clause demands a summable alpha with divergent partial sums; "
         "mutually inconsistent, reported without a verdict",
     ]
-    if alpha is not None:
-        gamma = derived_gamma_schedule(alpha, cfg.b, min(horizon, 9))
-        preview = np.array(gamma.values)
 
     return PositivityReport(
         b_in_range=b_in_range,
@@ -437,6 +406,5 @@ def check_positivity_constraints(
         min_s_inv_entry=min_s_inv,
         min_t_entry=min_t,
         little_o_ratios=ratios,
-        gamma_identity_preview=preview,
         notes=notes,
     )

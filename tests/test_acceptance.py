@@ -24,8 +24,9 @@ from jungckit import (
     verify_property_iv,
     verify_summability,
 )
-from jungckit.cli import parse_config_text, read_jungck_csv, run_experiment
+from jungckit.cli import parse_config_text, run_experiment
 from jungckit.scan import ScanSpec, sample_config
+from trace_csv import read_jungck_csv
 
 SEED = 20250810
 

@@ -22,11 +22,11 @@ from jungckit.cli import (
     ConfigValidationError,
     main,
     parse_config_text,
-    read_jungck_csv,
     run_experiment,
 )
 from jungckit.errors import ConfigError
 from jungckit.scan import run_scan
+from trace_csv import read_jungck_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -370,8 +370,10 @@ class TestMain:
         (AITKEN_VALUES, "kind: values, values: [1.0, 0.5, 0.25, 0.125, 0.0625]",
          "kind: geometric, limit: [1.0, 2.0], ratio: [0.5, 0.5, 0.5]",
          "aitken.sequence: limit, coeff and ratio must be numbers or lists of one length"),
+        (AITKEN_VALUES, "kind: values, values: [1.0, 0.5, 0.25, 0.125, 0.0625]",
+         "kind: geometric, limit: [[], 0.5]", "aitken.sequence: setting an array element with a sequence"),
     ], ids=["scenario-list", "scale-nan", "venter-x0-nan", "venter-sigma-inf", "aitken-values-nan",
-            "aitken-values-ragged", "aitken-lengths"])
+            "aitken-values-ragged", "aitken-lengths", "aitken-limit-ragged"])
     def test_fuzzed_inputs_exit_two(self, tmp_path, capsys, text, old, new, message):
         # each raised an untyped error or ran to a non-finite trace before
         text = text.replace(old, new, 1)

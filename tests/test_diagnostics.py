@@ -20,6 +20,7 @@ from jungckit import (
     run,
     sequences_equivalent,
 )
+from jungckit.diagnostics import RATIO_FLOOR_SCALE
 from jungckit.model import IterationTrace
 
 
@@ -103,6 +104,67 @@ class TestAccelerationRatio:
             assert scaled == pytest.approx(base[:len(scaled)], rel=1e-12)
 
 
+def reference_acceleration_ratio(raw, accel, limit, floor_scale=RATIO_FLOOR_SCALE):
+    """acceleration_ratio as it was: one norm pair per index until the floor."""
+    raw_arr, acc_arr = np.asarray(raw, dtype=float), np.asarray(accel, dtype=float)
+    lim = np.atleast_1d(np.asarray(limit, dtype=float))
+    floor = floor_scale * (1.0 + float(np.linalg.norm(lim)))
+    ratios = []
+    for k in range(acc_arr.shape[0]):
+        den = float(np.linalg.norm(raw_arr[k] - lim))
+        if den <= floor:
+            break
+        ratios.append(float(np.linalg.norm(acc_arr[k] - lim)) / den)
+    return ratios
+
+
+def reference_step_ratios(errors, limit):
+    """build_convergence_report's step ratios as they were: one division per index."""
+    floor = RATIO_FLOOR_SCALE * (1.0 + float(np.linalg.norm(limit)))
+    return [float(errors[k + 1] / errors[k]) for k in range(len(errors) - 1) if errors[k] > floor]
+
+
+def same_floats(got, want) -> bool:
+    return len(got) == len(want) and np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@st.composite
+def ratio_cases(draw):
+    """A raw sequence of 3..60 rows of dimension 1..59 with error rows of any
+    magnitude from 1e-150 to 1e150, some rows exactly at the limit, and a
+    corrected sequence of the same magnitudes."""
+    rows, d = draw(st.integers(3, 60)), draw(st.integers(1, 59))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lim = rng.normal(size=d) * draw(st.sampled_from([0.0, 1.0, 1e-100, 1e100]))
+    err = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
+    err[rng.random(rows) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    accel = lim + rng.normal(size=(rows - 2, d)) * 10.0 ** rng.uniform(-150, 150, size=(rows - 2, 1))
+    return lim + err, accel, lim
+
+
+class TestArrayFormsMatchTheLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(ratio_cases())
+    def test_acceleration_ratio_bit_identical(self, case):
+        raw, accel, lim = case
+        with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e150 overflow in both
+            got, want = acceleration_ratio(raw, accel, lim), reference_acceleration_ratio(raw, accel, lim)
+        assert same_floats(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 80), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_step_ratios_bit_identical(self, rows, d, seed):
+        # geometric rows settle into the floor within 80 steps at the faster ratios
+        rng = np.random.default_rng(seed)
+        n = np.arange(rows)[:, None]
+        raw = rng.normal(size=d) + rng.normal(size=d) * rng.uniform(0.01, 0.9, size=d) ** n
+        accel, _ = accelerate_sequence(raw)
+        report = build_convergence_report(raw, accel)
+        assert same_floats(report.step_ratios, reference_step_ratios(report.error_norms, report.estimated_limit))
+        assert same_floats(report.accel_ratios,
+                           reference_acceleration_ratio(raw, accel, report.estimated_limit))
+
+
 class TestEquivalence:
     def test_identical_sequences(self):
         seq = geometric(3.0, 1.0, 0.5, 10)
@@ -181,9 +243,8 @@ def convergent_traces(draw):
     ty = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
     a, b = (np.where(rng.random(rows) < 0.2, rng.integers(0, 2, rows), rng.random(rows)) for _ in range(2))
     empty = np.empty((0, d))
-    return IterationTrace(z=sz, y=sy, sz=sz, sy=sy, tz=ty, ty=ty, asz=empty, asy=empty,
-                          gates_z=empty, gates_y=empty, a_vals=a, b_vals=b,
-                          steps=rows, solve_tol=1e-10, floor_scale=1e-12)
+    return IterationTrace(z=sz, y=sy, sz=sz, sy=sy, ty=ty, asz=empty, asy=empty,
+                          gates_z=empty, gates_y=empty, a_vals=a, b_vals=b, steps=rows)
 
 
 class TestLimitIdentityResidualsMatchReference:

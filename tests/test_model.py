@@ -22,11 +22,32 @@ from jungckit import (
     accelerate_sequence,
     as_state,
     make_operator_pair,
-    min_modulus,
-    schedule_eval,
     spectral_norm,
 )
-from jungckit.model import SCHEDULE_FORMS
+from jungckit.model import SCHEDULE_FORMS, _inv_pow
+
+
+def min_modulus(m):
+    """Smallest singular value: inf ||Mx||/||x|| over nonzero x."""
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
+
+
+def schedule_eval(s, n):
+    """A schedule at one step n, clamped, as scalar Python arithmetic."""
+    if s.form == "constant":
+        raw = s.c
+    elif s.form == "one-minus-inv":
+        raw = 1.0 - 1.0 / (n + s.k)
+    elif s.form == "inv":
+        raw = 1.0 / (n + s.k)
+    elif s.form == "inv-pow":
+        raw = _inv_pow(s, n)
+    else:
+        if n >= len(s.values):
+            raise IndexOutOfRangeError(f"explicit schedule has {len(s.values)} values, asked for n={n}")
+        raw = s.values[n]
+    lo, hi = s.clamp
+    return raw if lo <= raw <= hi else min(hi, max(lo, raw))
 
 
 def reference_array(sched, count):
@@ -109,7 +130,7 @@ class TestOperatorPair:
     def test_min_modulus_lower_bounds_image_norm(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(5, 5))
-        mu = min_modulus(m)
+        mu = make_operator_pair(Operator.from_matrix(m), Operator.identity(5)).s_min_modulus
         for _ in range(100):
             x = rng.normal(size=5)
             assert mu * np.linalg.norm(x) <= np.linalg.norm(m @ x) * (1 + 1e-12)
@@ -243,26 +264,27 @@ class TestSchedule:
         ],
     )
     def test_evaluation(self, sched, n, expected):
-        assert schedule_eval(sched, n) == pytest.approx(expected, rel=1e-15)
+        assert sched.array(n + 1)[n] == pytest.approx(expected, rel=1e-15)
 
     def test_explicit_list_rejects_past_end(self):
         sched = Schedule.from_values([0.1, 0.2])
         with pytest.raises(IndexOutOfRangeError):
-            schedule_eval(sched, 2)
+            sched.array(3)
 
     def test_clamping(self):
         sched = Schedule.constant(1.5, clamp=(0.0, 1.0))
-        assert schedule_eval(sched, 0) == 1.0
+        assert sched.array(1)[0] == 1.0
         sched = Schedule.constant(-0.2, clamp=(0.0, 1.0))
-        assert schedule_eval(sched, 3) == 0.0
+        assert sched.array(4)[3] == 0.0
 
     @given(
         st.sampled_from(["constant", "one-minus-inv", "inv", "inv-pow"]),
         st.integers(min_value=0, max_value=10_000),
     )
     def test_evaluation_is_pure(self, form, n):
+        # a value depends on its step only, not on how many steps are asked for
         sched = Schedule(form=form, c=0.3, k=3, p=1.5)
-        assert schedule_eval(sched, n) == schedule_eval(sched, n)
+        assert sched.array(n + 1)[n] == sched.array(n + 5)[n]
 
     @pytest.mark.parametrize(
         "sched,expected",
@@ -311,10 +333,6 @@ class TestSchedule:
         assert [r.getMessage() for r in caplog.records] == [
             "2 schedule value(s) clamped into [0, 1], first at n=1"
         ]
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(IndexOutOfRangeError):
-            schedule_eval(Schedule.constant(0.5), -1)
 
     @pytest.mark.parametrize(
         "build",

@@ -20,7 +20,6 @@ from jungckit import (
     check_property_iv_v,
     compute_constants,
     cross_validate,
-    derived_gamma_schedule,
     make_operator_pair,
     run,
 )
@@ -255,6 +254,19 @@ class TestPositivityConstraints:
         assert check_positivity_constraints(direct, horizon=400) == \
             check_positivity_constraints(cfg, horizon=400)
 
-    def test_derived_gamma_identity_values(self):
-        gamma = derived_gamma_schedule(Schedule.constant(0.5), Schedule.constant(1.0), horizon=5)
-        assert all(v == pytest.approx(1.5) for v in gamma.values)
+    def test_little_o_ratio_of_a_tiny_iterate_is_finite(self):
+        # y_27 = [1.5e-170, 1.5e-170]: its squares underflow, but its norm is
+        # about 2.1e-170, so ||t^27|| / ||y_27|| is about 8.5e158, not inf
+        cfg = linear_config(np.eye(2), [[0.3, 0.1], [0.1, 0.3]], Schedule.constant(1.0),
+                            Schedule.one_minus_inv(k=2), [1.0, 0.5], steps=30)
+        trace = run(cfg)
+        assert 0 < np.max(np.abs(trace.y[27])) < 1e-160
+        rep = check_positivity_constraints(cfg, horizon=400, trace=trace)
+        assert np.all(np.isfinite(rep.little_o_ratios))
+        assert rep.little_o_ratios[27] == pytest.approx(0.4**27 / np.hypot(*(trace.y[27] * 1e170)) * 1e170)
+
+    def test_little_o_ratio_of_a_zero_iterate_is_inf(self):
+        cfg = linear_config(np.eye(2), 0.5 * np.eye(2), Schedule.constant(1.0),
+                            Schedule.one_minus_inv(k=2), [0.0, 0.0], steps=5)
+        rep = check_positivity_constraints(cfg, horizon=40, trace=run(cfg))
+        assert np.all(rep.little_o_ratios == np.inf)
