@@ -502,6 +502,8 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
             report.add("INFO", f"certificates skipped: schedules not evaluable through horizon {horizon}")
             sreport = None
         if sreport is not None:
+            report.add("INFO", f"certificate constants: read {sreport.constants.powers_read} "
+                               f"of {horizon + 1} powers of t")
             for name, res in sreport.properties.items():
                 report.add("INFO", f"certificate {name}: applies={res.applies} margin={res.margin:.6g}")
             report.add("INFO", f"certificate prediction: {sreport.predicted} (horizon {sreport.horizon})")

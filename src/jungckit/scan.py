@@ -39,6 +39,8 @@ class ScanSpec:
             raise ValueError("count >= 1, dim >= 1 and steps >= 3 required")
         if self.horizon < 10:
             raise ValueError("horizon must be >= 10")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -12,19 +12,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
 from .errors import NonFiniteError, NormsUnavailableError, TraceMismatchError
-from .model import IterationTrace, Schedule, safe_row_norms
+from .model import IterationTrace, Operator, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
 CROSS_VALIDATE_SLACK = 1e-6
 #: absolute slack for norm bounds: below the smallest normal float an iterate
 #: is rounding noise a few subnormal steps wide, so no relative bound holds there
 NORM_FLOOR = float(np.finfo(float).tiny)
+#: relative slack on the early-exit cap of ``compute_constants``; see there
+EXIT_SLACK = 1e-6
+
+
+def _norm_blocks(t: Operator, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, norms)``: spectral norms of t^n, t^(n+1), ... one block of
+    ``matrix_power_blocks`` at a time, up to t^horizon.  Raises
+    ``NonFiniteError`` in place of the block that holds the first overflowed
+    power, after yielding the finite powers before it."""
+    n = 0
+    for block in matrix_power_blocks(t):
+        block = block[:horizon + 1 - n]
+        # one stacked SVD per block; singular values come largest first
+        yield n, np.linalg.svd(block, compute_uv=False)[:, 0]
+        n += len(block)
+        if n > horizon:
+            return
 
 
 def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
@@ -33,15 +50,9 @@ def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     if not t.is_linear:
         raise NormsUnavailableError("power norms need a matrix update map")
     norms = np.full(horizon + 1, math.inf)
-    n = 0
     try:
-        for block in matrix_power_blocks(t):
-            block = block[:horizon + 1 - n]
-            # one stacked SVD per block; singular values come largest first
-            norms[n:n + len(block)] = np.linalg.svd(block, compute_uv=False)[:, 0]
-            n += len(block)
-            if n > horizon:
-                break
+        for n, block in _norm_blocks(t, horizon):
+            norms[n:n + len(block)] = block
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
     return norms
@@ -53,7 +64,9 @@ class StabilityConstants:
 
     k1, k2 cap |a_n|*||t^n|| and |b_n|*||t^n|| over the tail; k1p, k2p cap
     |1-a_n|*||t^n|| and |1-b_n|.  m_bound caps the per-step y-vs-z
-    amplification over the whole horizon.
+    amplification over the whole horizon.  powers_read counts the powers
+    of t whose norms the constants took (at most horizon + 1); it takes no
+    part in equality.
     """
 
     k1: float
@@ -63,6 +76,7 @@ class StabilityConstants:
     m_bound: float
     horizon: int
     tail_start: int
+    powers_read: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.tail_start < self.horizon):
@@ -74,27 +88,77 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
 
     Maxima over n in [tail_start, horizon] stand in for the limit-superior
     hypotheses; with tail_start 0 every certified inequality holds from the
-    first step, which is what the soundness sweeps rely on.
+    first step, which is what the soundness sweeps rely on.  A power whose
+    weight is 0 adds 0, also when its norm is inf.
+
+    The maxima are folded block by block while the powers are produced, and
+    the stream stops as soon as no later power can raise any of them, so
+    the constants are those of the full stream, bit for bit.  The exit
+    rests on submultiplicativity: once c = ||t^m|| < 1, every n >= m is
+    qm + r with q >= 1 and r < m, so ||t^n|| <= c * G with
+    G = max_{r<m} ||t^r|| (G >= ||t^0|| = 1).  The smallest such c * G seen
+    so far caps every later power; the stream stops after power n when,
+    for each of k1, k2 and k1p, the largest weight from n + 1 on is 0, or
+    times the cap times (1 + EXIT_SLACK) stays below the maximum so far.
+
+    EXIT_SLACK covers rounding because the cap comes from computed norms
+    of computed powers.  The SVD returns each norm to a relative error of a
+    few d*eps.  Each computed power is t times the one before it, off by at
+    most about d^2 * (eps*||t||*||previous power|| + the smallest
+    subnormal) in norm, so up to the horizon the computed powers stay
+    within 3*horizon*d^2*(eps*||t||*G + subnormal)*G of a sequence for which
+    the cap is exact.  An m sets the cap only when that excess is at most
+    half of EXIT_SLACK*c*G; for the maps certified here it is orders of
+    magnitude smaller (about 2e-8 of c*G at d = 300, horizon 300,
+    ||t|| < 1 and c = ||t||).
     """
     if horizon < tail_start + 10:
         raise ValueError("horizon must be at least tail_start + 10")
     if not cfg.pair.norms_available:
         raise NormsUnavailableError("constants need matrix operators with cached norms")
-    tn = power_norms(cfg, horizon)
     a = cfg.a.array(horizon + 1)
     b = cfg.b.array(horizon + 1)
     mu_inv = 1.0 / cfg.pair.s_min_modulus
     s_norm = cfg.pair.s_norm
 
-    tail = slice(tail_start, horizon + 1)
-    k1 = float(np.max(np.abs(a[tail]) * tn[tail]))
-    k2 = float(np.max(np.abs(b[tail]) * tn[tail]))
-    k1p = float(np.max(np.abs(1.0 - a[tail]) * tn[tail]))
-    k2p = float(np.max(np.abs(1.0 - b[tail])))
+    # rows: the weights of k1, k2 and k1p, zero before the tail
+    weights = np.abs(np.stack([a, b, 1.0 - a]))
+    weights[:, :tail_start] = 0.0
+    # rest[:, n]: the largest weight at n or later (0 past the horizon)
+    rest = np.zeros((3, horizon + 2))
+    rest[:, :-1] = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
+    # the cap's rounding excess, over G, is at most excess_t * G + excess_0
+    excess_t = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).eps * cfg.pair.t_norm
+    excess_0 = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).smallest_subnormal
+
+    peaks = np.zeros(3)
+    cap = math.inf
+    g = 0.0  # the largest norm read so far
+    read = 0
+    try:
+        for n, norms in _norm_blocks(cfg.pair.t, horizon):
+            read = n + len(norms)
+            w = weights[:, n:read]
+            # a zero weight prunes its power: 0, not 0 * inf = nan
+            products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
+            peaks = np.maximum(peaks, products.max(axis=1))
+            running = np.maximum.accumulate(np.concatenate(([g], norms)))
+            before, g = running[:-1], running[-1]  # before[j]: G for power n + j
+            usable = (norms < 1.0) & (excess_t * before + excess_0 <= 0.5 * EXIT_SLACK * norms)
+            if usable.any():
+                cap = min(cap, float((norms[usable] * before[usable]).min()))
+            live = rest[:, read] > 0
+            if np.all(rest[live, read] * (cap * (1.0 + EXIT_SLACK)) < peaks[live]):
+                break
+    except NonFiniteError:
+        # the overflowed power and every later one have norm inf
+        peaks = np.maximum(peaks, np.where(rest[:, read] > 0, math.inf, 0.0))
+    k1, k2, k1p = (float(p) for p in peaks)
+    k2p = float(np.max(np.abs(1.0 - b[tail_start:])))
     m_bound = float(np.max(mu_inv * (np.abs(1.0 - b) * s_norm + np.abs(b))))
     return StabilityConstants(
         k1=k1, k2=k2, k1p=k1p, k2p=k2p, m_bound=m_bound,
-        horizon=horizon, tail_start=tail_start,
+        horizon=horizon, tail_start=tail_start, powers_read=read,
     )
 
 
@@ -117,7 +181,8 @@ def check_property_i(constants: StabilityConstants, mu_s: float) -> CertificateR
     """
     mu_inv = 1.0 / mu_s
     y_factor = constants.k2p + mu_inv * constants.k2
-    z_factor = mu_inv * (constants.k1p + constants.k1 * y_factor)
+    # k1 = 0 drops the coupling term, also when y_factor is inf (0 * inf = nan)
+    z_factor = mu_inv * (constants.k1p + (constants.k1 * y_factor if constants.k1 else 0.0))
     simple = mu_inv * (constants.k1p + constants.k1)
     margin = min(1.0 - y_factor, 1.0 - z_factor)
     return CertificateResult(

@@ -1,9 +1,11 @@
 """Certificates: constants, applicability checks, cross-validation, soundness."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     JungckConfig,
@@ -23,7 +25,9 @@ from jungckit import (
     make_operator_pair,
     run,
 )
+from jungckit import engine, stability
 from jungckit.scan import ScanSpec, sample_config
+from test_engine import block_len, reference_power_norms
 
 
 def linear_config(s_mat, t_mat, a, b, z0, steps=50):
@@ -61,6 +65,155 @@ class TestConstants:
                             Schedule.constant(0.5), Schedule.constant(0.5), [1.0, 0.0])
         with pytest.raises(ValueError):
             compute_constants(cfg, horizon=5, tail_start=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t,a,pruned,overflowed", [
+        (1e10 * np.eye(2), 0.0, "k1", "k1p"),  # t^31 = 1e310 * I overflows
+        (1e10 * np.eye(2), 1.0, "k1p", "k1"),
+        (np.full((2, 2), 2.0**31), 0.0, "k1", "k1p"),  # t^32 = 2^1023 * ones is finite, its norm is not
+    ], ids=["overflow-a0", "overflow-a1", "inf-norm-a0"])
+    def test_zero_weight_prunes_an_overflowed_power(self, t, a, pruned, overflowed):
+        # a zero weight on an infinite norm gave 0 * inf = nan before
+        cfg = linear_config(np.eye(2), t, Schedule.constant(a), Schedule.constant(0.5), [1.0, 0.0])
+        c = compute_constants(cfg, horizon=60)
+        assert getattr(c, pruned) == 0.0
+        assert getattr(c, overflowed) == c.k2 == math.inf
+        res = certify(cfg, horizon=60).properties["i"]
+        assert not res.applies and res.margin == -math.inf
+        assert res.details["z_factor"] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# compute_constants as it was, over the full power stream, kept as the
+# reference for its early exit; a zero weight gives 0, not 0 * inf = nan
+
+
+def reference_compute_constants(cfg, horizon, tail_start=0):
+    tn = reference_power_norms(cfg, horizon)[tail_start:]
+    a = cfg.a.array(horizon + 1)
+    b = cfg.b.array(horizon + 1)
+
+    def sup(weights):
+        w = np.abs(weights[tail_start:])
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.where(w > 0, w * tn, 0.0)))
+
+    mu_inv = 1.0 / cfg.pair.s_min_modulus
+    return StabilityConstants(
+        k1=sup(a), k2=sup(b), k1p=sup(1.0 - a), k2p=float(np.max(np.abs(1.0 - b[tail_start:]))),
+        m_bound=float(np.max(mu_inv * (np.abs(1.0 - b) * cfg.pair.s_norm + np.abs(b)))),
+        horizon=horizon, tail_start=tail_start,
+    )
+
+
+def constant_bits(c):
+    return np.array([c.k1, c.k2, c.k1p, c.k2p, c.m_bound]).tobytes()
+
+
+SCHEDULES = [Schedule.constant(0.0), Schedule.constant(1.0), Schedule.constant(0.4),
+             Schedule.one_minus_inv(k=3), Schedule.inv(k=2)]
+
+
+@st.composite
+def constants_cases(draw):
+    """A map of dimension 1..50 of one of four kinds, schedules that include
+    the zero and full blends, a tail start, and a horizon whose powers end on
+    a block boundary or inside a block (or at 40 when that is longer)."""
+    d = draw(st.integers(1, 50))
+    k = block_len(d)
+    tail_start = draw(st.sampled_from([0, 0, 1, 5, min(k, 100)]))
+    count = draw(st.integers(1, 2)) * k + draw(st.sampled_from([0, 1, k // 2, k - 1]))
+    count = max(count, tail_start + 11, 40)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    kind = draw(st.sampled_from(["contractive", "non-normal", "orthogonal", "overflowing"]))
+    if kind == "contractive":
+        raw = rng.normal(size=(d, d))
+        t = raw * (draw(st.floats(0.05, 0.99)) / np.linalg.norm(raw, 2))
+    elif kind == "non-normal":
+        # eigenvalues inside (-0.95, 0.95), and for d >= 2 a norm of 2 to 50
+        # from the strictly upper triangle, so the powers grow before they decay
+        upper = np.triu(rng.normal(size=(d, d)), 1)
+        if d > 1:
+            upper *= draw(st.floats(2.0, 50.0)) / np.linalg.norm(upper, 2)
+        t = q @ (upper + np.diag(rng.uniform(-0.95, 0.95, d))) @ q.T
+    elif kind == "orthogonal":
+        t = q  # every power has norm 1 up to rounding
+    else:
+        # (c Q)^n has norm c^n, which first passes the largest float near the target power
+        target = draw(st.sampled_from(sorted(n for n in {2, k - 1, k + 1, 2 * k - 1, count // 2} if n >= 2)))
+        t = 2.0 ** (1024 / (target - 0.5)) * q
+    s = rng.normal(size=(d, d)) + (d + 2) * np.eye(d)
+    cfg = JungckConfig(pair=make_operator_pair(Operator.from_matrix(s), Operator.from_matrix(t)),
+                       a=draw(st.sampled_from(SCHEDULES)), b=draw(st.sampled_from(SCHEDULES)),
+                       z0=np.ones(d), steps=3)
+    return cfg, count - 1, tail_start
+
+
+def count_drawn_powers(monkeypatch):
+    """Route the stream through a wrapper that records each block's length."""
+    drawn = []
+
+    def counted(t):
+        for block in engine.matrix_power_blocks(t):
+            drawn.append(len(block))
+            yield block
+
+    monkeypatch.setattr(stability, "matrix_power_blocks", counted)
+    return drawn
+
+
+def random_d60(norm):
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(60, 60))
+    return linear_config(rng.normal(size=(60, 60)) + 30 * np.eye(60), raw * (norm / np.linalg.norm(raw, 2)),
+                         Schedule.constant(0.5), Schedule.one_minus_inv(k=2), np.ones(60), steps=3)
+
+
+class TestEarlyExit:
+    @pytest.mark.filterwarnings("error")
+    @given(constants_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_constants_match_the_full_stream(self, case):
+        cfg, horizon, tail_start = case
+        got = compute_constants(cfg, horizon, tail_start)
+        want = reference_compute_constants(cfg, horizon, tail_start)
+        assert constant_bits(got) == constant_bits(want)
+        assert got == want and 1 <= got.powers_read <= horizon + 1
+
+    def test_contractive_map_stops_after_a_few_powers(self, monkeypatch):
+        cfg = random_d60(0.9)
+        drawn = count_drawn_powers(monkeypatch)
+        c = compute_constants(cfg, horizon=300)
+        assert sum(drawn) == c.powers_read <= 5
+        assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 300))
+
+    def test_cap_keeps_the_growth_before_the_dip(self):
+        # ||t^n|| of a rotation in a skewed basis dips to 0.90 at n = 10 and
+        # climbs back to 86 at n = 15: the cap is 0.90 * 95, not 0.90
+        rot = np.array([[np.cos(np.pi / 10), -np.sin(np.pi / 10)], [np.sin(np.pi / 10), np.cos(np.pi / 10)]])
+        t = np.zeros((40, 40))
+        t[:2, :2] = 0.99 * np.diag([10.0, 0.1]) @ rot @ np.diag([0.1, 10.0])
+        cfg = linear_config(2 * np.eye(40), t, Schedule.constant(0.5), Schedule.constant(0.5),
+                            np.ones(40), steps=3)
+        c = compute_constants(cfg, horizon=100, tail_start=10)
+        assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 100, 10))
+        # t^20 dips to 0.82, and 0.5 * 0.82 * 95 is below k1 = 0.5 * 86: the stream stops there
+        assert c.powers_read == 21
+
+    def test_identity_map_reads_every_power(self, monkeypatch):
+        cfg = linear_config(np.eye(60) * 2, np.eye(60), Schedule.constant(0.5), Schedule.constant(0.5),
+                            np.ones(60), steps=3)
+        drawn = count_drawn_powers(monkeypatch)
+        assert compute_constants(cfg, horizon=300).powers_read == sum(drawn) == 301
+
+    @pytest.mark.parametrize("norm", [0.9, 1.0])
+    def test_power_norms_stay_a_full_stream(self, monkeypatch, norm):
+        cfg = random_d60(norm)
+        drawn = count_drawn_powers(monkeypatch)
+        norms = stability.power_norms(cfg, 300)
+        assert sum(drawn) == len(norms) == 301
+        assert norms.tobytes() == reference_power_norms(cfg, 300).tobytes()
 
 
 class TestPropertyI:
