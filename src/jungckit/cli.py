@@ -34,7 +34,7 @@ from .errors import (
     NotConvergingError,
     SequenceTooShortError,
 )
-from .model import GatePolicy, Operator, Schedule, make_operator_pair
+from .model import GatePolicy, Operator, Schedule, make_operator_pair, unoverflowed
 from .scan import ScanSpec, run_scan
 
 IDENTITY_TOL = 1e-9
@@ -484,7 +484,9 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
         report.add("FAIL", f"run diverged and was truncated: {trace.failure}")
 
     if trace.n_raw >= 2:
-        rel = residuals / (1.0 + np.linalg.norm(trace.sz[1:], axis=1))
+        with np.errstate(over="ignore"):
+            scale = unoverflowed(np.linalg.norm(trace.sz[1:], axis=1), trace.sz[1:])
+        rel = residuals / (1.0 + scale)
         worst = float(np.max(rel))
         report.ok(worst <= IDENTITY_TOL, f"identity-residual: max relative {worst:.3e} (tol {IDENTITY_TOL:g})")
     else:

@@ -10,6 +10,23 @@ feeds both s-image sequences through the gated delta-squared corrector.
 Non-finite intermediates halt the run; the partial trace is kept and
 flagged instead of raised, because the stability sweeps deliberately
 explore unstable regions.
+
+A contractive run often underflows to an exactly zero state long before
+its last step.  Once z_m and sz_m are both +0 in every entry, the rows
+m onwards are filled with +0 and no later power of t is computed.  That
+is the trace the step would produce, bit for bit, when three conditions
+hold:
+
+* t is a matrix with cached ||t|| <= 1, so no later power can overflow
+  (an overflowed power would truncate the trace as diverged);
+* the solve is the cached inverse of s (no user ``s_solve``), which maps
+  +0 to +0, where a user solver may map 0 elsewhere;
+* the state is +0, not -0: a finite matrix times a +0 vector sums from
+  +0 and gives +0, and a blend (1 - c) * u + c * v of +0 vectors with a
+  finite c is +0, because at most one of 1 - c and c is negative.
+
+Schedule values are finite, or infinite from the first step on, which
+halts the run before any state is tested.
 """
 
 from __future__ import annotations
@@ -25,13 +42,17 @@ from .errors import NonFiniteError, SolveError
 from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, exact_row_norms
 
 
-#: elements per block of powers: a block holds max(1, BLOCK_ELEMENTS // d^2) powers
+#: elements per block of powers: blocks grow 1, 2, 4, ... powers up to
+#: max(1, BLOCK_ELEMENTS // d^2) powers each
 BLOCK_ELEMENTS = 2048
 
 
 def matrix_power_blocks(t: Operator) -> Iterator[np.ndarray]:
     """Yield consecutive ``(k, d, d)`` blocks of T^0 = I, T^1, T^2, ... of a
-    matrix map, with ``k = max(1, BLOCK_ELEMENTS // d^2)``.
+    matrix map.  The first block holds T^0 alone, and each later one twice
+    as many powers as the one before, up to ``max(1, BLOCK_ELEMENTS // d^2)``,
+    so a consumer that stops early has computed at most about twice the
+    powers it read.
 
     Each power is the product T @ T^(n-1); every consumer relies on that
     order for bit-identical results.  A yielded block may be overwritten by
@@ -40,28 +61,33 @@ def matrix_power_blocks(t: Operator) -> Iterator[np.ndarray]:
     ``NonFiniteError`` is raised in place of the next block.
     """
     d = t.dim
-    k = max(1, BLOCK_ELEMENTS // (d * d))
-    buf = np.zeros((k, d, d))
-    np.fill_diagonal(buf[0], 1.0)
-    prev = buf[0]
-    for n in itertools.count(0, k):  # n: the first power in the block
+    k_max = max(1, BLOCK_ELEMENTS // (d * d))
+    store = np.empty((k_max, d, d)) if k_max > 1 else None
+    block = np.eye(d)[None]
+    n = 1  # the first power of the next block
+    while True:
+        yield block
+        prev = block[-1]
+        k = min(2 * len(block), k_max)
+        # a power cannot be written over its predecessor, so a one-power
+        # block takes a new buffer, and the old one is freed once the
+        # consumer lets go of it, as with a plain T @ T^(n-1); a longer
+        # block follows T^0 (an array of its own) or a block of two or
+        # more, whose last power lies past store[0] and is read before
+        # it is written over
+        block = store[:k] if k > 1 else np.empty((1, d, d))
         # not held across the yield: it would set the consumer's error state too
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1 if n == 0 else 0, k):
-                np.matmul(t.matrix, prev, out=buf[j])
-                prev = buf[j]
-        finite = np.isfinite(buf).all(axis=(1, 2))
+            for j in range(k):
+                np.matmul(t.matrix, prev, out=block[j])
+                prev = block[j]
+        finite = np.isfinite(block).all(axis=(1, 2))
         if not finite.all():
             bad = int(np.argmin(finite))
             if bad:
-                yield buf[:bad]
+                yield block[:bad]
             raise NonFiniteError(f"power {n + bad} of the update map overflowed")
-        yield buf
-        if k == 1:
-            # a power cannot be written over its predecessor, so a one-power
-            # block takes a new buffer, and the old one is freed once the
-            # consumer lets go of it, as with a plain T @ T^(n-1)
-            buf = np.empty((1, d, d))
+        n += k
 
 
 def _apply_power(t: Operator, power: Optional[np.ndarray], n: int, x: Vector) -> Vector:
@@ -132,6 +158,9 @@ def run(cfg: JungckConfig) -> IterationTrace:
         stream = (power for block in matrix_power_blocks(t) for power in block)
     else:
         stream = itertools.repeat(None)
+    # whether an exactly +0 state is a fixed point of the step (module docstring)
+    settles = (t.is_linear and cfg.pair.s_solve is None
+               and cfg.pair.t_norm is not None and cfg.pair.t_norm <= 1.0)
     d = cfg.dim
     z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
     z[0] = cfg.z0
@@ -152,6 +181,13 @@ def run(cfg: JungckConfig) -> IterationTrace:
                     break
                 sz[m] = _check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
                 z[m] = cfg.pair.solve(sz[m])
+                # the scalar test first: it is all a run that never settles pays
+                if (settles and z[m, 0] == 0.0
+                        and not z[m].view(np.int64).any() and not sz[m].view(np.int64).any()):
+                    for rows in (z, y, sz, sy, ty):
+                        rows[m:] = 0.0
+                    m = n_steps
+                    break
     except (NonFiniteError, SolveError) as exc:
         diverged = True
         failure = str(exc)

@@ -120,8 +120,21 @@ def exact_row_norms(r: np.ndarray) -> np.ndarray:
     ``np.linalg.norm`` of each row: a (1, d) @ (d, 1) product runs numpy's
     dot kernel, as that norm does; ``norm(r, axis=1)`` sums in another order.
     Squares of entries below about 1e-154 underflow, so a tiny nonzero row
-    can come out 0; use :func:`safe_row_norms` where that matters."""
-    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    can come out 0; use :func:`safe_row_norms` where that matters.  A finite
+    row whose squares overflow gets its :func:`safe_row_norms` value, where
+    ``np.linalg.norm`` returns inf (see :func:`unoverflowed`)."""
+    with np.errstate(over="ignore"):
+        return unoverflowed(np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0]), r)
+
+
+def unoverflowed(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms`` of ``rows``, each inf norm of a finite row (its squares
+    overflowed) replaced in place by the row's :func:`safe_row_norms` value."""
+    lost = np.isinf(norms)
+    if lost.any():
+        lost &= np.isfinite(rows).all(axis=1)
+        norms[lost] = safe_row_norms(rows[lost])
+    return norms
 
 
 def safe_row_norms(rows: np.ndarray) -> np.ndarray:

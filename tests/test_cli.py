@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jungckit import engine, venter
 from jungckit.aitken import accelerate_sequence
@@ -265,7 +265,7 @@ class TestMain:
         assert "solve accuracy" not in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("text,read", [
-        ((CONFIGS / "positivity_demo.yaml").read_text(), "read 201 of 201"),  # d = 2: one block of powers
+        ((CONFIGS / "positivity_demo.yaml").read_text(), "read 3 of 201"),  # d = 2: blocks of 1 and 2 powers
         (MINIMAL_JUNGCK.replace("dim: 1,", "dim: 60,").replace("z0: [1.0]", f"z0: {[1.0] * 60}")
          + "  stability: {horizon: 300}\n", "read 2 of 301"),  # t = 0.5 I stops after t^1
     ], ids=["positivity-demo", "contractive-d60"])
@@ -619,8 +619,13 @@ def _is_finite_cell(cell: str) -> bool:
 FUZZING = settings.get_current_profile_name() == "fuzz"
 
 
+#: a finite seed whose residuals, near 1e290, square past the largest float
+HUGE_SEED = (CONFIGS / "jungck_scalar.yaml").read_text().replace("z0: [1.0]", "z0: [1.0e+300]")
+
+
 @(settings(deadline=None) if FUZZING else settings(max_examples=40, derandomize=True, deadline=None))
 @given(mutated_configs())
+@example(HUGE_SEED)
 def test_mutated_shipped_configs_exit_two_or_check(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
@@ -631,7 +636,9 @@ def test_mutated_shipped_configs_exit_two_or_check(text):
                 parse_config_text(text)
             return
         assert status in (0, 1)
-        lines = (out / "report.txt").read_text().splitlines()
+        report = (out / "report.txt").read_text()
+        assert not re.search(r"\bnan\b", report)
+        lines = report.splitlines()
         assert any(line.startswith(("PASS ", "FAIL ")) for line in lines)
         if not (out / "trace.csv").exists():  # a typed error stopped the run before its trace
             assert any(line.startswith("FAIL run aborted: ") for line in lines)

@@ -1,5 +1,6 @@
 """The two-map iteration engine and its step identity."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from jungckit import (
     NonFiniteError,
     Operator,
     Schedule,
+    SolveError,
     engine,
     identity_residuals,
     make_operator_pair,
@@ -21,8 +23,9 @@ from jungckit import (
     run,
     spectral_norm,
 )
+from jungckit.aitken import accelerate_sequence
 from jungckit.engine import BLOCK_ELEMENTS, matrix_power_blocks
-from jungckit.model import IterationTrace
+from jungckit.model import IterationTrace, safe_row_norms
 
 
 def scalar_pair(s=2.0, t=0.5):
@@ -320,6 +323,15 @@ def block_len(d):
     return max(1, BLOCK_ELEMENTS // (d * d))
 
 
+def block_schedule(d, count):
+    """Lengths of the blocks that hold powers 0..count-1, the last one cut at count."""
+    lengths, k = [], 1
+    while sum(lengths) < count:
+        lengths.append(min(k, count - sum(lengths)))
+        k = min(2 * k, block_len(d))
+    return lengths
+
+
 @st.composite
 def stream_cases(draw):
     """A map of dimension 1..50 (many, few or one power per block) and a count
@@ -349,33 +361,43 @@ def stream_cases(draw):
 
 class TestPowerStream:
     def test_blocks_of_powers(self):
+        # blocks of 1, 2, 4, ... powers up to the block length, then that length
         t = Operator.from_matrix([[0.0, 2.0], [1.0, 0.0]])
         k = block_len(2)
-        stream = matrix_power_blocks(t)
-        first, second = next(stream).copy(), next(stream).copy()
-        assert first.shape == second.shape == (k, 2, 2)
-        powers = [m.copy() for _, m in zip(range(2 * k), reference_matrix_powers(t))]
-        assert np.array_equal(np.concatenate([first, second]), np.array(powers))
+        blocks = []
+        for block in matrix_power_blocks(t):
+            blocks.append(block.copy())
+            if sum(map(len, blocks)) >= 2 * k:
+                break
+        lengths = [len(b) for b in blocks]
+        assert lengths == block_schedule(2, sum(lengths)) and lengths[-2:] == [k, k]
+        assert lengths[:3] == [1, 2, 4]
+        powers = [m.copy() for _, m in zip(range(sum(lengths)), reference_matrix_powers(t))]
+        assert np.array_equal(np.concatenate(blocks), np.array(powers))
 
     def test_many_powers_per_block_share_one_buffer(self):
+        # T^0 comes alone; every later block of a d=5 map (81 powers at most) reuses one buffer
         stream = matrix_power_blocks(Operator.from_matrix(np.eye(5) * 0.5))
-        assert len({next(stream).__array_interface__["data"][0] for _ in range(6)}) == 1
+        assert len(next(stream)) == 1
+        assert len({next(stream).__array_interface__["data"][0] for _ in range(9)}) == 1
 
     def test_overflow_yields_the_finite_prefix_then_raises(self):
         k = block_len(1)
         t = Operator.scaled_identity(2.0 ** (1024 / (k + 2.5)), 1)  # power k + 3 overflows
-        stream = matrix_power_blocks(t)
-        assert len(next(stream)) == k and len(next(stream)) == 3
+        lengths = []
         with pytest.raises(NonFiniteError, match=rf"^power {k + 3} of the update map overflowed$"):
-            next(stream)
+            for block in matrix_power_blocks(t):
+                lengths.append(len(block))
+        # the block from T^(k - 1) on is cut after its fourth power
+        assert lengths == block_schedule(1, k + 3) and lengths[-1] == 4
 
     def test_consumer_error_state_is_left_alone(self):
         before = np.geterr()
+        # blocks [T^0] and [T^1] (cut before T^2, which overflows), then the error
         stream = matrix_power_blocks(Operator.scaled_identity(1e200, 2))
-        next(stream)
-        assert np.geterr() == before
         with pytest.raises(NonFiniteError):
-            next(stream)
+            for _ in stream:
+                assert np.geterr() == before
         assert np.geterr() == before
 
     @given(stream_cases())
@@ -422,16 +444,186 @@ class TestPowerStream:
 
 
 # ---------------------------------------------------------------------------
+# the zero fill: the step loop that computes every row, kept as the reference
+# (``reference_run`` patches only the power stream, so it takes the fill too)
+
+
+def reference_step_run(cfg):
+    """``run`` without the zero fill, fed by the one-power reference stream."""
+    n_steps = cfg.steps
+    a_vals, b_vals = cfg.a.array(n_steps), cfg.b.array(n_steps)
+    t = cfg.pair.t
+    stream = reference_matrix_powers(t) if t.is_linear else itertools.repeat(None)
+    d = cfg.dim
+    z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
+    z[0] = cfg.z0
+    m = 0
+    failure = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sz[0] = engine._check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
+            for n, power in zip(range(n_steps), stream):
+                tz = engine._apply_power(t, power, n, z[n])
+                sy[n] = engine._check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
+                y[n] = cfg.pair.solve(sy[n])
+                ty[n] = engine._apply_power(t, power, n, y[n])
+                m = n + 1
+                if m == n_steps:
+                    break
+                sz[m] = engine._check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
+                z[m] = cfg.pair.solve(sz[m])
+    except (NonFiniteError, SolveError) as exc:
+        failure = str(exc)
+
+    z, y, sz, sy, ty = (rows[:m] for rows in (z, y, sz, sy, ty))
+    if m >= 3:
+        asz, gz = accelerate_sequence(sz, cfg.gates_z, cfg.floor_scale)
+        asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)
+    else:
+        asz = asy = np.empty((0, d))
+        gz = gy = np.empty((0, d), dtype=np.int64)
+    return IterationTrace(z=z, y=y, sz=sz, sy=sy, ty=ty, asz=asz, asy=asy, gates_z=gz, gates_y=gy,
+                          a_vals=a_vals[:m], b_vals=b_vals[:m], steps=n_steps,
+                          diverged=failure is not None, failure=failure)
+
+
+def settle_row(trace):
+    """The first row whose z and sz are +0 in every entry (n_raw if none)."""
+    plus_zero = ~trace.z.view(np.int64).any(axis=1) & ~trace.sz.view(np.int64).any(axis=1)
+    plus_zero[:1] = False  # z_0 is the seed, never tested
+    return int(np.argmax(plus_zero)) if plus_zero.any() else trace.n_raw
+
+
+SCHEDULE_CHOICES = (
+    lambda rng, n: Schedule.constant(0.0),
+    lambda rng, n: Schedule.constant(1.0),
+    lambda rng, n: Schedule.constant(0.4),
+    lambda rng, n: Schedule.one_minus_inv(k=3),
+    lambda rng, n: Schedule.inv(k=2),
+    lambda rng, n: Schedule.from_values(rng.uniform(0, 1, n)),
+    # clamp ranges that let values leave [0, 1], and one that makes every value inf
+    lambda rng, n: Schedule.from_values(rng.uniform(-0.5, 1.5, n), clamp=(-0.25, 1.25)),
+    lambda rng, n: Schedule.constant(-0.3, clamp=(-1.0, 2.0)),
+    lambda rng, n: Schedule.constant(1.7, clamp=(-1.0, 2.0)),
+    lambda rng, n: Schedule.constant(0.5, clamp=(math.inf, math.inf)),
+)
+
+
+@st.composite
+def fill_cases(draw):
+    """A zero-arg builder of a fresh config (a stateful solver starts anew)
+    that may reach an exactly zero state: contractive, zero, nilpotent and
+    norm-1 maps, maps just above norm 1 and maps whose powers overflow, of
+    dimension 1..50 with s and t of either sign, seeds of +0, -0 and tiny
+    entries, blends that reach 0, 1 and beyond, a callback t, and user
+    solvers, one of which leaves 0 after a number of calls."""
+    d = draw(st.one_of(st.just(1), st.integers(1, 50)))
+    steps = draw(st.one_of(st.integers(1, 3), st.integers(4, 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["contractive", "zero", "nilpotent", "norm one", "above one", "overflow"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "contractive":
+        raw = rng.normal(size=(d, d))
+        t = raw * (draw(st.floats(0.05, 0.95)) / np.linalg.norm(raw, 2))
+    elif kind == "zero":
+        t = np.zeros((d, d))
+    elif kind == "nilpotent":
+        t = np.triu(rng.normal(size=(d, d)), 1) * 0.5
+    elif kind == "norm one":
+        t = np.eye(d)[rng.permutation(d)]  # ||t|| is exactly 1
+    elif kind == "above one":
+        t = np.eye(d)[rng.permutation(d)] * np.nextafter(1.0, 2.0)
+    else:
+        # entries of (c P)^n are 0 or c^n, which first overflows at n = 2 or 3
+        t = 2.0 ** (1024 / (draw(st.sampled_from([2, 3])) - 0.5)) * np.eye(d)[rng.permutation(d)]
+    t = sign * t
+    s = draw(st.sampled_from([1.0, -1.0])) * (rng.normal(size=(d, d)) + (d + 2) * np.eye(d))
+    z0 = draw(st.sampled_from(["+0", "-0", "tiny", "normal"]))
+    z0 = {"+0": np.zeros(d), "-0": -np.zeros(d), "tiny": rng.normal(size=d) * 1e-300,
+          "normal": rng.normal(size=d)}[z0]
+    a = draw(st.sampled_from(SCHEDULE_CHOICES))(rng, steps)
+    b = draw(st.sampled_from(SCHEDULE_CHOICES))(rng, steps)
+    gates = GatePolicy.always_off() if steps < 3 else draw(st.sampled_from(
+        [GatePolicy.always_on(), GatePolicy.threshold(1e-9), GatePolicy.always_off()]))
+    callback = draw(st.booleans()) and kind in ("contractive", "zero")
+    solver = draw(st.sampled_from([None, "lu", "leaves zero"]))
+    leave_after = draw(st.integers(2, 8))
+
+    def build():
+        inverse = np.linalg.inv(s)
+        calls = itertools.count()
+        s_solve = {None: None, "lu": lambda v: np.linalg.solve(s, v),
+                   # the smallest subnormal added from call leave_after on: no state stays 0
+                   "leaves zero": lambda v: inverse @ v + (next(calls) >= leave_after) * 2.0 ** -1074}[solver]
+        t_op = Operator.from_callable(lambda x: t @ x, d) if callback else Operator.from_matrix(t)
+        pair = make_operator_pair(Operator.from_matrix(s), t_op, s_solve=s_solve)
+        return JungckConfig(pair=pair, a=a, b=b, gates_z=gates, gates_y=gates, z0=z0, steps=steps)
+
+    return build
+
+
+def assert_same_trace(got, want):
+    for name in TRACE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.diverged, got.failure) == (want.diverged, want.failure)
+
+
+class TestZeroFill:
+    @given(fill_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_run_matches_the_full_step_loop(self, build):
+        assert_same_trace(run(build()), reference_step_run(build()))
+
+    def test_overflowing_powers_still_truncate_a_zero_state(self):
+        # ||t|| > 1: the zero state is not filled, and power 2 overflows as without it
+        pair = make_operator_pair(Operator.identity(2), Operator.scaled_identity(1e200, 2))
+        cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                           z0=[0.0, 0.0], steps=5)
+        tr = run(cfg)
+        assert tr.diverged and tr.failure == "power 2 of the update map overflowed" and tr.n_raw == 2
+        assert_same_trace(tr, reference_step_run(cfg))
+
+    def test_a_settled_run_reads_no_power_past_its_settle_row(self, monkeypatch):
+        # a dense d=60 map holds one power per block, as d=300 does
+        rng = np.random.default_rng(8)
+        d = 60
+        raw = rng.normal(size=(d, d))
+        pair = make_operator_pair(Operator.from_matrix(rng.normal(size=(d, d)) + 30 * np.eye(d)),
+                                  Operator.from_matrix(raw * (0.6 / np.linalg.norm(raw, 2))))
+        cfg = JungckConfig(pair=pair, a=Schedule.one_minus_inv(k=2), b=Schedule.constant(0.5),
+                           z0=rng.normal(size=d), steps=300)
+        drawn = []
+
+        def counted(t, blocks=engine.matrix_power_blocks):
+            for block in blocks(t):
+                drawn.append(len(block))
+                yield block
+
+        monkeypatch.setattr(engine, "matrix_power_blocks", counted)
+        tr = run(cfg)
+        settled = settle_row(tr)
+        assert settled < 100 and not tr.diverged and tr.n_raw == 300
+        # powers 0..settled-1 made rows 1..settled; none after
+        assert sum(drawn) == settled
+        assert_same_trace(tr, reference_step_run(cfg))
+
+
+# ---------------------------------------------------------------------------
 # identity residuals: the per-index loop they replaced, kept as the reference
 
 
 def identity_residual(trace, n):
-    """The step identity's residual at one index n with a successor row."""
+    """The step identity's residual at one index n with a successor row; a
+    finite residual whose square overflows takes its scaled norm."""
     a_n = trace.a_vals[n]
     b_n = trace.b_vals[n]
     lhs = b_n * trace.sz[n + 1] + (1.0 - a_n) * (1.0 - b_n) * trace.sz[n]
     rhs = (1.0 - a_n) * trace.sy[n] + a_n * b_n * trace.ty[n]
-    return float(np.linalg.norm(lhs - rhs))
+    norm = float(np.linalg.norm(lhs - rhs))
+    if math.isinf(norm) and np.isfinite(lhs - rhs).all():
+        return float(safe_row_norms((lhs - rhs)[None])[0])  # its square overflowed
+    return norm
 
 
 def reference_identity_residuals(trace):
@@ -441,11 +633,11 @@ def reference_identity_residuals(trace):
 
 @st.composite
 def residual_traces(draw):
-    """A trace of 0..40 rows of dimension 1..300 with row magnitudes from 1e-150
-    to 1e150 (squares over- and underflow) and blends that include 0 and 1."""
+    """A trace of 0..40 rows of dimension 1..300 with row magnitudes from 1e-300
+    to 1e300 (squares over- and underflow) and blends that include 0 and 1."""
     rows, d = draw(st.integers(0, 40)), draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sz, sy, ty = (rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
+    sz, sy, ty = (rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-300, 300, size=(rows, 1))
                   for _ in range(3))
     a, b = (np.where(rng.random(rows) < 0.2, rng.integers(0, 2, rows), rng.random(rows)) for _ in range(2))
     empty = np.empty((0, d))
@@ -457,7 +649,7 @@ class TestIdentityResidualsMatchReference:
     @settings(max_examples=80, deadline=None)
     @given(residual_traces())
     def test_bit_identical(self, trace):
-        with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e150 overflow in both
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow in the reference
             got, want = identity_residuals(trace), reference_identity_residuals(trace)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -466,5 +658,5 @@ class TestIdentityResidualsMatchReference:
     @given(stream_cases())
     def test_bit_identical_on_runs(self, case):
         trace = run(case[0])
-        with np.errstate(over="ignore", invalid="ignore"):  # near-overflow traces square to inf
+        with np.errstate(over="ignore", invalid="ignore"):  # near-overflow traces square to inf in the reference
             assert identity_residuals(trace).tobytes() == reference_identity_residuals(trace).tobytes()
