@@ -12,7 +12,6 @@ identical configs produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import re
@@ -34,7 +33,7 @@ from .errors import (
     NotConvergingError,
     SequenceTooShortError,
 )
-from .model import GatePolicy, Operator, Schedule, make_operator_pair, unoverflowed
+from .model import GatePolicy, Operator, Schedule, make_operator_pair
 from .scan import ScanSpec, run_scan
 
 IDENTITY_TOL = 1e-9
@@ -399,37 +398,66 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 def write_csv(columns, path: Path) -> None:
     """Write ``(name, values)`` columns as one CSV table.
 
-    A 2-D value becomes the columns ``name[0]``, ``name[1]``, ...  Floats
-    are written with ``repr`` (the shortest round-trip decimal), everything
-    else with ``str``.  A column shorter than the longest leaves its trailing
-    cells empty.  Rows are formatted in blocks of about ``BLOCK_CELLS``
-    cells, column by column, so a long trace never sits in memory as text.
+    A 2-D array of numbers becomes the columns ``name[0]``, ``name[1]``, ...
+    Every cell is written as ``str`` writes it (a float as its shortest
+    round-trip decimal).  A column shorter than the longest leaves its
+    trailing cells empty.  Rows are formatted in blocks of about
+    ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text; in
+    a block, an array of numbers becomes cells through one ``repr`` of its
+    flat Python list, which writes each number as ``str`` does.  Nothing is
+    quoted: a name, or a cell of a column that does not hold numbers, that
+    holds a comma, a quote or a line break raises ``ValueError``, as does an
+    empty cell in a one-column table (it would read back as a blank line).
     ``path`` stays the last argument: the benchmark's byte counter reads it there.
     """
-    header, flat = [], []
+    header, groups = [], []
     for name, values in columns:
-        if getattr(values, "ndim", 1) == 2:
-            header += [f"{name}[{i}]" for i in range(values.shape[1])]
-            flat += list(values.T)
+        ndim = getattr(values, "ndim", 1)
+        if ndim == 2 and values.dtype.kind in _NUMERIC:
+            names = [f"{name}[{i}]" for i in range(values.shape[1])]
+        elif ndim == 1:
+            names = [name]
         else:
-            header.append(name)
-            flat.append(values)
-    n_rows = max((len(v) for v in flat), default=0)
-    step = max(1, BLOCK_CELLS // len(flat))
+            raise ValueError(f"column {name!r}: expected a 1-D column or a 2-D array of numbers")
+        header += names
+        if names:
+            groups.append((names, values))
+    lone = len(header) == 1
+    _check_cells("the header", header, lone)
+    n_rows = max((len(v) for _, v in groups), default=0)
+    step = max(1, BLOCK_CELLS // len(header))
     with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, step):
             hi = min(lo + step, n_rows)
-            writer.writerows(zip(*(_cells(v[lo:hi], hi - lo) for v in flat)))
+            # one statement, so that no block's texts outlive its write
+            fh.writelines(map("{}\n".format, map(",".join, zip(
+                *[_row_texts(names, v[lo:hi], hi - lo, lone) for names, v in groups]))))
 
 
-def _cells(part, count: int) -> list:
-    """``count`` cells of one column block, the missing tail left empty."""
-    if isinstance(part, np.ndarray):
-        part = part.tolist()  # Python scalars; str of a float is its repr
-    cells = list(map(str, part))
-    return cells + [""] * (count - len(cells))
+_NUMERIC = "biuf"  # dtype kinds whose Python scalars repr as str writes them
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _row_texts(names: list, part, count: int, lone: bool) -> list:
+    """The texts of ``count`` rows of one column group's block, each the
+    group's cells joined by commas; rows past the group's end are empty cells."""
+    if isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC:
+        cells = repr(part.ravel().tolist())[1:-1].split(", ") if part.size else []
+    else:
+        cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
+        _check_cells(f"column {names[0]!r}", cells, lone)
+    width = len(names)
+    rows = list(map(",".join, zip(*[iter(cells)] * width))) if width > 1 else cells  # cells row by row
+    return rows + ["," * (width - 1)] * (count - len(rows))
+
+
+def _check_cells(where: str, cells: list, lone: bool) -> None:
+    """Raise ``ValueError`` for a cell that would need CSV quoting."""
+    if _NEEDS_QUOTES.search("".join(cells)) or (lone and "" in cells):
+        bad = next(c for c in cells if _NEEDS_QUOTES.search(c) or (lone and c == ""))
+        raise ValueError(f"{where}: cell {bad!r} needs CSV quoting (a comma, quote or line break, "
+                         "or an empty cell alone in its row)")
 
 
 def _optional(values, show=lambda v: str(v).lower()) -> list:
@@ -484,9 +512,8 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
         report.add("FAIL", f"run diverged and was truncated: {trace.failure}")
 
     if trace.n_raw >= 2:
-        with np.errstate(over="ignore"):
-            scale = unoverflowed(np.linalg.norm(trace.sz[1:], axis=1), trace.sz[1:])
-        rel = residuals / (1.0 + scale)
+        rel = np.divide(residuals, engine.identity_scales(trace), out=np.zeros_like(residuals),
+                        where=residuals > 0)
         worst = float(np.max(rel))
         report.ok(worst <= IDENTITY_TOL, f"identity-residual: max relative {worst:.3e} (tol {IDENTITY_TOL:g})")
     else:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .aitken import accelerate_sequence
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
-from .model import IterationTrace, Vector, exact_row_norms
+from .model import IterationTrace, Vector, exact_row_norms, unoverflowed
 
 #: a final difference below this relative scale counts as numerically settled
 SETTLE_SCALE = 1e-10
@@ -44,8 +44,10 @@ def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
     n = arr.shape[0]
     if n < 5:
         raise SequenceTooShortError(f"limit estimation needs >= 5 terms, got {n}")
-    diffs = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-    scale = 1.0 + float(np.linalg.norm(arr[-1]))
+    with np.errstate(over="ignore"):
+        steps = np.diff(arr, axis=0)
+        diffs = unoverflowed(np.linalg.norm(steps, axis=1), steps)
+    scale = 1.0 + float(exact_row_norms(arr[-1:])[0])
     settled = diffs[-1] <= SETTLE_SCALE * scale
 
     if len(diffs) >= 10 and not settled:

@@ -39,7 +39,8 @@ import numpy as np
 
 from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
 from .errors import NonFiniteError, SolveError
-from .model import GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, exact_row_norms
+from .model import (GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, exact_row_norms,
+                    safe_row_norms)
 
 
 #: elements per block of powers: blocks grow 1, 2, 4, ... powers up to
@@ -223,3 +224,25 @@ def identity_residuals(trace: IterationTrace) -> np.ndarray:
     lhs = b * trace.sz[1:count + 1] + (1.0 - a) * (1.0 - b) * trace.sz[:count]
     rhs = (1.0 - a) * trace.sy[:count] + a * b * trace.ty[:count]
     return exact_row_norms(lhs - rhs)
+
+
+def identity_scales(trace: IterationTrace) -> np.ndarray:
+    """The size of each step identity of :func:`identity_residuals`: the
+    largest of its four terms' norms, |b_n| ||sz_n+1||,
+    |(1-a_n)(1-b_n)| ||sz_n||, |1-a_n| ||sy_n|| and |a_n b_n| ||t^n(y_n)||.
+
+    A residual divided by it is rounding relative to the numbers that were
+    summed, whatever the magnitude of the iterate.  It is 0 only where all
+    four terms are 0, and then so is the residual.
+    """
+    count = max(trace.n_raw - 1, 0)
+    a = trace.a_vals[:count]
+    b = trace.b_vals[:count]
+    with np.errstate(over="ignore"):
+        sz = safe_row_norms(trace.sz[:count + 1])
+        return np.maximum.reduce([
+            np.abs(b) * sz[1:],
+            np.abs((1.0 - a) * (1.0 - b)) * sz[:-1],
+            np.abs(1.0 - a) * safe_row_norms(trace.sy[:count]),
+            np.abs(a * b) * safe_row_norms(trace.ty[:count]),
+        ])

@@ -1,8 +1,8 @@
 """Hypothesis profiles for the test suite.
 
-Tier-1 replays a fixed set of examples in the parser fuzz test;
-``pytest --hypothesis-profile fuzz`` draws fresh ones there instead, 1000
-per run.
+Tier-1 replays a fixed set of examples in the parser fuzz test and in the
+CSV writer's differential test; ``pytest --hypothesis-profile fuzz`` draws
+fresh ones there instead, 1000 per run.
 """
 
 from hypothesis import settings

@@ -7,12 +7,13 @@ import math
 import operator
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jungckit import engine, venter
 from jungckit.aitken import accelerate_sequence
@@ -23,6 +24,7 @@ from jungckit.cli import (
     main,
     parse_config_text,
     run_experiment,
+    write_csv,
 )
 from jungckit.errors import ConfigError
 from jungckit.scan import run_scan
@@ -317,6 +319,15 @@ class TestMain:
         assert "FAIL run diverged and was truncated: power 2 of the update map overflowed" in report
         assert len((out / "trace.csv").read_text().splitlines()) == 3  # header + rows 0 and 1
 
+    @pytest.mark.parametrize("z0", ["1.0e+300", "1.0e-300"])
+    def test_identity_residual_is_relative_to_the_iterate(self, tmp_path, z0):
+        text = (CONFIGS / "jungck_scalar.yaml").read_text().replace("z0: [1.0]", f"z0: [{z0}]")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", self.write(tmp_path, text), "--output", str(out), "--quiet"]) == 0
+        assert "PASS identity-residual: max relative " in (out / "report.txt").read_text()
+
     @pytest.mark.parametrize("p", ["400.0", "-2000.0"])
     @pytest.mark.parametrize("text,old,new", [
         (MINIMAL_JUNGCK, "a: {form: constant, value: 0.5}", "a: {form: inv-pow, k: 2, p: P}"),
@@ -568,6 +579,120 @@ class TestWriterMatchesReference:
         self.check(tmp_path, aitken_config(dim, length))
 
 
+#: tier-1 replays one fixed set of examples in each fuzz test, so its result
+#: does not vary from run to run; the fuzz profile (tests/conftest.py) draws fresh ones
+FUZZING = settings.get_current_profile_name() == "fuzz"
+
+
+# ---------------------------------------------------------------------------
+# write_csv against the csv-module writer it replaced
+
+
+def ref_write_csv(columns, path: Path) -> None:
+    """write_csv as it was: one ``str`` per cell, rows through ``csv.writer``."""
+    header, flat = [], []
+    for name, values in columns:
+        if getattr(values, "ndim", 1) == 2:
+            header += [f"{name}[{i}]" for i in range(values.shape[1])]
+            flat += list(values.T)
+        else:
+            header.append(name)
+            flat.append(values)
+    n_rows = max((len(v) for v in flat), default=0)
+    step = max(1, BLOCK_CELLS // len(flat))
+    with path.open("w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for lo in range(0, n_rows, step):
+            hi = min(lo + step, n_rows)
+            writer.writerows(zip(*(ref_cells(v[lo:hi], hi - lo) for v in flat)))
+
+
+def ref_cells(part, count: int) -> list:
+    if isinstance(part, np.ndarray):
+        part = part.tolist()
+    cells = list(map(str, part))
+    return cells + [""] * (count - len(cells))
+
+
+FLOAT_EDGES = np.array([0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+                        1e-5, 1e-4, 1.7976931348623157e308, 0.1, 1.0, 123456.789])
+FLOAT_EDGES = np.concatenate([FLOAT_EDGES, -FLOAT_EDGES])
+PLAIN_WORDS = ["none", "i+ii+v", "true", "false", "", "a b", "x"]
+QUOTED_WORDS = ["a,b", 'say "x"', "two\nlines", "cr\rcell", ","]
+KINDS = ("float", "float2", "int", "int2", "bool", "bool2", "str", "intlist", "range")
+
+
+def _column(kind: str, length: int, width: int, words: list, rng: np.random.Generator):
+    shape = (length, width) if kind.endswith("2") else (length,)
+    if kind.startswith("float"):  # half edge cases, half random bit patterns (any exponent, nan payloads)
+        bits = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+        return np.where(rng.random(shape) < 0.5, rng.choice(FLOAT_EDGES, size=shape), bits)
+    if kind.startswith("int"):
+        big = rng.integers(-2**63, 2**63, size=shape, dtype=np.int64)
+        values = np.where(rng.random(shape) < 0.5, big, rng.integers(-3, 300, size=shape))
+        return values.tolist() if kind == "intlist" else values
+    if kind.startswith("bool"):
+        return rng.random(shape) < 0.5
+    if kind == "str":
+        return [words[i] for i in rng.integers(0, len(words), size=length)]
+    return range(length)
+
+
+@st.composite
+def ragged_columns(draw):
+    """(name, values) columns of mixed kinds and lengths, some of them ending
+    on, just before or just after a block boundary, and whether write_csv must
+    refuse them (a string cell that would need quoting)."""
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
+    widths = [draw(st.integers(0, 3)) if kind.endswith("2") else 1 for kind in kinds]
+    assume(sum(widths) > 0)
+    step = max(1, BLOCK_CELLS // sum(widths))  # rows per block
+    lengths = [draw(st.sampled_from([0, 1, 2, step - 1, step, step + 1, 2 * step + 1])) for _ in kinds]
+    words = PLAIN_WORDS + (QUOTED_WORDS if draw(st.booleans()) else [])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [(f"c{i}", _column(kind, length, width, words, rng))
+               for i, (kind, length, width) in enumerate(zip(kinds, lengths, widths))]
+    cells = [cell for kind, (_, values) in zip(kinds, columns) if kind == "str" for cell in values]
+    refuse = any(set(cell) & set(',"\r\n') for cell in cells) or (sum(widths) == 1 and "" in cells)
+    return columns, refuse
+
+
+class TestWriterMatchesCsvModule:
+    @(settings(deadline=None) if FUZZING else settings(max_examples=60, derandomize=True, deadline=None))
+    @given(ragged_columns())
+    def test_bytes_match_or_the_cells_are_refused(self, case):
+        columns, refuse = case
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            if refuse:
+                with pytest.raises(ValueError, match="needs CSV quoting"):
+                    write_csv(columns, got)
+                return
+            write_csv(columns, got)
+            ref_write_csv(columns, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("cell", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_a_string_cell_that_needs_quoting_is_refused(self, tmp_path, cell):
+        columns = [("index", [0, 1]), ("certified", ["i", "ii"]), ("predicted", ["converges", cell])]
+        with pytest.raises(ValueError, match=f"column 'predicted': cell {re.escape(repr(cell))} needs CSV quoting"):
+            write_csv(columns, tmp_path / "trace.csv")
+
+    def test_a_lone_empty_cell_and_a_quoted_name_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="column 'verdict': cell '' needs CSV quoting"):
+            write_csv([("verdict", ["true", ""])], tmp_path / "trace.csv")
+        write_csv([("verdict", ["true", ""]), ("n", range(2))], tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == "verdict,n\ntrue,0\n,1\n"
+        with pytest.raises(ValueError, match="the header: cell 'x,y' needs CSV quoting"):
+            write_csv([("x,y", np.zeros(2))], tmp_path / "trace.csv")
+
+    def test_other_shapes_are_refused(self, tmp_path):
+        for values in (np.zeros((2, 2, 2)), np.array([["a", "b"]])):
+            with pytest.raises(ValueError, match="expected a 1-D column or a 2-D array of numbers"):
+                write_csv([("x", values)], tmp_path / "trace.csv")
+
+
 # ---------------------------------------------------------------------------
 # parser fuzzing: a mutated shipped config ends in exit 2 or in a checked run
 
@@ -612,11 +737,6 @@ def _is_finite_cell(cell: str) -> bool:
         return math.isfinite(float(cell))
     except ValueError:
         return True  # empty, a verdict or a certificate list
-
-
-#: tier-1 replays one fixed set of 40 examples, so its result does not vary
-#: from run to run; the fuzz profile (tests/conftest.py) draws fresh ones
-FUZZING = settings.get_current_profile_name() == "fuzz"
 
 
 #: a finite seed whose residuals, near 1e290, square past the largest float

@@ -66,6 +66,14 @@ class TestEstimateLimit:
         est = estimate_limit(seq)
         assert est.value == pytest.approx([1.0, -2.0], abs=1e-10)
 
+    def test_huge_shrinking_differences_converge(self):
+        # differences near 1e200 square past the largest float; their norms stay finite
+        seq = np.stack([geometric(3e200, 1e200, 0.5, 12), geometric(-3e200, 2e200, 0.5, 12)], axis=1)
+        est = estimate_limit(seq)  # raised NotConvergingError when every norm read inf
+        assert est.method == "extrapolation"
+        # squared differences overflow the corrector too, which then keeps a raw term
+        assert est.value == pytest.approx([3e200, -3e200], rel=1e-2)
+
 
 class TestAccelerationRatio:
     def test_geometric_ratios_are_zero(self):
