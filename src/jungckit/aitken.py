@@ -41,7 +41,7 @@ def accelerate_sequence(
     terms and the per-component gates actually applied.  A gate is 1 only
     where the policy asks for the correction, the second difference clears
     the floor (the floor always wins) and the corrected value is finite;
-    (s1-s0)^2 can overflow past the floor's protection.  Gate-0 components
+    where (s1-s0)^2 overflows it is s0 - d1 * (d1 / d2).  Gate-0 components
     are bit-identical copies of s0, so the output is always finite.
     """
     arr = np.asarray(raw, dtype=float)
@@ -69,7 +69,14 @@ def accelerate_sequence(
             d2 = s0 - 2.0 * s1 + s2
             corrected = s0 - d1 * d1 / d2
         gate = policy.gates(lo, d2) & (np.abs(d2) > denominator_floor(s0, floor_scale))
-        gate &= np.isfinite(corrected)
+        finite = np.isfinite(corrected)
+        if not finite.all():
+            # past the floor, d1 * d1 overflows above about 1.3e154: divide first there
+            lost = gate & ~finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                corrected[lost] = s0[lost] - d1[lost] * (d1[lost] / d2[lost])
+            finite[lost] = np.isfinite(corrected[lost])
+        gate &= finite
         accel[lo:hi] = np.where(gate, corrected, s0)
         gates[lo:hi] = gate
     return accel, gates

@@ -15,6 +15,8 @@ from .model import IterationTrace, Vector, exact_row_norms, unoverflowed
 SETTLE_SCALE = 1e-10
 #: error norms below this relative scale are noise; no ratios reported there
 RATIO_FLOOR_SCALE = 1e-13
+#: limits of a raw and a corrected sequence this close (relative) are the same
+EQUIVALENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ def acceleration_ratio(
     raw: Sequence[Vector] | np.ndarray,
     accel: Sequence[Vector] | np.ndarray,
     limit: Vector | float,
-    floor_scale: float = RATIO_FLOOR_SCALE,
 ) -> list[float]:
     """Error-contraction ratios ||accel_k - L|| / ||raw_k - L||.
 
@@ -81,7 +82,7 @@ def acceleration_ratio(
             f"corrected length {acc_arr.shape[0]} != raw length {raw_arr.shape[0]} - 2"
         )
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
-    floor = floor_scale * (1.0 + float(np.linalg.norm(lim)))
+    floor = RATIO_FLOOR_SCALE * (1.0 + float(np.linalg.norm(lim)))
     count = acc_arr.shape[0]
     den = exact_row_norms(raw_arr[:count] - lim)
     at_floor = np.flatnonzero(den <= floor)
@@ -130,11 +131,7 @@ class ConvergenceReport:
     notes: list = field(default_factory=list)
 
 
-def build_convergence_report(
-    raw,
-    accel,
-    equivalence_tol: float = 1e-6,
-) -> ConvergenceReport:
+def build_convergence_report(raw, accel) -> ConvergenceReport:
     """Assemble limit, per-step rates and correction ratios for a sequence pair."""
     raw_arr = _as_rows(raw)
     est = estimate_limit(raw_arr)
@@ -147,7 +144,7 @@ def build_convergence_report(
     equivalent = None
     notes = [f"limit via {est.method}"]
     try:
-        equivalent = sequences_equivalent(raw_arr, accel, equivalence_tol)
+        equivalent = sequences_equivalent(raw_arr, accel, EQUIVALENCE_TOL)
     except (NotConvergingError, SequenceTooShortError) as exc:
         notes.append(f"equivalence not decidable: {exc}")
     return ConvergenceReport(

@@ -160,8 +160,7 @@ def run(cfg: JungckConfig) -> IterationTrace:
     else:
         stream = itertools.repeat(None)
     # whether an exactly +0 state is a fixed point of the step (module docstring)
-    settles = (t.is_linear and cfg.pair.s_solve is None
-               and cfg.pair.t_norm is not None and cfg.pair.t_norm <= 1.0)
+    settles = t.is_linear and cfg.pair.s_solve is None and cfg.pair.t_norm <= 1.0
     d = cfg.dim
     z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
     z[0] = cfg.z0

@@ -150,33 +150,54 @@ class OperatorPair:
     """The coupled maps of the two-map scheme.
 
     ``s`` is solved against at every step (must be injective on the working
-    space); ``t`` is the map whose powers drive the update.  Norm data is
-    cached by :func:`make_operator_pair` for matrix operators and ``None``
-    otherwise.  A matrix ``s`` is inverted once, here, into ``s_inverse``;
-    with ``s_solve`` left ``None`` every solve is one product with it.  A
-    callback ``s`` needs a user-supplied ``s_solve``.
+    space); ``t`` is the map whose powers drive the update.  Every other
+    field is derived here, on each construction (``dataclasses.replace``
+    too): a matrix ``s`` is inverted once into ``s_inverse`` and gets its
+    minimum modulus and norm from one SVD, a matrix ``t`` gets its norm, and
+    a callback map leaves them ``None``.  With ``s_solve`` left ``None``
+    every solve is one product with ``s_inverse``; a callback ``s`` needs
+    a user ``s_solve`` (else ``SolveError``).  Raises ``ValueError`` unless
+    ``solve_tol > 0``, ``DimensionMismatchError`` on unequal dimensions and
+    ``SingularOperatorError`` when a matrix ``s`` has minimum modulus at or
+    below ``solve_tol``; logs ``inverse_solve_warning`` when it is set.
     """
 
     s: Operator
     t: Operator
     s_solve: Optional[Callable[[Vector], Vector]]
     solve_tol: float
-    s_min_modulus: Optional[float] = None
-    s_norm: Optional[float] = None
-    t_norm: Optional[float] = None
-    # derived from s, never passed in; kept out of __eq__ and __hash__, as an
-    # array has no truth value and no hash
+    # derived, never passed in; kept out of __eq__ and __hash__ (an array has
+    # no truth value and no hash, and the rest follow from s and t)
+    s_min_modulus: Optional[float] = field(init=False, default=None, compare=False)
+    s_norm: Optional[float] = field(init=False, default=None, compare=False)
+    t_norm: Optional[float] = field(init=False, default=None, compare=False)
     s_inverse: Optional[np.ndarray] = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.solve_tol > 0:
+            raise ValueError("solve_tol must be positive")
+        if self.s.dim != self.t.dim:
+            raise DimensionMismatchError(f"maps live in different dimensions: {self.s.dim} vs {self.t.dim}")
         if self.s.is_linear:
+            # one SVD gives both ends: singular values come largest first
+            sv = np.linalg.svd(self.s.matrix, compute_uv=False)
+            mu = float(sv[-1])
+            if mu <= self.solve_tol:
+                raise SingularOperatorError(f"minimum modulus {mu:.3e} <= tol {self.solve_tol:.3e}; "
+                                            "the map is not safely invertible")
             try:
                 inverse = np.linalg.inv(self.s.matrix)
             except np.linalg.LinAlgError as exc:
                 raise SingularOperatorError(f"s is not invertible: {exc}") from exc
+            object.__setattr__(self, "s_min_modulus", mu)
+            object.__setattr__(self, "s_norm", float(sv[0]))
             object.__setattr__(self, "s_inverse", inverse)
         elif self.s_solve is None:
             raise SolveError("a callback map needs a user-supplied s_solve")
+        if self.t.is_linear:
+            object.__setattr__(self, "t_norm", spectral_norm(self.t.matrix))
+        if (warning := self.inverse_solve_warning) is not None:
+            log.warning("%s", warning)
 
     @property
     def dim(self) -> int:
@@ -184,7 +205,8 @@ class OperatorPair:
 
     @property
     def norms_available(self) -> bool:
-        return self.s_min_modulus is not None and self.t_norm is not None
+        """Whether both maps are matrices, so the norm data is set."""
+        return self.s.is_linear and self.t.is_linear
 
     @property
     def inverse_solve_warning(self) -> Optional[str]:
@@ -195,9 +217,9 @@ class OperatorPair:
         top singular direction of ``s`` is 4 * d * eps * cond(s)^2 relative to
         the solution itself (an LU solve stays near d * eps * cond(s)).
         ``None`` when that bound is within ``solve_tol``, when a user solver
-        is used or when the norms of ``s`` are not known.
+        is used or when ``s`` is a callback.
         """
-        if self.s_solve is not None or self.s_norm is None or self.s_min_modulus is None:
+        if self.s_solve is not None or self.s_inverse is None:
             return None
         cond = self.s_norm / self.s_min_modulus
         loss = 4.0 * self.dim * np.finfo(float).eps * cond * cond
@@ -228,43 +250,10 @@ def make_operator_pair(
     tol: float = 1e-10,
     s_solve: Callable[[Vector], Vector] | None = None,
 ) -> OperatorPair:
-    """Build an OperatorPair, caching ||t||, ||s|| and the minimum modulus of
-    ``s``; the pair inverts a matrix ``s`` once.
-
-    Unless the caller supplies ``s_solve``, every solve of a matrix ``s`` is
-    one product with that inverse, which for any ``v`` differs from an LU
-    solve of ``s(u) = v`` by at most about 4 * d * eps * cond(s) * ||s^-1|| * ||v||;
-    a warning is logged when that can exceed ``tol`` relative to ``u``
-    (see ``OperatorPair.inverse_solve_warning``).
-    Raises ``SingularOperatorError`` when a matrix ``s`` has minimum modulus
-    at or below ``tol`` and ``DimensionMismatchError`` on unequal dimensions.
-    A callback ``s`` requires a user-supplied ``s_solve``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if s.dim != t.dim:
-        raise DimensionMismatchError(f"maps live in different dimensions: {s.dim} vs {t.dim}")
-
-    mu = s_nrm = t_nrm = None
-    if s.is_linear:
-        # one SVD gives both ends: singular values come largest first
-        sv = np.linalg.svd(s.matrix, compute_uv=False)
-        mu, s_nrm = float(sv[-1]), float(sv[0])
-        if mu <= tol:
-            raise SingularOperatorError(
-                f"minimum modulus {mu:.3e} <= tol {tol:.3e}; the map is not safely invertible"
-            )
-    if t.is_linear:
-        t_nrm = spectral_norm(t.matrix)
-
-    pair = OperatorPair(
-        s=s, t=t, s_solve=s_solve, solve_tol=tol,
-        s_min_modulus=mu, s_norm=s_nrm, t_norm=t_nrm,
-    )
-    warning = pair.inverse_solve_warning
-    if warning is not None:
-        log.warning("%s", warning)
-    return pair
+    """``OperatorPair(s, t, s_solve, tol)``: the pair derives its inverse and
+    norms and runs its checks itself; ``OperatorPair.inverse_solve_warning``
+    says when solving with the cached inverse can miss ``tol``."""
+    return OperatorPair(s=s, t=t, s_solve=s_solve, solve_tol=tol)
 
 
 SCHEDULE_FORMS = ("constant", "one-minus-inv", "inv", "inv-pow", "list")

@@ -45,6 +45,9 @@ def reference_accelerate(raw, policy, floor_scale=DEFAULT_FLOOR_SCALE):
             quotient = np.zeros_like(s0)
             np.divide(d1 * d1, d2, out=quotient, where=mask)
             out = np.where(mask, s0 - quotient, s0)
+            # where d1 * d1 overflowed, the quotient is taken dividing first
+            lost = mask & ~np.isfinite(out)
+            out[lost] = s0[lost] - d1[lost] * (d1[lost] / d2[lost])
         bad = mask & ~np.isfinite(out)
         out[bad] = s0[bad]
         gate[bad] = 0
@@ -184,6 +187,18 @@ class TestAccelerateSequence:
         ref_accel, ref_gates = reference_accelerate(raw, policy, floor_scale)
         assert accel.tobytes() == ref_accel.tobytes()
         assert gates.dtype == ref_gates.dtype and gates.tobytes() == ref_gates.tobytes()
+
+    def test_exact_where_squared_differences_overflow(self):
+        # differences near 1e200 square past the largest float; dividing first keeps them
+        raw = np.stack([geometric(3e200, 1e200, 0.5, 12), geometric(-3e200, 2e200, 0.5, 12),
+                        geometric(1.0, 1.0, 0.5, 12)], axis=1)
+        accel, gates = accelerate_sequence(raw)
+        assert gates.all()
+        assert accel[:, :2] == pytest.approx(np.broadcast_to([3e200, -3e200], (10, 2)), rel=1e-10)
+        # a component whose squares stay finite keeps the product-first bits
+        s0, s1, s2 = raw[:-2, 2], raw[1:-1, 2], raw[2:, 2]
+        d1, d2 = s1 - s0, s0 - 2.0 * s1 + s2
+        assert accel[:, 2].tobytes() == (s0 - d1 * d1 / d2).tobytes()
 
     def test_gate_list_must_cover_every_window(self):
         with pytest.raises(IndexOutOfRangeError):

@@ -422,6 +422,18 @@ class TestMain:
         assert all(line.startswith("INFO ") for line in lines[:-1])
         assert lines[-1].startswith("FAIL no check ran: ")
 
+    @pytest.mark.parametrize("sigma,gamma", [("0.1", "0.5"), ("0.0", "0.6"), ("0.1", "0.0")])
+    def test_venter_skips_quote_the_verifiers(self, tmp_path, sigma, gamma):
+        text = (VENTER_ALL_SKIPPED.replace("sigma: 0.1", f"sigma: {sigma}")
+                .replace("gamma: {form: constant, value: 0.5}", f"gamma: {{form: constant, value: {gamma}}}"))
+        out = tmp_path / "out"
+        main(["--config", self.write(tmp_path, text), "--output", str(out), "--quiet"])
+        skips = [line for line in (out / "report.txt").read_text().splitlines() if "skipped (" in line]
+        expected = {"telescoping identity: skipped (needs sigma = 0)": sigma != "0.0",
+                    "decay-to-zero: skipped (needs sigma = 0 and gamma = 0)": True,
+                    "uniform bound: skipped (needs inf(alpha - gamma) > 0)": gamma != "0.0"}
+        assert skips == [f"INFO {line}" for line, skipped in expected.items() if skipped]
+
     def test_yaml11_exponent_names_the_float_form(self, tmp_path, capsys):
         path = self.write(tmp_path, VENTER.replace("eps: 1.0e-2", "eps: 1e-6"))
         assert main(["--config", path, "--quiet"]) == 2

@@ -12,6 +12,7 @@ from jungckit import (
     DimensionMismatchError,
     GatePolicy,
     IndexOutOfRangeError,
+    JungckConfig,
     NonFiniteError,
     Operator,
     OperatorPair,
@@ -21,6 +22,7 @@ from jungckit import (
     SolveError,
     accelerate_sequence,
     as_state,
+    certify,
     make_operator_pair,
     spectral_norm,
 )
@@ -250,6 +252,51 @@ class TestCachedInverse:
     def test_pair_stays_hashable(self):
         pair = make_operator_pair(Operator.identity(2), Operator.identity(2))
         assert hash(pair) == hash(pair) and pair == pair
+
+
+def readme_pair():
+    return make_operator_pair(Operator.scaled_identity(2.0, 2),
+                              Operator.from_matrix([[0.25, 0.1], [0.1, 0.2]]))
+
+
+class TestPairDerivesItsData:
+    def test_init_fields_are_the_four_inputs(self):
+        names = [f.name for f in dataclasses.fields(OperatorPair) if f.init]
+        assert names == ["s", "t", "s_solve", "solve_tol"]
+
+    def test_constructor_and_factory_agree(self):
+        s, t = Operator.from_matrix([[2.0, 1.0], [0.0, 4.0]]), Operator.from_matrix([[0.3, 0.1], [0.0, 0.2]])
+        direct, made = OperatorPair(s, t, None, 1e-10), make_operator_pair(s, t)
+        for name in ("s_min_modulus", "s_norm", "t_norm"):
+            assert getattr(direct, name) == getattr(made, name) is not None
+        assert direct.s_inverse.tobytes() == made.s_inverse.tobytes()
+
+    def test_replaced_t_gets_its_own_norm(self):
+        moved = dataclasses.replace(readme_pair(), t=Operator.scaled_identity(1.5, 2))
+        assert moved.t_norm == 1.5
+        cfg = JungckConfig(pair=moved, a=Schedule.constant(1.0), b=Schedule.one_minus_inv(k=2),
+                           z0=[1.0, 0.5], steps=100)
+        report = certify(cfg, horizon=200)
+        assert not {"ii", "iii", "iv", "v"} & set(report.applying())
+        assert report.predicted != "converges-to-zero"
+
+    def test_replaced_s_is_checked_for_singularity(self):
+        with pytest.raises(SingularOperatorError):
+            dataclasses.replace(readme_pair(), s=Operator.scaled_identity(1e-13, 2))
+
+    def test_replaced_solve_tol_reruns_the_checks(self, caplog):
+        s = Operator.from_matrix(np.diag([1.0e4, 1.0]))
+        with caplog.at_level(logging.WARNING, logger="jungckit.model"):
+            loose = make_operator_pair(s, Operator.identity(2), tol=1e-6)
+            assert loose.inverse_solve_warning is None and not caplog.records
+            tight = dataclasses.replace(loose, solve_tol=1e-10)
+        assert tight.solve_tol == 1e-10
+        assert [r.getMessage() for r in caplog.records] == [tight.inverse_solve_warning] != [None]
+        with pytest.raises(SingularOperatorError):
+            dataclasses.replace(loose, solve_tol=1.0)
+        for bad in (0.0, -1e-10, float("nan")):
+            with pytest.raises(ValueError):
+                dataclasses.replace(loose, solve_tol=bad)
 
 
 class TestSchedule:
