@@ -22,7 +22,6 @@ from .errors import (
     JungckitError,
     LengthMismatchError,
     NonFiniteError,
-    NormsUnavailableError,
     NotConvergingError,
     ScheduleViolationError,
     SequenceTooShortError,

@@ -14,14 +14,13 @@ explore unstable regions.
 A contractive run often underflows to an exactly zero state long before
 its last step.  Once z_m and sz_m are both +0 in every entry, the rows
 m onwards are filled with +0 and no later power of t is computed.  That
-is the trace the step would produce, bit for bit, when three conditions
+is the trace the step would produce, bit for bit, when two conditions
 hold:
 
-* t is a matrix with cached ||t|| <= 1, so no later power can overflow
-  (an overflowed power would truncate the trace as diverged);
-* the solve is the cached inverse of s (no user ``s_solve``), which maps
-  +0 to +0, where a user solver may map 0 elsewhere;
-* the state is +0, not -0: a finite matrix times a +0 vector sums from
+* the cached ||t|| is at most 1, so no later power can overflow (an
+  overflowed power would truncate the trace as diverged);
+* the state is +0, not -0: a finite matrix (a power of t, or the cached
+  inverse of s that every solve multiplies by) times a +0 vector sums from
   +0 and gives +0, and a blend (1 - c) * u + c * v of +0 vectors with a
   finite c is +0, because at most one of 1 - c and c is negative.
 
@@ -31,9 +30,8 @@ halts the run before any state is tested.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -91,20 +89,14 @@ def matrix_power_blocks(t: Operator) -> Iterator[np.ndarray]:
         n += k
 
 
-def _apply_power(t: Operator, power: Optional[np.ndarray], n: int, x: Vector) -> Vector:
-    """t^n(x): one product with the matrix power, or n compositions of a callback t.
+def _apply_power(power: np.ndarray, n: int, x: Vector) -> Vector:
+    """t^n(x): one product with the matrix power ``power`` = T^n.
 
     The caller holds ``np.errstate`` that ignores overflow."""
-    if power is not None:
-        out = power @ x
-        if not np.isfinite(out).all():
-            raise NonFiniteError(f"t^{n} x is non-finite")
-        return out
-    for _ in range(n):
-        x = t(x)
-        if not np.isfinite(x).all():
-            raise NonFiniteError("repeated application of the update map overflowed")
-    return x
+    out = power @ x
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"t^{n} x is non-finite")
+    return out
 
 
 @dataclass
@@ -154,13 +146,9 @@ def run(cfg: JungckConfig) -> IterationTrace:
     a_vals = cfg.a.array(n_steps)
     b_vals = cfg.b.array(n_steps)
 
-    t = cfg.pair.t
-    if t.is_linear:
-        stream = (power for block in matrix_power_blocks(t) for power in block)
-    else:
-        stream = itertools.repeat(None)
+    stream = (power for block in matrix_power_blocks(cfg.pair.t) for power in block)
     # whether an exactly +0 state is a fixed point of the step (module docstring)
-    settles = t.is_linear and cfg.pair.s_solve is None and cfg.pair.t_norm <= 1.0
+    settles = cfg.pair.t_norm <= 1.0
     d = cfg.dim
     z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
     z[0] = cfg.z0
@@ -172,10 +160,10 @@ def run(cfg: JungckConfig) -> IterationTrace:
         with np.errstate(over="ignore", invalid="ignore"):
             sz[0] = _check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
             for n, power in zip(range(n_steps), stream):
-                tz = _apply_power(t, power, n, z[n])
+                tz = _apply_power(power, n, z[n])
                 sy[n] = _check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
                 y[n] = cfg.pair.solve(sy[n])
-                ty[n] = _apply_power(t, power, n, y[n])
+                ty[n] = _apply_power(power, n, y[n])
                 m = n + 1
                 if m == n_steps:
                     break

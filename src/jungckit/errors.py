@@ -22,15 +22,11 @@ class SequenceTooShortError(JungckitError):
 
 
 class SolveError(JungckitError):
-    """The per-step linear/user solve failed or returned garbage."""
+    """The per-step solve against s produced non-finite values."""
 
 
 class NonFiniteError(JungckitError):
     """A computed quantity overflowed or is NaN."""
-
-
-class NormsUnavailableError(JungckitError):
-    """Operator norms requested for a non-matrix operator."""
 
 
 class TraceMismatchError(JungckitError):

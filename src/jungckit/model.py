@@ -1,10 +1,10 @@
 """Domain types shared by the iteration engine, verifiers and the CLI.
 
 State vectors are plain 1-D float64 numpy arrays validated through
-:func:`as_state`.  Operators wrap either a dense square matrix or a user
-callback; an :class:`OperatorPair` couples the solved-against map ``s``
-with the iterated map ``t`` and caches the norm data the stability
-certificates need.
+:func:`as_state`.  Operators wrap a dense, finite square matrix; an
+:class:`OperatorPair` couples the solved-against map ``s`` with the
+iterated map ``t`` and caches the inverse and norm data that the step and
+the stability certificates need.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,33 +49,24 @@ def as_state(entries: Sequence[float] | float, dim: int | None = None) -> Vector
 
 
 class Operator:
-    """A map on R^d: either a dense square matrix or a user callback.
+    """A linear map on R^d, held as a dense, finite square matrix (a copy of
+    the one passed in).  Raises ``DimensionMismatchError`` for a matrix that
+    is not square and ``NonFiniteError`` for NaN/Inf entries."""
 
-    Matrix operators expose ``matrix`` and support norm queries; callback
-    operators only guarantee dimension-preserving evaluation.
-    """
+    __slots__ = ("matrix", "dim")
 
-    __slots__ = ("matrix", "func", "dim")
-
-    def __init__(self, matrix: Optional[np.ndarray], func: Optional[Callable], dim: int):
-        self.matrix = matrix
-        self.func = func
-        self.dim = dim
-
-    @classmethod
-    def from_matrix(cls, m: Sequence[Sequence[float]] | np.ndarray) -> "Operator":
-        a = np.array(m, dtype=float, copy=True)
+    def __init__(self, matrix: Sequence[Sequence[float]] | np.ndarray):
+        a = np.array(matrix, dtype=float, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise DimensionMismatchError(f"operator matrix must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise NonFiniteError("operator matrix has non-finite entries")
-        return cls(a, None, a.shape[0])
+        self.matrix = a
+        self.dim = a.shape[0]
 
     @classmethod
-    def from_callable(cls, func: Callable[[Vector], Vector], dim: int) -> "Operator":
-        if dim < 1:
-            raise DimensionMismatchError("operator dimension must be >= 1")
-        return cls(None, func, dim)
+    def from_matrix(cls, m: Sequence[Sequence[float]] | np.ndarray) -> "Operator":
+        return cls(m)
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
@@ -89,23 +80,13 @@ class Operator:
     def zero(cls, dim: int) -> "Operator":
         return cls.from_matrix(np.zeros((dim, dim)))
 
-    @property
-    def is_linear(self) -> bool:
-        return self.matrix is not None
-
     def __call__(self, x: Vector) -> Vector:
         if x.shape != (self.dim,):
             raise DimensionMismatchError(f"operator expects dimension {self.dim}, got {x.shape}")
-        if self.matrix is not None:
-            return self.matrix @ x
-        out = np.asarray(self.func(x), dtype=float)
-        if out.shape != (self.dim,):
-            raise DimensionMismatchError("user map changed the dimension")
-        return out
+        return self.matrix @ x
 
     def __repr__(self) -> str:
-        kind = "matrix" if self.is_linear else "callable"
-        return f"Operator({kind}, dim={self.dim})"
+        return f"Operator(matrix, dim={self.dim})"
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -152,61 +133,49 @@ class OperatorPair:
     ``s`` is solved against at every step (must be injective on the working
     space); ``t`` is the map whose powers drive the update.  Every other
     field is derived here, on each construction (``dataclasses.replace``
-    too): a matrix ``s`` is inverted once into ``s_inverse`` and gets its
-    minimum modulus and norm from one SVD, a matrix ``t`` gets its norm, and
-    a callback map leaves them ``None``.  With ``s_solve`` left ``None``
-    every solve is one product with ``s_inverse``; a callback ``s`` needs
-    a user ``s_solve`` (else ``SolveError``).  Raises ``ValueError`` unless
+    too): ``s`` is inverted once into ``s_inverse`` and gets its minimum
+    modulus and norm from one SVD, and ``t`` gets its norm.  Every solve is
+    one product with ``s_inverse``.  Raises ``ValueError`` unless
     ``solve_tol > 0``, ``DimensionMismatchError`` on unequal dimensions and
-    ``SingularOperatorError`` when a matrix ``s`` has minimum modulus at or
-    below ``solve_tol``; logs ``inverse_solve_warning`` when it is set.
+    ``SingularOperatorError`` when ``s`` has minimum modulus at or below
+    ``solve_tol``; logs ``inverse_solve_warning`` when it is set.
     """
 
     s: Operator
     t: Operator
-    s_solve: Optional[Callable[[Vector], Vector]]
     solve_tol: float
     # derived, never passed in; kept out of __eq__ and __hash__ (an array has
     # no truth value and no hash, and the rest follow from s and t)
-    s_min_modulus: Optional[float] = field(init=False, default=None, compare=False)
-    s_norm: Optional[float] = field(init=False, default=None, compare=False)
-    t_norm: Optional[float] = field(init=False, default=None, compare=False)
-    s_inverse: Optional[np.ndarray] = field(init=False, default=None, compare=False, repr=False)
+    s_min_modulus: float = field(init=False, compare=False)
+    s_norm: float = field(init=False, compare=False)
+    t_norm: float = field(init=False, compare=False)
+    s_inverse: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.solve_tol > 0:
             raise ValueError("solve_tol must be positive")
         if self.s.dim != self.t.dim:
             raise DimensionMismatchError(f"maps live in different dimensions: {self.s.dim} vs {self.t.dim}")
-        if self.s.is_linear:
-            # one SVD gives both ends: singular values come largest first
-            sv = np.linalg.svd(self.s.matrix, compute_uv=False)
-            mu = float(sv[-1])
-            if mu <= self.solve_tol:
-                raise SingularOperatorError(f"minimum modulus {mu:.3e} <= tol {self.solve_tol:.3e}; "
-                                            "the map is not safely invertible")
-            try:
-                inverse = np.linalg.inv(self.s.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise SingularOperatorError(f"s is not invertible: {exc}") from exc
-            object.__setattr__(self, "s_min_modulus", mu)
-            object.__setattr__(self, "s_norm", float(sv[0]))
-            object.__setattr__(self, "s_inverse", inverse)
-        elif self.s_solve is None:
-            raise SolveError("a callback map needs a user-supplied s_solve")
-        if self.t.is_linear:
-            object.__setattr__(self, "t_norm", spectral_norm(self.t.matrix))
+        # one SVD gives both ends: singular values come largest first
+        sv = np.linalg.svd(self.s.matrix, compute_uv=False)
+        mu = float(sv[-1])
+        if mu <= self.solve_tol:
+            raise SingularOperatorError(f"minimum modulus {mu:.3e} <= tol {self.solve_tol:.3e}; "
+                                        "the map is not safely invertible")
+        try:
+            inverse = np.linalg.inv(self.s.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError(f"s is not invertible: {exc}") from exc
+        object.__setattr__(self, "s_min_modulus", mu)
+        object.__setattr__(self, "s_norm", float(sv[0]))
+        object.__setattr__(self, "s_inverse", inverse)
+        object.__setattr__(self, "t_norm", spectral_norm(self.t.matrix))
         if (warning := self.inverse_solve_warning) is not None:
             log.warning("%s", warning)
 
     @property
     def dim(self) -> int:
         return self.s.dim
-
-    @property
-    def norms_available(self) -> bool:
-        """Whether both maps are matrices, so the norm data is set."""
-        return self.s.is_linear and self.t.is_linear
 
     @property
     def inverse_solve_warning(self) -> Optional[str]:
@@ -216,11 +185,8 @@ class OperatorPair:
         of the solution relative to ||s^-1|| ||v||, which for ``v`` along the
         top singular direction of ``s`` is 4 * d * eps * cond(s)^2 relative to
         the solution itself (an LU solve stays near d * eps * cond(s)).
-        ``None`` when that bound is within ``solve_tol``, when a user solver
-        is used or when ``s`` is a callback.
+        ``None`` when that bound is within ``solve_tol``.
         """
-        if self.s_solve is not None or self.s_inverse is None:
-            return None
         cond = self.s_norm / self.s_min_modulus
         loss = 4.0 * self.dim * np.finfo(float).eps * cond * cond
         if loss <= self.solve_tol:
@@ -229,31 +195,19 @@ class OperatorPair:
                 f"4*d*eps*cond(s)^2={loss:.3e} relative, above solve_tol {self.solve_tol:g}")
 
     def solve(self, v: Vector) -> Vector:
-        """Solve ``s(u) = v`` for ``u``; wraps any failure in SolveError."""
-        try:
-            if self.s_solve is None:
-                u = self.s_inverse @ v
-            else:
-                u = np.asarray(self.s_solve(v), dtype=float)
-        except Exception as exc:  # user solvers can raise anything
-            raise SolveError(f"solve callback failed: {exc}") from exc
-        if u.shape != (self.dim,):
-            raise SolveError("solve callback changed the dimension")
+        """Solve ``s(u) = v`` for ``u`` as ``s_inverse @ v``; raises
+        ``SolveError`` when the product is not finite."""
+        u = self.s_inverse @ v
         if not np.isfinite(u).all():
             raise SolveError("solve produced non-finite values")
         return u
 
 
-def make_operator_pair(
-    s: Operator,
-    t: Operator,
-    tol: float = 1e-10,
-    s_solve: Callable[[Vector], Vector] | None = None,
-) -> OperatorPair:
-    """``OperatorPair(s, t, s_solve, tol)``: the pair derives its inverse and
-    norms and runs its checks itself; ``OperatorPair.inverse_solve_warning``
-    says when solving with the cached inverse can miss ``tol``."""
-    return OperatorPair(s=s, t=t, s_solve=s_solve, solve_tol=tol)
+def make_operator_pair(s: Operator, t: Operator, tol: float = 1e-10) -> OperatorPair:
+    """``OperatorPair(s, t, tol)``: the pair derives its inverse and norms
+    and runs its checks itself; ``OperatorPair.inverse_solve_warning`` says
+    when solving with the cached inverse can miss ``tol``."""
+    return OperatorPair(s=s, t=t, solve_tol=tol)
 
 
 SCHEDULE_FORMS = ("constant", "one-minus-inv", "inv", "inv-pow", "list")

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
-from .errors import NonFiniteError, NormsUnavailableError, TraceMismatchError
+from .errors import NonFiniteError, TraceMismatchError
 from .model import IterationTrace, Operator, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
@@ -46,12 +46,9 @@ def _norm_blocks(t: Operator, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     """Spectral norms of t^n for n = 0..horizon (inf once a power overflows)."""
-    t = cfg.pair.t
-    if not t.is_linear:
-        raise NormsUnavailableError("power norms need a matrix update map")
     norms = np.full(horizon + 1, math.inf)
     try:
-        for n, block in _norm_blocks(t, horizon):
+        for n, block in _norm_blocks(cfg.pair.t, horizon):
             norms[n:n + len(block)] = block
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
@@ -114,8 +111,6 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     """
     if horizon < tail_start + 10:
         raise ValueError("horizon must be at least tail_start + 10")
-    if not cfg.pair.norms_available:
-        raise NormsUnavailableError("constants need matrix operators with cached norms")
     a = cfg.a.array(horizon + 1)
     b = cfg.b.array(horizon + 1)
     mu_inv = 1.0 / cfg.pair.s_min_modulus
@@ -205,8 +200,6 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
     below 1 for every n up to the horizon; the second when the y-bound
     constant keeps |1-a_n| + |a_n|*M within the minimum modulus.
     """
-    if not cfg.pair.norms_available:
-        raise NormsUnavailableError("certificates need matrix operators")
     mu = cfg.pair.s_min_modulus
     mu_inv = 1.0 / mu
     s_norm = cfg.pair.s_norm
@@ -250,8 +243,6 @@ def check_property_iv_v(
     The limit hypothesis is replaced by "within tol of 1 over the back half
     of the horizon".  An applying certificate predicts convergence to zero.
     """
-    if not cfg.pair.norms_available:
-        raise NormsUnavailableError("certificates need matrix operators")
     t_norm = cfg.pair.t_norm
     contractive = t_norm < 1.0
 
@@ -428,8 +419,6 @@ def check_positivity_constraints(
     power to preserve the nonnegative orthant).  With a trace, also emits
     the ||t^n|| / ||y_n|| diagnostic stream (inf where y_n = 0).
     """
-    if not (cfg.pair.s.is_linear and cfg.pair.t.is_linear):
-        raise NormsUnavailableError("positivity constraints need matrix operators")
     a = cfg.a.array(horizon + 1)
     b = cfg.b.array(horizon + 1)
 

@@ -1,6 +1,5 @@
 """The two-map iteration engine and its step identity."""
 
-import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -71,22 +70,33 @@ class TestPowerApply:
         assert tr.ty[2] == pytest.approx(tr.y[2])
 
     def test_modes_agree(self):
-        # the same t as a matrix (one product with T^n) and as a callback (n compositions)
+        # one product with T^n, as run does, against n compositions of t
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4))
         m = m / np.linalg.norm(m, 2) * 1.1
-        s = Operator.from_matrix(rng.normal(size=(4, 4)) + 4 * np.eye(4))
+        pair = make_operator_pair(Operator.from_matrix(rng.normal(size=(4, 4)) + 4 * np.eye(4)),
+                                  Operator.from_matrix(m))
         z0 = rng.normal(size=4)
+        by_matrix = run(JungckConfig(pair=pair, a=Schedule.constant(0.4), b=Schedule.constant(0.6),
+                                     z0=z0, steps=31))
 
-        def trace(t):
-            return run(JungckConfig(pair=make_operator_pair(s, t), a=Schedule.constant(0.4),
-                                    b=Schedule.constant(0.6), z0=z0, steps=31))
+        def composed(x, n):
+            for _ in range(n):
+                x = m @ x
+            return x
 
-        by_matrix = trace(Operator.from_matrix(m))
-        by_callback = trace(Operator.from_callable(lambda x: m @ x, 4))
-        assert not by_matrix.diverged and by_matrix.n_raw == by_callback.n_raw == 31
-        for name in ("z", "y", "ty"):
-            a, b = getattr(by_matrix, name), getattr(by_callback, name)
+        z, sz, rows = z0, pair.s.matrix @ z0, {"z": [], "y": [], "ty": []}
+        for n in range(31):
+            tz = composed(z, n)
+            y = pair.solve(0.4 * sz + 0.6 * tz)
+            ty = composed(y, n)
+            for name, row in (("z", z), ("y", y), ("ty", ty)):
+                rows[name].append(row)
+            sz = 0.6 * tz + 0.4 * ty
+            z = pair.solve(sz)
+        assert not by_matrix.diverged and by_matrix.n_raw == 31
+        for name, want in rows.items():
+            a, b = getattr(by_matrix, name), np.array(want)
             assert np.all(np.linalg.norm(a - b, axis=1) <= 1e-9 * (1 + np.linalg.norm(a, axis=1)))
 
     def test_overflow_raises(self):
@@ -97,12 +107,10 @@ class TestPowerApply:
         assert tr.n_raw == 2
 
     def test_callback_needs_repeated_apply(self):
-        pair = make_operator_pair(Operator.scaled_identity(2.0, 1),
-                                  Operator.from_callable(lambda x: 0.5 * x, 1),
-                                  s_solve=lambda v: v / 2.0)
+        pair = make_operator_pair(Operator.scaled_identity(2.0, 1), Operator.scaled_identity(0.5, 1))
         tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
                               z0=[1.0], steps=4))
-        # b = 0.5: sy_3 = 0.5 sz_3 + 0.5 t^3(z_3), with t applied three times
+        # b = 0.5: sy_3 = 0.5 sz_3 + 0.5 t^3(z_3), with T^3 the third power of t
         assert tr.sy[3] == pytest.approx(0.5 * tr.sz[3] + 0.5 * 0.5**3 * tr.z[3])
 
     def test_memory_does_not_grow_with_powers(self):
@@ -452,8 +460,7 @@ def reference_step_run(cfg):
     """``run`` without the zero fill, fed by the one-power reference stream."""
     n_steps = cfg.steps
     a_vals, b_vals = cfg.a.array(n_steps), cfg.b.array(n_steps)
-    t = cfg.pair.t
-    stream = reference_matrix_powers(t) if t.is_linear else itertools.repeat(None)
+    stream = reference_matrix_powers(cfg.pair.t)
     d = cfg.dim
     z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
     z[0] = cfg.z0
@@ -463,10 +470,10 @@ def reference_step_run(cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             sz[0] = engine._check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
             for n, power in zip(range(n_steps), stream):
-                tz = engine._apply_power(t, power, n, z[n])
+                tz = engine._apply_power(power, n, z[n])
                 sy[n] = engine._check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
                 y[n] = cfg.pair.solve(sy[n])
-                ty[n] = engine._apply_power(t, power, n, y[n])
+                ty[n] = engine._apply_power(power, n, y[n])
                 m = n + 1
                 if m == n_steps:
                     break
@@ -511,12 +518,10 @@ SCHEDULE_CHOICES = (
 
 @st.composite
 def fill_cases(draw):
-    """A zero-arg builder of a fresh config (a stateful solver starts anew)
-    that may reach an exactly zero state: contractive, zero, nilpotent and
-    norm-1 maps, maps just above norm 1 and maps whose powers overflow, of
-    dimension 1..50 with s and t of either sign, seeds of +0, -0 and tiny
-    entries, blends that reach 0, 1 and beyond, a callback t, and user
-    solvers, one of which leaves 0 after a number of calls."""
+    """A config that may reach an exactly zero state: contractive, zero,
+    nilpotent and norm-1 maps, maps just above norm 1 and maps whose powers
+    overflow, of dimension 1..50 with s and t of either sign, seeds of +0,
+    -0 and tiny entries, and blends that reach 0, 1 and beyond."""
     d = draw(st.one_of(st.just(1), st.integers(1, 50)))
     steps = draw(st.one_of(st.integers(1, 3), st.integers(4, 150)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -545,21 +550,8 @@ def fill_cases(draw):
     b = draw(st.sampled_from(SCHEDULE_CHOICES))(rng, steps)
     gates = GatePolicy.always_off() if steps < 3 else draw(st.sampled_from(
         [GatePolicy.always_on(), GatePolicy.threshold(1e-9), GatePolicy.always_off()]))
-    callback = draw(st.booleans()) and kind in ("contractive", "zero")
-    solver = draw(st.sampled_from([None, "lu", "leaves zero"]))
-    leave_after = draw(st.integers(2, 8))
-
-    def build():
-        inverse = np.linalg.inv(s)
-        calls = itertools.count()
-        s_solve = {None: None, "lu": lambda v: np.linalg.solve(s, v),
-                   # the smallest subnormal added from call leave_after on: no state stays 0
-                   "leaves zero": lambda v: inverse @ v + (next(calls) >= leave_after) * 2.0 ** -1074}[solver]
-        t_op = Operator.from_callable(lambda x: t @ x, d) if callback else Operator.from_matrix(t)
-        pair = make_operator_pair(Operator.from_matrix(s), t_op, s_solve=s_solve)
-        return JungckConfig(pair=pair, a=a, b=b, gates_z=gates, gates_y=gates, z0=z0, steps=steps)
-
-    return build
+    pair = make_operator_pair(Operator.from_matrix(s), Operator.from_matrix(t))
+    return JungckConfig(pair=pair, a=a, b=b, gates_z=gates, gates_y=gates, z0=z0, steps=steps)
 
 
 def assert_same_trace(got, want):
@@ -572,8 +564,8 @@ def assert_same_trace(got, want):
 class TestZeroFill:
     @given(fill_cases())
     @settings(max_examples=150, deadline=None)
-    def test_run_matches_the_full_step_loop(self, build):
-        assert_same_trace(run(build()), reference_step_run(build()))
+    def test_run_matches_the_full_step_loop(self, cfg):
+        assert_same_trace(run(cfg), reference_step_run(cfg))
 
     def test_overflowing_powers_still_truncate_a_zero_state(self):
         # ||t|| > 1: the zero state is not filled, and power 2 overflows as without it

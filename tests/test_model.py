@@ -24,6 +24,7 @@ from jungckit import (
     as_state,
     certify,
     make_operator_pair,
+    run,
     spectral_norm,
 )
 from jungckit.model import SCHEDULE_FORMS, _inv_pow
@@ -110,13 +111,6 @@ class TestOperatorPair:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             make_operator_pair(Operator.identity(2), Operator.identity(3))
-
-    def test_callback_s_needs_solver(self):
-        s = Operator.from_callable(lambda x: 2 * x, 2)
-        with pytest.raises(SolveError):
-            make_operator_pair(s, Operator.identity(2))
-        pair = make_operator_pair(s, Operator.identity(2), s_solve=lambda v: v / 2)
-        assert pair.s_min_modulus is None and not pair.norms_available
 
     def test_solve_probe_residuals(self):
         # 20 random probes per pair: s(solve(v)) must reproduce v
@@ -206,15 +200,6 @@ class TestCachedInverse:
         v = rng.normal(size=6)
         assert np.array_equal(pair.solve(v), pair.s_inverse @ v)
 
-    def test_user_solver_is_kept(self):
-        solver = lambda v: v / 2.0
-        pair = make_operator_pair(Operator.scaled_identity(2.0, 3), Operator.identity(3), s_solve=solver)
-        assert pair.s_solve is solver
-        assert np.array_equal(pair.s_inverse, 0.5 * np.eye(3))
-        callback = make_operator_pair(Operator.from_callable(lambda x: 2 * x, 3), Operator.identity(3),
-                                      s_solve=solver)
-        assert callback.s_inverse is None
-
     def test_ill_conditioned_s_is_flagged(self, caplog):
         s = np.diag([1.0e4, 1.0])
         with caplog.at_level(logging.WARNING, logger="jungckit.model"):
@@ -230,24 +215,42 @@ class TestCachedInverse:
                                       tol=1e-6).inverse_solve_warning is None
             assert make_operator_pair(Operator.from_matrix(np.diag([30.0, 1.0])),
                                       Operator.identity(2)).inverse_solve_warning is None
-            assert make_operator_pair(Operator.from_matrix(s), Operator.identity(2),
-                                      s_solve=lambda v: np.linalg.solve(s, v)).inverse_solve_warning is None
         assert not caplog.records
 
     def test_inverse_is_derived_from_s(self):
         s = np.array([[2.0, 1.0], [0.0, 4.0]])
-        pair = OperatorPair(Operator.from_matrix(s), Operator.identity(2), None, 1e-10)
+        pair = OperatorPair(Operator.from_matrix(s), Operator.identity(2), 1e-10)
         assert np.array_equal(pair.s_inverse, np.linalg.inv(s))
         assert np.array_equal(pair.solve(np.array([1.0, 2.0])), np.linalg.inv(s) @ [1.0, 2.0])
         with pytest.raises(TypeError):
-            OperatorPair(Operator.from_matrix(s), Operator.identity(2), None, 1e-10, s_inverse=np.eye(2))
+            OperatorPair(Operator.from_matrix(s), Operator.identity(2), 1e-10, s_inverse=np.eye(2))
         moved = dataclasses.replace(pair, s=Operator.scaled_identity(4.0, 2))
         assert np.array_equal(moved.s_inverse, 0.25 * np.eye(2))
         assert np.array_equal(moved.solve(np.array([1.0, 2.0])), [0.25, 0.5])
         with pytest.raises(SingularOperatorError):
-            OperatorPair(Operator.from_matrix(np.zeros((2, 2))), Operator.identity(2), None, 1e-10)
-        with pytest.raises(SolveError):
-            OperatorPair(Operator.from_callable(lambda x: x, 2), Operator.identity(2), None, 1e-10)
+            OperatorPair(Operator.from_matrix(np.zeros((2, 2))), Operator.identity(2), 1e-10)
+
+    def test_non_finite_solve_is_a_solve_error_in_the_trace(self):
+        pair = make_operator_pair(Operator.scaled_identity(1e-5, 1), Operator.identity(1))
+        with np.errstate(over="ignore"), pytest.raises(SolveError, match="^solve produced non-finite values$"):
+            pair.solve(np.array([1e305]))
+        # sy_0 = 0.5 * 1e300 + 0.5 * 1e305 is finite; y_0 = 1e5 * sy_0 is not
+        tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                              z0=[1e305], steps=3, gates_z=GatePolicy.always_off(),
+                              gates_y=GatePolicy.always_off()))
+        assert tr.diverged and tr.failure == "solve produced non-finite values" and tr.n_raw == 0
+
+    def test_no_operator_holds_a_bad_matrix(self):
+        for bad in ([[1.0, 2.0]], [1.0, 2.0], np.empty((0, 0))):
+            with pytest.raises(DimensionMismatchError):
+                Operator(bad)
+        with pytest.raises(NonFiniteError):
+            Operator([[1.0, np.nan], [0.0, 1.0]])
+        m = np.eye(2)
+        op = Operator(m)
+        m[0, 0] = 5.0  # the operator keeps its own copy
+        assert op.dim == 2 and np.array_equal(op.matrix, np.eye(2))
+        assert np.array_equal(Operator.from_matrix([[3.0]]).matrix, [[3.0]])
 
     def test_pair_stays_hashable(self):
         pair = make_operator_pair(Operator.identity(2), Operator.identity(2))
@@ -260,13 +263,13 @@ def readme_pair():
 
 
 class TestPairDerivesItsData:
-    def test_init_fields_are_the_four_inputs(self):
+    def test_init_fields_are_the_three_inputs(self):
         names = [f.name for f in dataclasses.fields(OperatorPair) if f.init]
-        assert names == ["s", "t", "s_solve", "solve_tol"]
+        assert names == ["s", "t", "solve_tol"]
 
     def test_constructor_and_factory_agree(self):
         s, t = Operator.from_matrix([[2.0, 1.0], [0.0, 4.0]]), Operator.from_matrix([[0.3, 0.1], [0.0, 0.2]])
-        direct, made = OperatorPair(s, t, None, 1e-10), make_operator_pair(s, t)
+        direct, made = OperatorPair(s, t, 1e-10), make_operator_pair(s, t)
         for name in ("s_min_modulus", "s_norm", "t_norm"):
             assert getattr(direct, name) == getattr(made, name) is not None
         assert direct.s_inverse.tobytes() == made.s_inverse.tobytes()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     JungckConfig,
-    NormsUnavailableError,
     Operator,
     OperatorPair,
     Schedule,
@@ -50,15 +49,6 @@ class TestConstants:
         c = compute_constants(cfg, horizon=40)
         assert c.k1p == 0.0
         assert c.k2p == 0.0
-
-    def test_user_map_has_no_constants(self):
-        s = Operator.from_callable(lambda x: 2 * x, 1)
-        pair = make_operator_pair(s, Operator.from_callable(lambda x: 0.5 * x, 1),
-                                  s_solve=lambda v: v / 2)
-        cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
-                           z0=[1.0], steps=5)
-        with pytest.raises(NormsUnavailableError):
-            compute_constants(cfg, horizon=40)
 
     def test_bad_horizon(self):
         cfg = linear_config(np.eye(2), 0.5 * np.eye(2),
@@ -403,7 +393,7 @@ class TestPositivityConstraints:
     def test_directly_built_pair_has_its_inverse(self):
         cfg = self.demo_config()
         s, t = cfg.pair.s, cfg.pair.t
-        direct = dataclasses.replace(cfg, pair=OperatorPair(s, t, None, 1e-10))
+        direct = dataclasses.replace(cfg, pair=OperatorPair(s, t, 1e-10))
         assert check_positivity_constraints(direct, horizon=400) == \
             check_positivity_constraints(cfg, horizon=400)
 
