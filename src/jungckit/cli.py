@@ -34,7 +34,7 @@ from .errors import (
     NotConvergingError,
     SequenceTooShortError,
 )
-from .model import GatePolicy, Operator, Schedule, make_operator_pair
+from .model import GatePolicy, Operator, Schedule, exact_row_norms, make_operator_pair
 from .scan import ScanSpec, run_scan
 
 IDENTITY_TOL = 1e-9
@@ -182,24 +182,48 @@ class StabilityOptions:
     positivity: bool = False
 
 
-@dataclass
+# Each scenario block checks its own values when built, also by the replace of an
+# override; every range test is written so that NaN fails it.
+
+
+@dataclass(frozen=True)
 class JungckScenario:
     cfg: engine.JungckConfig
     stability: Optional[StabilityOptions]
 
+    def __post_init__(self):
+        opts = self.stability
+        if opts is None:
+            return
+        horizon = max(opts.horizon, self.cfg.steps)  # the horizon the certificates run at
+        if not 0 <= opts.tail_start <= horizon - 10:
+            raise ConfigValidationError(
+                f"jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, where horizon = "
+                f"max(stability.horizon, steps) = {horizon}; got {opts.tail_start}")
+        if not opts.tail_tol >= 0:
+            raise ConfigValidationError(f"jungck.stability.tail_tol: must be >= 0, got {opts.tail_tol}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class VenterScenario:
     cfg: venter.VenterConfig
     eps: float
 
+    def __post_init__(self):
+        if not self.eps > 0:
+            raise ConfigValidationError(f"venter.eps: must be > 0, got {self.eps}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class AitkenScenario:
     values: np.ndarray          # raw sequence, one row per term
     gate: GatePolicy
     floor_scale: float
     geometric_limit: Optional[np.ndarray]  # set when the sequence is synthetic
+
+    def __post_init__(self):
+        if not self.floor_scale > 0:
+            raise ConfigValidationError(f"aitken.floor_scale: must be > 0, got {self.floor_scale}")
 
 
 @dataclass
@@ -626,8 +650,9 @@ def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
     report.add("INFO", f"aitken run: {scn.values.shape[0]} terms, dim={scn.values.shape[1]}")
     lim = scn.geometric_limit
     if lim is not None:
-        tol = 1e-10 * (1.0 + float(np.linalg.norm(lim)))
-        worst = float(np.max(np.linalg.norm(accel - lim[None, :], axis=1)))
+        tol = 1e-10 * (1.0 + float(exact_row_norms(lim[None])[0]))
+        with np.errstate(over="ignore"):  # a difference past the float range is an inf miss
+            worst = float(np.max(np.linalg.norm(accel - lim[None, :], axis=1)))
         report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
     else:
         try:
@@ -716,25 +741,32 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """Apply --scenario, --steps and --tolerance.  Each new block is built
+    with ``dataclasses.replace``, so it is checked as a parsed one is."""
     if args.scenario:
         cfg.scenario = args.scenario
+    key, _, _ = SCENARIOS[cfg.scenario]
     block = cfg.active()
-    if args.steps is not None:
-        if cfg.scenario in ("jungck", "venter"):
-            block.cfg = replace(block.cfg, steps=args.steps)
-        elif cfg.scenario == "stability-scan":
-            cfg.scan = replace(cfg.scan, steps=args.steps)
-        else:
-            raise ConfigValidationError("--steps does not apply to aitken-only (set sequence.length)")
-    if args.tolerance is not None:
-        if cfg.scenario == "jungck":
-            block.cfg = replace(block.cfg, pair=replace(block.cfg.pair, solve_tol=args.tolerance))
-        elif cfg.scenario == "venter":
-            block.eps = args.tolerance
-        elif cfg.scenario == "aitken-only":
-            block.floor_scale = args.tolerance
-        else:
-            cfg.scan = replace(cfg.scan, tail_tol=args.tolerance)
+    try:
+        if args.steps is not None:
+            if cfg.scenario == "aitken-only":
+                raise ConfigValidationError("--steps does not apply to aitken-only (set sequence.length)")
+            if cfg.scenario == "stability-scan":
+                block = replace(block, steps=args.steps)
+            else:
+                block = replace(block, cfg=replace(block.cfg, steps=args.steps))
+        if args.tolerance is not None:
+            tol = args.tolerance
+            if cfg.scenario == "jungck":
+                block = replace(block, cfg=replace(block.cfg, pair=replace(block.cfg.pair, solve_tol=tol)))
+            else:
+                name = {"venter": "eps", "aitken-only": "floor_scale", "stability-scan": "tail_tol"}[cfg.scenario]
+                block = replace(block, **{name: tol})
+    except ConfigValidationError:
+        raise
+    except (JungckitError, ValueError) as exc:  # a library check, worded as the parser words it
+        raise ConfigValidationError(f"{key}: {exc}") from exc
+    setattr(cfg, key, block)
     return cfg
 
 

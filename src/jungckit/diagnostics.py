@@ -82,7 +82,7 @@ def acceleration_ratio(
             f"corrected length {acc_arr.shape[0]} != raw length {raw_arr.shape[0]} - 2"
         )
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
-    floor = RATIO_FLOOR_SCALE * (1.0 + float(np.linalg.norm(lim)))
+    floor = RATIO_FLOOR_SCALE * (1.0 + float(exact_row_norms(lim[None])[0]))
     count = acc_arr.shape[0]
     den = exact_row_norms(raw_arr[:count] - lim)
     at_floor = np.flatnonzero(den <= floor)
@@ -98,8 +98,8 @@ def sequences_equivalent(a, b, tol: float) -> bool:
     """
     la = estimate_limit(a).value
     lb = estimate_limit(b).value
-    scale = 1.0 + max(float(np.linalg.norm(la)), float(np.linalg.norm(lb)))
-    return bool(np.linalg.norm(la - lb) <= tol * scale)
+    norm_a, norm_b, gap = exact_row_norms(np.stack([la, lb, la - lb]))
+    return bool(gap <= tol * (1.0 + max(norm_a, norm_b)))
 
 
 def limit_identity_residuals(trace: IterationTrace) -> np.ndarray:

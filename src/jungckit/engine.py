@@ -121,8 +121,8 @@ class JungckConfig:
             raise ValueError("steps must be >= 1")
         if self.steps < 3 and not (self.gates_z.is_always_off and self.gates_y.is_always_off):
             raise ValueError("correction gates need steps >= 3 (two-term lookahead)")
-        if self.floor_scale <= 0:
-            raise ValueError("floor_scale must be positive")
+        if not self.floor_scale > 0:  # NaN fails it too
+            raise ValueError(f"floor_scale must be positive, got {self.floor_scale}")
 
     @property
     def dim(self) -> int:

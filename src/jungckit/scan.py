@@ -41,6 +41,8 @@ class ScanSpec:
             raise ValueError("horizon must be >= 10")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not self.tail_tol >= 0:  # NaN fails it too
+            raise ValueError(f"tail_tol must be >= 0, got {self.tail_tol}")
 
 
 @dataclass

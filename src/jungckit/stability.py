@@ -417,7 +417,8 @@ def check_positivity_constraints(
     Checks: b in (0, 1] tending to 1; a in [0, 1] with tail limit 0 or 1;
     entrywise nonnegativity of s^-1 and t (sufficient for every composite
     power to preserve the nonnegative orthant).  With a trace, also emits
-    the ||t^n|| / ||y_n|| diagnostic stream (inf where y_n = 0).
+    the ||t^n|| / ||y_n|| diagnostic stream (inf where y_n = 0 or the ratio
+    overflows).
     """
     a = cfg.a.array(horizon + 1)
     b = cfg.b.array(horizon + 1)
@@ -440,7 +441,7 @@ def check_positivity_constraints(
     if trace is not None and trace.n_raw:
         tn = power_norms(cfg, trace.n_raw - 1)
         yn = safe_row_norms(trace.y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios = np.where(yn > 0, tn / yn, np.inf)
 
     notes = [

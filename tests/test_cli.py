@@ -31,6 +31,7 @@ from jungckit.scan import run_scan
 from trace_csv import read_jungck_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+JUNGCK_SCALAR = (CONFIGS / "jungck_scalar.yaml").read_text()
 
 MINIMAL_JUNGCK = """
 scenario: jungck
@@ -395,8 +396,31 @@ class TestMain:
         (AITKEN_VALUES, "kind: values, values: [1.0, 0.5, 0.25, 0.125, 0.0625]",
          "kind: geometric, limit: [[], 0.5]", "aitken.sequence: setting an array element with a sequence"),
         (SCAN, "seed: 11", "seed: -1", "scan: seed must be >= 0"),
+        (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_start: 500",
+         "jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, where horizon = "
+         "max(stability.horizon, steps) = 200; got 500"),
+        (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_start: -3",
+         "jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, where horizon = "
+         "max(stability.horizon, steps) = 200; got -3"),
+        (JUNGCK_SCALAR, "steps: 50\n  stability:\n    horizon: 200", "steps: 8\n  stability:\n    horizon: 5",
+         "jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, where horizon = "
+         "max(stability.horizon, steps) = 8; got 0"),
+        (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_tol: .nan",
+         "jungck.stability.tail_tol: must be >= 0, got nan"),
+        (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_tol: -0.5",
+         "jungck.stability.tail_tol: must be >= 0, got -0.5"),
+        (MINIMAL_JUNGCK, "steps: 50", "steps: 50\n  floor_scale: .nan", "jungck: floor_scale must be positive, got nan"),
+        (MINIMAL_JUNGCK, "steps: 50", "steps: 50\n  floor_scale: -1.0", "jungck: floor_scale must be positive, got -1.0"),
+        (AITKEN_VALUES, "aitken:", "aitken:\n  floor_scale: .nan", "aitken.floor_scale: must be > 0, got nan"),
+        (AITKEN_VALUES, "aitken:", "aitken:\n  floor_scale: -1.0", "aitken.floor_scale: must be > 0, got -1.0"),
+        (VENTER, "eps: 1.0e-2", "eps: .nan", "venter.eps: must be > 0, got nan"),
+        (VENTER, "eps: 1.0e-2", "eps: 0.0", "venter.eps: must be > 0, got 0.0"),
+        (SCAN, "seed: 11", "seed: 11, tail_tol: .nan", "scan: tail_tol must be >= 0, got nan"),
     ], ids=["scenario-list", "scale-nan", "venter-x0-nan", "venter-sigma-inf", "aitken-values-nan",
-            "aitken-values-ragged", "aitken-lengths", "aitken-limit-ragged", "scan-seed-negative"])
+            "aitken-values-ragged", "aitken-lengths", "aitken-limit-ragged", "scan-seed-negative",
+            "tail-start-past-horizon", "tail-start-negative", "horizon-below-ten", "tail-tol-nan",
+            "tail-tol-negative", "jungck-floor-nan", "jungck-floor-negative", "aitken-floor-nan",
+            "aitken-floor-negative", "venter-eps-nan", "venter-eps-zero", "scan-tail-tol-nan"])
     def test_fuzzed_inputs_exit_two(self, tmp_path, capsys, text, old, new, message):
         # each raised an untyped error or ran to a non-finite trace before
         text = text.replace(old, new, 1)
@@ -404,6 +428,26 @@ class TestMain:
             parse_config_text(text)
         assert main(["--config", self.write(tmp_path, text), "--quiet"]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("text,message", [
+        (MINIMAL_JUNGCK, "jungck: solve_tol must be positive"),
+        (VENTER, "venter.eps: must be > 0, got {}"),
+        (AITKEN_VALUES, "aitken.floor_scale: must be > 0, got {}"),
+        (SCAN, "scan: tail_tol must be >= 0, got {}"),
+    ], ids=["jungck", "venter", "aitken", "scan"])
+    def test_tolerance_override_meets_the_config_checks(self, tmp_path, capsys, text, message, tol):
+        assert main(["--config", self.write(tmp_path, text), "--tolerance", tol, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(float(tol))}\n"
+
+    def test_steps_override_rechecks_the_tail_start(self, tmp_path, capsys):
+        text = JUNGCK_SCALAR.replace("horizon: 200", "horizon: 20\n    tail_start: 30")
+        out = tmp_path / "out"
+        assert main(["--config", self.write(tmp_path, text), "--output", str(out), "--quiet"]) == 0
+        assert main(["--config", self.write(tmp_path, text), "--steps", "39", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, "
+            "where horizon = max(stability.horizon, steps) = 39; got 30\n")
 
     def test_venter_overflow_aborts_the_run(self, tmp_path):
         path = self.write(tmp_path, VENTER.replace("x0: 1.0", "gamma: {form: constant, value: 0.5}\n  x0: 1.0")
@@ -708,9 +752,24 @@ class TestWriterMatchesCsvModule:
 # ---------------------------------------------------------------------------
 # parser fuzzing: a mutated shipped config ends in exit 2 or in a checked run
 
-#: the shipped configs, the scan cut from 40 configs to 4 to keep each example short
+#: the shipped configs, the scan cut from 40 configs to 4 to keep each example short,
+#: and a jungck config that spells out every optional key, so that mutations reach them
 FUZZ_BASES = {p.name: yaml.safe_load(p.read_text()) for p in CONFIGS.glob("*.yaml")}
 FUZZ_BASES["stability_scan.yaml"]["scan"]["count"] = 4
+FUZZ_BASES["every_jungck_key"] = {"scenario": "jungck", "output": "out", "jungck": {
+    "s": {"matrix": [[2.0, 0.5], [0.0, 1.5]]},
+    "t": {"name": "scale", "dim": 2, "value": 0.5},
+    "a": {"form": "inv-pow", "k": 3, "p": 2.0, "clamp": [0.0, 1.0]},
+    "b": {"form": "one-minus-inv", "k": 2, "clamp": [0.0, 1.0]},
+    "gate_z": {"mode": "threshold", "tau": 1.0e-9},
+    "gate_y": {"mode": "list", "values": [1, 0] * 15},
+    "z0": [1.0, 0.5],
+    "steps": 30,
+    "solve_tol": 1.0e-10,
+    "floor_scale": 1.0e-12,
+    "nonneg_domain": True,
+    "stability": {"horizon": 40, "tail_start": 5, "tail_tol": 0.01, "positivity": True},
+}}
 
 #: what a mutation writes in place of a value; DROP deletes the key or list entry
 DROP = object()
@@ -753,11 +812,16 @@ def _is_finite_cell(cell: str) -> bool:
 
 #: a finite seed whose residuals, near 1e290, square past the largest float
 HUGE_SEED = (CONFIGS / "jungck_scalar.yaml").read_text().replace("z0: [1.0]", "z0: [1.0e+300]")
+#: a positivity run whose ||t^n|| / ||y_n|| overflows: y_n underflows while ||t^n|| stays near 1
+OVERFLOWING_RATIO = (CONFIGS / "positivity_demo.yaml").read_text().replace("[[0.25, 0.1], [0.1, 0.2]]",
+                                                                           "[[0.0, 2.0], [0.1, 0.2]]")
 
 
 @(settings(deadline=None) if FUZZING else settings(max_examples=40, derandomize=True, deadline=None))
 @given(mutated_configs())
 @example(HUGE_SEED)
+@example(OVERFLOWING_RATIO)
+@example((CONFIGS / "aitken_geometric.yaml").read_text().replace("limit: 3.0", "limit: 1.0e+300"))
 def test_mutated_shipped_configs_exit_two_or_check(text):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
