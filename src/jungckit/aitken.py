@@ -43,6 +43,7 @@ def accelerate_sequence(
     the floor (the floor always wins) and the corrected value is finite;
     where (s1-s0)^2 overflows it is s0 - d1 * (d1 / d2).  Gate-0 components
     are bit-identical copies of s0, so the output is always finite.
+    Raises ``ValueError`` unless ``floor_scale > 0``.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim == 1:
@@ -52,6 +53,8 @@ def accelerate_sequence(
         raise SequenceTooShortError(f"need at least 3 terms, got {n}")
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise DimensionMismatchError(f"terms must be non-empty 1-D vectors, got shape {arr.shape[1:]}")
+    if not floor_scale > 0:  # NaN fails it too
+        raise ValueError(f"floor_scale must be positive, got {floor_scale}")
     policy = policy or GatePolicy.always_on()
 
     d = arr.shape[1]

@@ -12,7 +12,6 @@ identical configs produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import re
 import sys
@@ -387,9 +386,13 @@ def _parse_scan(node: dict) -> ScanSpec:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse and validate a config document; unknown keys are errors."""
+    """Parse and validate a config document; unknown keys are errors.
+
+    The document is read by libyaml when PyYAML was built with it, else by
+    the pure-Python loader; both apply the same YAML 1.1 rules.
+    """
     try:
-        doc = yaml.safe_load(io.StringIO(text))
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -427,8 +430,11 @@ def write_csv(columns, path: Path) -> None:
     round-trip decimal).  A column shorter than the longest leaves its
     trailing cells empty.  Rows are formatted in blocks of about
     ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text; in
-    a block, an array of numbers becomes cells through one ``repr`` of its
-    flat Python list, which writes each number as ``str`` does.  Nothing is
+    a block, an array of numbers becomes cells through one ``repr`` of a flat
+    Python list, which writes each number as ``str`` does: the array's own
+    list for integers and bools, and for floats the list of the distinct
+    values of all the block's float arrays, so that each is written once.
+    The bytes are those of one ``str`` per cell either way.  Nothing is
     quoted: a name, or a cell of a column that does not hold numbers, that
     holds a comma, a quote or a line break raises ``ValueError``, as does an
     empty cell in a one-column table (it would read back as a blank line).
@@ -453,27 +459,49 @@ def write_csv(columns, path: Path) -> None:
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, step):
-            hi = min(lo + step, n_rows)
             # one statement, so that no block's texts outlive its write
-            fh.writelines(map("{}\n".format, map(",".join, zip(
-                *[_row_texts(names, v[lo:hi], hi - lo, lone) for names, v in groups]))))
+            fh.writelines(map("{}\n".format, map(",".join, _block_cells(
+                groups, lo, min(lo + step, n_rows), len(header), lone).tolist())))
 
 
 _NUMERIC = "biuf"  # dtype kinds whose Python scalars repr as str writes them
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _row_texts(names: list, part, count: int, lone: bool) -> list:
-    """The texts of ``count`` rows of one column group's block, each the
-    group's cells joined by commas; rows past the group's end are empty cells."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC:
-        cells = repr(part.ravel().tolist())[1:-1].split(", ") if part.size else []
-    else:
-        cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
-        _check_cells(f"column {names[0]!r}", cells, lone)
-    width = len(names)
-    rows = list(map(",".join, zip(*[iter(cells)] * width))) if width > 1 else cells  # cells row by row
-    return rows + ["," * (width - 1)] * (count - len(rows))
+def _is_float(part) -> bool:
+    """Whether ``part`` is an array of floats that float64 holds exactly."""
+    return isinstance(part, np.ndarray) and part.dtype.kind == "f" and part.dtype.itemsize <= 8
+
+
+def _block_cells(groups: list, lo: int, hi: int, width: int, lone: bool) -> np.ndarray:
+    """Rows ``lo:hi`` of the table as an object array of cell texts, each
+    as ``str`` writes it; cells past the end of a column are empty.
+
+    The float arrays of the block are written together: each distinct value
+    goes through one ``repr``, told apart by its float64 bits, since 0.0 and
+    -0.0 compare equal but print differently and a NaN equals nothing.
+    Other arrays of numbers go through one ``repr`` of their flat list.
+    """
+    parts = [values[lo:hi] for _, values in groups]
+    floats = [part.ravel() for part in parts if _is_float(part)]
+    if floats:
+        with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
+            flat = np.concatenate(floats, dtype=np.float64)
+        keys, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        float_cells = np.array(repr(keys.view(np.float64).tolist())[1:-1].split(", "), dtype=object)[inverse]
+    cells = np.full((hi - lo, width), "", dtype=object)
+    col = start = 0  # the group's first column, and its first cell in float_cells
+    for (names, _), part in zip(groups, parts):
+        if _is_float(part):
+            texts, start = float_cells[start:start + part.size], start + part.size
+        elif isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC:
+            texts = repr(part.ravel().tolist())[1:-1].split(", ") if part.size else []
+        else:
+            texts = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
+            _check_cells(f"column {names[0]!r}", texts, lone)
+        cells[:len(part), col:col + len(names)] = np.asarray(texts, dtype=object).reshape(len(part), len(names))
+        col += len(names)
+    return cells
 
 
 def _check_cells(where: str, cells: list, lone: bool) -> None:

@@ -188,7 +188,8 @@ class OperatorPair:
         ``None`` when that bound is within ``solve_tol``.
         """
         cond = self.s_norm / self.s_min_modulus
-        loss = 4.0 * self.dim * np.finfo(float).eps * cond * cond
+        # Python floats: a bound past the float range is inf, with no overflow warning
+        loss = 4.0 * self.dim * float(np.finfo(float).eps) * cond * cond
         if loss <= self.solve_tol:
             return None
         return (f"cond(s)={cond:.3e}: solving with the inverse of s can be off by up to "

@@ -134,12 +134,14 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
         for n, norms in _norm_blocks(cfg.pair.t, horizon):
             read = n + len(norms)
             w = weights[:, n:read]
-            # a zero weight prunes its power: 0, not 0 * inf = nan
-            products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
-            peaks = np.maximum(peaks, products.max(axis=1))
             running = np.maximum.accumulate(np.concatenate(([g], norms)))
             before, g = running[:-1], running[-1]  # before[j]: G for power n + j
-            usable = (norms < 1.0) & (excess_t * before + excess_0 <= 0.5 * EXIT_SLACK * norms)
+            # a product past the float range is inf: a constant of inf, an excess that is not usable
+            with np.errstate(over="ignore"):
+                # a zero weight prunes its power: 0, not 0 * inf = nan
+                products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
+                usable = (norms < 1.0) & (excess_t * before + excess_0 <= 0.5 * EXIT_SLACK * norms)
+            peaks = np.maximum(peaks, products.max(axis=1))
             if usable.any():
                 cap = min(cap, float((norms[usable] * before[usable]).min()))
             live = rest[:, read] > 0
@@ -230,6 +232,8 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
 
 
 def _tail_close_to_one(sched: Schedule, horizon: int, tol: float) -> tuple[bool, float]:
+    if not tol >= 0:  # NaN fails it too
+        raise ValueError(f"tail_tol must be >= 0, got {tol}")
     vals = sched.array(horizon + 1)[horizon // 2:]
     dev = float(np.max(np.abs(vals - 1.0)))
     return dev <= tol, dev
@@ -290,7 +294,8 @@ def certify(
     tail_start: int = 0,
     tail_tol: float = 0.01,
 ) -> StabilityReport:
-    """Run every certificate on a matrix configuration."""
+    """Run every certificate on a matrix configuration; raises ``ValueError``
+    unless ``tail_tol >= 0``."""
     constants = compute_constants(cfg, horizon, tail_start)
     res_i = check_property_i(constants, cfg.pair.s_min_modulus)
     res_ii, res_iii = check_property_ii_iii(cfg, horizon)

@@ -144,6 +144,14 @@ class TestAccelerateSequence:
         with pytest.raises(SequenceTooShortError):
             accelerate_sequence([1.0, 2.0])
 
+    @pytest.mark.parametrize("floor_scale", [float("nan"), 0.0, -1e-12])
+    def test_floor_scale_must_be_positive(self, floor_scale):
+        # a NaN floor fails every comparison, so it switched every gate off without an error
+        raw = geometric(3.0, 2.0, 0.5, 12)
+        assert accelerate_sequence(raw, GatePolicy.always_on(), 1e-12)[1].sum() == 10
+        with pytest.raises(ValueError, match="floor_scale must be positive"):
+            accelerate_sequence(raw, GatePolicy.always_on(), floor_scale)
+
     @given(
         st.floats(min_value=-10, max_value=10),
         st.floats(min_value=0.1, max_value=10),

@@ -99,6 +99,28 @@ jungck:
 """
 
 
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_loader(request, monkeypatch):
+    """The loader parse_config_text picks: libyaml's, or the pure-Python one
+    that it falls back to when PyYAML was built without libyaml."""
+    if request.param == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    return request.param
+
+
+#: broken documents, each ending in a line break, and where both loaders place the problem
+BROKEN_YAML = [
+    ("scenario: [unclosed\n", "line 2, column 1"),
+    ("a: 1\n b: 2\n", "line 2, column 3"),
+    ("a: 1\nb: [1, 2\nc: 3\n", "line 3, column 2"),
+    ("a:\n\t- 1\n", "line 2, column 1"),
+    ("key: value: other\n", "line 1, column 11"),
+    ("a: [1, 2]]\n", "line 1, column 10"),
+]
+
+
 class TestParsing:
     def test_minimal_jungck_config(self):
         cfg = parse_config_text(MINIMAL_JUNGCK)
@@ -109,6 +131,11 @@ class TestParsing:
     def test_yaml_syntax_error_reports_location(self):
         with pytest.raises(ConfigParseError, match="line"):
             parse_config_text("scenario: [unclosed")
+
+    @pytest.mark.parametrize("text,where", BROKEN_YAML)
+    def test_yaml_syntax_error_location_is_the_loaders_mark(self, yaml_loader, text, where):
+        with pytest.raises(ConfigParseError, match=re.escape(f"config is not valid YAML ({where}): ")):
+            parse_config_text(text)
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigValidationError, match="unknown key"):
@@ -743,6 +770,33 @@ class TestWriterMatchesCsvModule:
         with pytest.raises(ValueError, match="the header: cell 'x,y' needs CSV quoting"):
             write_csv([("x,y", np.zeros(2))], tmp_path / "trace.csv")
 
+    def test_a_block_of_values_repeated_across_groups(self, tmp_path):
+        # each distinct float of a block is written once, keyed by its bits: 0.0 and -0.0
+        # compare equal yet print differently, and a NaN of any payload equals nothing
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FF4DEADBEEF0000],
+                        dtype=np.uint64).view(np.float64)
+        pool = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -1e-310, 2.2250738585072014e-308,
+                                0.5, 0.1, 1.0 / 3.0], nans])
+        # float32 values, NaNs with payloads (one signaling) among them, each widened to float64
+        pool32 = np.concatenate([np.array([0.0, -0.0, math.inf, 1e-45, 0.5, 0.1], dtype=np.float32),
+                                 np.array([0x7FC00000, 0xFFC00001, 0x7F800001], dtype=np.uint32).view(np.float32)])
+        rng = np.random.default_rng(12)
+        rows = 60
+        columns = [("n", range(rows)),
+                   ("z", rng.choice(pool, size=(rows, 3))),
+                   ("f32", rng.choice(pool32, size=(rows, 2))),
+                   ("short", rng.choice(pool, size=rows // 2 + 1)),  # ends mid-block
+                   ("gate", rng.integers(0, 2, size=(rows, 2))),
+                   ("x", pool[rng.integers(0, pool.size, size=rows)].tolist())]
+        assert rows * 10 < BLOCK_CELLS  # one block
+        write_csv(columns, tmp_path / "got.csv")
+        ref_write_csv(columns, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_text()
+        assert got == (tmp_path / "want.csv").read_text()
+        cells = set(got.replace("\n", ",").split(","))
+        assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "-1e-310", "0.1", "0.10000000149011612",
+                "1.401298464324817e-45"} <= cells
+
     def test_other_shapes_are_refused(self, tmp_path):
         for values in (np.zeros((2, 2, 2)), np.array([["a", "b"]])):
             with pytest.raises(ValueError, match="expected a 1-D column or a 2-D array of numbers"):
@@ -817,10 +871,24 @@ OVERFLOWING_RATIO = (CONFIGS / "positivity_demo.yaml").read_text().replace("[[0.
                                                                            "[[0.0, 2.0], [0.1, 0.2]]")
 
 
+#: cond(s) = 2e300: the inverse's accuracy bound 4*d*eps*cond(s)^2 is past the float range
+HUGE_COND = yaml.safe_dump({**FUZZ_BASES["every_jungck_key"], "jungck": {
+    **FUZZ_BASES["every_jungck_key"]["jungck"], "s": {"matrix": [[2.0, 0.5], [1.0e300, 1.5]]}}})
+#: ||t|| near 1e300: the certificate constants' rounding excess is past the float range
+HUGE_T = (CONFIGS / "positivity_demo.yaml").read_text().replace("[[0.25, 0.1], [0.1, 0.2]]",
+                                                                "[[0.25, 1.0e+300], [0.1, 0.2]]")
+#: a weight of 5 on ||t|| = 1e308: the weighted norm in the certificate constants is past the float range
+HUGE_WEIGHT = HUGE_T.replace("1.0e+300", "1.0e+308").replace(
+    "a: {form: constant, value: 1.0}", "a: {form: constant, value: 5.0, clamp: [0.0, 10.0]}")
+
+
 @(settings(deadline=None) if FUZZING else settings(max_examples=40, derandomize=True, deadline=None))
 @given(mutated_configs())
 @example(HUGE_SEED)
 @example(OVERFLOWING_RATIO)
+@example(HUGE_COND)
+@example(HUGE_T)
+@example(HUGE_WEIGHT)
 @example((CONFIGS / "aitken_geometric.yaml").read_text().replace("limit: 3.0", "limit: 1.0e+300"))
 def test_mutated_shipped_configs_exit_two_or_check(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -841,3 +909,51 @@ def test_mutated_shipped_configs_exit_two_or_check(text):
             return
         with (out / "trace.csv").open(newline="") as fh:
             assert all(_is_finite_cell(cell) for row in list(csv.reader(fh))[1:] for cell in row)
+
+
+# ---------------------------------------------------------------------------
+# libyaml's loader against the pure-Python one: the same documents
+
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")
+
+
+def _load_both(text: str):
+    return yaml.load(text, Loader=yaml.CSafeLoader), yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def _generated_jungck(d: int, rng: np.random.Generator) -> str:
+    """A d-dimensional jungck document of nested float lists, as a program would dump it."""
+    return yaml.safe_dump({"scenario": "jungck", "jungck": {
+        "s": {"matrix": (rng.normal(size=(d, d)) + 3 * np.eye(d)).tolist()},
+        "t": {"matrix": (rng.normal(size=(d, d)) * rng.choice([1e-300, 1e-5, 1.0, 1e300])).tolist()},
+        "a": {"form": "constant", "value": float(rng.uniform())},
+        "b": {"form": "one-minus-inv", "k": int(rng.integers(2, 8))},
+        "gate_z": {"mode": "threshold", "tau": 1e-9},
+        "z0": (rng.normal(size=d) * 10.0 ** rng.integers(-300, 300, size=d)).tolist(),
+        "steps": 1000,
+    }}, sort_keys=False)
+
+
+@needs_libyaml
+class TestLoadersAgree:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_shipped_config(self, name):
+        c_doc, py_doc = _load_both((CONFIGS / name).read_text())
+        assert c_doc == py_doc and repr(c_doc) == repr(py_doc)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generated_jungck_document(self, seed):
+        text = _generated_jungck(20, np.random.default_rng(seed))
+        assert len(text) > 20_000
+        c_doc, py_doc = _load_both(text)
+        assert c_doc == py_doc and repr(c_doc) == repr(py_doc)
+
+    @(settings(deadline=None) if FUZZING else settings(max_examples=100, derandomize=True, deadline=None))
+    @given(mutated_configs())
+    @example(HUGE_COND)
+    def test_mutated_config(self, text):
+        # repr, since a mutation may write nan, which == never matches; repr also tells
+        # 1 from 1.0 and True, and 0.0 from -0.0
+        c_doc, py_doc = _load_both(text)
+        assert repr(c_doc) == repr(py_doc)

@@ -217,6 +217,13 @@ class TestCachedInverse:
                                       Operator.identity(2)).inverse_solve_warning is None
         assert not caplog.records
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_bound_past_the_float_range_reads_inf(self):
+        # cond(s) = 2e300: 4 * d * eps * cond(s)^2 overflowed a NumPy scalar product, with a warning
+        pair = make_operator_pair(Operator.from_matrix([[2.0, 0.5], [1.0e300, 1.5]]), Operator.identity(2))
+        assert "cond(s)=2.000e+300" in pair.inverse_solve_warning
+        assert "4*d*eps*cond(s)^2=inf relative" in pair.inverse_solve_warning
+
     def test_inverse_is_derived_from_s(self):
         s = np.array([[2.0, 1.0], [0.0, 4.0]])
         pair = OperatorPair(Operator.from_matrix(s), Operator.identity(2), 1e-10)

@@ -72,6 +72,24 @@ class TestConstants:
         assert not res.applies and res.margin == -math.inf
         assert res.details["z_factor"] == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_t_keeps_its_powers_out_of_the_cap(self):
+        # ||t|| near 1e300: the cap's rounding excess, excess_t * G, overflowed with a warning
+        t = np.array([[0.25, 1.0e300], [0.1, 0.2]])
+        cfg = linear_config(2 * np.eye(2), t, Schedule.constant(1.0), Schedule.one_minus_inv(k=2), [1.0, 0.5])
+        c = compute_constants(cfg, horizon=200)
+        assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 200))
+        assert c.k1 == math.inf and c.k1p == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_weight_above_one_on_a_huge_power_gives_inf(self):
+        # a = 5 (a schedule clamped to [0, 10]) times ||t|| = 1e308 overflowed with a warning
+        t = np.array([[0.25, 1.0e308], [0.1, 0.2]])
+        a = Schedule.constant(5.0, clamp=(0.0, 10.0))
+        cfg = linear_config(2 * np.eye(2), t, a, Schedule.one_minus_inv(k=2), [1.0, 0.5])
+        c = compute_constants(cfg, horizon=200)
+        assert c.k1 == c.k2 == c.k1p == math.inf
+
 
 # ---------------------------------------------------------------------------
 # compute_constants as it was, over the full power stream, kept as the
@@ -263,6 +281,18 @@ class TestPropertyIVandV:
                             Schedule.constant(0.3), Schedule.one_minus_inv(k=2), [1.0, 0.0])
         _, res_v = check_property_iv_v(cfg, horizon=1000, tol=0.01)
         assert res_v.applies  # b_n within 0.002 of 1 on the checked tail
+
+    @pytest.mark.parametrize("tol", [math.nan, -0.01])
+    def test_tail_tol_must_be_nonnegative(self, tol):
+        # a NaN tolerance fails every comparison: it turned iv and v off without an error
+        cfg = linear_config(np.eye(2), 0.5 * np.eye(2),
+                            Schedule.constant(1.0), Schedule.one_minus_inv(k=2), [1.0, 0.0])
+        assert certify(cfg, horizon=100).predicted == "converges-to-zero"
+        for check in (lambda: certify(cfg, horizon=100, tail_tol=tol),
+                      lambda: check_property_iv_v(cfg, horizon=100, tol=tol),
+                      lambda: check_positivity_constraints(cfg, horizon=100, tol=tol)):
+            with pytest.raises(ValueError, match="tail_tol must be >= 0"):
+                check()
 
     def test_norm_exactly_one_is_excluded(self):
         cfg = linear_config(np.eye(2), np.eye(2),
