@@ -11,6 +11,20 @@ Non-finite intermediates halt the run; the partial trace is kept and
 flagged instead of raised, because the stability sweeps deliberately
 explore unstable regions.
 
+Finiteness is checked once per block of powers (:func:`matrix_power_blocks`),
+not after each quantity of each step.  The steps of a block first run
+unchecked, each product and blend written straight into its trace row;
+then one ``isfinite`` test runs over the rows the block wrote, for each of
+sy, y, ty, sz and z.  t^n(z_n) is not kept, but a non-finite one always
+shows in sy_n: b_n * inf and 0 * inf are both non-finite, and so is any
+sum with a non-finite term.  When the test fails, the block runs again
+from its first row, through the same code with a check after each
+quantity.  That replay raises at the first non-finite quantity, so the
+failure message and the row where the trace is cut are those of a check
+after every quantity.  A power that overflows ends the stream between two
+blocks, once the block before it has passed its test, so it needs no
+replay.
+
 A contractive run often underflows to an exactly zero state long before
 its last step.  Once z_m and sz_m are both +0 in every entry, the rows
 m onwards are filled with +0 and no later power of t is computed.  That
@@ -89,16 +103,6 @@ def matrix_power_blocks(t: Operator) -> Iterator[np.ndarray]:
         n += k
 
 
-def _apply_power(power: np.ndarray, n: int, x: Vector) -> Vector:
-    """t^n(x): one product with the matrix power ``power`` = T^n.
-
-    The caller holds ``np.errstate`` that ignores overflow."""
-    out = power @ x
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"t^{n} x is non-finite")
-    return out
-
-
 @dataclass
 class JungckConfig:
     """Everything one run needs: the map pair, schedules, gates and seed."""
@@ -129,10 +133,85 @@ class JungckConfig:
         return self.pair.dim
 
 
-def _check_finite(name: str, v: Vector, n: int) -> Vector:
+def _check_finite(v: Vector, error: type, message: str) -> None:
     if not np.isfinite(v).all():
-        raise NonFiniteError(f"{name} is non-finite at step {n}")
-    return v
+        raise error(message)
+
+
+def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[tuple, int, str | None]:
+    """Step the scheme from z0 for cfg.steps indices.
+
+    Returns the ``(steps, d)`` arrays z, y, sz, sy and ty, the count m of
+    their complete rows (the rows after them are unset), and the failure
+    message, ``None`` when every quantity was finite.
+    """
+    n_steps = cfg.steps
+    z, y, sz, sy, ty = rows = tuple(np.empty((n_steps, cfg.dim)) for _ in range(5))
+    z[0] = cfg.z0
+    s_inverse = cfg.pair.s_inverse
+    # each call below passes its output array as the third argument, which
+    # costs less than out= and leaves the arithmetic as it is
+    matmul, multiply, add = np.matmul, np.multiply, np.add
+    # whether an exactly +0 state is a fixed point of the step (module docstring)
+    settles = cfg.pair.t_norm <= 1.0
+    tz, term = np.empty(cfg.dim), np.empty(cfg.dim)  # t^n(z_n), and the second term of a blend
+    m = 0  # complete rows carry all five quantities
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sz[0] = cfg.pair.s(cfg.z0)
+            _check_finite(sz[0], NonFiniteError, "s(z0) is non-finite at step 0")
+            for block in matrix_power_blocks(cfg.pair.t):
+                first = m
+                # the block's steps unchecked, then, only if a row they wrote
+                # is not finite, the same steps with every check (module docstring)
+                for checked in (False, True):
+                    m = first
+                    for n, power, a_n, b_n in zip(range(first, n_steps), block, a_vals[first:], b_vals[first:]):
+                        sz_n, sy_n, y_n, ty_n = sz[n], sy[n], y[n], ty[n]
+                        matmul(power, z[n], tz)
+                        if checked:
+                            _check_finite(tz, NonFiniteError, f"t^{n} x is non-finite")
+                        multiply(1.0 - b_n, sz_n, sy_n)
+                        multiply(b_n, tz, term)
+                        add(sy_n, term, sy_n)
+                        if checked:
+                            _check_finite(sy_n, NonFiniteError, f"sy_n is non-finite at step {n}")
+                        matmul(s_inverse, sy_n, y_n)
+                        if checked:
+                            _check_finite(y_n, SolveError, "solve produced non-finite values")
+                        matmul(power, y_n, ty_n)
+                        if checked:
+                            _check_finite(ty_n, NonFiniteError, f"t^{n} x is non-finite")
+                        m = n + 1
+                        if m == n_steps:
+                            break
+                        sz_m, z_m = sz[m], z[m]
+                        multiply(1.0 - a_n, tz, sz_m)
+                        multiply(a_n, ty_n, term)
+                        add(sz_m, term, sz_m)
+                        if checked:
+                            _check_finite(sz_m, NonFiniteError, f"sz_next is non-finite at step {n}")
+                        matmul(s_inverse, sz_m, z_m)
+                        if checked:
+                            _check_finite(z_m, SolveError, "solve produced non-finite values")
+                        # the scalar test first: it is all a run that never settles pays
+                        if (settles and z_m[0] == 0.0
+                                and not z_m.view(np.int64).any() and not sz_m.view(np.int64).any()):
+                            for row_kind in rows:
+                                row_kind[m:] = 0.0
+                            m = n_steps
+                            break
+                    # no test of t^n(z_n): a non-finite one makes sy_n non-finite
+                    if (checked or (np.isfinite(sy[first:m]).all() and np.isfinite(y[first:m]).all()
+                                    and np.isfinite(ty[first:m]).all() and np.isfinite(sz[first + 1:m + 1]).all()
+                                    and np.isfinite(z[first + 1:m + 1]).all())):
+                        break
+                if m == n_steps:
+                    break
+    except (NonFiniteError, SolveError) as exc:
+        return rows, m, str(exc)
+    return rows, m, None
 
 
 def run(cfg: JungckConfig) -> IterationTrace:
@@ -145,42 +224,12 @@ def run(cfg: JungckConfig) -> IterationTrace:
     n_steps = cfg.steps
     a_vals = cfg.a.array(n_steps)
     b_vals = cfg.b.array(n_steps)
+    # the step's scratch vectors and its block of powers are freed on
+    # return, before the corrector, whose temporaries set a run's peak memory
+    rows, m, failure = _step_rows(cfg, a_vals, b_vals)
 
-    stream = (power for block in matrix_power_blocks(cfg.pair.t) for power in block)
-    # whether an exactly +0 state is a fixed point of the step (module docstring)
-    settles = cfg.pair.t_norm <= 1.0
     d = cfg.dim
-    z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
-    z[0] = cfg.z0
-    m = 0  # complete rows carry all five quantities
-
-    diverged = False
-    failure = None
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sz[0] = _check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
-            for n, power in zip(range(n_steps), stream):
-                tz = _apply_power(power, n, z[n])
-                sy[n] = _check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
-                y[n] = cfg.pair.solve(sy[n])
-                ty[n] = _apply_power(power, n, y[n])
-                m = n + 1
-                if m == n_steps:
-                    break
-                sz[m] = _check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
-                z[m] = cfg.pair.solve(sz[m])
-                # the scalar test first: it is all a run that never settles pays
-                if (settles and z[m, 0] == 0.0
-                        and not z[m].view(np.int64).any() and not sz[m].view(np.int64).any()):
-                    for rows in (z, y, sz, sy, ty):
-                        rows[m:] = 0.0
-                    m = n_steps
-                    break
-    except (NonFiniteError, SolveError) as exc:
-        diverged = True
-        failure = str(exc)
-
-    z, y, sz, sy, ty = (rows[:m] for rows in (z, y, sz, sy, ty))
+    z, y, sz, sy, ty = (row_kind[:m] for row_kind in rows)
     if m >= 3:
         asz, gz = accelerate_sequence(sz, cfg.gates_z, cfg.floor_scale)
         asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)
@@ -192,7 +241,7 @@ def run(cfg: JungckConfig) -> IterationTrace:
         z=z, y=y, sz=sz, sy=sy, ty=ty,
         asz=asz, asy=asy, gates_z=gz, gates_y=gy,
         a_vals=a_vals[:m], b_vals=b_vals[:m],
-        steps=n_steps, diverged=diverged, failure=failure,
+        steps=n_steps, diverged=failure is not None, failure=failure,
     )
 
 

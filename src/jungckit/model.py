@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -416,3 +417,11 @@ class IterationTrace:
     @property
     def n_accel(self) -> int:
         return self.asz.shape[0]
+
+    @cached_property
+    def z_norms(self) -> np.ndarray:
+        """``safe_row_norms(z)``, computed on first use and kept, read-only:
+        the scan and the certificate cross-check both read it."""
+        norms = safe_row_norms(self.z)
+        norms.flags.writeable = False
+        return norms

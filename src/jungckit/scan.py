@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import JungckConfig, run
-from .model import GatePolicy, Operator, Schedule, make_operator_pair, safe_row_norms
+from .model import GatePolicy, Operator, Schedule, make_operator_pair
 from .stability import NORM_FLOOR, certify, cross_validate
 
 MONOTONE_SLACK = 1e-9
@@ -146,7 +146,7 @@ def _scan_one(index: int, cfg: JungckConfig, spec: ScanSpec) -> ScanOutcome:
     if certified:
         trace = run(cfg)
         report = cross_validate(report, trace)
-        zn = safe_row_norms(trace.z)
+        zn = trace.z_norms
         if any(p in certified for p in ("i", "ii", "iii")) and len(zn) >= 2:
             monotone_ok = bool(np.all(zn[1:] <= zn[:-1] * (1.0 + MONOTONE_SLACK) + NORM_FLOOR))
         if ("iv" in certified or "v" in certified) and len(zn) >= 1 and zn[0] > 0:

@@ -339,7 +339,7 @@ def cross_validate(report: StabilityReport, trace: IterationTrace) -> StabilityR
         report.simulation_notes = ["no certificate applies; nothing to check"]
         return report
 
-    zn = safe_row_norms(trace.z)
+    zn = trace.z_norms
     yn = safe_row_norms(trace.y)
     checks: list[bool] = []
     notes: list[str] = []

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from jungckit import engine, venter
 from jungckit.aitken import accelerate_sequence
@@ -28,6 +28,7 @@ from jungckit.cli import (
 )
 from jungckit.errors import ConfigError
 from jungckit.scan import run_scan
+from conftest import fixed_or_fresh
 from trace_csv import read_jungck_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -662,11 +663,6 @@ class TestWriterMatchesReference:
         self.check(tmp_path, aitken_config(dim, length))
 
 
-#: tier-1 replays one fixed set of examples in each fuzz test, so its result
-#: does not vary from run to run; the fuzz profile (tests/conftest.py) draws fresh ones
-FUZZING = settings.get_current_profile_name() == "fuzz"
-
-
 # ---------------------------------------------------------------------------
 # write_csv against the csv-module writer it replaced
 
@@ -742,7 +738,7 @@ def ragged_columns(draw):
 
 
 class TestWriterMatchesCsvModule:
-    @(settings(deadline=None) if FUZZING else settings(max_examples=60, derandomize=True, deadline=None))
+    @fixed_or_fresh(60)
     @given(ragged_columns())
     def test_bytes_match_or_the_cells_are_refused(self, case):
         columns, refuse = case
@@ -882,7 +878,7 @@ HUGE_WEIGHT = HUGE_T.replace("1.0e+300", "1.0e+308").replace(
     "a: {form: constant, value: 1.0}", "a: {form: constant, value: 5.0, clamp: [0.0, 10.0]}")
 
 
-@(settings(deadline=None) if FUZZING else settings(max_examples=40, derandomize=True, deadline=None))
+@fixed_or_fresh(40)
 @given(mutated_configs())
 @example(HUGE_SEED)
 @example(OVERFLOWING_RATIO)
@@ -949,7 +945,7 @@ class TestLoadersAgree:
         c_doc, py_doc = _load_both(text)
         assert c_doc == py_doc and repr(c_doc) == repr(py_doc)
 
-    @(settings(deadline=None) if FUZZING else settings(max_examples=100, derandomize=True, deadline=None))
+    @fixed_or_fresh(100)
     @given(mutated_configs())
     @example(HUGE_COND)
     def test_mutated_config(self, text):

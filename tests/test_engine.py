@@ -26,6 +26,8 @@ from jungckit.aitken import accelerate_sequence
 from jungckit.engine import BLOCK_ELEMENTS, matrix_power_blocks
 from jungckit.model import IterationTrace, safe_row_norms
 
+from conftest import fixed_or_fresh
+
 
 def scalar_pair(s=2.0, t=0.5):
     return make_operator_pair(Operator.scaled_identity(s, 1), Operator.scaled_identity(t, 1))
@@ -418,7 +420,7 @@ class TestPowerStream:
             assert np.isfinite(norms).sum() == min(overflow_at, horizon + 1)
 
     @given(stream_cases())
-    @settings(max_examples=60, deadline=None)
+    @fixed_or_fresh(60)
     def test_run_matches_the_reference(self, case):
         cfg = case[0]
         got, ref = run(cfg), reference_run(cfg)
@@ -452,12 +454,27 @@ class TestPowerStream:
 
 
 # ---------------------------------------------------------------------------
-# the zero fill: the step loop that computes every row, kept as the reference
-# (``reference_run`` patches only the power stream, so it takes the fill too)
+# the zero fill and the block checks: the step loop that computes every row
+# and checks every quantity as it is made, kept as the reference
+# (``reference_run`` patches only the power stream, so it takes both too)
+
+
+def reference_check_finite(name, v, n):
+    if not np.isfinite(v).all():
+        raise NonFiniteError(f"{name} is non-finite at step {n}")
+    return v
+
+
+def reference_apply_power(power, n, x):
+    out = power @ x
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"t^{n} x is non-finite")
+    return out
 
 
 def reference_step_run(cfg):
-    """``run`` without the zero fill, fed by the one-power reference stream."""
+    """``run`` as a plain step loop that checks every quantity as it is made:
+    no blocks, no zero fill, one power at a time from the reference stream."""
     n_steps = cfg.steps
     a_vals, b_vals = cfg.a.array(n_steps), cfg.b.array(n_steps)
     stream = reference_matrix_powers(cfg.pair.t)
@@ -468,16 +485,16 @@ def reference_step_run(cfg):
     failure = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sz[0] = engine._check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
+            sz[0] = reference_check_finite("s(z0)", cfg.pair.s(cfg.z0), 0)
             for n, power in zip(range(n_steps), stream):
-                tz = engine._apply_power(power, n, z[n])
-                sy[n] = engine._check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
+                tz = reference_apply_power(power, n, z[n])
+                sy[n] = reference_check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
                 y[n] = cfg.pair.solve(sy[n])
-                ty[n] = engine._apply_power(power, n, y[n])
+                ty[n] = reference_apply_power(power, n, y[n])
                 m = n + 1
                 if m == n_steps:
                     break
-                sz[m] = engine._check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
+                sz[m] = reference_check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
                 z[m] = cfg.pair.solve(sz[m])
     except (NonFiniteError, SolveError) as exc:
         failure = str(exc)
@@ -563,7 +580,7 @@ def assert_same_trace(got, want):
 
 class TestZeroFill:
     @given(fill_cases())
-    @settings(max_examples=150, deadline=None)
+    @fixed_or_fresh(150)
     def test_run_matches_the_full_step_loop(self, cfg):
         assert_same_trace(run(cfg), reference_step_run(cfg))
 
@@ -599,6 +616,105 @@ class TestZeroFill:
         # powers 0..settled-1 made rows 1..settled; none after
         assert sum(drawn) == settled
         assert_same_trace(tr, reference_step_run(cfg))
+
+
+# ---------------------------------------------------------------------------
+# a state that overflows inside a block of powers: ``run`` steps on past it
+# unchecked, then replays the block with every check
+
+
+#: what step n checks, in order: t^n(z_n), sy_n, the solve for y_n,
+#: t^n(y_n), sz_n+1 and the solve for z_n+1
+STATE_SITES = ("t^n x", "sy_n", "solve y", "t^n y", "sz_next", "solve z")
+
+#: the seventh block of powers, 63..126, the same at d=1 and d=5
+LONG_BLOCK = range(63, 127)
+
+
+def state_overflow_config(site, d, row, steps=200):
+    """A config of dimension d whose first non-finite quantity is ``site`` at
+    step ``row``: s and t are multiples of the identity, z0 is a constant
+    vector, and every power of t is finite."""
+    a, b = np.zeros(steps), np.zeros(steps)
+    s, t = 1.0, 1.0
+    if site in ("t^n x", "t^n y"):
+        # s = I, a = b = 0: z_n+1 = t^n(z_n), the largest quantity of step n,
+        # so log2 z_n = log2 c + slope * n (n - 1) / 2
+        slope = 1 / 32
+        t = 2.0 ** slope
+        if site == "t^n x":
+            top = 1024 - slope * row / 2  # log2 z_row: t^row(z_row) is past the range
+        else:
+            b[row] = 1.0  # y_row = t^row(z_row), so t^row(y_row) = t^2row(z_row)
+            top = 1024 - 1.5 * slope * row
+        c = 2.0 ** (top - slope * row * (row - 1) / 2)
+    elif site in ("sy_n", "sz_next"):
+        # s = t = I, a = b = 0: z_n = c; a blend weight of -1 doubles c out of range
+        c = 1.5 * 2.0 ** 1023
+        (b if site == "sy_n" else a)[row] = -1.0
+    else:
+        # s = I / 2, a = b = 0: z_n+1 = 2 z_n, up to z_row = 1.5 * 2^1023;
+        # b_row = 1 makes sy_row = z_row, so y_row = 2 z_row
+        s = 0.5
+        c = 1.5 * 2.0 ** (1023 - row)
+        if site == "solve y":
+            b[row] = 1.0
+    pair = make_operator_pair(Operator.scaled_identity(s, d), Operator.scaled_identity(t, d))
+    return JungckConfig(pair=pair, a=Schedule.from_values(a, clamp=(-1.0, 1.0)),
+                        b=Schedule.from_values(b, clamp=(-1.0, 1.0)), z0=np.full(d, c), steps=steps)
+
+
+def state_failure(site, row):
+    """The failure message and row count of a run that fails at ``site`` in step ``row``."""
+    return {
+        "t^n x": (f"t^{row} x is non-finite", row),
+        "sy_n": (f"sy_n is non-finite at step {row}", row),
+        "solve y": ("solve produced non-finite values", row),
+        "t^n y": (f"t^{row} x is non-finite", row),
+        "sz_next": (f"sz_next is non-finite at step {row}", row + 1),
+        "solve z": ("solve produced non-finite values", row + 1),
+    }[site]
+
+
+class TestStateOverflowInsideABlock:
+    def test_the_long_block(self):
+        for d in (1, 5):
+            starts = np.cumsum([0] + block_schedule(d, 200))
+            assert LONG_BLOCK.start in starts and LONG_BLOCK.stop in starts
+
+    @pytest.mark.parametrize("row", [LONG_BLOCK[0], LONG_BLOCK[32], LONG_BLOCK[-1]])
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("site", STATE_SITES)
+    def test_run_matches_the_full_step_loop(self, site, d, row):
+        cfg = state_overflow_config(site, d, row)
+        want = reference_step_run(cfg)
+        assert (want.failure, want.n_raw) == state_failure(site, row)
+        assert np.isfinite(want.z).all() and np.isfinite(want.ty).all()
+        assert_same_trace(run(cfg), want)
+
+    def test_a_state_failure_before_a_power_overflow_in_the_same_block(self):
+        # t = diag(1, 1, 1, 1, tau): power 110 overflows, and the stream cuts
+        # the block 63..126 there, but only the last entry of the state meets
+        # tau, and it stays 0; sy_95 overflows first
+        d, row, overflow_at, steps = 5, 95, 110, 200
+        t = np.eye(d)
+        t[-1, -1] = 2.0 ** (1024 / (overflow_at - 0.5))
+        z0 = np.full(d, 1.5 * 2.0 ** 1023)
+        z0[-1] = 0.0
+        b = np.zeros(steps)
+        pair = make_operator_pair(Operator.identity(d), Operator.from_matrix(t))
+
+        def config(b):
+            return JungckConfig(pair=pair, a=Schedule.constant(0.0), b=Schedule.from_values(b, clamp=(-1.0, 1.0)),
+                                z0=z0, steps=steps)
+
+        want = reference_step_run(config(b))
+        assert (want.failure, want.n_raw) == (f"power {overflow_at} of the update map overflowed", overflow_at)
+        assert_same_trace(run(config(b)), want)
+        b[row] = -1.0
+        want = reference_step_run(config(b))
+        assert (want.failure, want.n_raw) == (f"sy_n is non-finite at step {row}", row)
+        assert_same_trace(run(config(b)), want)
 
 
 # ---------------------------------------------------------------------------

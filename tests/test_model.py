@@ -27,7 +27,7 @@ from jungckit import (
     run,
     spectral_norm,
 )
-from jungckit.model import SCHEDULE_FORMS, _inv_pow
+from jungckit.model import SCHEDULE_FORMS, _inv_pow, safe_row_norms
 
 
 def min_modulus(m):
@@ -437,3 +437,15 @@ class TestGatePolicy:
         assert GatePolicy.always_off().is_always_off
         assert GatePolicy.from_values([0, 0]).is_always_off
         assert not GatePolicy.from_values([0, 1]).is_always_off
+
+
+class TestTraceNorms:
+    def test_z_norms_are_the_safe_row_norms_kept(self):
+        pair = make_operator_pair(Operator.scaled_identity(2.0, 3), Operator.scaled_identity(0.5, 3))
+        trace = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                                 z0=[1e-200, -3.0, 2.0], steps=10))
+        norms = trace.z_norms
+        assert norms is trace.z_norms
+        assert norms.tobytes() == safe_row_norms(trace.z).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            norms[0] = 0.0

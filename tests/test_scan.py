@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jungckit import ScanSpec, run, run_scan
+from jungckit import ScanSpec, engine, model, run, run_scan, scan, stability
 from jungckit.scan import sample_config, sample_operators
 
 
@@ -76,3 +76,21 @@ class TestSweep:
         largest_run = max(peak(lambda c=c: run(c)) for c in cfgs)
         assert run_scan(spec).certified_count == spec.count
         assert peak(lambda: run_scan(spec)) <= 1.2 * largest_run
+
+    def test_z_norms_are_computed_once_per_simulated_config(self, monkeypatch):
+        # the scan's monotone and final-ratio checks and the certificate
+        # cross-check read one ||z_n|| array; the cross-check also takes ||y_n||
+        spec = ScanSpec(count=6, dim=5, steps=300, horizon=300, seed=3)
+        want = run_scan(spec)
+        computed = []
+
+        def counted(rows, real=model.safe_row_norms):
+            computed.append(rows.shape)
+            return real(rows)
+
+        for module in (model, engine, scan, stability):
+            monkeypatch.setattr(module, "safe_row_norms", counted, raising=False)
+        got = run_scan(spec)
+        assert want.certified_count >= 3
+        assert computed == [(spec.steps, spec.dim)] * (2 * want.certified_count)
+        assert repr(got.outcomes) == repr(want.outcomes)
