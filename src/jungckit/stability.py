@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
 from .errors import NonFiniteError, TraceMismatchError
-from .model import IterationTrace, Operator, Schedule, safe_row_norms
+from .model import IterationTrace, OperatorPair, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
 CROSS_VALIDATE_SLACK = 1e-6
@@ -29,16 +29,34 @@ NORM_FLOOR = float(np.finfo(float).tiny)
 EXIT_SLACK = 1e-6
 
 
-def _norm_blocks(t: Operator, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+def _norm_blocks(pair: OperatorPair, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(n, norms)``: spectral norms of t^n, t^(n+1), ... one block of
     ``matrix_power_blocks`` at a time, up to t^horizon.  Raises
     ``NonFiniteError`` in place of the block that holds the first overflowed
-    power, after yielding the finite powers before it."""
+    power, after yielding the finite powers before it.
+
+    Two norms are known without an SVD, with the bits an SVD would give:
+    ||t^0|| = ||I|| = 1, since the Householder reduction of I reflects
+    nothing and leaves a diagonal of ones, and ||t^1|| = ``pair.t_norm``,
+    the SVD of ``t`` itself, whenever the computed t^1 = t @ I is ``t`` bit
+    for bit (the product turns a -0.0 entry into +0.0, and the SVD of such
+    a matrix can differ in the last bit, so then t^1 is SVD'd).  The other
+    powers of a block go through one stacked SVD, which treats each matrix
+    on its own.
+    """
     n = 0
-    for block in matrix_power_blocks(t):
+    for block in matrix_power_blocks(pair.t):
         block = block[:horizon + 1 - n]
-        # one stacked SVD per block; singular values come largest first
-        yield n, np.linalg.svd(block, compute_uv=False)[:, 0]
+        if n == 0:
+            norms = np.ones(len(block))
+        else:
+            known = int(n == 1 and np.array_equal(block[0].view(np.uint64), pair.t.matrix.view(np.uint64)))
+            norms = np.empty(len(block))
+            norms[:known] = pair.t_norm
+            if known < len(block):
+                # singular values come largest first
+                norms[known:] = np.linalg.svd(block[known:], compute_uv=False)[:, 0]
+        yield n, norms
         n += len(block)
         if n > horizon:
             return
@@ -48,7 +66,7 @@ def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     """Spectral norms of t^n for n = 0..horizon (inf once a power overflows)."""
     norms = np.full(horizon + 1, math.inf)
     try:
-        for n, block in _norm_blocks(cfg.pair.t, horizon):
+        for n, block in _norm_blocks(cfg.pair, horizon):
             norms[n:n + len(block)] = block
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
@@ -62,8 +80,8 @@ class StabilityConstants:
     k1, k2 cap |a_n|*||t^n|| and |b_n|*||t^n|| over the tail; k1p, k2p cap
     |1-a_n|*||t^n|| and |1-b_n|.  m_bound caps the per-step y-vs-z
     amplification over the whole horizon.  powers_read counts the powers
-    of t whose norms the constants took (at most horizon + 1); it takes no
-    part in equality.
+    of t whose norms the constants took (at most horizon + 1), t^0 and t^1
+    included, though their norms need no SVD; it takes no part in equality.
     """
 
     k1: float
@@ -90,13 +108,18 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
 
     The maxima are folded block by block while the powers are produced, and
     the stream stops as soon as no later power can raise any of them, so
-    the constants are those of the full stream, bit for bit.  The exit
-    rests on submultiplicativity: once c = ||t^m|| < 1, every n >= m is
-    qm + r with q >= 1 and r < m, so ||t^n|| <= c * G with
-    G = max_{r<m} ||t^r|| (G >= ||t^0|| = 1).  The smallest such c * G seen
-    so far caps every later power; the stream stops after power n when,
-    for each of k1, k2 and k1p, the largest weight from n + 1 on is 0, or
-    times the cap times (1 + EXIT_SLACK) stays below the maximum so far.
+    the constants are those of the full stream, bit for bit.  The norms of
+    t^0 (1) and t^1 (``pair.t_norm``) come without an SVD, with the SVD's
+    bits (see ``_norm_blocks``), so a d = 300 map that stops after t^2
+    runs one 300x300 SVD.
+
+    The exit rests on submultiplicativity: once c = ||t^m|| < 1, every
+    n >= m is qm + r with q >= 1 and r < m, so ||t^n|| <= c * G with
+    G = max_{r<m} ||t^r|| (G >= ||t^0|| = 1).  The smallest such c * G
+    seen so far caps every later power; the stream stops after power n
+    when, for each of k1, k2 and k1p, the largest weight from n + 1 on is
+    0, or times the cap times (1 + EXIT_SLACK) stays below the maximum so
+    far.
 
     EXIT_SLACK covers rounding because the cap comes from computed norms
     of computed powers.  The SVD returns each norm to a relative error of a
@@ -131,7 +154,7 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     g = 0.0  # the largest norm read so far
     read = 0
     try:
-        for n, norms in _norm_blocks(cfg.pair.t, horizon):
+        for n, norms in _norm_blocks(cfg.pair, horizon):
             read = n + len(norms)
             w = weights[:, n:read]
             running = np.maximum.accumulate(np.concatenate(([g], norms)))

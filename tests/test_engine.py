@@ -411,7 +411,7 @@ class TestPowerStream:
         assert np.geterr() == before
 
     @given(stream_cases())
-    @settings(max_examples=80, deadline=None)
+    @fixed_or_fresh(80)
     def test_power_norms_match_the_reference(self, case):
         cfg, horizon, overflow_at = case
         norms = power_norms(cfg, horizon)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from jungckit import (
     JungckConfig,
@@ -26,6 +26,7 @@ from jungckit import (
 )
 from jungckit import engine, stability
 from jungckit.scan import ScanSpec, sample_config
+from conftest import fixed_or_fresh
 from test_engine import block_len, reference_power_norms
 
 
@@ -181,7 +182,7 @@ def random_d60(norm):
 class TestEarlyExit:
     @pytest.mark.filterwarnings("error")
     @given(constants_cases())
-    @settings(max_examples=60, deadline=None)
+    @fixed_or_fresh(60)
     def test_constants_match_the_full_stream(self, case):
         cfg, horizon, tail_start = case
         got = compute_constants(cfg, horizon, tail_start)
@@ -222,6 +223,134 @@ class TestEarlyExit:
         norms = stability.power_norms(cfg, 300)
         assert sum(drawn) == len(norms) == 301
         assert norms.tobytes() == reference_power_norms(cfg, 300).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the norms of t^0 and t^1, which the certificates take without an SVD
+
+
+def all_svd_norm_blocks(pair, horizon):
+    """``stability._norm_blocks`` as it was: one stacked SVD over every power
+    of a block, t^0 and t^1 included."""
+    n = 0
+    for block in engine.matrix_power_blocks(pair.t):
+        block = block[:horizon + 1 - n]
+        yield n, np.linalg.svd(block, compute_uv=False)[:, 0]
+        n += len(block)
+        if n > horizon:
+            return
+
+
+def record_svd(monkeypatch):
+    """Route ``np.linalg.svd`` through a wrapper that keeps a copy of each input,
+    as a list of (d, d) matrices."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.extend(np.array(a, copy=True).reshape(-1, *np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return seen
+
+
+def random_map(d, norm, seed, negative_zeros=0.0):
+    """A random d x d map of the given norm; a share of its entries set to -0.0."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(d, d))
+    t = raw * (norm / np.linalg.norm(raw, 2))
+    t[rng.random((d, d)) < negative_zeros] = -0.0
+    return t
+
+
+def random_signs(d, seed):
+    return np.random.default_rng(seed).choice([-1.0, 1.0], size=(d, d))
+
+
+EDGE_MAPS = {
+    "zero-d5": np.zeros((5, 5)),
+    "zero-d40": np.zeros((40, 40)),
+    # t @ I turns -0.0 into +0.0, and the SVD of t and of t @ I differ in the last bit for these two
+    "negative-zeros-d5": random_map(5, 0.8, 8, negative_zeros=0.3),
+    "negative-zeros-d40": random_map(40, 0.8, 14, negative_zeros=0.3),
+    "all-negative-zero-d3": np.full((3, 3), -0.0),
+    "d1": np.array([[0.7]]),
+    "d1-negative-zero": np.array([[-0.0]]),
+    "d1-huge": np.array([[1e308]]),
+    # norms near the largest float; t^2 overflows
+    "huge-d4": random_signs(4, 1) * (1e308 / 4),
+    "huge-d40": random_signs(40, 2) * (1e308 / 40),
+}
+
+
+def edge_config(t):
+    d = len(t)
+    return linear_config(2 * np.eye(d), t, Schedule.constant(0.5), Schedule.one_minus_inv(k=2),
+                         np.ones(d), steps=3)
+
+
+class TestKnownNorms:
+    def test_svd_of_the_identity_is_exactly_one(self):
+        # the Householder reduction of I reflects nothing, so every singular value is 1.0
+        for d in [*range(1, 65), 100, 300]:
+            assert np.linalg.svd(np.eye(d)[None], compute_uv=False)[0, 0] == 1.0, d
+
+    @given(st.integers(1, 50), st.integers(0, 2**32 - 1), st.integers(-300, 300), st.floats(0.0, 0.9))
+    @fixed_or_fresh(100)
+    def test_t_norm_is_the_stacked_svd_of_t(self, d, seed, exponent, zeros):
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=(d, d)) * 10.0**exponent
+        t[rng.random((d, d)) < zeros] = 0.0
+        pair = make_operator_pair(Operator.from_matrix(2 * np.eye(d)), Operator.from_matrix(t))
+        assert np.float64(pair.t_norm).tobytes() == np.linalg.svd(t[None], compute_uv=False)[0, 0].tobytes()
+
+    @pytest.mark.parametrize("d", [5, 60])
+    def test_svd_never_sees_t0_or_t1(self, monkeypatch, d):
+        # at d = 60 a block holds one power, at d = 5 blocks of 1, 2, 4, ... 81
+        cfg = edge_config(random_map(d, 0.9, d))
+        t = cfg.pair.t.matrix
+        seen = record_svd(monkeypatch)
+        c = compute_constants(cfg, horizon=300)
+        norms = stability.power_norms(cfg, 300)
+        assert len(seen) == (c.powers_read - 2) + (len(norms) - 2)
+        assert not any(np.array_equal(m, np.eye(d)) or np.array_equal(m, t) for m in seen)
+        monkeypatch.undo()
+        assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 300))
+        assert norms.tobytes() == reference_power_norms(cfg, 300).tobytes()
+
+    def test_a_d300_certify_svds_at_most_one_power(self, monkeypatch):
+        # shaped like a dense_d300 op: s with singular values in (0.8, 2.5), ||t|| = 0.82
+        rng = np.random.default_rng(2)
+        q1, q2 = (np.linalg.qr(rng.normal(size=(300, 300)))[0] for _ in range(2))
+        s = q1 @ np.diag(rng.uniform(0.8, 2.5, size=300)) @ q2.T
+        cfg = linear_config(s, random_map(300, 0.82, 3), Schedule.constant(0.6), Schedule.one_minus_inv(k=3),
+                            np.ones(300), steps=3)
+        seen = record_svd(monkeypatch)
+        report = certify(cfg, horizon=300)
+        assert len(seen) <= 1 and report.constants.powers_read == len(seen) + 2
+
+    def test_a_stream_that_stops_after_t1_runs_no_svd(self, monkeypatch):
+        # one power per block: 0.5 * ||t|| * (1 + EXIT_SLACK) < 0.5 * ||t^0|| stops the stream after t^1
+        cfg = edge_config(random_map(40, 0.5, 4))
+        seen = record_svd(monkeypatch)
+        c = compute_constants(cfg, horizon=40)
+        assert seen == [] and c.powers_read == 2
+        monkeypatch.undo()
+        assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 40))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", EDGE_MAPS)
+    def test_edge_maps_match_the_references(self, monkeypatch, name):
+        cfg = edge_config(EDGE_MAPS[name])
+        for horizon in (0, 1, 2, 40):
+            assert stability.power_norms(cfg, horizon).tobytes() == reference_power_norms(cfg, horizon).tobytes()
+        got = [compute_constants(cfg, horizon) for horizon in (10, 40)]
+        # the same stream with every power SVD'd, t^0 and t^1 included
+        monkeypatch.setattr(stability, "_norm_blocks", all_svd_norm_blocks)
+        for c, horizon in zip(got, (10, 40)):
+            assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, horizon))
+            assert c.powers_read == compute_constants(cfg, horizon).powers_read
 
 
 class TestPropertyI:
