@@ -8,6 +8,18 @@ per component, exact on sequences of the form L + c*r^n.  A per-component
 binary gate disables the correction wherever the second difference sits at
 or below a relative floor (so the quotient can never blow up) or wherever
 the caller's policy switches it off.
+
+A settled trace ends in rows of zeros (see :mod:`jungckit.engine`), and
+the corrector computes nothing there.  Only the windows that touch the
+live prefix (:func:`jungckit.model.live_row_count`: the rows up to the
+last one with a nonzero entry, where -0.0 counts as zero and NaN or inf
+as nonzero) run through the formula.  Each later window (s0, s1, s2) is
++-0 in every entry, so its second difference is +-0, which is never above
+the floor ``floor_scale * (1 + |s0|) > 0``: its gate is 0 whatever the
+policy asks, and the corrected term is s0, the raw row, bit for bit
+(-0.0 included).  Those rows are copied and their gates set to 0.  The
+policy is still asked about them, so a gate list too short for the whole
+sequence raises the same error.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, SequenceTooShortError
-from .model import GatePolicy, Vector
+from .model import GatePolicy, Vector, live_row_count
 
 DEFAULT_FLOOR_SCALE = 1e-12
 
@@ -60,9 +72,11 @@ def accelerate_sequence(
     d = arr.shape[1]
     accel = np.empty((n - 2, d))
     gates = np.empty((n - 2, d), dtype=np.int64)
+    # windows past the live prefix hold only zeros (module docstring)
+    live = min(live_row_count(arr), n - 2)
     rows = max(1, BLOCK_ELEMENTS // d)
-    for lo in range(0, n - 2, rows):
-        hi = min(lo + rows, n - 2)
+    for lo in range(0, live, rows):
+        hi = min(lo + rows, live)
         window = arr[lo:hi + 2]
         if not np.all(np.isfinite(window)):
             raise NonFiniteError("sequence has non-finite entries")
@@ -82,4 +96,10 @@ def accelerate_sequence(
         gate &= finite
         accel[lo:hi] = np.where(gate, corrected, s0)
         gates[lo:hi] = gate
+    if live < n - 2:
+        # the policy is still asked about the zero windows (with no columns),
+        # so a gate list too short for them raises as when they are computed
+        policy.gates(live, np.empty((n - 2 - live, 0)))
+        accel[live:] = arr[live:n - 2]
+        gates[live:] = 0
     return accel, gates

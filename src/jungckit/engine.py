@@ -38,6 +38,10 @@ hold:
   +0 and gives +0, and a blend (1 - c) * u + c * v of +0 vectors with a
   finite c is +0, because at most one of 1 - c and c is negative.
 
+The corrector and :func:`jungckit.model.safe_row_norms` compute nothing
+on those rows: they find the last nonzero row and give each later one the
+result their formulas give for a zero row.
+
 Schedule values are finite, or infinite from the first step on, which
 halts the run before any state is tested.
 """
@@ -225,7 +229,8 @@ def run(cfg: JungckConfig) -> IterationTrace:
     a_vals = cfg.a.array(n_steps)
     b_vals = cfg.b.array(n_steps)
     # the step's scratch vectors and its block of powers are freed on
-    # return, before the corrector, whose temporaries set a run's peak memory
+    # return, before the corrector, whose temporaries set the peak memory of
+    # a run that does not settle (it skips the zero rows of one that does)
     rows, m, failure = _step_rows(cfg, a_vals, b_vals)
 
     d = cfg.dim

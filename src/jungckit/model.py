@@ -119,12 +119,42 @@ def unoverflowed(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+def live_row_count(rows: np.ndarray) -> int:
+    """Length of the live prefix of a 2-D array: the rows up to and
+    including the last one with a nonzero entry.  ``-0.0`` counts as zero;
+    NaN and +-inf count as nonzero.  An array with no entries is all live.
+
+    A settled trace ends in rows of zeros (see :mod:`jungckit.engine`);
+    everything else pays one test of its last row."""
+    n = rows.shape[0]
+    if rows.size == 0 or rows[-1].any():
+        return n
+    # the first nonzero of the reversed entries: one flat compare and an
+    # argmax cost less than a per-row any() or flatnonzero
+    nonzero = (rows != 0).ravel()[::-1]
+    back = int(np.argmax(nonzero))
+    if not nonzero[back]:
+        return 0
+    return n - back // rows.shape[1]
+
+
 def safe_row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, computed on the row scaled by its largest
-    absolute entry so that squares of tiny entries cannot underflow to 0."""
-    peak = np.max(np.abs(rows), axis=1, keepdims=True)
-    unit = rows / np.where(peak > 0, peak, 1.0)
-    return peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
+    absolute entry so that squares of tiny entries cannot underflow to 0.
+
+    Only the live prefix (:func:`live_row_count`) is computed; each row
+    after it gets ``+0.0``, which the scaled formula gives for a row of
+    +-0 (its peak is +0, the row is divided by 1, and +0 * sqrt(+0) = +0)."""
+    live = live_row_count(rows)
+    head = rows[:live]
+    peak = np.max(np.abs(head), axis=1, keepdims=True)
+    unit = head / np.where(peak > 0, peak, 1.0)
+    norms = peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
+    if live == rows.shape[0]:
+        return norms
+    full = np.zeros(rows.shape[0], dtype=norms.dtype)
+    full[:live] = norms
+    return full
 
 
 @dataclass(frozen=True)

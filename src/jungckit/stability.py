@@ -235,21 +235,22 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
     y_amp = mu_inv * (np.abs(1.0 - b) * s_norm + np.abs(b))
     m_bound = float(np.max(y_amp))
     step_factor = mu_inv * (np.abs(1.0 - a) + mu_inv * np.abs(a) * (np.abs(1.0 - b) * s_norm + np.abs(b)))
-    slack_ii = min(1.0 - t_norm, 1.0 - float(np.max(step_factor)))
+    max_step_factor = float(np.max(step_factor))
+    slack_ii = min(1.0 - t_norm, 1.0 - max_step_factor)
     res_ii = CertificateResult(
         name="ii",
-        applies=(t_norm <= 1.0 and float(np.max(step_factor)) <= 1.0),
+        applies=(t_norm <= 1.0 and max_step_factor <= 1.0),
         margin=float(slack_ii),
-        details={"t_norm": float(t_norm), "max_step_factor": float(np.max(step_factor)), "m_bound": m_bound},
+        details={"t_norm": float(t_norm), "max_step_factor": max_step_factor, "m_bound": m_bound},
     )
 
-    iii_lhs = np.abs(1.0 - a) + np.abs(a) * m_bound
-    slack_iii = min(1.0 - t_norm, mu - float(np.max(iii_lhs)))
+    max_lhs = float(np.max(np.abs(1.0 - a) + np.abs(a) * m_bound))
+    slack_iii = min(1.0 - t_norm, mu - max_lhs)
     res_iii = CertificateResult(
         name="iii",
-        applies=(t_norm <= 1.0 and float(np.max(iii_lhs)) <= mu),
+        applies=(t_norm <= 1.0 and max_lhs <= mu),
         margin=float(slack_iii),
-        details={"t_norm": float(t_norm), "max_lhs": float(np.max(iii_lhs)), "m_bound": m_bound, "mu": float(mu)},
+        details={"t_norm": float(t_norm), "max_lhs": max_lhs, "m_bound": m_bound, "mu": float(mu)},
     )
     return res_ii, res_iii
 

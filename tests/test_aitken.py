@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fixed_or_fresh
+
 from jungckit import (
     GatePolicy,
     IndexOutOfRangeError,
@@ -211,6 +213,115 @@ class TestAccelerateSequence:
     def test_gate_list_must_cover_every_window(self):
         with pytest.raises(IndexOutOfRangeError):
             accelerate_sequence([1.0, 0.5, 0.25, 0.125], GatePolicy.from_values([1]))
+
+
+def signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+
+
+@st.composite
+def zero_tail_sequences(draw):
+    """A sequence whose live prefix (rows up to the last nonzero one) is
+    followed by a tail of +0 and -0 rows, plus a policy and a floor scale.
+
+    The live prefix has zero rows inside it and, sometimes, NaN, +-inf and
+    subnormal entries.  With a wide ``d`` a block holds few windows, and the
+    tail starts within three rows of a block boundary.  A gate list may be
+    shorter than the N - 2 windows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 6))
+        live = draw(st.integers(0, 40))
+    else:
+        d = draw(st.integers(BLOCK_ELEMENTS // 64, BLOCK_ELEMENTS // 8))
+        live = max(0, draw(st.integers(0, 2)) * (BLOCK_ELEMENTS // d) + draw(st.integers(-3, 3)))
+    n = max(3, live + draw(st.integers(0, 40)))
+    lo, hi = sorted(draw(st.tuples(st.integers(-320, 300), st.integers(-320, 300))))
+    raw = signed_zeros(rng, (n, d))
+    raw[:live] = rng.normal(size=(live, d)) * 10.0 ** rng.uniform(lo, hi, size=(live, d))
+    for k in range(live - 1):
+        if rng.random() < 0.2:
+            raw[k] = signed_zeros(rng, d)
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -1e-310]), max_size=3)):
+        if live:
+            raw[rng.integers(0, live), rng.integers(0, d)] = value
+    if live and not raw[live - 1].any():
+        raw[live - 1, rng.integers(0, d)] = rng.choice([1.0, -3e-320])
+    mode = draw(st.sampled_from(GATE_MODES))
+    if mode == "threshold":
+        policy = GatePolicy.threshold(10.0 ** draw(st.integers(-300, 300)))
+    elif mode == "list":
+        policy = GatePolicy.from_values(rng.integers(0, 2, size=draw(st.integers(0, n - 2))))
+    else:
+        policy = GatePolicy(mode=mode)
+    return raw, policy, 10.0 ** draw(st.integers(-16, -6))
+
+
+def blocked_error(raw, policy):
+    """The error a blocked corrector over every window raises, or None: the
+    first block of windows either holding a non-finite term or running past
+    a gate list decides which."""
+    windows, d = raw.shape[0] - 2, raw.shape[1]
+    rows = max(1, BLOCK_ELEMENTS // d)
+    for lo in range(0, windows, rows):
+        hi = min(lo + rows, windows)
+        if not np.isfinite(raw[lo:hi + 2]).all():
+            return NonFiniteError, "sequence has non-finite entries"
+        if policy.mode == "list" and hi > len(policy.values):
+            count = len(policy.values)
+            return IndexOutOfRangeError, f"explicit gate list has {count} values, asked for index {count}"
+    return None
+
+
+class TestZeroTail:
+    """Windows past the live prefix are copied, not computed: the results and
+    the errors are those of the formula over every window."""
+
+    def check(self, raw, policy, floor_scale=DEFAULT_FLOOR_SCALE):
+        error = blocked_error(raw, policy)
+        if error is not None:
+            kind, message = error
+            with pytest.raises(kind) as raised:
+                accelerate_sequence(raw, policy, floor_scale)
+            assert str(raised.value) == message
+            return
+        accel, gates = accelerate_sequence(raw, policy, floor_scale)
+        ref_accel, ref_gates = reference_accelerate(raw, policy, floor_scale)
+        assert accel.tobytes() == ref_accel.tobytes()
+        assert gates.dtype == ref_gates.dtype and gates.tobytes() == ref_gates.tobytes()
+
+    @given(zero_tail_sequences())
+    @fixed_or_fresh(60)
+    def test_matches_the_reference_bit_for_bit(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("mode", GATE_MODES)
+    @pytest.mark.parametrize("n", [3, 4, 20])
+    def test_all_zero_input(self, mode, n):
+        raw = signed_zeros(np.random.default_rng(n), (n, 3))
+        policy = GatePolicy.from_values([1] * (n - 2)) if mode == "list" else GatePolicy(mode=mode, tau=0.0)
+        self.check(raw, policy)
+        accel, gates = accelerate_sequence(raw, policy)
+        assert accel.tobytes() == raw[:-2].tobytes() and not gates.any()
+
+    @pytest.mark.parametrize("live", [0, 1, 2, 3])
+    def test_three_terms(self, live):
+        raw = np.array([[0.5, -0.0], [0.25, 2.0], [-0.125, 1.0]])
+        raw[live:] = -0.0
+        self.check(raw, GatePolicy.always_on())
+
+    @pytest.mark.parametrize("values", [0, 3, 4, 5, 7])
+    def test_short_gate_list_raises_as_before(self, values):
+        # four live rows (windows 0..3 touch them) and six zero rows: a list
+        # that covers the live windows but not the zero ones still raises
+        raw = np.zeros((10, 2))
+        raw[:4] = [[5.0, 1.0], [4.0, 0.5], [3.5, 0.25], [3.25, 0.125]]
+        policy = GatePolicy.from_values([1] * values)
+        with pytest.raises(IndexOutOfRangeError, match=f"^explicit gate list has {values} values, "
+                                                       f"asked for index {values}$"):
+            accelerate_sequence(raw, policy)
+        with pytest.raises(IndexError):
+            reference_accelerate(raw, policy)
 
 
 class TestAccelerationEffect:

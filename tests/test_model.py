@@ -27,7 +27,22 @@ from jungckit import (
     run,
     spectral_norm,
 )
-from jungckit.model import SCHEDULE_FORMS, _inv_pow, safe_row_norms
+from jungckit.model import SCHEDULE_FORMS, _inv_pow, live_row_count, safe_row_norms
+
+from conftest import fixed_or_fresh
+
+
+def reference_safe_row_norms(rows):
+    """The scaled row norm over every row, as it was before rows of zeros
+    at the end were skipped."""
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    unit = rows / np.where(peak > 0, peak, 1.0)
+    return peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
+
+
+def reference_live_row_count(rows):
+    """One more than the index of the last row with an entry != 0."""
+    return max((k + 1 for k, row in enumerate(rows.tolist()) if any(v != 0 for v in row)), default=0)
 
 
 def min_modulus(m):
@@ -449,3 +464,58 @@ class TestTraceNorms:
         assert norms.tobytes() == safe_row_norms(trace.z).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             norms[0] = 0.0
+
+
+@st.composite
+def norm_rows(draw):
+    """Rows for the row norms: random magnitudes (subnormal ones too), zero
+    rows of +0 and -0 anywhere, a zero tail of any length, sometimes NaN or
+    inf, and as a C-ordered array, a Fortran-ordered one or a strided view."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 9))
+    lo, hi = sorted(draw(st.tuples(st.integers(-323, 300), st.integers(-323, 300))))
+    rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, d))
+    zero = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    zero[n - draw(st.integers(0, n)):] = True
+    rows[zero] = np.where(rng.random((int(zero.sum()), d)) < 0.5, 0.0, -0.0)
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 5e-324]), max_size=2)):
+        rows[rng.integers(0, n), rng.integers(0, d)] = value
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "strided":
+        wide = np.full((n, 2 * d), 7.0)
+        wide[:, ::2] = rows
+        return wide[:, ::2]
+    return rows
+
+
+class TestRowNorms:
+    @given(norm_rows())
+    @example(np.array([[3.0, -4.0], [-0.0, 0.0], [1e-320, 0.0], [-0.0, -0.0], [0.0, 0.0]]))
+    @example(np.array([[-0.0, 0.0]]))
+    @fixed_or_fresh(100)
+    def test_safe_row_norms_match_the_reference_bit_for_bit(self, rows):
+        assert live_row_count(rows) == reference_live_row_count(rows)
+        # a row holding inf divides inf by inf; one holding NaN is not scaled
+        # (its peak is NaN), so its large entries overflow when squared
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = safe_row_norms(rows), reference_safe_row_norms(rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows, count", [
+        ([[0.0, 0.0]], 0),
+        ([[-0.0, 0.0], [0.0, -0.0]], 0),
+        ([[1.0, 0.0], [0.0, 0.0]], 1),
+        ([[0.0, 0.0], [0.0, 2.0], [-0.0, 0.0]], 2),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, -3.0]], 3),
+        ([[5e-324], [0.0]], 1),
+        ([[0.0, np.nan], [0.0, 0.0], [0.0, 0.0]], 1),
+        ([[0.0], [-np.inf], [-0.0]], 2),
+        (np.zeros((0, 3)), 0),
+        (np.zeros((4, 0)), 4),
+    ])
+    def test_live_row_count(self, rows, count):
+        rows = np.array(rows, dtype=float)
+        assert live_row_count(rows) == count
+        assert live_row_count(np.asfortranarray(rows)) == count

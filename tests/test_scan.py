@@ -1,11 +1,12 @@
 """Randomized certificate sweep."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from jungckit import ScanSpec, engine, model, run, run_scan, scan, stability
+from jungckit import ScanSpec, certify, cross_validate, engine, model, run, run_scan, scan, stability
 from jungckit.scan import sample_config, sample_operators
 
 
@@ -76,6 +77,40 @@ class TestSweep:
         largest_run = max(peak(lambda c=c: run(c)) for c in cfgs)
         assert run_scan(spec).certified_count == spec.count
         assert peak(lambda: run_scan(spec)) <= 1.2 * largest_run
+
+    def test_working_memory_does_not_grow_with_steps(self):
+        # a d=5 config that certifies (i and iv) and whose state is +0 from
+        # row 40 on; past that row the corrector and the row norms copy or
+        # fill, so run's working memory stays flat, and run plus
+        # cross_validate grows only by the length-steps vectors they return
+        # or compare (the norms and the schedules), not by rows of the trace
+        spec = ScanSpec(count=1, dim=5, steps=1000, horizon=1000, seed=1)
+        base = sample_config(np.random.default_rng(spec.seed), spec)
+        fields = ("z", "y", "sz", "sy", "ty", "asz", "asy", "gates_z", "gates_y", "a_vals", "b_vals")
+
+        def working(steps):
+            cfg = dataclasses.replace(base, steps=steps)
+            report = certify(cfg, horizon=steps)
+            run(cfg)  # numpy's first-use allocations happen outside the measurement
+            tracemalloc.start()
+            try:
+                trace = run(cfg)
+                run_peak = tracemalloc.get_traced_memory()[1]
+                assert cross_validate(report, trace).simulation_agrees
+                both_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not trace.z[40:].any() and trace.z[39].any()
+            held = sum(getattr(trace, name).nbytes for name in fields)
+            return run_peak - held, both_peak - held, held
+
+        run_short, both_short, held_short = working(100)
+        run_long, both_long, held_long = working(1000)
+        # the trace itself grows by 900 rows of 9 * d + 2 floats; a corrector
+        # and norms over every row grew run's working memory by 245 B a row
+        assert run_long <= 1.1 * run_short
+        assert both_long - both_short <= 900 * 4 * 8
+        assert held_long - held_short == 900 * (9 * spec.dim + 2) * 8
 
     def test_z_norms_are_computed_once_per_simulated_config(self, monkeypatch):
         # the scan's monotone and final-ratio checks and the certificate
