@@ -429,15 +429,19 @@ def write_csv(columns, path: Path) -> None:
     Every cell is written as ``str`` writes it (a float as its shortest
     round-trip decimal).  A column shorter than the longest leaves its
     trailing cells empty.  Rows are formatted in blocks of about
-    ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text; in
-    a block, an array of numbers becomes cells through one ``repr`` of a flat
-    Python list, which writes each number as ``str`` does: the array's own
-    list for integers and bools, and for floats the list of the distinct
-    values of all the block's float arrays, so that each is written once.
-    The bytes are those of one ``str`` per cell either way.  Nothing is
-    quoted: a name, or a cell of a column that does not hold numbers, that
-    holds a comma, a quote or a line break raises ``ValueError``, as does an
-    empty cell in a one-column table (it would read back as a blank line).
+    ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text.  A
+    block is first a matrix of integer codes, one per cell, into one list of
+    distinct cell texts, and then the object array of its cells, taken from
+    that list by the matrix in one step; ``-1`` codes the empty cell past a
+    column's end.  An array of numbers, ``range`` columns included, is coded
+    by ``np.unique``, and each distinct value becomes text once, through the
+    ``repr`` of its Python scalar, which writes it as ``str`` does.  The float
+    arrays of a block share one ``np.unique``, so a float is written once
+    however many columns hold it.  Other cells go through ``str`` one by one.
+    Nothing is quoted: a name, or a cell of a column that does not hold
+    numbers, that holds a comma, a quote or a line break raises
+    ``ValueError``, as does an empty cell in a one-column table (it would
+    read back as a blank line).
     ``path`` stays the last argument: the benchmark's byte counter reads it there.
     """
     header, groups = [], []
@@ -468,40 +472,49 @@ _NUMERIC = "biuf"  # dtype kinds whose Python scalars repr as str writes them
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _is_float(part) -> bool:
-    """Whether ``part`` is an array of floats that float64 holds exactly."""
-    return isinstance(part, np.ndarray) and part.dtype.kind == "f" and part.dtype.itemsize <= 8
-
-
 def _block_cells(groups: list, lo: int, hi: int, width: int, lone: bool) -> np.ndarray:
     """Rows ``lo:hi`` of the table as an object array of cell texts, each
     as ``str`` writes it; cells past the end of a column are empty.
 
-    The float arrays of the block are written together: each distinct value
-    goes through one ``repr``, told apart by its float64 bits, since 0.0 and
-    -0.0 compare equal but print differently and a NaN equals nothing.
-    Other arrays of numbers go through one ``repr`` of their flat list.
+    The cells are coded first: ``codes[r, c]`` indexes ``texts``, whose last
+    entry is the empty cell, so ``-1`` fills the cells past a column's end.
+    Floats are told apart by their float64 bits, since 0.0 and -0.0 compare
+    equal but print differently and a NaN equals nothing.
     """
-    parts = [values[lo:hi] for _, values in groups]
-    floats = [part.ravel() for part in parts if _is_float(part)]
+    codes = np.full((hi - lo, width), -1, dtype=np.int64)
+    texts, floats = [], []  # floats: (columns, rows) of each float group, coded together
+    col = 0
+    for names, values in groups:
+        part, cols = values[lo:hi], slice(col, col + len(names))
+        col += len(names)
+        if isinstance(part, range):
+            part = np.asarray(part)
+        if not (isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC):
+            cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
+            _check_cells(f"column {names[0]!r}", cells, lone)
+            codes[:len(cells), cols] = np.arange(len(texts), len(texts) + len(cells))[:, None]
+            texts += cells
+            continue
+        part = part.reshape(len(part), len(names))
+        if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
+            floats.append((cols, part))
+        else:
+            keys, inverse = np.unique(part, return_inverse=True)
+            codes[:len(part), cols] = inverse.reshape(part.shape) + len(texts)
+            texts += map(repr, keys.tolist())
     if floats:
         with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
-            flat = np.concatenate(floats, dtype=np.float64)
+            flat = np.concatenate([part.ravel() for _, part in floats], dtype=np.float64)
         keys, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-        float_cells = np.array(repr(keys.view(np.float64).tolist())[1:-1].split(", "), dtype=object)[inverse]
-    cells = np.full((hi - lo, width), "", dtype=object)
-    col = start = 0  # the group's first column, and its first cell in float_cells
-    for (names, _), part in zip(groups, parts):
-        if _is_float(part):
-            texts, start = float_cells[start:start + part.size], start + part.size
-        elif isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC:
-            texts = repr(part.ravel().tolist())[1:-1].split(", ") if part.size else []
-        else:
-            texts = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
-            _check_cells(f"column {names[0]!r}", texts, lone)
-        cells[:len(part), col:col + len(names)] = np.asarray(texts, dtype=object).reshape(len(part), len(names))
-        col += len(names)
-    return cells
+        inverse += len(texts)
+        start = 0
+        for cols, part in floats:
+            codes[:len(part), cols] = inverse[start:start + part.size].reshape(part.shape)
+            start += part.size
+        del flat, inverse  # the texts made next are the block's peak
+        texts += map(repr, keys.view(np.float64).tolist())
+    texts.append("")
+    return np.array(texts, dtype=object)[codes]
 
 
 def _check_cells(where: str, cells: list, lone: bool) -> None:

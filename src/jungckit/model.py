@@ -305,7 +305,12 @@ class Schedule:
             raw = 1.0 / (n + self.k)
         elif self.form == "inv-pow":
             # numpy's power differs from libm's pow in the last bit on some values
-            raw = np.array([_inv_pow(self, i) for i in range(n.size)], dtype=float)
+            try:
+                raw = np.array([1.0 / float(i) ** self.p for i in range(self.k, self.k + n.size)], dtype=float)
+            except (OverflowError, ZeroDivisionError):
+                for i in range(n.size):
+                    _inv_pow(self, i)  # raises the typed error at the first n that fails
+                raise
         else:
             if n.size > len(self.values):
                 raise IndexOutOfRangeError(

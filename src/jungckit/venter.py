@@ -14,6 +14,7 @@ with the horizon they were computed at.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -99,11 +100,16 @@ def venter_run(cfg: VenterConfig) -> VenterTrace:
             n_bad = int(np.argmax(bad))
             raise ScheduleViolationError(f"{name}_n = {vals[n_bad]} at n={n_bad} is not admissible")
 
-    x = np.empty(n_steps + 1)
-    x[0] = cfg.x0
+    # The recursion runs on Python floats, which overflow to inf without a
+    # warning: a memoryview yields them one at a time, and an array("d")
+    # keeps each iterate in 8 bytes.
+    xn, sigma = float(cfg.x0), float(cfg.sigma)
+    x = array("d", [xn])
+    for c, w in zip(memoryview(1.0 - alpha + gamma), memoryview(omega)):
+        xn = c * xn + w + sigma
+        x.append(xn)
+    x = np.frombuffer(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            x[n + 1] = (1.0 - alpha[n] + gamma[n]) * x[n] + omega[n] + cfg.sigma
         xs = x[:-1]
         trace = VenterTrace(
             x=x,
@@ -151,10 +157,10 @@ def verify_property_i(trace: VenterTrace, cfg: VenterConfig, eps: float) -> Verd
     if cfg.sigma != 0 or np.any(trace.gamma_vals != 0):
         raise HypothesisViolatedError("needs sigma = 0 and gamma = 0")
     k = trace.k_hat_final
-    # Horner evaluation of sum_i K^{N-1-i} * (omega_i - (K + alpha_i - 1) x_i)
+    # Horner evaluation of sum_i K^{N-1-i} * (omega_i - (K + alpha_i - 1) x_i), on Python floats
     r = 0.0
-    for n in range(trace.steps):
-        r = k * r + (trace.omega_vals[n] - (k + trace.alpha_vals[n] - 1.0) * trace.x[n])
+    for term in memoryview(trace.omega_vals - (k + trace.alpha_vals - 1.0) * trace.x[:-1]):
+        r = k * r + term
     expansion_residual = float(trace.x[-1] - k ** trace.steps * trace.x[0] - r)
     final = float(trace.x[-1])
     return Verdict(

@@ -7,6 +7,7 @@ import math
 import operator
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, strategies as st
 
-from jungckit import engine, venter
+from jungckit import GatePolicy, Schedule, engine, venter
 from jungckit.aitken import accelerate_sequence
 from jungckit.cli import (
     BLOCK_CELLS,
@@ -797,6 +798,77 @@ class TestWriterMatchesCsvModule:
         for values in (np.zeros((2, 2, 2)), np.array([["a", "b"]])):
             with pytest.raises(ValueError, match="expected a 1-D column or a 2-D array of numbers"):
                 write_csv([("x", values)], tmp_path / "trace.csv")
+
+
+def jungck_columns(rng: np.random.Generator, d: int = 20, rows: int = 1000) -> list:
+    """A jungck trace's columns: corrected columns and gates end two rows early,
+    the identity residual one row early, and gated-off corrected cells repeat
+    their raw ones."""
+    decay = 0.97 ** np.arange(rows)[:, None]
+    z, y = rng.normal(size=(1, d)) * decay, rng.normal(size=(1, d)) * decay
+    sz, sy = 1.03 * z, 1.03 * y
+    gz, gy = rng.integers(0, 2, size=(rows - 2, d)), rng.integers(0, 2, size=(rows - 2, d))
+    asz = np.where(gz == 1, np.round(sz[:-2], 3), sz[:-2])
+    asy = np.where(gy == 1, 0.0, sy[:-2])
+    residual = np.where(rng.random(rows - 1) < 0.5, 0.0, rng.random(rows - 1) * 1e-16)
+    return [("n", range(rows)), ("z", z), ("y", y), ("Sz", sz), ("Sy", sy), ("ASz", asz), ("ASy", asy),
+            ("gate_z", gz), ("gate_y", gy), ("identity_residual", residual)]
+
+
+def aitken_columns(rng: np.random.Generator, d: int = 50, rows: int = 3000) -> list:
+    """An aitken-only trace: a geometric sequence, its corrected terms (the limit,
+    repeated) and integer gates."""
+    values = (rng.uniform(-5, 5, size=d) + rng.uniform(-2, 2, size=d)
+              * rng.uniform(0.1, 0.8, size=d) ** np.arange(rows)[:, None])
+    accel, gates = accelerate_sequence(values, GatePolicy.threshold(1e-12), 1e-12)
+    return [("n", range(rows)), ("x", values), ("Ax", accel), ("gate", gates)]
+
+
+def venter_columns(steps: int = 20_000) -> list:
+    """A venter trace: a ``range`` column, per-step columns one row short and
+    all-zero gamma and omega columns."""
+    trace = venter.venter_run(venter.VenterConfig(alpha=Schedule.inv_pow(k=3, p=0.7),
+                                                  gamma=Schedule.constant(0.0), omega=Schedule.constant(0.0),
+                                                  steps=steps))
+    return [("n", range(trace.steps + 1)), ("x", trace.x), ("k_hat", trace.k_hat),
+            ("alpha", trace.alpha_vals), ("gamma", trace.gamma_vals), ("omega", trace.omega_vals),
+            ("sum_alpha_x", trace.sum_alpha_x), ("sum_gamma_x", trace.sum_gamma_x),
+            ("sum_omega", trace.sum_omega), ("sum_x", trace.sum_x)]
+
+
+class TestWriterAtBenchmarkShapes:
+    """Many-block tables at the shapes of the long generated traces: jungck
+    d=20 with 1000 rows, aitken-only d=50 with 3000 rows, venter with 20001."""
+
+    @pytest.mark.parametrize("build", [lambda: jungck_columns(np.random.default_rng(3)),
+                                       lambda: aitken_columns(np.random.default_rng(4)),
+                                       venter_columns], ids=["jungck", "aitken", "venter"])
+    def test_bytes_match_the_csv_module(self, tmp_path, build):
+        columns = build()
+        width = sum(v.shape[1] if getattr(v, "ndim", 1) == 2 else 1 for _, v in columns)
+        assert max(len(v) for _, v in columns) > 10 * max(1, BLOCK_CELLS // width)  # many blocks
+        write_csv(columns, tmp_path / "got.csv")
+        ref_write_csv(columns, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        # 162 float columns, as wide as a d=20 jungck trace; the peak is one
+        # block's codes and texts, whatever the number of rows.  The floats
+        # come from a pool of 256, since every traced repr slows the run.
+        pool = np.random.default_rng(5).normal(size=256)
+
+        def peak(rows: int) -> int:
+            rng = np.random.default_rng(rows)
+            columns = [("n", range(rows)), ("v", rng.choice(pool, size=(rows, 160))), ("r", rng.choice(pool, rows))]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_csv(columns, tmp_path / "trace.csv")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) <= 1.1 * peak(1000)
 
 
 # ---------------------------------------------------------------------------

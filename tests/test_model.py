@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import math
 import re
 
 import numpy as np
@@ -378,6 +379,22 @@ class TestSchedule:
         # (n + k)^400 overflows once n + k > 5; (n + k)^-2000 underflows to 0 and 1/0 fails
         with pytest.raises(ScheduleViolationError, match=rf"n={n} \(k=2, p={p!r}\)"):
             Schedule.inv_pow(k=2, p=p).array(n + 1)
+
+    @fixed_or_fresh(200)
+    @given(st.integers(1, 10**6), st.floats(-400.0, 400.0), st.integers(0, 300))
+    @example(2, 400.0, 10)     # 6^400 overflows at n=4
+    @example(2, -2000.0, 3)    # 2^-2000 underflows to 0 at n=0
+    @example(40, -200.0, 10)   # 42^-200 underflows to 0 at n=2
+    @example(2, 1023.5, 5)     # 3^1023.5 overflows at n=1
+    def test_inv_pow_array_is_inv_pow_bit_for_bit(self, k, p, count):
+        sched = Schedule.inv_pow(k=k, p=p, clamp=(0.0, math.inf))  # nothing is clamped
+        try:
+            expected = [_inv_pow(sched, n) for n in range(count)]
+        except ScheduleViolationError as exc:
+            with pytest.raises(ScheduleViolationError, match=f"^{re.escape(str(exc))}$"):
+                sched.array(count)
+            return
+        assert sched.array(count).tobytes() == np.array(expected, dtype=float).tobytes()
 
     @given(schedules(), st.integers(0, 60))
     @example(Schedule.constant(-1.0, clamp=(0.0, -0.0)), 2)  # the clamped value keeps hi's sign

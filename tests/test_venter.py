@@ -1,6 +1,7 @@
 """The damped scalar recursion and its verdicts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from jungckit import (
     verify_property_iv,
     verify_summability,
 )
+from jungckit.model import SCHEDULE_FORMS
+from jungckit.venter import VenterTrace
+
+from conftest import fixed_or_fresh
 
 ZERO = Schedule.constant(0.0, clamp=(0.0, math.inf))
 
@@ -185,3 +190,111 @@ class TestPropertyIV:
         assert verdict.passed
         assert verdict.value == 10.0
         assert verdict.threshold == pytest.approx(10.0)
+
+
+# ---------------------------------------------------------------------------
+# the loops against the numpy-scalar loops they replaced
+
+
+def ref_venter_run(cfg):
+    """venter_run as it was: the recursion on numpy scalars, one array entry a step."""
+    n_steps = cfg.steps
+    alpha, gamma, omega = (s.array(n_steps) for s in (cfg.alpha, cfg.gamma, cfg.omega))
+    for name, vals, lo_open in (("alpha", alpha, True), ("gamma", gamma, False), ("omega", omega, False)):
+        bad = ((vals <= 0) | (vals > 1)) if lo_open else vals < 0
+        if bad.any():
+            n_bad = int(np.argmax(bad))
+            raise ScheduleViolationError(f"{name}_n = {vals[n_bad]} at n={n_bad} is not admissible")
+    x = np.empty(n_steps + 1)
+    x[0] = cfg.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            x[n + 1] = (1.0 - alpha[n] + gamma[n]) * x[n] + omega[n] + cfg.sigma
+        xs = x[:-1]
+        trace = VenterTrace(x=x, k_hat=np.cumsum(1.0 - alpha) / np.arange(1, n_steps + 1),
+                            alpha_vals=alpha, gamma_vals=gamma, omega_vals=omega,
+                            sum_alpha_x=np.cumsum(alpha * xs), sum_gamma_x=np.cumsum(gamma * xs),
+                            sum_omega=np.cumsum(omega), sum_x=np.cumsum(x), sigma=cfg.sigma)
+    for name in ("x", "sum_alpha_x", "sum_gamma_x", "sum_omega", "sum_x"):
+        finite = np.isfinite(getattr(trace, name))
+        if not finite.all():
+            raise NonFiniteError(f"venter recursion overflowed: {name} is non-finite from n={int(np.argmin(finite))}")
+    return trace
+
+
+def ref_expansion(trace):
+    """verify_property_i's Horner loop as it was, on numpy scalars:
+    (expansion_residual, expansion_remainder)."""
+    k = trace.k_hat_final
+    r = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(trace.steps):
+            r = k * r + (trace.omega_vals[n] - (k + trace.alpha_vals[n] - 1.0) * trace.x[n])
+        return float(trace.x[-1] - k ** trace.steps * trace.x[0] - r), float(r)
+
+
+TRACE_ARRAYS = ("x", "k_hat", "alpha_vals", "gamma_vals", "omega_vals",
+                "sum_alpha_x", "sum_gamma_x", "sum_omega", "sum_x")
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@st.composite
+def any_schedule(draw, clamp, steps):
+    """A schedule of any form; a list has ``steps`` values, so that it reaches the horizon."""
+    form = draw(st.sampled_from(SCHEDULE_FORMS))
+    lo, hi = clamp
+    if form == "constant":
+        return Schedule.constant(draw(st.floats(lo, min(hi, 3.0))), clamp=clamp)
+    if form == "list":
+        return Schedule.from_values(draw(st.lists(st.floats(lo, min(hi, 3.0)), min_size=steps, max_size=steps)),
+                                    clamp=clamp)
+    return Schedule(form=form, k=draw(st.integers(1, 50)), p=draw(st.floats(-3.0, 3.0)), clamp=clamp)
+
+
+@st.composite
+def venter_configs(draw):
+    """Configs over every schedule form, undriven or driven (sigma > 0, gamma > 0)."""
+    steps = draw(st.integers(1, 300))
+    nonneg = (0.0, math.inf)
+    driven = draw(st.booleans())
+    return config(draw(any_schedule((0.0, 1.0), steps)),
+                  gamma=draw(any_schedule(nonneg, steps)) if driven else ZERO,
+                  omega=draw(st.just(ZERO) | any_schedule(nonneg, steps)),
+                  sigma=draw(st.floats(0.0, 5.0, exclude_min=True)) if driven else 0.0,
+                  x0=draw(st.floats(0.0, 100.0)), steps=steps)
+
+
+class TestLoopsMatchNumpyScalarReference:
+    @fixed_or_fresh(150)
+    @given(venter_configs())
+    def test_trace_and_expansion_residual_are_bit_identical(self, cfg):
+        try:
+            want = ref_venter_run(cfg)
+        except (ScheduleViolationError, NonFiniteError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                venter_run(cfg)
+            return
+        got = venter_run(cfg)
+        for name in TRACE_ARRAYS:
+            assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+        if cfg.sigma == 0 and not want.gamma_vals.any():
+            info = verify_property_i(got, cfg, eps=1e-3).info
+            assert (bits(info["expansion_residual"]), bits(info["expansion_remainder"])) == tuple(
+                map(bits, ref_expansion(want)))
+
+    def test_overflow_raises_the_same_error(self):
+        cfg = config(Schedule.inv(k=2), gamma=Schedule.constant(0.5, clamp=(0.0, math.inf)), steps=2000)
+        with pytest.raises(NonFiniteError) as want:
+            ref_venter_run(cfg)
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(want.value))}$"):
+            venter_run(cfg)
+
+    def test_a_long_inv_pow_decay(self):
+        cfg = config(Schedule.inv_pow(k=3, p=0.7), steps=20_000)
+        got, want = venter_run(cfg), ref_venter_run(cfg)
+        assert all(bits(getattr(got, name)) == bits(getattr(want, name)) for name in TRACE_ARRAYS)
+        info = verify_property_i(got, cfg, eps=1e-3).info
+        assert bits(info["expansion_residual"]) == bits(ref_expansion(want)[0])
