@@ -316,6 +316,24 @@ def _parse_venter(node: dict) -> VenterScenario:
     return VenterScenario(cfg=cfg, eps=eps)
 
 
+def geometric_terms(limit: np.ndarray, coeff: np.ndarray, ratio: np.ndarray, length: int) -> np.ndarray:
+    """Rows ``limit + coeff * ratio ** n`` for n = 0..length-1 (length >= 3),
+    bit for bit as ``ratio ** n`` gives them one row at a time.
+
+    One broadcast ``np.power`` takes every row from n = 3 on: it runs the C
+    ``pow`` on each element, as ``ratio ** n`` does for those n.  Rows 0, 1
+    and 2 keep the fast paths of ``ratio ** n`` (ones, a copy, a square);
+    ``pow(r, 2.0)`` can differ from ``r * r`` in the last bit.
+    """
+    powers = np.power(ratio, np.arange(length, dtype=float)[:, None])
+    for n in range(3):
+        powers[n] = ratio ** n
+    # in place, with the roundings of limit + coeff * powers: no full-size temporaries
+    powers *= coeff
+    powers += limit
+    return powers
+
+
 def _parse_aitken(node: dict) -> AitkenScenario:
     where = "aitken"
     _check_keys(node, {"sequence", "gate", "floor_scale"}, where)
@@ -343,7 +361,7 @@ def _parse_aitken(node: dict) -> AitkenScenario:
             )
         d = max(limit.size, coeff.size, ratio.size)
         limit, coeff, ratio = (np.broadcast_to(v, (d,)).astype(float) for v in (limit, coeff, ratio))
-        values = np.array([limit + coeff * ratio ** n for n in range(length)])
+        values = geometric_terms(limit, coeff, ratio, length)
         geometric_limit = limit
     elif kind == "values":
         _check_keys(seq_node, {"kind", "values"}, f"{where}.sequence")
@@ -437,7 +455,8 @@ def write_csv(columns, path: Path) -> None:
     by ``np.unique``, and each distinct value becomes text once, through the
     ``repr`` of its Python scalar, which writes it as ``str`` does.  The float
     arrays of a block share one ``np.unique``, so a float is written once
-    however many columns hold it.  Other cells go through ``str`` one by one.
+    however many columns hold it.  Other cells, floats wider than 8 bytes
+    included, go through ``str`` one by one.
     Nothing is quoted: a name, or a cell of a column that does not hold
     numbers, that holds a comma, a quote or a line break raises
     ``ValueError``, as does an empty cell in a one-column table (it would
@@ -468,7 +487,7 @@ def write_csv(columns, path: Path) -> None:
                 groups, lo, min(lo + step, n_rows), len(header), lone).tolist())))
 
 
-_NUMERIC = "biuf"  # dtype kinds whose Python scalars repr as str writes them
+_NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes are written by str
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -498,6 +517,11 @@ def _block_cells(groups: list, lo: int, hi: int, width: int, lone: bool) -> np.n
         part = part.reshape(len(part), len(names))
         if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
             floats.append((cols, part))
+        elif part.dtype.kind == "f":
+            # a wider float: its scalar's repr is np.longdouble('...'), and np.unique
+            # would merge 0.0 with -0.0, so each cell is written by str on its own
+            codes[:len(part), cols] = np.arange(len(texts), len(texts) + part.size).reshape(part.shape)
+            texts += map(str, part.ravel().tolist())
         else:
             keys, inverse = np.unique(part, return_inverse=True)
             codes[:len(part), cols] = inverse.reshape(part.shape) + len(texts)
@@ -593,8 +617,9 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
             report.add("INFO", f"certificates skipped: schedules not evaluable through horizon {horizon}")
             sreport = None
         if sreport is not None:
-            report.add("INFO", f"certificate constants: read {sreport.constants.powers_read} "
-                               f"of {horizon + 1} powers of t")
+            constants = sreport.constants
+            report.add("INFO", f"certificate constants: formed {constants.powers_read} of {horizon + 1} "
+                               f"powers of t, ran {constants.svds_run} SVDs")
             for name, res in sreport.properties.items():
                 report.add("INFO", f"certificate {name}: applies={res.applies} margin={res.margin:.6g}")
             report.add("INFO", f"certificate prediction: {sreport.predicted} (horizon {sreport.horizon})")

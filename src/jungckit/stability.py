@@ -18,22 +18,36 @@ import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
 from .errors import NonFiniteError, TraceMismatchError
-from .model import IterationTrace, OperatorPair, Schedule, safe_row_norms
+from .model import IterationTrace, Operator, OperatorPair, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
 CROSS_VALIDATE_SLACK = 1e-6
 #: absolute slack for norm bounds: below the smallest normal float an iterate
 #: is rounding noise a few subnormal steps wide, so no relative bound holds there
 NORM_FLOOR = float(np.finfo(float).tiny)
-#: relative slack on the early-exit cap of ``compute_constants``; see there
+#: relative slack on the cap of ``compute_constants``; see there
 EXIT_SLACK = 1e-6
+#: relative slack of the bound ||t||^n, per power of t and per d^2 eps; see ``_power_bounds``
+POWER_SLACK = 32.0
 
 
-def _norm_blocks(pair: OperatorPair, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(n, norms)``: spectral norms of t^n, t^(n+1), ... one block of
-    ``matrix_power_blocks`` at a time, up to t^horizon.  Raises
-    ``NonFiniteError`` in place of the block that holds the first overflowed
-    power, after yielding the finite powers before it.
+def _power_blocks(t: Operator, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(n, block)``: the blocks of ``matrix_power_blocks``, t^n first,
+    cut off after t^horizon.  Raises ``NonFiniteError`` in place of the block
+    that holds the first overflowed power, after yielding the finite powers
+    before it."""
+    n = 0
+    for block in matrix_power_blocks(t):
+        block = block[:horizon + 1 - n]
+        yield n, block
+        n += len(block)
+        if n > horizon:
+            return
+
+
+def _norms(pair: OperatorPair, index: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, int]:
+    """Spectral norms of the computed powers ``powers[j]`` = t^index[j]
+    (``index`` ascending), and how many SVDs they took.
 
     Two norms are known without an SVD, with the bits an SVD would give:
     ||t^0|| = ||I|| = 1, since the Householder reduction of I reflects
@@ -41,36 +55,88 @@ def _norm_blocks(pair: OperatorPair, horizon: int) -> Iterator[tuple[int, np.nda
     the SVD of ``t`` itself, whenever the computed t^1 = t @ I is ``t`` bit
     for bit (the product turns a -0.0 entry into +0.0, and the SVD of such
     a matrix can differ in the last bit, so then t^1 is SVD'd).  The other
-    powers of a block go through one stacked SVD, which treats each matrix
-    on its own.
+    powers go through one stacked SVD, which treats each matrix on its own.
     """
-    n = 0
-    for block in matrix_power_blocks(pair.t):
-        block = block[:horizon + 1 - n]
-        if n == 0:
-            norms = np.ones(len(block))
-        else:
-            known = int(n == 1 and np.array_equal(block[0].view(np.uint64), pair.t.matrix.view(np.uint64)))
-            norms = np.empty(len(block))
-            norms[:known] = pair.t_norm
-            if known < len(block):
-                # singular values come largest first
-                norms[known:] = np.linalg.svd(block[known:], compute_uv=False)[:, 0]
-        yield n, norms
-        n += len(block)
-        if n > horizon:
-            return
+    norms = np.empty(len(index))
+    known = 0  # t^0 and t^1, when asked for, come first
+    if known < len(index) and index[known] == 0:
+        norms[known] = 1.0
+        known += 1
+    if (known < len(index) and index[known] == 1
+            and np.array_equal(powers[known].view(np.uint64), pair.t.matrix.view(np.uint64))):
+        norms[known] = pair.t_norm
+        known += 1
+    if known < len(index):
+        # singular values come largest first
+        norms[known:] = np.linalg.svd(powers[known:], compute_uv=False)[:, 0]
+    return norms, len(index) - known
 
 
 def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     """Spectral norms of t^n for n = 0..horizon (inf once a power overflows)."""
     norms = np.full(horizon + 1, math.inf)
     try:
-        for n, block in _norm_blocks(cfg.pair, horizon):
-            norms[n:n + len(block)] = block
+        for n, block in _power_blocks(cfg.pair.t, horizon):
+            norms[n:n + len(block)] = _norms(cfg.pair, np.arange(n, n + len(block)), block)[0]
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
     return norms
+
+
+def _power_bounds(pair: OperatorPair, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bound, excess)`` for n = 0..horizon: ``bound[n]`` is at least the
+    SVD norm of the computed t^n, and ``excess[n] = bound[n] - ||t||^n``.
+
+    The bound is ``||t||^n (1 + POWER_SLACK (n + 1) d^2 eps) + 2 (n + 1) d^2
+    NORM_FLOOR``, with ``||t||`` the cached ``pair.t_norm``; see
+    ``compute_constants`` for why it holds.  It is inf where the relative
+    slack passes 1, and where 2 d times it passes the largest float, since
+    there a sum inside the product T @ T^(n-1) could overflow.
+    """
+    d = pair.dim
+    t_norm = pair.t_norm
+    n1 = np.arange(1.0, horizon + 2.0)  # n + 1
+    rel = (POWER_SLACK * d * d * float(np.finfo(float).eps)) * n1
+    # a power below NORM_FLOOR counts as 0, which the floor term covers (pow is slow on subnormals)
+    count = horizon + 1
+    if 0.0 < t_norm < 1.0:
+        count = min(count, int(math.log(NORM_FLOOR) / math.log(t_norm)) + 2)
+    power = np.zeros(horizon + 1)
+    with np.errstate(over="ignore"):
+        np.power(t_norm, n1[:count] - 1.0, out=power[:count])
+        excess = power * rel + (2.0 * d * d * NORM_FLOOR) * n1
+        bound = power + excess
+    if rel[-1] > 1.0 or t_norm > 1.0:
+        bound[(rel > 1.0) | (bound > float(np.finfo(float).max) / (2 * d))] = math.inf
+    return bound, excess
+
+
+def _seeds(pair: OperatorPair, weights: np.ndarray, wb: np.ndarray, excess: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lower bounds on the full stream's maxima of ``weights * norms``, one
+    per row, from the power where the row's bound ``wb`` peaks; and how many
+    SVDs they took.
+
+    At that power n, X = t^n is formed by repeated squaring, off the stream,
+    and the computed t^n of the stream has an SVD norm of at least
+    ||X|| - 2 excess[n] (see ``compute_constants``).  A seed costs one SVD,
+    and it can only spare the SVDs of t^2 .. t^(n-1) (t^0 and t^1 need
+    none), so a row is seeded only when n >= 4.  A row with no seed gets 0.
+    """
+    seeds = np.zeros(len(weights))
+    svds = 0
+    targets = wb.argmax(axis=1)
+    for n in sorted(set(targets.tolist())):
+        if n < 4 or not math.isfinite(wb[:, n].max()):
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.linalg.matrix_power(pair.t.matrix, n)
+        if not np.isfinite(x).all():
+            continue
+        low = float(np.linalg.svd(x[None], compute_uv=False)[0, 0]) - 2.0 * float(excess[n])
+        svds += 1
+        rows = targets == n
+        seeds[rows] = weights[rows, n] * max(low, 0.0)
+    return seeds, svds
 
 
 @dataclass(frozen=True)
@@ -80,8 +146,8 @@ class StabilityConstants:
     k1, k2 cap |a_n|*||t^n|| and |b_n|*||t^n|| over the tail; k1p, k2p cap
     |1-a_n|*||t^n|| and |1-b_n|.  m_bound caps the per-step y-vs-z
     amplification over the whole horizon.  powers_read counts the powers
-    of t whose norms the constants took (at most horizon + 1), t^0 and t^1
-    included, though their norms need no SVD; it takes no part in equality.
+    of t the constants formed (at most horizon + 1), t^0 and t^1 included,
+    and svds_run the SVDs they took; neither takes part in equality.
     """
 
     k1: float
@@ -92,6 +158,7 @@ class StabilityConstants:
     horizon: int
     tail_start: int
     powers_read: int = field(default=0, compare=False)
+    svds_run: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.tail_start < self.horizon):
@@ -106,20 +173,43 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     first step, which is what the soundness sweeps rely on.  A power whose
     weight is 0 adds 0, also when its norm is inf.
 
-    The maxima are folded block by block while the powers are produced, and
-    the stream stops as soon as no later power can raise any of them, so
-    the constants are those of the full stream, bit for bit.  The norms of
-    t^0 (1) and t^1 (``pair.t_norm``) come without an SVD, with the SVD's
-    bits (see ``_norm_blocks``), so a d = 300 map that stops after t^2
-    runs one 300x300 SVD.
+    The constants are those of the full stream of powers, bit for bit, but
+    the stream stops as soon as no later power can raise a maximum, and a
+    power's SVD is skipped when its norm cannot raise one.  Both rest on
+    an upper bound B_n on the SVD norm of the computed t^n, weighted:
+    w_n B_n for each of k1, k2 and k1p (w = |a|, |b|, |1-a|, 0 before
+    tail_start).  Power n is SVD'd only when, for some constant, w_n B_n is
+    above the maximum so far and not below that constant's seed (a lower
+    bound on its final maximum, below), or when B_n is above the largest
+    norm taken so far (which keeps the cap's G exact, below).  After each
+    block that took a norm, one scan of the rest of the horizon finds the
+    next power that needs one, or stops the stream when no later power can
+    raise a maximum.  t^0 and t^1 need no
+    SVD (see ``_norms``), so a contractive d = 300 map whose maxima sit at
+    t^0 forms t^0 alone and runs no SVD, and a map with ||t|| just below 1
+    whose k2 peaks at the horizon forms every power but SVDs only the seed's
+    X and the few powers next to the peak.
 
-    The exit rests on submultiplicativity: once c = ||t^m|| < 1, every
-    n >= m is qm + r with q >= 1 and r < m, so ||t^n|| <= c * G with
-    G = max_{r<m} ||t^r|| (G >= ||t^0|| = 1).  The smallest such c * G
-    seen so far caps every later power; the stream stops after power n
-    when, for each of k1, k2 and k1p, the largest weight from n + 1 on is
-    0, or times the cap times (1 + EXIT_SLACK) stays below the maximum so
-    far.
+    B_n is the smaller of two bounds.  The first is ``||t||^n`` widened for
+    rounding (``_power_bounds``): with u = eps/2, each product T @ P is off
+    by at most d u |T||P| + d NORM_FLOOR per entry, so by d^2 u ||T|| ||P||
+    + d^2 NORM_FLOOR in norm; the SVD of a matrix is exact for one within
+    c d^2 u of it in relative norm; so the SVD norm of the computed t^n is
+    at most ||t||^n (1 + (1 + 2c) d^2 u)^n (1 + c d^2 u) + about
+    2 (n + 1) d^2 NORM_FLOOR.  POWER_SLACK = 32 covers that for c up to 15,
+    with the roundings of the bound itself, while the slack stays below 1.
+    Each seed takes X = t^n by repeated squaring at the power n where
+    w_n B_n peaks; any product tree of n factors of t stays as close to the
+    exact T^n as the stream does, so the stream's computed t^n has an SVD
+    norm of at least ||X|| - 2 (B_n - ||t||^n), and w_n times that is a
+    lower bound on the final maximum.
+
+    The second bound is the cap.  Once c = ||t^m|| < 1, every n >= m is
+    qm + r with q >= 1 and r < m, so ||t^n|| <= c * G with
+    G = max_{r<m} ||t^r|| (G >= ||t^0|| = 1).  The smallest such c * G over
+    the SVD'd powers, times (1 + EXIT_SLACK), caps every later power.  A
+    power skipped for the cap's sake has B_n at most the largest norm
+    taken before it, so G over the taken norms is the G of the full stream.
 
     EXIT_SLACK covers rounding because the cap comes from computed norms
     of computed powers.  The SVD returns each norm to a relative error of a
@@ -131,54 +221,91 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     half of EXIT_SLACK*c*G; for the maps certified here it is orders of
     magnitude smaller (about 2e-8 of c*G at d = 300, horizon 300,
     ||t|| < 1 and c = ||t||).
+
+    The CLI's report states ``powers_read`` (powers formed) and
+    ``svds_run``.
     """
     if horizon < tail_start + 10:
         raise ValueError("horizon must be at least tail_start + 10")
+    pair = cfg.pair
     a = cfg.a.array(horizon + 1)
     b = cfg.b.array(horizon + 1)
-    mu_inv = 1.0 / cfg.pair.s_min_modulus
-    s_norm = cfg.pair.s_norm
+    mu_inv = 1.0 / pair.s_min_modulus
+    s_norm = pair.s_norm
 
     # rows: the weights of k1, k2 and k1p, zero before the tail
     weights = np.abs(np.stack([a, b, 1.0 - a]))
     weights[:, :tail_start] = 0.0
-    # rest[:, n]: the largest weight at n or later (0 past the horizon)
-    rest = np.zeros((3, horizon + 2))
-    rest[:, :-1] = np.maximum.accumulate(weights[:, ::-1], axis=1)[:, ::-1]
+    bound, excess = _power_bounds(pair, horizon)
+    with np.errstate(over="ignore"):  # a product past the float range is inf
+        # a zero weight prunes its power: 0, not 0 * inf = nan (an inf bound can only come last)
+        wb = weights * bound if bound[-1] < math.inf else np.multiply(
+            weights, bound, out=np.zeros(weights.shape), where=weights > 0)
+    seeds, svds = _seeds(pair, weights, wb, excess)
     # the cap's rounding excess, over G, is at most excess_t * G + excess_0
-    excess_t = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).eps * cfg.pair.t_norm
+    excess_t = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).eps * pair.t_norm
     excess_0 = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).smallest_subnormal
 
     peaks = np.zeros(3)
-    cap = math.inf
-    g = 0.0  # the largest norm read so far
+    lows = np.nextafter(seeds, -math.inf)[:, None]
+    # min(w_n B_n, w_n cap) raises a maximum when it is above the maximum so far and not below the seed
+    above = np.maximum(peaks[:, None], lows)
+    capped = math.inf  # the cap times (1 + EXIT_SLACK)
+    g = 0.0  # the largest norm taken so far
+
+    def plan(lo: int) -> Optional[np.ndarray]:
+        """The powers from t^lo on that need a norm, as things stand: those
+        that can raise a maximum, and those whose bound is above every norm
+        taken so far.  None when none of them can raise a maximum."""
+        raises = wb[:, lo:] > above
+        if capped < math.inf:
+            with np.errstate(over="ignore"):
+                raises &= weights[:, lo:] * capped > above
+        raises = raises.any(axis=0)
+        if not raises.any():
+            return None
+        # min(B_n, cap) above every norm taken so far
+        return raises | (bound[lo:] > g) if capped > g else raises
+
+    # some power is needed: |a| + |1-a| >= 1, so a weight is positive from tail_start on
+    take = plan(0)
+    start = 0  # take[j] is about t^(start + j)
+    first = int(take.argmax())  # the first power that needs a norm
     read = 0
     try:
-        for n, norms in _norm_blocks(cfg.pair, horizon):
-            read = n + len(norms)
-            w = weights[:, n:read]
-            running = np.maximum.accumulate(np.concatenate(([g], norms)))
-            before, g = running[:-1], running[-1]  # before[j]: G for power n + j
+        for n, block in _power_blocks(pair.t, horizon):
+            read = n + len(block)
+            if read <= first:
+                continue
+            here = take[n - start:read - start]
+            index = np.flatnonzero(here) + n
+            norms, count = _norms(pair, index, block[here])
+            svds += count
+            w = weights[:, index]
             # a product past the float range is inf: a constant of inf, an excess that is not usable
             with np.errstate(over="ignore"):
-                # a zero weight prunes its power: 0, not 0 * inf = nan
                 products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
+                running = np.maximum.accumulate(np.concatenate(([g], norms)))
+                before, g = running[:-1], float(running[-1])  # before[j]: G for the j-th norm
                 usable = (norms < 1.0) & (excess_t * before + excess_0 <= 0.5 * EXIT_SLACK * norms)
             peaks = np.maximum(peaks, products.max(axis=1))
+            above = np.maximum(peaks[:, None], lows)
             if usable.any():
-                cap = min(cap, float((norms[usable] * before[usable]).min()))
-            live = rest[:, read] > 0
-            if np.all(rest[live, read] * (cap * (1.0 + EXIT_SLACK)) < peaks[live]):
+                capped = min(capped, float((norms[usable] * before[usable]).min()) * (1.0 + EXIT_SLACK))
+            take = plan(read)
+            if take is None:
                 break
+            start = read
+            first = read + int(take.argmax())
     except NonFiniteError:
         # the overflowed power and every later one have norm inf
-        peaks = np.maximum(peaks, np.where(rest[:, read] > 0, math.inf, 0.0))
+        peaks = np.maximum(peaks, np.where(weights[:, read:].max(axis=1, initial=0.0) > 0, math.inf, 0.0))
     k1, k2, k1p = (float(p) for p in peaks)
     k2p = float(np.max(np.abs(1.0 - b[tail_start:])))
     m_bound = float(np.max(mu_inv * (np.abs(1.0 - b) * s_norm + np.abs(b))))
     return StabilityConstants(
         k1=k1, k2=k2, k1p=k1p, k2p=k2p, m_bound=m_bound,
-        horizon=horizon, tail_start=tail_start, powers_read=read,
+        horizon=horizon, tail_start=tail_start, powers_read=read, svds_run=svds,
     )
 
 

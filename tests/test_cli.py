@@ -22,6 +22,7 @@ from jungckit.cli import (
     BLOCK_CELLS,
     ConfigParseError,
     ConfigValidationError,
+    geometric_terms,
     main,
     parse_config_text,
     run_experiment,
@@ -255,6 +256,16 @@ aitken:
         assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 0
         assert "PASS geometric exactness" in (tmp_path / "report.txt").read_text()
 
+    @fixed_or_fresh(100)
+    @given(st.integers(1, 60), st.integers(3, 400), st.integers(0, 2**32 - 1), st.floats(0.0, 0.999))
+    def test_geometric_terms_match_the_per_row_powers(self, d, length, seed, top):
+        rng = np.random.default_rng(seed)
+        ratio = rng.uniform(-top, top, size=d)
+        ratio[rng.random(d) < 0.1] = rng.choice([0.0, -0.0, 0.5, 5e-324])  # exact and subnormal ratios
+        limit, coeff = rng.uniform(-5, 5, size=d), rng.uniform(-2, 2, size=d)
+        want = np.array([limit + coeff * ratio ** n for n in range(length)])
+        assert geometric_terms(limit, coeff, ratio, length).tobytes() == want.tobytes()
+
     def test_scan_scenario(self, tmp_path):
         cfg = parse_config_text(SCAN)
         assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 0
@@ -297,15 +308,21 @@ class TestMain:
         assert "solve accuracy" not in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("text,read", [
-        ((CONFIGS / "positivity_demo.yaml").read_text(), "read 3 of 201"),  # d = 2: blocks of 1 and 2 powers
+        # every maximum sits at t^0, and ||t|| < 1 bounds every later power below it
+        ((CONFIGS / "positivity_demo.yaml").read_text(), "formed 1 of 201 powers of t, ran 0 SVDs"),
         (MINIMAL_JUNGCK.replace("dim: 1,", "dim: 60,").replace("z0: [1.0]", f"z0: {[1.0] * 60}")
-         + "  stability: {horizon: 300}\n", "read 2 of 301"),  # t = 0.5 I stops after t^1
-    ], ids=["positivity-demo", "contractive-d60"])
+         + "  stability: {horizon: 300}\n", "formed 1 of 301 powers of t, ran 0 SVDs"),
+        # k2 = max (1 - 1/(n + 2)) ||t^n|| peaks at t^300: one SVD for its seed, one for t^300
+        (MINIMAL_JUNGCK.replace("t: {name: scale, dim: 1, value: 0.5}", "t: {matrix: [[0.9999999, 0.0], [0.0, 0.9999998]]}")
+         .replace("s: {name: scale, dim: 1,", "s: {name: scale, dim: 2,").replace("z0: [1.0]", "z0: [1.0, 1.0]")
+         .replace("b: {form: constant, value: 0.5}", "b: {form: one-minus-inv, k: 2}")
+         + "  stability: {horizon: 300}\n", "formed 301 of 301 powers of t, ran 2 SVDs"),
+    ], ids=["positivity-demo", "contractive-d60", "near-unit-d2"])
     def test_report_counts_the_powers_the_constants_read(self, tmp_path, text, read):
         out = tmp_path / "out"
         assert main(["--config", self.write(tmp_path, text), "--output", str(out), "--quiet"]) == 0
         lines = (out / "report.txt").read_text().splitlines()
-        assert [line for line in lines if "constants" in line] == [f"INFO certificate constants: {read} powers of t"]
+        assert [line for line in lines if "constants" in line] == [f"INFO certificate constants: {read}"]
 
     def test_steps_override(self, tmp_path):
         path = self.write(tmp_path, MINIMAL_JUNGCK)
@@ -793,6 +810,17 @@ class TestWriterMatchesCsvModule:
         cells = set(got.replace("\n", ",").split(","))
         assert {"0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "-1e-310", "0.1", "0.10000000149011612",
                 "1.401298464324817e-45"} <= cells
+
+    def test_a_float_wider_than_8_bytes_is_written_as_str_writes_it(self, tmp_path):
+        # a np.longdouble scalar reprs as np.longdouble('...'); 0.0 and -0.0 stay apart
+        wide = np.array([0.1, -0.0, 0.0, 1.0 / 3.0, math.inf, -math.inf, math.nan, 1e-5], dtype=np.longdouble)
+        columns = [("n", range(wide.size)), ("w", wide), ("w2", np.stack([wide[::-1], wide], axis=1)),
+                   ("x", wide.astype(float))]
+        write_csv(columns, tmp_path / "got.csv")
+        ref_write_csv(columns, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_text()
+        assert got == (tmp_path / "want.csv").read_text()
+        assert "longdouble" not in got and got.splitlines()[2].startswith(f"1,-0.0,{wide[6]},-0.0,")
 
     def test_other_shapes_are_refused(self, tmp_path):
         for values in (np.zeros((2, 2, 2)), np.array([["a", "b"]])):

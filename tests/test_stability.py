@@ -123,11 +123,20 @@ SCHEDULES = [Schedule.constant(0.0), Schedule.constant(1.0), Schedule.constant(0
              Schedule.one_minus_inv(k=3), Schedule.inv(k=2)]
 
 
+def near_unit(rng, d, kind):
+    """A symmetric or orthogonal d x d map with spectrum in (1 - 1e-6, 1 - 1e-7)."""
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    if kind == "symmetric":
+        return (q * rng.uniform(1.0 - 1e-6, 1.0 - 1e-7, size=d)) @ q.T
+    return q * rng.uniform(1.0 - 1e-6, 1.0 - 1e-7)
+
+
 @st.composite
 def constants_cases(draw):
-    """A map of dimension 1..50 of one of four kinds, schedules that include
+    """A map of dimension 1..50 of one of five kinds, schedules that include
     the zero and full blends, a tail start, and a horizon whose powers end on
-    a block boundary or inside a block (or at 40 when that is longer)."""
+    a block boundary or inside a block (or at 40 when that is longer).  A
+    near-unit map gets a one-minus-inv b, whose weighted norms peak late."""
     d = draw(st.integers(1, 50))
     k = block_len(d)
     tail_start = draw(st.sampled_from([0, 0, 1, 5, min(k, 100)]))
@@ -135,7 +144,7 @@ def constants_cases(draw):
     count = max(count, tail_start + 11, 40)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = np.linalg.qr(rng.normal(size=(d, d)))[0]
-    kind = draw(st.sampled_from(["contractive", "non-normal", "orthogonal", "overflowing"]))
+    kind = draw(st.sampled_from(["contractive", "non-normal", "orthogonal", "overflowing", "near-unit"]))
     if kind == "contractive":
         raw = rng.normal(size=(d, d))
         t = raw * (draw(st.floats(0.05, 0.99)) / np.linalg.norm(raw, 2))
@@ -148,14 +157,17 @@ def constants_cases(draw):
         t = q @ (upper + np.diag(rng.uniform(-0.95, 0.95, d))) @ q.T
     elif kind == "orthogonal":
         t = q  # every power has norm 1 up to rounding
+    elif kind == "near-unit":
+        t = near_unit(rng, d, draw(st.sampled_from(["symmetric", "orthogonal"])))
     else:
         # (c Q)^n has norm c^n, which first passes the largest float near the target power
         target = draw(st.sampled_from(sorted(n for n in {2, k - 1, k + 1, 2 * k - 1, count // 2} if n >= 2)))
         t = 2.0 ** (1024 / (target - 0.5)) * q
     s = rng.normal(size=(d, d)) + (d + 2) * np.eye(d)
+    a = draw(st.sampled_from(SCHEDULES))
+    b = Schedule.one_minus_inv(k=draw(st.integers(2, 8))) if kind == "near-unit" else draw(st.sampled_from(SCHEDULES))
     cfg = JungckConfig(pair=make_operator_pair(Operator.from_matrix(s), Operator.from_matrix(t)),
-                       a=draw(st.sampled_from(SCHEDULES)), b=draw(st.sampled_from(SCHEDULES)),
-                       z0=np.ones(d), steps=3)
+                       a=a, b=b, z0=np.ones(d), steps=3)
     return cfg, count - 1, tail_start
 
 
@@ -224,21 +236,69 @@ class TestEarlyExit:
         assert sum(drawn) == len(norms) == 301
         assert norms.tobytes() == reference_power_norms(cfg, 300).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_near_unit_d20_map_runs_few_svds(self, monkeypatch, seed):
+        # shaped like the generated jungck configs of the CLI benchmark: d = 20, horizon 1000,
+        # a symmetric t with spectrum in (1 - 1e-6, 1 - 1e-7), b = 1 - 1/(n + k); k2 peaks at t^1000
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+        s = (q * rng.uniform(1.02, 1.05, size=20)) @ q.T
+        cfg = linear_config(s, near_unit(rng, 20, "symmetric"), Schedule.constant(float(rng.uniform(0.3, 0.9))),
+                            Schedule.one_minus_inv(k=int(rng.integers(2, 8))), rng.normal(size=20), steps=1000)
+        seen = record_svd(monkeypatch)
+        c = compute_constants(cfg, horizon=1000)
+        assert len(seen) == c.svds_run <= 20 and c.powers_read == 1001
+        monkeypatch.undo()
+        assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 1000))
+
+
+# ---------------------------------------------------------------------------
+# the bound ||t||^n behind the early exit, against the SVD of every computed power
+
+
+BOUND_MAPS = {
+    "contractive-d5": lambda rng: random_map(5, 0.9, 1),
+    "contractive-d30": lambda rng: random_map(30, 0.97, 2),
+    # eigenvalues inside (-0.95, 0.95) and ||t|| about 14: the powers grow before they decay
+    "non-normal-d8": lambda rng: (lambda q, u: q @ (u + np.diag(rng.uniform(-0.95, 0.95, 8))) @ q.T)(
+        np.linalg.qr(rng.normal(size=(8, 8)))[0], np.triu(rng.normal(size=(8, 8)), 1) * 4.0),
+    "near-unit-d10": lambda rng: near_unit(rng, 10, "symmetric"),
+    "orthogonal-d6": lambda rng: np.linalg.qr(rng.normal(size=(6, 6)))[0],
+    # ||t|| = 0.05: the powers pass through the subnormal range and reach 0 within the horizon
+    "underflowing-d4": lambda rng: random_map(4, 0.05, 3),
+    "underflowing-d40": lambda rng: random_map(40, 0.05, 4),
+    # ||t^n|| = ||t||^n: the powers stay as large as the bound allows down into the subnormal range
+    "underflowing-orthogonal-d4": lambda rng: 0.05 * np.linalg.qr(rng.normal(size=(4, 4)))[0],
+    "underflowing-orthogonal-d5": lambda rng: 0.5 * np.linalg.qr(rng.normal(size=(5, 5)))[0],
+    "growing-d3": lambda rng: random_map(3, 1.5, 5),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BOUND_MAPS)
+def test_power_bound_holds_for_every_computed_power(name):
+    rng = np.random.default_rng(7)
+    cfg = edge_config(BOUND_MAPS[name](rng))
+    horizon = 1000
+    norms = reference_power_norms(cfg, horizon)
+    bound, excess = stability._power_bounds(cfg.pair, horizon)
+    assert np.all(bound >= norms)
+    # a seed at t^n (one row of weight 1, whose bound peaks there) is at most the stream's norm of t^n
+    weights = np.ones((1, horizon + 1))
+    for n in range(4, horizon + 1, 37):
+        peak = np.zeros((1, horizon + 1))
+        peak[0, n] = 1.0
+        assert stability._seeds(cfg.pair, weights, peak, excess)[0][0] <= norms[n], n
+
 
 # ---------------------------------------------------------------------------
 # the norms of t^0 and t^1, which the certificates take without an SVD
 
 
-def all_svd_norm_blocks(pair, horizon):
-    """``stability._norm_blocks`` as it was: one stacked SVD over every power
-    of a block, t^0 and t^1 included."""
-    n = 0
-    for block in engine.matrix_power_blocks(pair.t):
-        block = block[:horizon + 1 - n]
-        yield n, np.linalg.svd(block, compute_uv=False)[:, 0]
-        n += len(block)
-        if n > horizon:
-            return
+def all_svd_norms(pair, index, powers):
+    """``stability._norms`` without known norms: one stacked SVD over every
+    power, t^0 and t^1 included."""
+    return np.linalg.svd(powers, compute_uv=False)[:, 0], len(index)
 
 
 def record_svd(monkeypatch):
@@ -313,7 +373,7 @@ class TestKnownNorms:
         seen = record_svd(monkeypatch)
         c = compute_constants(cfg, horizon=300)
         norms = stability.power_norms(cfg, 300)
-        assert len(seen) == (c.powers_read - 2) + (len(norms) - 2)
+        assert len(seen) == c.svds_run + (len(norms) - 2)
         assert not any(np.array_equal(m, np.eye(d)) or np.array_equal(m, t) for m in seen)
         monkeypatch.undo()
         assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 300))
@@ -328,14 +388,18 @@ class TestKnownNorms:
                             np.ones(300), steps=3)
         seen = record_svd(monkeypatch)
         report = certify(cfg, horizon=300)
-        assert len(seen) <= 1 and report.constants.powers_read == len(seen) + 2
+        # every maximum sits at t^0: 0.6 * ||t|| < 0.6 and (1 - 1/4) * ||t|| < 1 - 1/3 bound the later powers
+        assert seen == [] and report.constants.svds_run == 0 and report.constants.powers_read == 1
+        monkeypatch.undo()
+        assert constant_bits(report.constants) == constant_bits(reference_compute_constants(cfg, 300))
 
     def test_a_stream_that_stops_after_t1_runs_no_svd(self, monkeypatch):
-        # one power per block: 0.5 * ||t|| * (1 + EXIT_SLACK) < 0.5 * ||t^0|| stops the stream after t^1
-        cfg = edge_config(random_map(40, 0.5, 4))
+        # one power per block, ||t|| = 0.8: (2/3) ||t|| > 1/2 raises k2 at t^1, and then
+        # (3/4) B_2 < (2/3) ||t||, and so on, so the stream stops after t^1
+        cfg = edge_config(random_map(40, 0.8, 4))
         seen = record_svd(monkeypatch)
         c = compute_constants(cfg, horizon=40)
-        assert seen == [] and c.powers_read == 2
+        assert seen == [] and c.svds_run == 0 and c.powers_read == 2
         monkeypatch.undo()
         assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 40))
 
@@ -347,7 +411,7 @@ class TestKnownNorms:
             assert stability.power_norms(cfg, horizon).tobytes() == reference_power_norms(cfg, horizon).tobytes()
         got = [compute_constants(cfg, horizon) for horizon in (10, 40)]
         # the same stream with every power SVD'd, t^0 and t^1 included
-        monkeypatch.setattr(stability, "_norm_blocks", all_svd_norm_blocks)
+        monkeypatch.setattr(stability, "_norms", all_svd_norms)
         for c, horizon in zip(got, (10, 40)):
             assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, horizon))
             assert c.powers_read == compute_constants(cfg, horizon).powers_read
