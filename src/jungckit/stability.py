@@ -25,8 +25,6 @@ CROSS_VALIDATE_SLACK = 1e-6
 #: absolute slack for norm bounds: below the smallest normal float an iterate
 #: is rounding noise a few subnormal steps wide, so no relative bound holds there
 NORM_FLOOR = float(np.finfo(float).tiny)
-#: relative slack on the cap of ``compute_constants``; see there
-EXIT_SLACK = 1e-6
 #: relative slack of the bound ||t||^n, per power of t and per d^2 eps; see ``_power_bounds``
 POWER_SLACK = 32.0
 
@@ -180,47 +178,29 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     w_n B_n for each of k1, k2 and k1p (w = |a|, |b|, |1-a|, 0 before
     tail_start).  Power n is SVD'd only when, for some constant, w_n B_n is
     above the maximum so far and not below that constant's seed (a lower
-    bound on its final maximum, below), or when B_n is above the largest
-    norm taken so far (which keeps the cap's G exact, below).  After each
-    block that took a norm, one scan of the rest of the horizon finds the
-    next power that needs one, or stops the stream when no later power can
-    raise a maximum.  t^0 and t^1 need no
-    SVD (see ``_norms``), so a contractive d = 300 map whose maxima sit at
-    t^0 forms t^0 alone and runs no SVD, and a map with ||t|| just below 1
-    whose k2 peaks at the horizon forms every power but SVDs only the seed's
-    X and the few powers next to the peak.
+    bound on its final maximum, below).  The suffix maxima of w_n B_n are
+    taken once, and after each block the stream stops when none of them
+    is above its constant's maximum so far.  t^0 and t^1 need no SVD (see
+    ``_norms``), so a contractive d = 300 map whose maxima sit at t^0
+    forms t^0 alone and runs no SVD, and a map with ||t|| just below 1
+    whose k2 peaks at the horizon forms every power but SVDs only the
+    seed's X and the few powers next to the peak.
 
-    B_n is the smaller of two bounds.  The first is ``||t||^n`` widened for
-    rounding (``_power_bounds``): with u = eps/2, each product T @ P is off
-    by at most d u |T||P| + d NORM_FLOOR per entry, so by d^2 u ||T|| ||P||
-    + d^2 NORM_FLOOR in norm; the SVD of a matrix is exact for one within
-    c d^2 u of it in relative norm; so the SVD norm of the computed t^n is
-    at most ||t||^n (1 + (1 + 2c) d^2 u)^n (1 + c d^2 u) + about
+    B_n is ``||t||^n`` widened for rounding (``_power_bounds``): with
+    u = eps/2, each product T @ P is off by at most d u |T||P| + d
+    NORM_FLOOR per entry, so by d^2 u ||T|| ||P|| + d^2 NORM_FLOOR in norm;
+    the SVD of a matrix is exact for one within c d^2 u of it in relative
+    norm; so the SVD norm of the computed t^n is at most
+    ||t||^n (1 + (1 + 2c) d^2 u)^n (1 + c d^2 u) + about
     2 (n + 1) d^2 NORM_FLOOR.  POWER_SLACK = 32 covers that for c up to 15,
     with the roundings of the bound itself, while the slack stays below 1.
     Each seed takes X = t^n by repeated squaring at the power n where
     w_n B_n peaks; any product tree of n factors of t stays as close to the
     exact T^n as the stream does, so the stream's computed t^n has an SVD
     norm of at least ||X|| - 2 (B_n - ||t||^n), and w_n times that is a
-    lower bound on the final maximum.
-
-    The second bound is the cap.  Once c = ||t^m|| < 1, every n >= m is
-    qm + r with q >= 1 and r < m, so ||t^n|| <= c * G with
-    G = max_{r<m} ||t^r|| (G >= ||t^0|| = 1).  The smallest such c * G over
-    the SVD'd powers, times (1 + EXIT_SLACK), caps every later power.  A
-    power skipped for the cap's sake has B_n at most the largest norm
-    taken before it, so G over the taken norms is the G of the full stream.
-
-    EXIT_SLACK covers rounding because the cap comes from computed norms
-    of computed powers.  The SVD returns each norm to a relative error of a
-    few d*eps.  Each computed power is t times the one before it, off by at
-    most about d^2 * (eps*||t||*||previous power|| + the smallest
-    subnormal) in norm, so up to the horizon the computed powers stay
-    within 3*horizon*d^2*(eps*||t||*G + subnormal)*G of a sequence for which
-    the cap is exact.  An m sets the cap only when that excess is at most
-    half of EXIT_SLACK*c*G; for the maps certified here it is orders of
-    magnitude smaller (about 2e-8 of c*G at d = 300, horizon 300,
-    ||t|| < 1 and c = ||t||).
+    lower bound on the final maximum.  For ||t|| > 1, B_n grows with n, so
+    a map whose powers grow and then decay is read to the horizon unless
+    its weights fall.
 
     The CLI's report states ``powers_read`` (powers formed) and
     ``svds_run``.
@@ -242,61 +222,28 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
         wb = weights * bound if bound[-1] < math.inf else np.multiply(
             weights, bound, out=np.zeros(weights.shape), where=weights > 0)
     seeds, svds = _seeds(pair, weights, wb, excess)
-    # the cap's rounding excess, over G, is at most excess_t * G + excess_0
-    excess_t = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).eps * pair.t_norm
-    excess_0 = 3.0 * horizon * cfg.dim ** 2 * np.finfo(float).smallest_subnormal
+    later = np.maximum.accumulate(wb[:, ::-1], axis=1)[:, ::-1]  # later[:, n]: max of wb[:, n:]
 
     peaks = np.zeros(3)
-    lows = np.nextafter(seeds, -math.inf)[:, None]
-    # min(w_n B_n, w_n cap) raises a maximum when it is above the maximum so far and not below the seed
-    above = np.maximum(peaks[:, None], lows)
-    capped = math.inf  # the cap times (1 + EXIT_SLACK)
-    g = 0.0  # the largest norm taken so far
-
-    def plan(lo: int) -> Optional[np.ndarray]:
-        """The powers from t^lo on that need a norm, as things stand: those
-        that can raise a maximum, and those whose bound is above every norm
-        taken so far.  None when none of them can raise a maximum."""
-        raises = wb[:, lo:] > above
-        if capped < math.inf:
-            with np.errstate(over="ignore"):
-                raises &= weights[:, lo:] * capped > above
-        raises = raises.any(axis=0)
-        if not raises.any():
-            return None
-        # min(B_n, cap) above every norm taken so far
-        return raises | (bound[lo:] > g) if capped > g else raises
-
-    # some power is needed: |a| + |1-a| >= 1, so a weight is positive from tail_start on
-    take = plan(0)
-    start = 0  # take[j] is about t^(start + j)
-    first = int(take.argmax())  # the first power that needs a norm
+    lows = np.nextafter(seeds, -math.inf)
+    # w_n B_n raises a maximum when it is above the maximum so far and not below the seed
+    above = np.maximum(peaks, lows)
     read = 0
     try:
         for n, block in _power_blocks(pair.t, horizon):
             read = n + len(block)
-            if read <= first:
-                continue
-            here = take[n - start:read - start]
-            index = np.flatnonzero(here) + n
-            norms, count = _norms(pair, index, block[here])
-            svds += count
-            w = weights[:, index]
-            # a product past the float range is inf: a constant of inf, an excess that is not usable
-            with np.errstate(over="ignore"):
-                products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
-                running = np.maximum.accumulate(np.concatenate(([g], norms)))
-                before, g = running[:-1], float(running[-1])  # before[j]: G for the j-th norm
-                usable = (norms < 1.0) & (excess_t * before + excess_0 <= 0.5 * EXIT_SLACK * norms)
-            peaks = np.maximum(peaks, products.max(axis=1))
-            above = np.maximum(peaks[:, None], lows)
-            if usable.any():
-                capped = min(capped, float((norms[usable] * before[usable]).min()) * (1.0 + EXIT_SLACK))
-            take = plan(read)
-            if take is None:
+            here = (wb[:, n:read] > above[:, None]).any(axis=0)
+            if here.any():
+                index = np.flatnonzero(here) + n
+                norms, count = _norms(pair, index, block[here])
+                svds += count
+                w = weights[:, index]
+                with np.errstate(over="ignore"):  # a product past the float range is inf
+                    products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
+                peaks = np.maximum(peaks, products.max(axis=1))
+                above = np.maximum(peaks, lows)
+            if read > horizon or not (later[:, read] > above).any():
                 break
-            start = read
-            first = read + int(take.argmax())
     except NonFiniteError:
         # the overflowed power and every later one have norm inf
         peaks = np.maximum(peaks, np.where(weights[:, read:].max(axis=1, initial=0.0) > 0, math.inf, 0.0))

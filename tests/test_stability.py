@@ -74,8 +74,8 @@ class TestConstants:
         assert res.details["z_factor"] == math.inf
 
     @pytest.mark.filterwarnings("error")
-    def test_a_huge_t_keeps_its_powers_out_of_the_cap(self):
-        # ||t|| near 1e300: the cap's rounding excess, excess_t * G, overflowed with a warning
+    def test_a_huge_t_overflows_without_a_warning(self):
+        # ||t|| near 1e300: t^3 overflows, and no product on the way to k1 = inf may warn
         t = np.array([[0.25, 1.0e300], [0.1, 0.2]])
         cfg = linear_config(2 * np.eye(2), t, Schedule.constant(1.0), Schedule.one_minus_inv(k=2), [1.0, 0.5])
         c = compute_constants(cfg, horizon=200)
@@ -209,9 +209,9 @@ class TestEarlyExit:
         assert sum(drawn) == c.powers_read <= 5
         assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 300))
 
-    def test_cap_keeps_the_growth_before_the_dip(self):
+    def test_a_map_that_grows_then_dips_matches_the_full_stream(self):
         # ||t^n|| of a rotation in a skewed basis dips to 0.90 at n = 10 and
-        # climbs back to 86 at n = 15: the cap is 0.90 * 95, not 0.90
+        # climbs back to 86 at n = 15
         rot = np.array([[np.cos(np.pi / 10), -np.sin(np.pi / 10)], [np.sin(np.pi / 10), np.cos(np.pi / 10)]])
         t = np.zeros((40, 40))
         t[:2, :2] = 0.99 * np.diag([10.0, 0.1]) @ rot @ np.diag([0.1, 10.0])
@@ -219,14 +219,16 @@ class TestEarlyExit:
                             np.ones(40), steps=3)
         c = compute_constants(cfg, horizon=100, tail_start=10)
         assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 100, 10))
-        # t^20 dips to 0.82, and 0.5 * 0.82 * 95 is below k1 = 0.5 * 86: the stream stops there
-        assert c.powers_read == 21
+        # ||t|| is about 99, so B_n never falls and the stream reads to the horizon
+        assert c.powers_read == 101 and c.svds_run == 92
 
     def test_identity_map_reads_every_power(self, monkeypatch):
         cfg = linear_config(np.eye(60) * 2, np.eye(60), Schedule.constant(0.5), Schedule.constant(0.5),
                             np.ones(60), steps=3)
         drawn = count_drawn_powers(monkeypatch)
-        assert compute_constants(cfg, horizon=300).powers_read == sum(drawn) == 301
+        c = compute_constants(cfg, horizon=300)
+        # t^0 and t^1 need no SVD; the seed SVDs t^300 once more
+        assert c.powers_read == sum(drawn) == 301 and c.svds_run == 300
 
     @pytest.mark.parametrize("norm", [0.9, 1.0])
     def test_power_norms_stay_a_full_stream(self, monkeypatch, norm):
@@ -238,18 +240,39 @@ class TestEarlyExit:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_near_unit_d20_map_runs_few_svds(self, monkeypatch, seed):
-        # shaped like the generated jungck configs of the CLI benchmark: d = 20, horizon 1000,
-        # a symmetric t with spectrum in (1 - 1e-6, 1 - 1e-7), b = 1 - 1/(n + k); k2 peaks at t^1000
-        rng = np.random.default_rng(seed)
-        q = np.linalg.qr(rng.normal(size=(20, 20)))[0]
-        s = (q * rng.uniform(1.02, 1.05, size=20)) @ q.T
-        cfg = linear_config(s, near_unit(rng, 20, "symmetric"), Schedule.constant(float(rng.uniform(0.3, 0.9))),
-                            Schedule.one_minus_inv(k=int(rng.integers(2, 8))), rng.normal(size=20), steps=1000)
+        cfg = near_unit_d20(seed)
         seen = record_svd(monkeypatch)
         c = compute_constants(cfg, horizon=1000)
         assert len(seen) == c.svds_run <= 20 and c.powers_read == 1001
         monkeypatch.undo()
         assert constant_bits(c) == constant_bits(reference_compute_constants(cfg, 1000))
+
+    def test_counts_stay_as_recorded(self):
+        # powers_read and svds_run as recorded when B_n was also capped by
+        # c max_{r<m} ||t^r|| (c = ||t^m|| < 1): on maps with ||t|| < 1 that
+        # cap never changed a decision, so the single bound keeps the counts
+        seeds = {713703900: [(1, 0), (1, 0), (3, 1), (1, 0), (1, 0)],
+                 1637445571: [(1, 0), (3, 0), (3, 1), (1, 0), (1, 0)],
+                 1336167140: [(1, 0), (1, 0), (1, 0), (1, 0), (3, 0)]}
+        for seed, want in seeds.items():
+            spec = ScanSpec(count=5, dim=5, steps=1000, horizon=1000, seed=seed)
+            rng = np.random.default_rng(seed)
+            got = [compute_constants(sample_config(rng, spec), 1000) for _ in range(spec.count)]
+            assert [(c.powers_read, c.svds_run) for c in got] == want
+        for seed in range(4):
+            c = compute_constants(near_unit_d20(seed), 1000)
+            assert (c.powers_read, c.svds_run) == (1001, 2)
+
+
+def near_unit_d20(seed):
+    """Shaped like the generated jungck configs of the CLI benchmark: d = 20,
+    a symmetric t with spectrum in (1 - 1e-6, 1 - 1e-7), b = 1 - 1/(n + k);
+    at horizon 1000, k2 peaks at t^1000."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+    s = (q * rng.uniform(1.02, 1.05, size=20)) @ q.T
+    return linear_config(s, near_unit(rng, 20, "symmetric"), Schedule.constant(float(rng.uniform(0.3, 0.9))),
+                         Schedule.one_minus_inv(k=int(rng.integers(2, 8))), rng.normal(size=20), steps=1000)
 
 
 # ---------------------------------------------------------------------------
