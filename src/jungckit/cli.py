@@ -1,7 +1,8 @@
 """Batch front-end: parse an experiment config, run it, emit CSV + report.
 
-Config files are strict YAML key/value trees (unknown keys are errors).
-Each run writes ``trace.csv`` and ``report.txt`` into the output directory;
+Config files are strict YAML key/value trees (unknown keys are errors),
+read as UTF-8 whatever the locale.  Each run writes ``trace.csv`` and
+``report.txt``, in UTF-8, into the output directory;
 the report has one check per line prefixed PASS, FAIL or INFO, and the
 process exits 0 only when no FAIL line was emitted (2 for usage/config
 problems); a jungck run that diverged is a FAIL, and so is a run in which
@@ -22,7 +23,7 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
-from . import diagnostics, engine, stability, venter
+from . import diagnostics, engine, floattext, stability, venter
 from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
 from .errors import (
     ConfigParseError,
@@ -433,7 +434,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    return parse_config_text(Path(path).read_text(encoding="utf-8"))  # YAML is UTF-8, whatever the locale
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +442,23 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def write_csv(columns, path: Path) -> None:
-    """Write ``(name, values)`` columns as one CSV table.
+    """Write ``(name, values)`` columns as one CSV table, in UTF-8.
 
     A 2-D array of numbers becomes the columns ``name[0]``, ``name[1]``, ...
     Every cell is written as ``str`` writes it (a float as its shortest
     round-trip decimal).  A column shorter than the longest leaves its
     trailing cells empty.  Rows are formatted in blocks of about
     ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text.  A
-    block is first a matrix of integer codes, one per cell, into one list of
-    distinct cell texts, and then the object array of its cells, taken from
-    that list by the matrix in one step; ``-1`` codes the empty cell past a
+    block is first a matrix of integer codes, one per cell, into a table of
+    the block's distinct cell texts, and then its bytes, taken from that
+    table by the matrix in one step; ``-1`` codes the empty cell past a
     column's end.  An array of numbers, ``range`` columns included, is coded
-    by ``np.unique``, and each distinct value becomes text once, through the
-    ``repr`` of its Python scalar, which writes it as ``str`` does.  The float
-    arrays of a block share one ``np.unique``, so a float is written once
-    however many columns hold it.  Other cells, floats wider than 8 bytes
-    included, go through ``str`` one by one.
+    by ``np.unique``, so each distinct value becomes text once.  The float
+    arrays of a block share one ``np.unique``, and their distinct values
+    become text together, in ``floattext.float_texts``, which writes what
+    ``repr`` writes without a Python call per value.  An integer or bool
+    becomes text through the ``repr`` of its Python scalar; other cells,
+    floats wider than 8 bytes included, go through ``str`` one by one.
     Nothing is quoted: a name, or a cell of a column that does not hold
     numbers, that holds a comma, a quote or a line break raises
     ``ValueError``, as does an empty cell in a one-column table (it would
@@ -479,26 +481,33 @@ def write_csv(columns, path: Path) -> None:
     _check_cells("the header", header, lone)
     n_rows = max((len(v) for _, v in groups), default=0)
     step = max(1, BLOCK_CELLS // len(header))
-    with path.open("w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        seen = None
         for lo in range(0, n_rows, step):
-            # one statement, so that no block's texts outlive its write
-            fh.writelines(map("{}\n".format, map(",".join, _block_cells(
-                groups, lo, min(lo + step, n_rows), len(header), lone).tolist())))
+            seen = _write_block(fh, groups, lo, min(lo + step, n_rows), len(header), lone, seen)
 
 
 _NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes are written by str
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_FILL = bytes([floattext.FILL])
 
 
-def _block_cells(groups: list, lo: int, hi: int, width: int, lone: bool) -> np.ndarray:
-    """Rows ``lo:hi`` of the table as an object array of cell texts, each
-    as ``str`` writes it; cells past the end of a column are empty.
+def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, seen):
+    """Write rows ``lo:hi`` of the table to ``fh``, each cell as ``str``
+    writes it; cells past the end of a column are empty.  Returns the
+    block's distinct floats and their texts, ``(keys, texts)``; ``seen``
+    is what the block before returned, whose texts a block with the same
+    distinct floats takes over (a converged trace repeats its values).
 
-    The cells are coded first: ``codes[r, c]`` indexes ``texts``, whose last
-    entry is the empty cell, so ``-1`` fills the cells past a column's end.
-    Floats are told apart by their float64 bits, since 0.0 and -0.0 compare
-    equal but print differently and a NaN equals nothing.
+    The cells are coded first: ``codes[r, c]`` indexes the table of the
+    block's distinct texts, whose last row is the empty cell, so ``-1``
+    fills the cells past a column's end.  Floats are told apart by their
+    float64 bits, since 0.0 and -0.0 compare equal but print differently
+    and a NaN equals nothing.  Each table row is a text padded with
+    ``floattext.FILL`` bytes and a comma; the rows of the cells follow one
+    another, the last comma of a line becomes a line break, and deleting
+    the ``FILL`` bytes leaves the lines.
     """
     codes = np.full((hi - lo, width), -1, dtype=np.int64)
     texts, floats = [], []  # floats: (columns, rows) of each float group, coded together
@@ -526,6 +535,9 @@ def _block_cells(groups: list, lo: int, hi: int, width: int, lone: bool) -> np.n
             keys, inverse = np.unique(part, return_inverse=True)
             codes[:len(part), cols] = inverse.reshape(part.shape) + len(texts)
             texts += map(repr, keys.tolist())
+    encoded = [text.encode() for text in texts]
+    size = max(map(len, encoded), default=0)
+    float_texts = np.empty((0, 0), dtype=np.uint8)
     if floats:
         with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
             flat = np.concatenate([part.ravel() for _, part in floats], dtype=np.float64)
@@ -535,10 +547,22 @@ def _block_cells(groups: list, lo: int, hi: int, width: int, lone: bool) -> np.n
         for cols, part in floats:
             codes[:len(part), cols] = inverse[start:start + part.size].reshape(part.shape)
             start += part.size
-        del flat, inverse  # the texts made next are the block's peak
-        texts += map(repr, keys.view(np.float64).tolist())
-    texts.append("")
-    return np.array(texts, dtype=object)[codes]
+        del flat, inverse  # freed before the texts are made
+        if seen is not None and np.array_equal(keys, seen[0]):
+            float_texts = seen[1]
+        else:
+            float_texts = floattext.float_texts(keys.view(np.float64))
+        seen = keys, float_texts
+    table = np.full((len(texts) + len(float_texts) + 1, max(size, float_texts.shape[1]) + 1),
+                    floattext.FILL, dtype=np.uint8)
+    table[:, -1] = ord(",")
+    table[:len(texts), :size] = np.frombuffer(b"".join(t.ljust(size, _FILL) for t in encoded),
+                                              dtype=np.uint8).reshape(len(texts), size)
+    table[len(texts):-1, :float_texts.shape[1]] = float_texts
+    cells = np.take(table, codes, axis=0)
+    cells[:, -1, -1] = ord("\n")
+    fh.write(cells.tobytes().translate(None, _FILL))
+    return seen
 
 
 def _check_cells(where: str, cells: list, lone: bool) -> None:
@@ -778,7 +802,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | Path | None = None, 
         report.add("FAIL", f"run aborted: {exc}")
     if not report.checked:
         report.add("FAIL", f"no check ran: every check of this {cfg.scenario} run was skipped or does not apply")
-    (outdir / "report.txt").write_text(report.render())
+    (outdir / "report.txt").write_text(report.render(), encoding="utf-8")
     if not quiet:
         sys.stdout.write(report.render())
     return 1 if report.failed else 0

@@ -118,7 +118,10 @@ def _seeds(pair: OperatorPair, weights: np.ndarray, wb: np.ndarray, excess: np.n
     and the computed t^n of the stream has an SVD norm of at least
     ||X|| - 2 excess[n] (see ``compute_constants``).  A seed costs one SVD,
     and it can only spare the SVDs of t^2 .. t^(n-1) (t^0 and t^1 need
-    none), so a row is seeded only when n >= 4.  A row with no seed gets 0.
+    none), so a row is seeded only when n >= 4, and only when its largest
+    possible value, w_n (||t||^n - excess[n]) rounded up, is above
+    ``wb[m]`` for some m in [2, n): a power whose bound is not below the
+    seed is SVD'd with or without it.  A row with no seed gets 0.
     """
     seeds = np.zeros(len(weights))
     svds = 0
@@ -126,13 +129,17 @@ def _seeds(pair: OperatorPair, weights: np.ndarray, wb: np.ndarray, excess: np.n
     for n in sorted(set(targets.tolist())):
         if n < 4 or not math.isfinite(wb[:, n].max()):
             continue
+        rows = targets == n
         with np.errstate(over="ignore", invalid="ignore"):
+            best = weights[rows, n] * max(float(np.power(pair.t_norm, float(n))) - float(excess[n]), 0.0)
+            rows[rows] = best * (1.0 + 1e-12) > wb[rows, 2:n].min(axis=1)  # room for the bound's roundings
+            if not rows.any():
+                continue
             x = np.linalg.matrix_power(pair.t.matrix, n)
         if not np.isfinite(x).all():
             continue
         low = float(np.linalg.svd(x[None], compute_uv=False)[0, 0]) - 2.0 * float(excess[n])
         svds += 1
-        rows = targets == n
         seeds[rows] = weights[rows, n] * max(low, 0.0)
     return seeds, svds
 

@@ -5,7 +5,10 @@ import csv
 import functools
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -16,7 +19,8 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, strategies as st
 
-from jungckit import GatePolicy, Schedule, engine, venter
+import jungckit
+from jungckit import GatePolicy, Schedule, engine, floattext, venter
 from jungckit.aitken import accelerate_sequence
 from jungckit.cli import (
     BLOCK_CELLS,
@@ -295,6 +299,27 @@ class TestMain:
 
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.yaml"), "--quiet"]) == 2
+
+    def test_a_utf8_config_runs_under_an_ascii_locale(self, tmp_path):
+        # YAML is UTF-8: a config with a non-ASCII comment runs where the locale's codec is ASCII,
+        # and trace.csv and report.txt come out as they do in this process
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes("# \u03bc: the step size\n".encode() + MINIMAL_JUNGCK.encode())
+        # the child prints its locale's codec, runs the CLI, then writes a non-ASCII cell
+        child = ("import codecs, locale, pathlib, sys; from jungckit.cli import main, write_csv; "
+                 "print(codecs.lookup(locale.getpreferredencoding(False)).name); code = main(sys.argv[1:]); "
+                 "write_csv([('x', ['\\u03bc'])], pathlib.Path(sys.argv[4]) / 'mu.csv'); sys.exit(code)")
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+        env.update(LC_ALL="C", PYTHONPATH=str(Path(jungckit.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-c", child, "--config", str(path),
+                               "--output", str(tmp_path / "child"), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines()[0] == "ascii"
+        assert main(["--config", str(path), "--output", str(tmp_path / "here"), "--quiet"]) == 0
+        for name in ("trace.csv", "report.txt"):
+            assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        assert (tmp_path / "child" / "mu.csv").read_bytes() == "x\n\u03bc\n".encode()
 
     def test_ill_conditioned_s_is_noted_in_the_report(self, tmp_path):
         text = (MINIMAL_JUNGCK.replace("s: {name: scale, dim: 1, value: 2.0}", "s: {matrix: [[10000.0, 0.0], [0.0, 1.0]]}")
@@ -897,6 +922,32 @@ class TestWriterAtBenchmarkShapes:
                 tracemalloc.stop()
 
         assert peak(8000) <= 1.1 * peak(1000)
+
+    def test_peak_memory_with_distinct_floats(self, tmp_path):
+        # every float distinct, as wide as a d=20 jungck trace: the formatter's
+        # temporaries are one block's, whatever the number of rows
+        def peak(rows: int) -> int:
+            rng = np.random.default_rng(rows)
+            columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_csv(columns, tmp_path / "trace.csv")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # and stay well below the 6 MB at which an aitken-only run of d=50 and 3000 terms peaks
+        assert peak(8000) <= 1.1 * peak(1000) < 4_000_000
+
+    @pytest.mark.parametrize("build", [lambda: jungck_columns(np.random.default_rng(3)), venter_columns],
+                             ids=["jungck", "venter"])
+    def test_few_floats_go_through_repr(self, build):
+        # the formatter's kernel writes all but a few of a trace's distinct floats itself
+        floats = [np.asarray(v, dtype=np.float64).ravel() for _, v in build()
+                  if isinstance(v, np.ndarray) and v.dtype.kind == "f"]
+        keys = np.unique(np.concatenate(floats).view(np.uint64)).view(np.float64)
+        assert len(keys) > 50_000 and floattext._shortest(keys)[1].mean() < 0.001
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,8 @@ class TestEarlyExit:
                             np.ones(60), steps=3)
         drawn = count_drawn_powers(monkeypatch)
         c = compute_constants(cfg, horizon=300)
-        # t^0 and t^1 need no SVD; the seed SVDs t^300 once more
-        assert c.powers_read == sum(drawn) == 301 and c.svds_run == 300
+        # t^0 and t^1 need no SVD, and no seed: ||t||^300 - excess_300 is below every bound
+        assert c.powers_read == sum(drawn) == 301 and c.svds_run == 299
 
     @pytest.mark.parametrize("norm", [0.9, 1.0])
     def test_power_norms_stay_a_full_stream(self, monkeypatch, norm):
