@@ -24,7 +24,7 @@ sequence raises the same error.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,14 @@ DEFAULT_FLOOR_SCALE = 1e-12
 
 #: elements per block of windows, so temporaries stay bounded for any length
 BLOCK_ELEMENTS = 8192
+
+
+def row_blocks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``count`` rows of ``width`` entries, about
+    ``BLOCK_ELEMENTS`` entries a slice, so that a temporary taken over one
+    is never larger than a block."""
+    step = max(1, BLOCK_ELEMENTS // max(width, 1))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def denominator_floor(s0: Vector, floor_scale: float) -> Vector:
@@ -50,9 +58,10 @@ def accelerate_sequence(
     """Correct a whole sequence; term k uses the window (k, k+1, k+2).
 
     Returns ``(accelerated, gates)`` with N-2 rows each: the corrected
-    terms and the per-component gates actually applied.  A gate is 1 only
-    where the policy asks for the correction, the second difference clears
-    the floor (the floor always wins) and the corrected value is finite;
+    terms and the per-component gates actually applied, one ``int8`` byte
+    per component.  A gate is 1 only where the policy asks for the
+    correction, the second difference clears the floor (the floor always
+    wins) and the corrected value is finite;
     where (s1-s0)^2 overflows it is s0 - d1 * (d1 / d2).  Gate-0 components
     are bit-identical copies of s0, so the output is always finite.
     Raises ``ValueError`` unless ``floor_scale > 0``.
@@ -71,12 +80,11 @@ def accelerate_sequence(
 
     d = arr.shape[1]
     accel = np.empty((n - 2, d))
-    gates = np.empty((n - 2, d), dtype=np.int64)
+    gates = np.empty((n - 2, d), dtype=np.int8)
     # windows past the live prefix hold only zeros (module docstring)
     live = min(live_row_count(arr), n - 2)
-    rows = max(1, BLOCK_ELEMENTS // d)
-    for lo in range(0, live, rows):
-        hi = min(lo + rows, live)
+    for block in row_blocks(live, d):
+        lo, hi = block.start, block.stop
         window = arr[lo:hi + 2]
         if not np.all(np.isfinite(window)):
             raise NonFiniteError("sequence has non-finite entries")
@@ -94,8 +102,8 @@ def accelerate_sequence(
                 corrected[lost] = s0[lost] - d1[lost] * (d1[lost] / d2[lost])
             finite[lost] = np.isfinite(corrected[lost])
         gate &= finite
-        accel[lo:hi] = np.where(gate, corrected, s0)
-        gates[lo:hi] = gate
+        accel[block] = np.where(gate, corrected, s0)
+        gates[block] = gate
     if live < n - 2:
         # the policy is still asked about the zero windows (with no columns),
         # so a gate list too short for them raises as when they are computed

@@ -742,7 +742,7 @@ def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
     if lim is not None:
         tol = 1e-10 * (1.0 + float(exact_row_norms(lim[None])[0]))
         with np.errstate(over="ignore"):  # a difference past the float range is an inf miss
-            worst = float(np.max(np.linalg.norm(accel - lim[None, :], axis=1)))
+            worst = float(np.max(diagnostics.distances(accel, lim)))
         report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
     else:
         try:

@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aitken import accelerate_sequence
+from .aitken import accelerate_sequence, row_blocks
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
 from .model import IterationTrace, Vector, exact_row_norms, unoverflowed
 
@@ -32,6 +32,16 @@ def _as_rows(seq) -> np.ndarray:
     return arr
 
 
+def distances(rows: np.ndarray, center: Vector) -> np.ndarray:
+    """``np.linalg.norm(rows - center, axis=1)``, taken over
+    :func:`jungckit.aitken.row_blocks`.  The norm reduces each row on its
+    own, so every row keeps the bits of the unblocked norm."""
+    out = np.empty(rows.shape[0])
+    for block in row_blocks(*rows.shape):
+        out[block] = np.linalg.norm(rows[block] - center, axis=1)
+    return out
+
+
 def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
     """Estimate the limit of a convergent sequence of vectors.
 
@@ -47,7 +57,8 @@ def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
     if n < 5:
         raise SequenceTooShortError(f"limit estimation needs >= 5 terms, got {n}")
     with np.errstate(over="ignore"):
-        steps = np.diff(arr, axis=0)
+        # the last ten differences are all that is read
+        steps = np.diff(arr[-11:], axis=0)
         diffs = unoverflowed(np.linalg.norm(steps, axis=1), steps)
     scale = 1.0 + float(exact_row_norms(arr[-1:])[0])
     settled = diffs[-1] <= SETTLE_SCALE * scale
@@ -73,7 +84,7 @@ def acceleration_ratio(
     ``accel`` must be the two-term-lookahead correction of ``raw`` (length
     N-2, term k from window k..k+2).  Ratios stop at the first index where
     the raw error has already hit the limit floor; past it they would be
-    quotient noise.
+    quotient noise, and no norm is taken there.
     """
     raw_arr = _as_rows(raw)
     acc_arr = _as_rows(accel)
@@ -83,11 +94,15 @@ def acceleration_ratio(
         )
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
     floor = RATIO_FLOOR_SCALE * (1.0 + float(exact_row_norms(lim[None])[0]))
-    count = acc_arr.shape[0]
-    den = exact_row_norms(raw_arr[:count] - lim)
-    at_floor = np.flatnonzero(den <= floor)
-    stop = at_floor[0] if at_floor.size else count
-    return (exact_row_norms(acc_arr[:stop] - lim) / den[:stop]).tolist()
+    ratios: list[float] = []
+    for block in row_blocks(*acc_arr.shape):
+        den = exact_row_norms(raw_arr[block] - lim)
+        at_floor = np.flatnonzero(den <= floor)
+        stop = at_floor[0] if at_floor.size else len(den)
+        ratios += (exact_row_norms(acc_arr[block][:stop] - lim) / den[:stop]).tolist()
+        if at_floor.size:
+            break
+    return ratios
 
 
 def sequences_equivalent(a, b, tol: float) -> bool:
@@ -136,7 +151,7 @@ def build_convergence_report(raw, accel) -> ConvergenceReport:
     raw_arr = _as_rows(raw)
     est = estimate_limit(raw_arr)
     lim = est.value
-    errors = np.linalg.norm(raw_arr - lim[None, :], axis=1)
+    errors = distances(raw_arr, lim)
     floor = RATIO_FLOOR_SCALE * (1.0 + float(np.linalg.norm(lim)))
     above = errors[:-1] > floor
     step_ratios = (errors[1:][above] / errors[:-1][above]).tolist()

@@ -240,7 +240,7 @@ def run(cfg: JungckConfig) -> IterationTrace:
         asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)
     else:
         asz = asy = np.empty((0, d))
-        gz = gy = np.empty((0, d), dtype=np.int64)
+        gz = gy = np.empty((0, d), dtype=np.int8)
 
     return IterationTrace(
         z=z, y=y, sz=sz, sy=sy, ty=ty,

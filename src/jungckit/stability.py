@@ -43,9 +43,9 @@ def _power_blocks(t: Operator, horizon: int) -> Iterator[tuple[int, np.ndarray]]
             return
 
 
-def _norms(pair: OperatorPair, index: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, int]:
-    """Spectral norms of the computed powers ``powers[j]`` = t^index[j]
-    (``index`` ascending), and how many SVDs they took.
+def _norms(pair: OperatorPair, index: np.ndarray, block: np.ndarray, first: int) -> tuple[np.ndarray, int]:
+    """Spectral norms of the computed powers t^index[j] = ``block[index[j] -
+    first]`` (``index`` ascending), and how many SVDs they took.
 
     Two norms are known without an SVD, with the bits an SVD would give:
     ||t^0|| = ||I|| = 1, since the Householder reduction of I reflects
@@ -53,7 +53,8 @@ def _norms(pair: OperatorPair, index: np.ndarray, powers: np.ndarray) -> tuple[n
     the SVD of ``t`` itself, whenever the computed t^1 = t @ I is ``t`` bit
     for bit (the product turns a -0.0 entry into +0.0, and the SVD of such
     a matrix can differ in the last bit, so then t^1 is SVD'd).  The other
-    powers go through one stacked SVD, which treats each matrix on its own.
+    powers go through one stacked SVD, which treats each matrix on its own;
+    only they are gathered from the block.
     """
     norms = np.empty(len(index))
     known = 0  # t^0 and t^1, when asked for, come first
@@ -61,12 +62,12 @@ def _norms(pair: OperatorPair, index: np.ndarray, powers: np.ndarray) -> tuple[n
         norms[known] = 1.0
         known += 1
     if (known < len(index) and index[known] == 1
-            and np.array_equal(powers[known].view(np.uint64), pair.t.matrix.view(np.uint64))):
+            and np.array_equal(block[1 - first].view(np.uint64), pair.t.matrix.view(np.uint64))):
         norms[known] = pair.t_norm
         known += 1
     if known < len(index):
         # singular values come largest first
-        norms[known:] = np.linalg.svd(powers[known:], compute_uv=False)[:, 0]
+        norms[known:] = np.linalg.svd(block[index[known:] - first], compute_uv=False)[:, 0]
     return norms, len(index) - known
 
 
@@ -75,7 +76,7 @@ def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
     norms = np.full(horizon + 1, math.inf)
     try:
         for n, block in _power_blocks(cfg.pair.t, horizon):
-            norms[n:n + len(block)] = _norms(cfg.pair, np.arange(n, n + len(block)), block)[0]
+            norms[n:n + len(block)] = _norms(cfg.pair, np.arange(n, n + len(block)), block, n)[0]
     except NonFiniteError:
         pass  # the overflowed power and every later one keep norm inf
     return norms
@@ -151,8 +152,9 @@ class StabilityConstants:
     k1, k2 cap |a_n|*||t^n|| and |b_n|*||t^n|| over the tail; k1p, k2p cap
     |1-a_n|*||t^n|| and |1-b_n|.  m_bound caps the per-step y-vs-z
     amplification over the whole horizon.  powers_read counts the powers
-    of t the constants formed (at most horizon + 1), t^0 and t^1 included,
-    and svds_run the SVDs they took; neither takes part in equality.
+    of t the constants read (at most horizon + 1), t^0 and t^1 included,
+    though t^0 = I is read without being formed, and svds_run the SVDs
+    they took; neither takes part in equality.
     """
 
     k1: float
@@ -188,10 +190,12 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     bound on its final maximum, below).  The suffix maxima of w_n B_n are
     taken once, and after each block the stream stops when none of them
     is above its constant's maximum so far.  t^0 and t^1 need no SVD (see
-    ``_norms``), so a contractive d = 300 map whose maxima sit at t^0
-    forms t^0 alone and runs no SVD, and a map with ||t|| just below 1
-    whose k2 peaks at the horizon forms every power but SVDs only the
-    seed's X and the few powers next to the peak.
+    ``_norms``), and t^0 is taken before the stream starts, which it does
+    only when a later power can raise a maximum: a contractive d = 300 map
+    whose maxima sit at t^0 forms no power and runs no SVD, and reads one
+    power, t^0.  A map with ||t|| just below 1 whose k2 peaks at the
+    horizon forms every power but SVDs only the seed's X and the few
+    powers next to the peak.
 
     B_n is ``||t||^n`` widened for rounding (``_power_bounds``): with
     u = eps/2, each product T @ P is off by at most d u |T||P| + d
@@ -235,22 +239,30 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     lows = np.nextafter(seeds, -math.inf)
     # w_n B_n raises a maximum when it is above the maximum so far and not below the seed
     above = np.maximum(peaks, lows)
-    read = 0
+    # t^0 = I has norm 1 (see _norms), so it is taken without forming it,
+    # and the stream starts only when a later power can raise a maximum
+    if (wb[:, 0] > above).any():
+        peaks = np.maximum(peaks, weights[:, 0])  # w * 1, with w >= 0
+        above = np.maximum(peaks, lows)
+    read = 1
     try:
-        for n, block in _power_blocks(pair.t, horizon):
-            read = n + len(block)
-            here = (wb[:, n:read] > above[:, None]).any(axis=0)
-            if here.any():
-                index = np.flatnonzero(here) + n
-                norms, count = _norms(pair, index, block[here])
-                svds += count
-                w = weights[:, index]
-                with np.errstate(over="ignore"):  # a product past the float range is inf
-                    products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
-                peaks = np.maximum(peaks, products.max(axis=1))
-                above = np.maximum(peaks, lows)
-            if read > horizon or not (later[:, read] > above).any():
-                break
+        if (later[:, 1] > above).any():
+            for n, block in _power_blocks(pair.t, horizon):
+                if n == 0:
+                    continue  # t^0, taken above
+                read = n + len(block)
+                here = (wb[:, n:read] > above[:, None]).any(axis=0)
+                if here.any():
+                    index = np.flatnonzero(here) + n
+                    norms, count = _norms(pair, index, block, n)
+                    svds += count
+                    w = weights[:, index]
+                    with np.errstate(over="ignore"):  # a product past the float range is inf
+                        products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
+                    peaks = np.maximum(peaks, products.max(axis=1))
+                    above = np.maximum(peaks, lows)
+                if read > horizon or not (later[:, read] > above).any():
+                    break
     except NonFiniteError:
         # the overflowed power and every later one have norm inf
         peaks = np.maximum(peaks, np.where(weights[:, read:].max(axis=1, initial=0.0) > 0, math.inf, 0.0))

@@ -3,8 +3,10 @@
 Tier-1 replays a fixed set of examples in the parser fuzz test, the CSV
 writer's and the loaders' differential tests and the step loop's reference
 tests; ``pytest --hypothesis-profile fuzz`` draws fresh ones there instead,
-1000 per run.
+1000 per run.  ``traced_peak`` measures what a call allocates at its peak.
 """
+
+import tracemalloc
 
 from hypothesis import settings
 
@@ -22,3 +24,16 @@ def fixed_or_fresh(max_examples: int) -> settings:
     if settings.get_current_profile_name() == "fuzz":
         return settings(deadline=None)
     return settings(max_examples=max_examples, derandomize=True, deadline=None)
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under ``tracemalloc`` and return ``(peak, result)``: the
+    most bytes the call held at once, counting only what it allocated, and
+    what it returned."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()

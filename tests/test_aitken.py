@@ -28,20 +28,20 @@ def reference_accelerate(raw, policy, floor_scale=DEFAULT_FLOOR_SCALE):
     if arr.ndim == 1:
         arr = arr[:, None]
     accel = np.empty((arr.shape[0] - 2, arr.shape[1]))
-    gates = np.empty(accel.shape, dtype=np.int64)
+    gates = np.empty(accel.shape, dtype=np.int8)
     for k in range(accel.shape[0]):
         s0, s1, s2 = arr[k], arr[k + 1], arr[k + 2]
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = s0 - 2.0 * s1 + s2
             if policy.mode == "always-on":
-                wanted = np.ones_like(d2, dtype=np.int64)
+                wanted = np.ones_like(d2, dtype=np.int8)
             elif policy.mode == "always-off":
-                wanted = np.zeros_like(d2, dtype=np.int64)
+                wanted = np.zeros_like(d2, dtype=np.int8)
             elif policy.mode == "threshold":
-                wanted = (np.abs(d2) > policy.tau).astype(np.int64)
+                wanted = (np.abs(d2) > policy.tau).astype(np.int8)
             else:
-                wanted = np.full(d2.shape, policy.values[k], dtype=np.int64)
-            gate = wanted & (np.abs(d2) > floor_scale * (1.0 + np.abs(s0))).astype(np.int64)
+                wanted = np.full(d2.shape, policy.values[k], dtype=np.int8)
+            gate = wanted & (np.abs(d2) > floor_scale * (1.0 + np.abs(s0))).astype(np.int8)
             d1 = s1 - s0
             mask = gate.astype(bool)
             quotient = np.zeros_like(s0)
@@ -130,6 +130,13 @@ class TestAccelerateSequence:
         accel, gates = accelerate_sequence([5.0, 4.0, 3.5, 3.25])
         assert accel.ravel() == pytest.approx([3.0, 3.0], abs=1e-14)
         assert gates.tolist() == [[1], [1]]
+
+    @pytest.mark.parametrize("tail", [0, 5], ids=["live", "zero-tail"])
+    def test_gates_take_one_byte(self, tail):
+        # gates are 0 or 1, one byte each, also on the copied windows of a zero tail
+        raw = np.concatenate([[[5.0], [4.0], [3.5], [3.25]], np.zeros((tail, 1))])
+        _, gates = accelerate_sequence(raw)
+        assert gates.dtype == np.int8 and set(gates.ravel().tolist()) <= {0, 1}
 
     def test_always_off_is_identity(self):
         raw = np.array([[1.0, 2.0], [0.5, 1.5], [0.25, 1.25], [0.125, 1.125]])

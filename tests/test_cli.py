@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from jungckit.cli import (
 )
 from jungckit.errors import ConfigError
 from jungckit.scan import run_scan
-from conftest import fixed_or_fresh
+from conftest import fixed_or_fresh, traced_peak
 from trace_csv import read_jungck_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -269,6 +268,27 @@ aitken:
         limit, coeff = rng.uniform(-5, 5, size=d), rng.uniform(-2, 2, size=d)
         want = np.array([limit + coeff * ratio ** n for n in range(length)])
         assert geometric_terms(limit, coeff, ratio, length).tobytes() == want.tobytes()
+
+    def test_aitken_run_holds_one_block_beyond_its_trace(self, tmp_path):
+        # d=50 as in the benchmark's aitken op: past the terms, the corrected
+        # terms and the gates, the run and its checks hold about 0.8 MB at
+        # any length (2.5 MB at 3000 terms and 24 MB at 30000 while the
+        # exactness check and the ratios took differences of every row)
+        rng = np.random.default_rng(6)
+        doc = {"scenario": "aitken-only", "aitken": {
+            "sequence": {"kind": "geometric", "limit": rng.uniform(-5, 5, 50).tolist(),
+                         "coeff": rng.uniform(-2, 2, 50).tolist(), "ratio": rng.uniform(0.1, 0.8, 50).tolist()},
+            "gate": {"mode": "threshold", "tau": 1e-12}}}
+
+        def working(length):
+            doc["aitken"]["sequence"]["length"] = length
+            cfg = parse_config_text(yaml.safe_dump(doc))
+            peak, code = traced_peak(lambda: run_experiment(cfg, output_dir=tmp_path, quiet=True))
+            assert code == 0
+            return peak - (length - 2) * 50 * (8 + 1)  # the corrected terms and the gates
+
+        short = working(3000)
+        assert working(30000) <= 1.1 * short and short < 1_000_000
 
     def test_scan_scenario(self, tmp_path):
         cfg = parse_config_text(SCAN)
@@ -913,13 +933,7 @@ class TestWriterAtBenchmarkShapes:
         def peak(rows: int) -> int:
             rng = np.random.default_rng(rows)
             columns = [("n", range(rows)), ("v", rng.choice(pool, size=(rows, 160))), ("r", rng.choice(pool, rows))]
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                write_csv(columns, tmp_path / "trace.csv")
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
 
         assert peak(8000) <= 1.1 * peak(1000)
 
@@ -929,16 +943,19 @@ class TestWriterAtBenchmarkShapes:
         def peak(rows: int) -> int:
             rng = np.random.default_rng(rows)
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                write_csv(columns, tmp_path / "trace.csv")
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
 
-        # and stay well below the 6 MB at which an aitken-only run of d=50 and 3000 terms peaks
+        # and stay below 4 MB: about 1.8 MB, under the 3.4 MB at which the
+        # benchmark's aitken-only op (d=50, 3000 terms) peaks with its trace held
         assert peak(8000) <= 1.1 * peak(1000) < 4_000_000
+
+    def test_one_byte_gates_write_as_eight_byte_ones(self, tmp_path):
+        columns = aitken_columns(np.random.default_rng(4))
+        name, gates = columns[-1]
+        assert gates.dtype == np.int8
+        write_csv(columns, tmp_path / "int8.csv")
+        write_csv(columns[:-1] + [(name, gates.astype(np.int64))], tmp_path / "int64.csv")
+        assert (tmp_path / "int8.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
 
     @pytest.mark.parametrize("build", [lambda: jungck_columns(np.random.default_rng(3)), venter_columns],
                              ids=["jungck", "venter"])

@@ -20,8 +20,10 @@ from jungckit import (
     run,
     sequences_equivalent,
 )
-from jungckit.diagnostics import RATIO_FLOOR_SCALE
-from jungckit.model import IterationTrace
+from jungckit.aitken import BLOCK_ELEMENTS
+from jungckit.diagnostics import RATIO_FLOOR_SCALE, SETTLE_SCALE, distances
+from jungckit.model import IterationTrace, exact_row_norms, unoverflowed
+from conftest import fixed_or_fresh, traced_peak
 
 
 def geometric(limit, coeff, ratio, length):
@@ -274,3 +276,94 @@ class TestConvergenceReport:
         assert report.equivalent is True
         assert all(r == pytest.approx(0.5, rel=1e-6) for r in report.step_ratios[:10])
         assert report.accel_ratios[0] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the checks after a run, over row blocks
+
+
+@st.composite
+def blocked_rows(draw):
+    """Rows of dimension 1, 2, 7, 50 or 300, as many as 0-3 row blocks give,
+    give or take one, of magnitudes 1e-200 to 1e200 (the squares of the
+    largest overflow), with +-0.0 entries, and a center to subtract."""
+    d = draw(st.sampled_from([1, 2, 7, 50, 300]))
+    count = max(0, draw(st.integers(0, 3)) * (BLOCK_ELEMENTS // d) + draw(st.integers(-1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(count, d)) * 10.0 ** rng.uniform(-200, 200, size=(count, 1))
+    rows[rng.random((count, d)) < 0.1] = 0.0
+    rows[rng.random((count, d)) < 0.1] = -0.0
+    center = rng.normal(size=d) * draw(st.sampled_from([0.0, -0.0, 1.0, 1e150]))
+    return rows, center
+
+
+def reference_estimate_limit(seq):
+    """estimate_limit's outcome as it was, with the differences of every row:
+    the value's bits and the method, or the error's type."""
+    arr = np.asarray(seq, dtype=float)
+    with np.errstate(over="ignore"):
+        steps = np.diff(arr, axis=0)
+        diffs = unoverflowed(np.linalg.norm(steps, axis=1), steps)
+    settled = diffs[-1] <= SETTLE_SCALE * (1.0 + float(exact_row_norms(arr[-1:])[0]))
+    if len(diffs) >= 10 and not settled and np.all(diffs[-9:] >= diffs[-10:-1] * (1.0 - 1e-12)):
+        return NotConvergingError
+    if settled:
+        return arr[-1].tobytes(), "last-term"
+    return accelerate_sequence(arr[-3:])[0][0].tobytes(), "extrapolation"
+
+
+class TestBlockedNorms:
+    @fixed_or_fresh(60)
+    @given(blocked_rows())
+    def test_every_row_keeps_its_bits(self, case):
+        rows, center = case
+        with np.errstate(over="ignore"):  # np.linalg.norm's squares past the float range
+            got, want = distances(rows, center), np.linalg.norm(rows - center, axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @fixed_or_fresh(40)
+    @given(st.sampled_from([7, 50, 300]), st.integers(0, 2**32 - 1), st.data())
+    def test_acceleration_ratio_stops_in_any_block(self, d, seed, data):
+        # the one raw row at the limit falls in the first, a middle or the
+        # last row block, on a block boundary or next to one, or nowhere
+        step = BLOCK_ELEMENTS // d
+        rows = data.draw(st.integers(3, 3 * step + 3))
+        stop = data.draw(st.sampled_from([rows, 0, step - 1, step, step + 1, rows // 2, rows - 3]))
+        rng = np.random.default_rng(seed)
+        lim = rng.normal(size=d)
+        err = rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-12, 0, size=(rows, 1))
+        err[stop:stop + 1] = 0.0
+        accel = lim + rng.normal(size=(rows - 2, d)) * 1e-3
+        assert same_floats(acceleration_ratio(lim + err, accel, lim),
+                           reference_acceleration_ratio(lim + err, accel, lim))
+
+    @fixed_or_fresh(100)
+    @given(st.integers(5, 30), st.integers(1, 7), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.3, 0.999, 1.0, 1.2]))
+    def test_estimate_limit_reads_the_last_rows(self, rows, d, seed, ratio):
+        # shrinking, settling, constant-step and growing differences
+        rng = np.random.default_rng(seed)
+        seq = rng.normal(size=d) + rng.normal(size=d) * ratio ** np.arange(rows)[:, None]
+        seq *= 10.0 ** rng.choice([0.0, 200.0])  # differences whose squares overflow
+        want = reference_estimate_limit(seq)
+        if want is NotConvergingError:
+            with pytest.raises(NotConvergingError):
+                estimate_limit(seq)
+        else:
+            est = estimate_limit(seq)
+            assert (est.value.tobytes(), est.method) == want
+
+    def test_convergence_report_working_memory_is_flat(self):
+        # beyond the error norm of each row it returns, the report holds one
+        # row block at a time; it held several arrays the size of the input
+        def working(rows):
+            rng = np.random.default_rng(rows)
+            ratio = rng.uniform(0.1, 0.8, size=50)  # the ratios reach the floor within 200 rows
+            raw = rng.uniform(-5, 5, size=50) + rng.uniform(-2, 2, size=50) * ratio ** np.arange(rows)[:, None]
+            accel, _ = accelerate_sequence(raw)
+            build_convergence_report(raw, accel)  # numpy's first-use allocations happen outside the measurement
+            peak, report = traced_peak(lambda: build_convergence_report(raw, accel))
+            assert len(report.step_ratios) < 200 and len(report.accel_ratios) < 200
+            return peak - report.error_norms.nbytes
+
+        assert working(8000) <= 1.1 * working(1000)

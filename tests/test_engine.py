@@ -1,7 +1,6 @@
 """The two-map iteration engine and its step identity."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,7 @@ from jungckit.aitken import accelerate_sequence
 from jungckit.engine import BLOCK_ELEMENTS, matrix_power_blocks
 from jungckit.model import IterationTrace, safe_row_norms
 
-from conftest import fixed_or_fresh
+from conftest import fixed_or_fresh, traced_peak
 
 
 def scalar_pair(s=2.0, t=0.5):
@@ -118,10 +117,10 @@ class TestPowerApply:
     def test_memory_does_not_grow_with_powers(self):
         # every power of a d=60 map for 400 steps would take 11.5 MB; the
         # stream holds one, so only the O(steps * d) trace rows may grow:
-        # one (350, d) array per row kind the run keeps (z, y, sz, sy, ty,
-        # asz, asy and their two gate arrays) plus the corrector's
-        # temporaries, 10.6 arrays as measured, and 11.6 while the trace
-        # also kept t^n(z_n)
+        # one (350, d) array of floats per row kind the run keeps (z, y,
+        # sz, sy, ty, asz, asy) and an eighth of one for each of the two
+        # one-byte gate arrays, 7.25 arrays (7.29 as measured, 9.04 with
+        # 8-byte gates)
         rng = np.random.default_rng(8)
         d = 60
         raw = rng.normal(size=(d, d))
@@ -131,16 +130,11 @@ class TestPowerApply:
         def peak(steps):
             cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
                                z0=rng.normal(size=d), steps=steps)
-            tracemalloc.start()
-            try:
-                run(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: run(cfg))[0]
 
         growth = peak(400) - peak(50)
         assert growth < 400 * d * d * 8 / 4
-        assert growth / (350 * d * 8) < 11.1
+        assert growth / (350 * d * 8) < 7.5
 
 
 class TestStep:
@@ -169,6 +163,14 @@ class TestRun:
         assert tr.sz.ravel() == pytest.approx([2.0, 0.875, 0.177734375])
         assert tr.z.ravel() == pytest.approx([1.0, 0.4375, 0.0888671875])
         assert tr.n_raw == 3 and tr.n_accel == 1
+
+    @pytest.mark.parametrize("steps", [1, 2, 10])
+    def test_gates_take_one_byte(self, steps):
+        # a trace too short for the corrector gets empty gates of the same dtype
+        off = GatePolicy.always_off()
+        tr = run(scalar_config(steps=steps, gates_z=off if steps < 3 else GatePolicy.always_on(), gates_y=off))
+        assert tr.gates_z.dtype == tr.gates_y.dtype == np.int8
+        assert tr.gates_z.shape == (max(steps - 2, 0), 1)
 
     def test_gates_off_accel_equals_raw(self):
         cfg = scalar_config(steps=10, gates_z=GatePolicy.always_off(), gates_y=GatePolicy.always_off())
@@ -441,12 +443,7 @@ class TestPowerStream:
                            z0=rng.normal(size=d), steps=3)
 
         def peak(horizon):
-            tracemalloc.start()
-            try:
-                power_norms(cfg, horizon)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: power_norms(cfg, horizon))[0]
 
         power = d * d * 8
         assert peak(400) - peak(50) < power
@@ -505,7 +502,7 @@ def reference_step_run(cfg):
         asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)
     else:
         asz = asy = np.empty((0, d))
-        gz = gy = np.empty((0, d), dtype=np.int64)
+        gz = gy = np.empty((0, d), dtype=np.int8)
     return IterationTrace(z=z, y=y, sz=sz, sy=sy, ty=ty, asz=asz, asy=asy, gates_z=gz, gates_y=gy,
                           a_vals=a_vals[:m], b_vals=b_vals[:m], steps=n_steps,
                           diverged=failure is not None, failure=failure)

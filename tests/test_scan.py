@@ -1,13 +1,13 @@
 """Randomized certificate sweep."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from jungckit import ScanSpec, certify, cross_validate, engine, model, run, run_scan, scan, stability
 from jungckit.scan import sample_config, sample_operators
+from conftest import traced_peak
 
 
 class TestSampling:
@@ -66,17 +66,9 @@ class TestSweep:
         rng = np.random.default_rng(spec.seed)
         cfgs = [sample_config(rng, spec) for _ in range(spec.count)]
 
-        def peak(work):
-            tracemalloc.start()
-            try:
-                work()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        largest_run = max(peak(lambda c=c: run(c)) for c in cfgs)
+        largest_run = max(traced_peak(lambda c=c: run(c))[0] for c in cfgs)
         assert run_scan(spec).certified_count == spec.count
-        assert peak(lambda: run_scan(spec)) <= 1.2 * largest_run
+        assert traced_peak(lambda: run_scan(spec))[0] <= 1.2 * largest_run
 
     def test_working_memory_does_not_grow_with_steps(self):
         # a d=5 config that certifies (i and iv) and whose state is +0 from
@@ -92,25 +84,22 @@ class TestSweep:
             cfg = dataclasses.replace(base, steps=steps)
             report = certify(cfg, horizon=steps)
             run(cfg)  # numpy's first-use allocations happen outside the measurement
-            tracemalloc.start()
-            try:
-                trace = run(cfg)
-                run_peak = tracemalloc.get_traced_memory()[1]
-                assert cross_validate(report, trace).simulation_agrees
-                both_peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            run_peak, trace = traced_peak(lambda: run(cfg))
+            # the trace is held while cross_validate reads it
+            both_peak, checked = traced_peak(lambda: cross_validate(report, run(cfg)))
+            assert checked.simulation_agrees
             assert not trace.z[40:].any() and trace.z[39].any()
             held = sum(getattr(trace, name).nbytes for name in fields)
             return run_peak - held, both_peak - held, held
 
         run_short, both_short, held_short = working(100)
         run_long, both_long, held_long = working(1000)
-        # the trace itself grows by 900 rows of 9 * d + 2 floats; a corrector
-        # and norms over every row grew run's working memory by 245 B a row
+        # the trace itself grows by 900 rows of 7 * d + 2 floats and 2 * d
+        # one-byte gates; a corrector and norms over every row grew run's
+        # working memory by 245 B a row
         assert run_long <= 1.1 * run_short
         assert both_long - both_short <= 900 * 4 * 8
-        assert held_long - held_short == 900 * (9 * spec.dim + 2) * 8
+        assert held_long - held_short == 900 * ((7 * spec.dim + 2) * 8 + 2 * spec.dim)
 
     def test_z_norms_are_computed_once_per_simulated_config(self, monkeypatch):
         # the scan's monotone and final-ratio checks and the certificate

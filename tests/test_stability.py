@@ -26,7 +26,7 @@ from jungckit import (
 )
 from jungckit import engine, stability
 from jungckit.scan import ScanSpec, sample_config
-from conftest import fixed_or_fresh
+from conftest import fixed_or_fresh, traced_peak
 from test_engine import block_len, reference_power_norms
 
 
@@ -318,10 +318,11 @@ def test_power_bound_holds_for_every_computed_power(name):
 # the norms of t^0 and t^1, which the certificates take without an SVD
 
 
-def all_svd_norms(pair, index, powers):
+def all_svd_norms(pair, index, block, first):
     """``stability._norms`` without known norms: one stacked SVD over every
-    power, t^0 and t^1 included."""
-    return np.linalg.svd(powers, compute_uv=False)[:, 0], len(index)
+    power asked for, t^0 and t^1 included (``compute_constants`` takes
+    t^0 = I before its stream, without asking)."""
+    return np.linalg.svd(block[index - first], compute_uv=False)[:, 0], len(index)
 
 
 def record_svd(monkeypatch):
@@ -367,6 +368,17 @@ EDGE_MAPS = {
 }
 
 
+def d300_contractive_config():
+    """Shaped like a dense_d300 op: s with singular values in (0.8, 2.5),
+    ||t|| = 0.82, a = 0.6 and b = 1 - 1/(n + 3), so every maximum of the
+    certificate constants sits at t^0."""
+    rng = np.random.default_rng(2)
+    q1, q2 = (np.linalg.qr(rng.normal(size=(300, 300)))[0] for _ in range(2))
+    s = q1 @ np.diag(rng.uniform(0.8, 2.5, size=300)) @ q2.T
+    return linear_config(s, random_map(300, 0.82, 3), Schedule.constant(0.6), Schedule.one_minus_inv(k=3),
+                         np.ones(300), steps=3)
+
+
 def edge_config(t):
     d = len(t)
     return linear_config(2 * np.eye(d), t, Schedule.constant(0.5), Schedule.one_minus_inv(k=2),
@@ -403,18 +415,22 @@ class TestKnownNorms:
         assert norms.tobytes() == reference_power_norms(cfg, 300).tobytes()
 
     def test_a_d300_certify_svds_at_most_one_power(self, monkeypatch):
-        # shaped like a dense_d300 op: s with singular values in (0.8, 2.5), ||t|| = 0.82
-        rng = np.random.default_rng(2)
-        q1, q2 = (np.linalg.qr(rng.normal(size=(300, 300)))[0] for _ in range(2))
-        s = q1 @ np.diag(rng.uniform(0.8, 2.5, size=300)) @ q2.T
-        cfg = linear_config(s, random_map(300, 0.82, 3), Schedule.constant(0.6), Schedule.one_minus_inv(k=3),
-                            np.ones(300), steps=3)
+        cfg = d300_contractive_config()
         seen = record_svd(monkeypatch)
         report = certify(cfg, horizon=300)
         # every maximum sits at t^0: 0.6 * ||t|| < 0.6 and (1 - 1/4) * ||t|| < 1 - 1/3 bound the later powers
         assert seen == [] and report.constants.svds_run == 0 and report.constants.powers_read == 1
         monkeypatch.undo()
         assert constant_bits(report.constants) == constant_bits(reference_compute_constants(cfg, 300))
+
+    def test_a_certify_that_stops_at_t0_forms_no_power(self):
+        # ||t^0|| = 1 is taken without forming I, and the stream never starts:
+        # certify holds less than one d x d matrix (it held about two)
+        cfg = d300_contractive_config()
+        certify(cfg, horizon=300)  # numpy's first-use allocations happen outside the measurement
+        peak, report = traced_peak(lambda: certify(cfg, horizon=300))
+        assert report.constants.powers_read == 1 and report.constants.svds_run == 0
+        assert peak < 300 * 300 * 8
 
     def test_a_stream_that_stops_after_t1_runs_no_svd(self, monkeypatch):
         # one power per block, ||t|| = 0.8: (2/3) ||t|| > 1/2 raises k2 at t^1, and then
