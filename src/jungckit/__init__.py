@@ -8,7 +8,6 @@ from .diagnostics import (
     acceleration_ratio,
     build_convergence_report,
     estimate_limit,
-    limit_identity_residuals,
     sequences_equivalent,
 )
 from .engine import JungckConfig, identity_residuals, run
@@ -52,7 +51,6 @@ from .stability import (
     check_property_iv_v,
     compute_constants,
     cross_validate,
-    power_norms,
 )
 from .venter import (
     Verdict,

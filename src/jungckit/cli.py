@@ -654,8 +654,7 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
                 report.ok(sreport.simulation_agrees,
                           "certificate cross-check: " + "; ".join(sreport.simulation_notes))
         if opts.positivity and sreport is not None:
-            pos = stability.check_positivity_constraints(cfg, horizon=horizon,
-                                                         tol=opts.tail_tol, trace=trace)
+            pos = stability.check_positivity_constraints(cfg, horizon=horizon, tol=opts.tail_tol)
             report.ok(pos.b_in_range and pos.b_tends_to_one,
                       f"positivity constraint 1: b in (0,1] and tends to 1 "
                       f"(tail deviation {pos.b_tail_deviation:.3g})")
@@ -664,34 +663,28 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
             report.ok(pos.s_inv_nonneg and pos.t_nonneg,
                       f"positivity constraint 3: min entry inv(s)={pos.min_s_inv_entry:.3g} "
                       f"t={pos.min_t_entry:.3g}")
-            if pos.little_o_ratios is not None and len(pos.little_o_ratios):
-                report.add("INFO", f"power-vs-iterate ratio ||t^n||/||y_n||: "
-                                   f"first={pos.little_o_ratios[0]:.3e} last={pos.little_o_ratios[-1]:.3e} (no verdict)")
-            for note in pos.notes:
-                report.add("INFO", note)
 
     if cfg.nonneg_domain and trace.n_raw:
         low = float(np.min(trace.sz))
         report.ok(low >= -NONNEG_SLACK, f"nonnegative orthant: min Sz component {low:.3e}")
 
     try:
-        sz_limit = diagnostics.estimate_limit(trace.sz)
-        report.add("INFO", f"limit of Sz ({sz_limit.method}): {np.array2string(sz_limit.value, precision=8)}")
-        ratios = diagnostics.acceleration_ratio(trace.sz, trace.asz, sz_limit.value)
-        if ratios:
-            mid = len(ratios) // 2
-            report.add("INFO", f"acceleration ratios |ASz-L|/|Sz-L|: first={ratios[0]:.3e} "
-                               f"mid={ratios[mid]:.3e} last={ratios[-1]:.3e} ({len(ratios)} reported)")
-        else:
-            report.add("INFO", "acceleration ratios: raw sequence already at its limit")
-        if trace.n_accel >= 5:
-            equivalent = diagnostics.sequences_equivalent(trace.sz, trace.asz, diagnostics.EQUIVALENCE_TOL)
-            report.ok(equivalent, f"limit equivalence Sz vs ASz (tol {diagnostics.EQUIVALENCE_TOL:g})")
-        residual_stream = diagnostics.limit_identity_residuals(trace)
-        report.add("INFO", f"limit-identity residuals: first={residual_stream[0]:.3e} "
-                           f"last={residual_stream[-1]:.3e} (no verdict)")
+        conv = diagnostics.build_convergence_report(trace.sz, trace.asz)
     except (NotConvergingError, SequenceTooShortError) as exc:
         report.add("INFO", f"limit diagnostics skipped: {exc}")
+        return
+    report.add("INFO", f"limit of Sz ({conv.limit_method}): {np.array2string(conv.estimated_limit, precision=8)}")
+    ratios = conv.accel_ratios
+    if ratios:
+        mid = len(ratios) // 2
+        report.add("INFO", f"acceleration ratios |ASz-L|/|Sz-L|: first={ratios[0]:.3e} "
+                           f"mid={ratios[mid]:.3e} last={ratios[-1]:.3e} ({len(ratios)} reported)")
+    else:
+        report.add("INFO", "acceleration ratios: raw sequence already at its limit")
+    if conv.equivalent is None:
+        report.add("INFO", conv.notes[-1])  # why equivalence was not decidable
+    else:
+        report.ok(conv.equivalent, f"limit equivalence Sz vs ASz (tol {diagnostics.EQUIVALENCE_TOL:g})")
 
 
 def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
@@ -709,17 +702,15 @@ def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
 
     try:
         verdict = venter.verify_summability(trace, cfg)
-        report.ok(bool(verdict.passed),
+        report.ok(verdict.passed,
                   f"telescoping identity: worst residual {verdict.value:.3e} (tol {verdict.threshold:.3e})")
-        report.add("INFO", f"partial sums at horizon: sum(alpha*x)={verdict.info['sum_alpha_x']:.8g} "
-                           f"sum(x)={verdict.info['sum_x']:.8g} (no verdict)")
     except HypothesisViolatedError as exc:
         report.add("INFO", f"telescoping identity: skipped ({exc})")
 
     try:
         verdict = venter.verify_property_i(trace, cfg, scn.eps)
         div_txt = {True: "diverges", False: "converges", None: "unknown"}[verdict.info["sum_alpha_diverges"]]
-        report.ok(bool(verdict.passed),
+        report.ok(verdict.passed,
                   f"decay-to-zero: x_N={verdict.value:.3e} (eps {verdict.threshold:g}; alpha series {div_txt})")
         report.add("INFO", f"geometric-expansion identity residual: {verdict.info['expansion_residual']:.3e}")
     except HypothesisViolatedError as exc:
@@ -727,7 +718,7 @@ def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
 
     try:
         verdict = venter.verify_property_iv(trace, cfg)
-        report.ok(bool(verdict.passed),
+        report.ok(verdict.passed,
                   f"uniform bound: sup x={verdict.value!r} bound={verdict.threshold!r} margin={verdict.margin:.3e}")
     except HypothesisViolatedError as exc:
         report.add("INFO", f"uniform bound: skipped ({exc})")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .aitken import accelerate_sequence, row_blocks
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
-from .model import IterationTrace, Vector, exact_row_norms, unoverflowed
+from .model import Vector, exact_row_norms, unoverflowed
 
 #: a final difference below this relative scale counts as numerically settled
 SETTLE_SCALE = 1e-10
@@ -74,6 +74,11 @@ def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
     return LimitEstimate(value=accel[0], method="extrapolation")
 
 
+def _ratio_floor(limit: np.ndarray) -> float:
+    """Error norms at or below this are noise around ``limit``."""
+    return RATIO_FLOOR_SCALE * (1.0 + float(exact_row_norms(limit[None])[0]))
+
+
 def acceleration_ratio(
     raw: Sequence[Vector] | np.ndarray,
     accel: Sequence[Vector] | np.ndarray,
@@ -93,7 +98,7 @@ def acceleration_ratio(
             f"corrected length {acc_arr.shape[0]} != raw length {raw_arr.shape[0]} - 2"
         )
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
-    floor = RATIO_FLOOR_SCALE * (1.0 + float(exact_row_norms(lim[None])[0]))
+    floor = _ratio_floor(lim)
     ratios: list[float] = []
     for block in row_blocks(*acc_arr.shape):
         den = exact_row_norms(raw_arr[block] - lim)
@@ -117,22 +122,6 @@ def sequences_equivalent(a, b, tol: float) -> bool:
     return bool(gap <= tol * (1.0 + max(norm_a, norm_b)))
 
 
-def limit_identity_residuals(trace: IterationTrace) -> np.ndarray:
-    """Residual stream of the limit form of the step-coupling identity.
-
-    Substitutes the estimated limits of both s-image sequences into
-    [1 + a_n (b_n - 1)] L_z - (1 - a_n) L_y - a_n b_n t^n(y_n) and returns
-    the norms per step.  For convergent traces the stream trends to zero;
-    no verdict is attached because that conclusion needs the product
-    a_n * b_n to stay away from zero.
-    """
-    l_z = estimate_limit(trace.sz).value
-    l_y = estimate_limit(trace.sy).value
-    a, b = trace.a_vals[:, None], trace.b_vals[:, None]
-    r = (1.0 + a * (b - 1.0)) * l_z - (1.0 - a) * l_y - a * b * trace.ty
-    return exact_row_norms(r)
-
-
 @dataclass
 class ConvergenceReport:
     """Rates and limits for one raw/corrected sequence pair."""
@@ -147,12 +136,19 @@ class ConvergenceReport:
 
 
 def build_convergence_report(raw, accel) -> ConvergenceReport:
-    """Assemble limit, per-step rates and correction ratios for a sequence pair."""
+    """Assemble limit, per-step rates and correction ratios for a sequence pair.
+
+    Error norms are taken as ``exact_row_norms`` takes them, so a finite
+    row whose squares overflow keeps a finite error.  ``equivalent`` is None,
+    with the reason as the last note, when either limit cannot be estimated.
+    """
     raw_arr = _as_rows(raw)
     est = estimate_limit(raw_arr)
     lim = est.value
-    errors = distances(raw_arr, lim)
-    floor = RATIO_FLOOR_SCALE * (1.0 + float(np.linalg.norm(lim)))
+    errors = np.empty(raw_arr.shape[0])
+    for block in row_blocks(*raw_arr.shape):
+        errors[block] = exact_row_norms(raw_arr[block] - lim)
+    floor = _ratio_floor(lim)
     above = errors[:-1] > floor
     step_ratios = (errors[1:][above] / errors[:-1][above]).tolist()
     accel_ratios = acceleration_ratio(raw_arr, accel, lim)

@@ -71,17 +71,6 @@ def _norms(pair: OperatorPair, index: np.ndarray, block: np.ndarray, first: int)
     return norms, len(index) - known
 
 
-def power_norms(cfg: JungckConfig, horizon: int) -> np.ndarray:
-    """Spectral norms of t^n for n = 0..horizon (inf once a power overflows)."""
-    norms = np.full(horizon + 1, math.inf)
-    try:
-        for n, block in _power_blocks(cfg.pair.t, horizon):
-            norms[n:n + len(block)] = _norms(cfg.pair, np.arange(n, n + len(block)), block, n)[0]
-    except NonFiniteError:
-        pass  # the overflowed power and every later one keep norm inf
-    return norms
-
-
 def _power_bounds(pair: OperatorPair, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """``(bound, excess)`` for n = 0..horizon: ``bound[n]`` is at least the
     SVD norm of the computed t^n, and ``excess[n] = bound[n] - ||t||^n``.
@@ -499,14 +488,11 @@ def cross_validate(report: StabilityReport, trace: IterationTrace) -> StabilityR
 
 @dataclass
 class PositivityReport:
-    """Checkable pieces of the global-stability constraint set.
-
-    Range/limit demands on the schedules and entrywise nonnegativity of
-    s^-1 and t are pass/fail.  The remaining clauses get no verdict:
-    power-norm decay relative to iterate size is reported as a raw ratio
-    stream, and the derived-schedule identity, whose summability demands
-    are mutually inconsistent, only as a note.
-    """
+    """The checkable pieces of the global-stability constraint set, each
+    pass/fail: range and limit demands on the schedules, and entrywise
+    nonnegativity of s^-1 and t.  The set's other clauses, power decay
+    against iterate size and the derived-schedule identity, have no check
+    (see the README)."""
 
     b_in_range: bool
     b_tends_to_one: bool
@@ -517,31 +503,13 @@ class PositivityReport:
     t_nonneg: bool
     min_s_inv_entry: float
     min_t_entry: float
-    little_o_ratios: Optional[np.ndarray] = None
-    notes: list = field(default_factory=list)
-
-    @property
-    def passes(self) -> bool:
-        return (
-            self.b_in_range and self.b_tends_to_one and self.a_in_range
-            and self.a_tail_limit is not None and self.s_inv_nonneg and self.t_nonneg
-        )
 
 
-def check_positivity_constraints(
-    cfg: JungckConfig,
-    horizon: int,
-    tol: float = 0.01,
-    trace: IterationTrace | None = None,
-) -> PositivityReport:
-    """Evaluate the global-stability constraint set at a finite horizon.
-
-    Checks: b in (0, 1] tending to 1; a in [0, 1] with tail limit 0 or 1;
-    entrywise nonnegativity of s^-1 and t (sufficient for every composite
-    power to preserve the nonnegative orthant).  With a trace, also emits
-    the ||t^n|| / ||y_n|| diagnostic stream (inf where y_n = 0 or the ratio
-    overflows).
-    """
+def check_positivity_constraints(cfg: JungckConfig, horizon: int, tol: float = 0.01) -> PositivityReport:
+    """Evaluate the checkable clauses of the global-stability constraint set
+    at a finite horizon: b in (0, 1] tending to 1; a in [0, 1] with tail
+    limit 0 or 1; entrywise nonnegativity of s^-1 and t (sufficient for
+    every composite power to preserve the nonnegative orthant)."""
     a = cfg.a.array(horizon + 1)
     b = cfg.b.array(horizon + 1)
 
@@ -559,19 +527,6 @@ def check_positivity_constraints(
     min_s_inv = float(np.min(cfg.pair.s_inverse))
     min_t = float(np.min(cfg.pair.t.matrix))
 
-    ratios = None
-    if trace is not None and trace.n_raw:
-        tn = power_norms(cfg, trace.n_raw - 1)
-        yn = safe_row_norms(trace.y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = np.where(yn > 0, tn / yn, np.inf)
-
-    notes = [
-        "power-decay-vs-iterate clauses are diagnostics only (no verdict)",
-        "derived-schedule clause demands a summable alpha with divergent partial sums; "
-        "mutually inconsistent, reported without a verdict",
-    ]
-
     return PositivityReport(
         b_in_range=b_in_range,
         b_tends_to_one=(b_dev <= tol),
@@ -582,6 +537,4 @@ def check_positivity_constraints(
         t_nonneg=(min_t >= 0.0),
         min_s_inv_entry=min_s_inv,
         min_t_entry=min_t,
-        little_o_ratios=ratios,
-        notes=notes,
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -134,10 +133,10 @@ def venter_run(cfg: VenterConfig) -> VenterTrace:
 
 @dataclass
 class Verdict:
-    """One verification outcome; ``passed`` is None for verdict-less diagnostics."""
+    """One verification outcome."""
 
     name: str
-    passed: Optional[bool]
+    passed: bool
     value: float
     threshold: float
     margin: float
@@ -201,10 +200,6 @@ def verify_summability(trace: VenterTrace, cfg: VenterConfig) -> Verdict:
         value=worst,
         threshold=scale,
         margin=float(scale - worst),
-        info={
-            "sum_alpha_x": float(trace.sum_alpha_x[-1]),
-            "sum_x": float(trace.sum_x[-1]),
-        },
     )
 
 

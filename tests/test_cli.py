@@ -576,6 +576,38 @@ class TestMain:
         assert "write 1.0e-6" in err
 
 
+_JUNGCK_HEAD = ["INFO jungck run", "INFO operator data", "PASS identity-residual", "INFO certificate constants",
+                *(f"INFO certificate {p}" for p in ("i", "ii", "iii", "iv", "v")),
+                "INFO certificate prediction", "PASS certificate cross-check"]
+_JUNGCK_LIMIT = ["INFO limit of Sz (last-term)", "INFO acceleration ratios |ASz-L|/|Sz-L|",
+                 "PASS limit equivalence Sz vs ASz (tol 1e-06)"]
+#: the label of each report line of each shipped config: its status and its text up to the first ":"
+SHIPPED_REPORT_LABELS = {
+    "aitken_geometric.yaml": ["INFO aitken run", "PASS geometric exactness", "INFO acceleration ratios",
+                              "INFO gates applied"],
+    "jungck_scalar.yaml": _JUNGCK_HEAD + _JUNGCK_LIMIT,
+    "positivity_demo.yaml": _JUNGCK_HEAD + ["PASS positivity constraint 1", "PASS positivity constraint on a",
+                                            "PASS positivity constraint 3", "PASS nonnegative orthant"]
+                            + _JUNGCK_LIMIT,
+    "stability_scan.yaml": ["INFO scan", "INFO certified counts", "INFO configs with any certificate",
+                            "PASS certificate soundness"],
+    "venter_bound.yaml": ["INFO venter run", "INFO cesaro mean K_hat at horizon", "INFO telescoping identity",
+                          "INFO decay-to-zero", "PASS uniform bound"],
+    "venter_decay.yaml": ["INFO venter run", "INFO cesaro mean K_hat at horizon",
+                          "INFO K_hat exceeds 0.99; contraction-style bounds are near-vacuous",
+                          "PASS telescoping identity", "PASS decay-to-zero",
+                          "INFO geometric-expansion identity residual", "PASS uniform bound"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+def test_shipped_config_report_lines(tmp_path, name):
+    # every line is a check or a run fact: none of them lacks a verdict by design
+    assert main(["--config", str(CONFIGS / name), "--output", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines] == SHIPPED_REPORT_LABELS[name]
+    assert not any("no verdict" in line for line in lines)
+
 
 # ---------------------------------------------------------------------------
 # the four per-scenario writers that write_csv replaced, kept as its reference
@@ -1030,7 +1062,8 @@ def _is_finite_cell(cell: str) -> bool:
 
 #: a finite seed whose residuals, near 1e290, square past the largest float
 HUGE_SEED = (CONFIGS / "jungck_scalar.yaml").read_text().replace("z0: [1.0]", "z0: [1.0e+300]")
-#: a positivity run whose ||t^n|| / ||y_n|| overflows: y_n underflows while ||t^n|| stays near 1
+#: a positivity run whose iterates underflow to 0 while ||t|| = 2.01 keeps the
+#: certificate constants reading every power of t
 OVERFLOWING_RATIO = (CONFIGS / "positivity_demo.yaml").read_text().replace("[[0.25, 0.1], [0.1, 0.2]]",
                                                                            "[[0.0, 2.0], [0.1, 0.2]]")
 

@@ -17,9 +17,9 @@ from jungckit import (
     engine,
     identity_residuals,
     make_operator_pair,
-    power_norms,
     run,
     spectral_norm,
+    stability,
 )
 from jungckit.aitken import accelerate_sequence
 from jungckit.engine import BLOCK_ELEMENTS, matrix_power_blocks
@@ -321,6 +321,19 @@ def reference_power_norms(cfg, horizon):
     return norms
 
 
+def stream_norms(cfg, horizon):
+    """The norms of t^0..t^horizon as the certificate constants read them:
+    ``stability._norms`` over the blocks of ``stability._power_blocks``, inf
+    from the first overflowed power on."""
+    norms = np.full(horizon + 1, math.inf)
+    try:
+        for n, block in stability._power_blocks(cfg.pair.t, horizon):
+            norms[n:n + len(block)] = stability._norms(cfg.pair, np.arange(n, n + len(block)), block, n)[0]
+    except NonFiniteError:
+        pass
+    return norms
+
+
 def reference_run(cfg):
     """``run`` fed one power per block by the reference stream."""
     one_power_blocks = lambda t: (m[None] for m in reference_matrix_powers(t))
@@ -415,8 +428,9 @@ class TestPowerStream:
     @given(stream_cases())
     @fixed_or_fresh(80)
     def test_power_norms_match_the_reference(self, case):
+        # the t^0 and t^1 shortcuts and the cut at the first overflowed power
         cfg, horizon, overflow_at = case
-        norms = power_norms(cfg, horizon)
+        norms = stream_norms(cfg, horizon)
         assert norms.tobytes() == reference_power_norms(cfg, horizon).tobytes()
         if overflow_at is not None:
             assert np.isfinite(norms).sum() == min(overflow_at, horizon + 1)
@@ -432,22 +446,26 @@ class TestPowerStream:
         assert (got.diverged, got.failure) == (ref.diverged, ref.failure)
 
     def test_power_norms_memory_does_not_grow_with_the_horizon(self):
-        # one power at d=60 (one per block) takes 28.8 kB: the stream holds at
-        # most two at a time, and a horizon of 400 holds no more than one of 50
+        # one power at d=100 (one per block) takes 80 kB; the certificate
+        # constants of an orthogonal t with b = 1 - 1/(n + 2) read and SVD
+        # every power, and hold a few powers at a time whatever the horizon,
+        # plus about 80 bytes of per-power scalars
         rng = np.random.default_rng(8)
-        d = 60
-        raw = rng.normal(size=(d, d))
+        d = 100
         pair = make_operator_pair(Operator.from_matrix(rng.normal(size=(d, d)) + 30 * np.eye(d)),
-                                  Operator.from_matrix(raw * (0.9 / np.linalg.norm(raw, 2))))
-        cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
+                                  Operator.from_matrix(np.linalg.qr(rng.normal(size=(d, d)))[0]))
+        cfg = JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.one_minus_inv(k=2),
                            z0=rng.normal(size=d), steps=3)
 
         def peak(horizon):
-            return traced_peak(lambda: power_norms(cfg, horizon))[0]
+            peak, constants = traced_peak(lambda: stability.compute_constants(cfg, horizon))
+            assert constants.powers_read == horizon + 1
+            return peak
 
+        stability.compute_constants(cfg, 50)  # numpy's first-use allocations happen outside the measurement
         power = d * d * 8
         assert peak(400) - peak(50) < power
-        assert peak(400) < 3 * power
+        assert peak(400) < 4 * power
 
 
 # ---------------------------------------------------------------------------
