@@ -46,8 +46,12 @@ def row_blocks(count: int, width: int) -> Iterator[slice]:
 
 
 def denominator_floor(s0: Vector, floor_scale: float) -> Vector:
-    """Relative floor under which a second difference counts as zero."""
-    return floor_scale * (1.0 + np.abs(s0))
+    """Relative floor under which a second difference counts as zero,
+    ``floor_scale * (1 + |s0|)``, built in one array."""
+    floor = np.abs(s0)
+    floor += 1.0
+    floor *= floor_scale
+    return floor
 
 
 def accelerate_sequence(
@@ -89,11 +93,13 @@ def accelerate_sequence(
         if not np.all(np.isfinite(window)):
             raise NonFiniteError("sequence has non-finite entries")
         s0, s1, s2 = window[:-2], window[1:-1], window[2:]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             d1 = s1 - s0
             d2 = s0 - 2.0 * s1 + s2
-            corrected = s0 - d1 * d1 / d2
+        # the gate before the quotient, so that their temporaries are never held together
         gate = policy.gates(lo, d2) & (np.abs(d2) > denominator_floor(s0, floor_scale))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            corrected = s0 - d1 * d1 / d2
         finite = np.isfinite(corrected)
         if not finite.all():
             # past the floor, d1 * d1 overflows above about 1.3e154: divide first there
@@ -102,7 +108,9 @@ def accelerate_sequence(
                 corrected[lost] = s0[lost] - d1[lost] * (d1[lost] / d2[lost])
             finite[lost] = np.isfinite(corrected[lost])
         gate &= finite
-        accel[block] = np.where(gate, corrected, s0)
+        out = accel[block]
+        np.copyto(out, s0)
+        np.copyto(out, corrected, where=gate)
         gates[block] = gate
     if live < n - 2:
         # the policy is still asked about the zero windows (with no columns),

@@ -712,7 +712,9 @@ def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
         div_txt = {True: "diverges", False: "converges", None: "unknown"}[verdict.info["sum_alpha_diverges"]]
         report.ok(verdict.passed,
                   f"decay-to-zero: x_N={verdict.value:.3e} (eps {verdict.threshold:g}; alpha series {div_txt})")
-        report.add("INFO", f"geometric-expansion identity residual: {verdict.info['expansion_residual']:.3e}")
+        info = verdict.info
+        report.ok(info["expansion_holds"], f"geometric-expansion identity: residual "
+                                           f"{info['expansion_residual']:.3e} (tol {info['expansion_tol']:.3e})")
     except HypothesisViolatedError as exc:
         report.add("INFO", f"decay-to-zero: skipped ({exc})")
 

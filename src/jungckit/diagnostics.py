@@ -35,10 +35,14 @@ def _as_rows(seq) -> np.ndarray:
 def distances(rows: np.ndarray, center: Vector) -> np.ndarray:
     """``np.linalg.norm(rows - center, axis=1)``, taken over
     :func:`jungckit.aitken.row_blocks`.  The norm reduces each row on its
-    own, so every row keeps the bits of the unblocked norm."""
+    own, so every row keeps the bits of the unblocked norm, except a finite
+    difference whose squares overflow: it gets its scaled norm, not inf
+    (:func:`jungckit.model.unoverflowed`)."""
     out = np.empty(rows.shape[0])
     for block in row_blocks(*rows.shape):
-        out[block] = np.linalg.norm(rows[block] - center, axis=1)
+        diff = rows[block] - center
+        with np.errstate(over="ignore"):
+            out[block] = unoverflowed(np.linalg.norm(diff, axis=1), diff)
     return out
 
 

@@ -5,8 +5,13 @@ One step at index n, seeded with z0 (t^0 is the identity):
     sy_n   = (1 - b_n) * sz_n + b_n * t^n(z_n)      y_n = solve(sy_n)
     sz_n+1 = (1 - a_n) * t^n(z_n) + a_n * t^n(y_n)  z_n+1 = solve(sz_n+1)
 
-A run records n_raw = steps rows (the final row gets its y-half only) and
-feeds both s-image sequences through the gated delta-squared corrector.
+A run records n_raw = steps rows (the final row gets its y-half only).
+It reads a_n and b_n from ``Schedule.prefix``: each schedule keeps the
+values it has evaluated, so the certificates and the cross-check that
+read the same config evaluate none again.  The trace feeds both s-image
+sequences through the gated delta-squared corrector the first time its
+corrected rows are read (:class:`jungckit.model.IterationTrace`), so a
+reader of the raw rows alone, such as the soundness sweep, never runs it.
 Non-finite intermediates halt the run; the partial trace is kept and
 flagged instead of raised, because the stability sweeps deliberately
 explore unstable regions.
@@ -53,7 +58,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
+from .aitken import DEFAULT_FLOOR_SCALE
 from .errors import NonFiniteError, SolveError
 from .model import (GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, exact_row_norms,
                     safe_row_norms)
@@ -219,33 +224,20 @@ def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray) -> tup
 
 
 def run(cfg: JungckConfig) -> IterationTrace:
-    """Execute the scheme for cfg.steps raw indices and correct both s-image
-    sequences.
+    """Execute the scheme for cfg.steps raw indices.  The trace corrects
+    both s-image sequences when its corrected rows are first read.
 
     On overflow or solve failure the trace is truncated to the last complete
     row and flagged ``diverged`` with the failure message.
     """
     n_steps = cfg.steps
-    a_vals = cfg.a.array(n_steps)
-    b_vals = cfg.b.array(n_steps)
-    # the step's scratch vectors and its block of powers are freed on
-    # return, before the corrector, whose temporaries set the peak memory of
-    # a run that does not settle (it skips the zero rows of one that does)
+    a_vals = cfg.a.prefix(n_steps)
+    b_vals = cfg.b.prefix(n_steps)
     rows, m, failure = _step_rows(cfg, a_vals, b_vals)
-
-    d = cfg.dim
     z, y, sz, sy, ty = (row_kind[:m] for row_kind in rows)
-    if m >= 3:
-        asz, gz = accelerate_sequence(sz, cfg.gates_z, cfg.floor_scale)
-        asy, gy = accelerate_sequence(sy, cfg.gates_y, cfg.floor_scale)
-    else:
-        asz = asy = np.empty((0, d))
-        gz = gy = np.empty((0, d), dtype=np.int8)
-
     return IterationTrace(
-        z=z, y=y, sz=sz, sy=sy, ty=ty,
-        asz=asz, asy=asy, gates_z=gz, gates_y=gy,
-        a_vals=a_vals[:m], b_vals=b_vals[:m],
+        z=z, y=y, sz=sz, sy=sy, ty=ty, a_vals=a_vals[:m], b_vals=b_vals[:m],
+        policy_z=cfg.gates_z, policy_y=cfg.gates_y, floor_scale=cfg.floor_scale,
         steps=n_steps, diverged=failure is not None, failure=failure,
     )
 

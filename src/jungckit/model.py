@@ -4,7 +4,11 @@ State vectors are plain 1-D float64 numpy arrays validated through
 :func:`as_state`.  Operators wrap a dense, finite square matrix; an
 :class:`OperatorPair` couples the solved-against map ``s`` with the
 iterated map ``t`` and caches the inverse and norm data that the step and
-the stability certificates need.
+the stability certificates need.  A :class:`Schedule` holds the values it
+has evaluated, read-only, so a run, its certificates and their
+cross-check read one evaluation of each schedule (``Schedule.prefix``).
+An :class:`IterationTrace` computes its corrected rows and gates the first
+time one of them is read.
 """
 
 from __future__ import annotations
@@ -91,10 +95,12 @@ class Operator:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; +inf when the matrix is not finite."""
-    if not np.all(np.isfinite(m)):
+    """Largest singular value; +inf when the matrix is not finite.  The
+    same bits as ``np.linalg.norm(m, 2)``, which takes the largest of the
+    same SVD's values, and they come largest first."""
+    if not np.isfinite(m).all():
         return math.inf
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def exact_row_norms(r: np.ndarray) -> np.ndarray:
@@ -245,6 +251,11 @@ def make_operator_pair(s: Operator, t: Operator, tol: float = 1e-10) -> Operator
 SCHEDULE_FORMS = ("constant", "one-minus-inv", "inv", "inv-pow", "list")
 
 
+#: the values of a schedule that has evaluated none yet
+_NO_VALUES = np.empty(0)
+_NO_VALUES.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Evaluable parameter sequence with a clamping range.
@@ -253,6 +264,11 @@ class Schedule:
     ``inv`` 1/(n+k), ``inv-pow`` 1/(n+k)^p, and explicit ``list`` values.
     Values falling outside ``clamp`` are clamped (and logged), never
     rejected; explicit lists raise past their length.
+
+    A schedule keeps the values it has evaluated (``prefix``), so each
+    value is evaluated once however many readers ask for it.  A schedule
+    is frozen, so what it keeps is never stale; ``dataclasses.replace``
+    builds a new one, which starts with no values.
     """
 
     form: str
@@ -261,6 +277,8 @@ class Schedule:
     p: float = 1.0
     values: tuple = ()
     clamp: tuple = (0.0, 1.0)
+    # derived, never passed in: the read-only values at n = 0, 1, ... evaluated so far
+    _held: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.form not in SCHEDULE_FORMS:
@@ -272,6 +290,7 @@ class Schedule:
             raise ValueError("rational schedules need k >= 1 so n=0 is evaluable")
         if not all(math.isfinite(v) for v in (self.c, self.p, *self.values)):
             raise ValueError("schedule parameters and values must be finite")
+        object.__setattr__(self, "_held", _NO_VALUES)
 
     @classmethod
     def constant(cls, c: float, clamp=(0.0, 1.0)) -> "Schedule":
@@ -294,9 +313,26 @@ class Schedule:
         return cls(form="list", values=tuple(float(v) for v in values), clamp=clamp)
 
     def array(self, count: int) -> np.ndarray:
-        """Evaluate at n = 0..count-1, clamped into ``clamp``; an explicit
-        list raises past its length."""
-        n = np.arange(max(count, 0))
+        """Evaluate at n = 0..count-1, clamped into ``clamp``, as a new
+        array; an explicit list raises past its length."""
+        return self._evaluate(0, count)
+
+    def prefix(self, count: int) -> np.ndarray:
+        """The values of ``array(count)``, read-only, from the ones this
+        schedule keeps: only those at n past the kept ones are evaluated,
+        and then kept too.  An explicit list raises past its length, as
+        ``array`` does."""
+        held = self._held
+        if count > held.size:
+            held = np.concatenate((held, self._evaluate(held.size, count)))
+            held.flags.writeable = False
+            object.__setattr__(self, "_held", held)
+        return held[:max(count, 0)]
+
+    def _evaluate(self, start: int, stop: int) -> np.ndarray:
+        """The clamped values at n = start..stop-1, each the same bits
+        whatever the range it is evaluated in."""
+        n = np.arange(start, max(stop, start))
         if self.form == "constant":
             raw = np.full(n.size, float(self.c))
         elif self.form == "one-minus-inv":
@@ -306,22 +342,24 @@ class Schedule:
         elif self.form == "inv-pow":
             # numpy's power differs from libm's pow in the last bit on some values
             try:
-                raw = np.array([1.0 / float(i) ** self.p for i in range(self.k, self.k + n.size)], dtype=float)
+                raw = np.array([1.0 / float(i) ** self.p for i in range(self.k + start, self.k + start + n.size)],
+                               dtype=float)
             except (OverflowError, ZeroDivisionError):
-                for i in range(n.size):
+                for i in n.tolist():
                     _inv_pow(self, i)  # raises the typed error at the first n that fails
                 raise
         else:
-            if n.size > len(self.values):
+            if start + n.size > len(self.values):
                 raise IndexOutOfRangeError(
                     f"explicit schedule has {len(self.values)} values, asked for n={len(self.values)}"
                 )
-            raw = np.array(self.values[:n.size], dtype=float)
+            raw = np.array(self.values[start:start + n.size], dtype=float)
         lo, hi = self.clamp
         low, high = raw < lo, raw > hi
         clamped = np.flatnonzero(low | high)
         if clamped.size:
-            log.debug("%d schedule value(s) clamped into [%g, %g], first at n=%d", clamped.size, lo, hi, clamped[0])
+            log.debug("%d schedule value(s) clamped into [%g, %g], first at n=%d", clamped.size, lo, hi,
+                      start + clamped[0])
             # below lo the value is min(hi, lo), so a clamp range (0.0, -0.0) keeps hi's sign
             raw = np.where(low, min(hi, lo), np.where(high, hi, raw))
         return raw
@@ -420,10 +458,15 @@ class IterationTrace:
     """Per-step record of the two-map iteration plus corrected companions.
 
     Raw rows n = 0..n_raw-1 hold z, y, the s-images sz/sy and the t-power
-    images ty = t^n(y_n).  The corrected sequences asz/asy live at indices
+    images ty = t^n(y_n).  ``a_vals``/``b_vals`` are the schedule values
+    actually used.  The corrected sequences asz/asy live at indices
     0..n_raw-3 (each needs the two following raw terms), alongside the
-    effective per-component gates.  ``a_vals``/``b_vals`` are the schedule
-    values actually used.
+    effective per-component gates gates_z/gates_y.  Those four are computed
+    together, from sz and sy with the gate policies ``policy_z``/``policy_y``
+    and ``floor_scale``, the first time one of them is read, and kept
+    read-only; a reader of the raw rows alone never pays for them.  A gate
+    list too short for the trace's windows raises when the trace is built,
+    where the corrector would refuse it.
     """
 
     z: np.ndarray
@@ -431,15 +474,20 @@ class IterationTrace:
     sz: np.ndarray
     sy: np.ndarray
     ty: np.ndarray
-    asz: np.ndarray
-    asy: np.ndarray
-    gates_z: np.ndarray
-    gates_y: np.ndarray
     a_vals: np.ndarray
     b_vals: np.ndarray
+    policy_z: GatePolicy
+    policy_y: GatePolicy
+    floor_scale: float
     steps: int
     diverged: bool = False
     failure: Optional[str] = None
+
+    def __post_init__(self):
+        # asked about every window with no columns, as the corrector asks about a zero tail
+        windows = np.empty((self.n_accel, 0))
+        self.policy_z.gates(0, windows)
+        self.policy_y.gates(0, windows)
 
     @property
     def dim(self) -> int:
@@ -451,7 +499,38 @@ class IterationTrace:
 
     @property
     def n_accel(self) -> int:
-        return self.asz.shape[0]
+        return max(self.n_raw - 2, 0)
+
+    @cached_property
+    def _corrected(self) -> tuple:
+        """``(asz, gates_z, asy, gates_y)`` from the gated delta-squared corrector."""
+        from .aitken import accelerate_sequence  # aitken imports this module
+
+        if self.n_raw >= 3:
+            parts = (*accelerate_sequence(self.sz, self.policy_z, self.floor_scale),
+                     *accelerate_sequence(self.sy, self.policy_y, self.floor_scale))
+        else:
+            empty, gates = np.empty((0, self.dim)), np.empty((0, self.dim), dtype=np.int8)
+            parts = (empty, gates, empty, gates)
+        for part in parts:
+            part.flags.writeable = False
+        return parts
+
+    @property
+    def asz(self) -> np.ndarray:
+        return self._corrected[0]
+
+    @property
+    def gates_z(self) -> np.ndarray:
+        return self._corrected[1]
+
+    @property
+    def asy(self) -> np.ndarray:
+        return self._corrected[2]
+
+    @property
+    def gates_y(self) -> np.ndarray:
+        return self._corrected[3]
 
     @cached_property
     def z_norms(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import JungckConfig, run
-from .model import GatePolicy, Operator, Schedule, make_operator_pair
+from .model import GatePolicy, Operator, Schedule, make_operator_pair, spectral_norm
 from .stability import NORM_FLOOR, certify, cross_validate
 
 MONOTONE_SLACK = 1e-9
@@ -92,7 +92,7 @@ def sample_operators(rng: np.random.Generator, spec: ScanSpec):
     singular values so its minimum modulus is controlled exactly."""
     d = spec.dim
     raw = rng.normal(size=(d, d))
-    t = raw * (rng.uniform(*spec.t_norm_range) / np.linalg.norm(raw, 2))
+    t = raw * (rng.uniform(*spec.t_norm_range) / spectral_norm(raw))
     q1, _ = np.linalg.qr(rng.normal(size=(d, d)))
     q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
     svals = rng.uniform(*spec.mu_range, size=d)

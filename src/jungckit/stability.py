@@ -208,8 +208,8 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     if horizon < tail_start + 10:
         raise ValueError("horizon must be at least tail_start + 10")
     pair = cfg.pair
-    a = cfg.a.array(horizon + 1)
-    b = cfg.b.array(horizon + 1)
+    a = cfg.a.prefix(horizon + 1)
+    b = cfg.b.prefix(horizon + 1)
     mu_inv = 1.0 / pair.s_min_modulus
     s_norm = pair.s_norm
 
@@ -311,8 +311,8 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
     mu_inv = 1.0 / mu
     s_norm = cfg.pair.s_norm
     t_norm = cfg.pair.t_norm
-    a = cfg.a.array(horizon + 1)
-    b = cfg.b.array(horizon + 1)
+    a = cfg.a.prefix(horizon + 1)
+    b = cfg.b.prefix(horizon + 1)
 
     y_amp = mu_inv * (np.abs(1.0 - b) * s_norm + np.abs(b))
     m_bound = float(np.max(y_amp))
@@ -340,7 +340,7 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
 def _tail_close_to_one(sched: Schedule, horizon: int, tol: float) -> tuple[bool, float]:
     if not tol >= 0:  # NaN fails it too
         raise ValueError(f"tail_tol must be >= 0, got {tol}")
-    vals = sched.array(horizon + 1)[horizon // 2:]
+    vals = sched.prefix(horizon + 1)[horizon // 2:]
     dev = float(np.max(np.abs(vals - 1.0)))
     return dev <= tol, dev
 
@@ -435,7 +435,7 @@ def cross_validate(report: StabilityReport, trace: IterationTrace) -> StabilityR
         raise TraceMismatchError("trace shape does not match the certified configuration")
     n = trace.n_raw
     if n and not (
-        np.array_equal(trace.a_vals, cfg.a.array(n)) and np.array_equal(trace.b_vals, cfg.b.array(n))
+        np.array_equal(trace.a_vals, cfg.a.prefix(n)) and np.array_equal(trace.b_vals, cfg.b.prefix(n))
     ):
         raise TraceMismatchError("trace schedules differ from the certified configuration")
 
@@ -510,8 +510,8 @@ def check_positivity_constraints(cfg: JungckConfig, horizon: int, tol: float = 0
     at a finite horizon: b in (0, 1] tending to 1; a in [0, 1] with tail
     limit 0 or 1; entrywise nonnegativity of s^-1 and t (sufficient for
     every composite power to preserve the nonnegative orthant)."""
-    a = cfg.a.array(horizon + 1)
-    b = cfg.b.array(horizon + 1)
+    a = cfg.a.prefix(horizon + 1)
+    b = cfg.b.prefix(horizon + 1)
 
     b_in_range = bool(np.all((b > 0.0) & (b <= 1.0)))
     _, b_dev = _tail_close_to_one(cfg.b, horizon, tol)

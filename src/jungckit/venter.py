@@ -131,6 +131,12 @@ def venter_run(cfg: VenterConfig) -> VenterTrace:
     return trace
 
 
+def _identity_tol(trace: VenterTrace) -> float:
+    """Tolerance of the telescoping and geometric-expansion identities:
+    1e-10 * (1 + x_0 + sum omega)."""
+    return 1e-10 * (1.0 + trace.x[0] + float(trace.sum_omega[-1]))
+
+
 @dataclass
 class Verdict:
     """One verification outcome."""
@@ -150,8 +156,16 @@ def verify_property_i(trace: VenterTrace, cfg: VenterConfig, eps: float) -> Verd
     verdict passes when the final iterate is below ``eps``.  Divergence of
     the alpha partial sums is decided symbolically for the built-in
     schedule families (None = unknown) and reported alongside.  The info
-    dict also carries the geometric-expansion identity residual evaluated
-    with K_hat, which is pure floating-point error by construction.
+    dict also carries the geometric-expansion identity
+
+        x_N = K^N x_0 + sum_{i<N} K^(N-1-i) (omega_i - (K + alpha_i - 1) x_i)
+
+    evaluated with K = K_hat: its residual, which is pure floating-point
+    error by construction, and whether it holds within the telescoping
+    identity's tolerance 1e-10 * (1 + x_0 + sum omega).  Under the
+    hypotheses every x_n is at most x_0 + sum omega, and so is every
+    partial Horner sum x_n - K^n x_0, so the residual has the telescoping
+    identity's scale.
     """
     if cfg.sigma != 0 or np.any(trace.gamma_vals != 0):
         raise HypothesisViolatedError("needs sigma = 0 and gamma = 0")
@@ -162,6 +176,7 @@ def verify_property_i(trace: VenterTrace, cfg: VenterConfig, eps: float) -> Verd
         r = k * r + term
     expansion_residual = float(trace.x[-1] - k ** trace.steps * trace.x[0] - r)
     final = float(trace.x[-1])
+    tol = _identity_tol(trace)
     return Verdict(
         name="venter-i",
         passed=bool(final < eps),
@@ -172,6 +187,8 @@ def verify_property_i(trace: VenterTrace, cfg: VenterConfig, eps: float) -> Verd
             "sum_alpha_diverges": cfg.alpha.series_diverges(),
             "expansion_residual": expansion_residual,
             "expansion_remainder": float(r),
+            "expansion_tol": tol,
+            "expansion_holds": bool(abs(expansion_residual) <= tol),
             "k_hat": k,
         },
     )
@@ -193,7 +210,7 @@ def verify_summability(trace: VenterTrace, cfg: VenterConfig) -> Verdict:
     rhs = trace.x[0] + trace.sum_omega
     residuals = np.abs(lhs - rhs)
     worst = float(np.max(residuals)) if len(residuals) else 0.0
-    scale = 1e-10 * (1.0 + trace.x[0] + float(trace.sum_omega[-1]))
+    scale = _identity_tol(trace)
     return Verdict(
         name="venter-summability",
         passed=bool(worst <= scale),

@@ -259,6 +259,34 @@ aitken:
         assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 0
         assert "PASS geometric exactness" in (tmp_path / "report.txt").read_text()
 
+    def test_geometric_miss_whose_square_overflows_is_finite(self, tmp_path):
+        # the squares of a miss near 1e185 overflow; the norm read inf and the check failed
+        text = (CONFIGS / "aitken_geometric.yaml").read_text()
+        old = "limit: 3.0, coeff: 2.0, ratio: 0.5"
+        assert old in text
+        cfg = parse_config_text(text.replace(old, "limit: 1.0e+200, coeff: 1.0e+200, ratio: 0.7"))
+        assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 0
+        line = next(ln for ln in (tmp_path / "report.txt").read_text().splitlines() if "geometric exactness" in ln)
+        worst = float(re.search(r"worst \|Ax - L\| = (\S+) ", line).group(1))
+        assert line.startswith("PASS ") and math.isfinite(worst) and worst > 0
+
+    def test_venter_expansion_identity_is_checked(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(VENTER)
+        assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 0
+        assert "PASS geometric-expansion identity: residual " in (tmp_path / "report.txt").read_text()
+        # a final iterate off by one part in 1e6 breaks the identity
+        real = venter.venter_run
+
+        def perturbed(cfg):
+            trace = real(cfg)
+            trace.x = trace.x.copy()
+            trace.x[-1] *= 1.0 + 1e-6
+            return trace
+
+        monkeypatch.setattr(venter, "venter_run", perturbed)
+        assert run_experiment(cfg, output_dir=tmp_path, quiet=True) == 1
+        assert "FAIL geometric-expansion identity: residual " in (tmp_path / "report.txt").read_text()
+
     @fixed_or_fresh(100)
     @given(st.integers(1, 60), st.integers(3, 400), st.integers(0, 2**32 - 1), st.floats(0.0, 0.999))
     def test_geometric_terms_match_the_per_row_powers(self, d, length, seed, top):
@@ -596,8 +624,30 @@ SHIPPED_REPORT_LABELS = {
     "venter_decay.yaml": ["INFO venter run", "INFO cesaro mean K_hat at horizon",
                           "INFO K_hat exceeds 0.99; contraction-style bounds are near-vacuous",
                           "PASS telescoping identity", "PASS decay-to-zero",
-                          "INFO geometric-expansion identity residual", "PASS uniform bound"],
+                          "PASS geometric-expansion identity", "PASS uniform bound"],
 }
+
+
+def test_a_jungck_run_evaluates_each_schedule_value_once(tmp_path, monkeypatch):
+    # run reads the first `steps` values, and the certificates, the
+    # cross-check and the positivity constraints the first horizon + 1; the
+    # second read evaluates only the values past the first
+    evaluated = []
+    real = Schedule._evaluate
+
+    def counted(sched, start, stop):
+        evaluated.append((sched, start, stop))
+        return real(sched, start, stop)
+
+    monkeypatch.setattr(Schedule, "_evaluate", counted)
+    path = CONFIGS / "positivity_demo.yaml"
+    doc = yaml.safe_load(path.read_text())["jungck"]
+    assert doc["stability"]["positivity"] is True
+    assert main(["--config", str(path), "--output", str(tmp_path), "--quiet"]) == 0
+    steps, horizon = doc["steps"], max(doc["stability"]["horizon"], doc["steps"])
+    a, b = {id(sched): sched for sched, _, _ in evaluated}.values()
+    for sched in (a, b):
+        assert [(start, stop) for s, start, stop in evaluated if s is sched] == [(0, steps), (steps, horizon + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))

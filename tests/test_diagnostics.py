@@ -253,10 +253,13 @@ class TestBlockedNorms:
     @fixed_or_fresh(60)
     @given(blocked_rows())
     def test_every_row_keeps_its_bits(self, case):
+        # the unblocked norm, with the scaled norm where a finite row's squares overflow
         rows, center = case
+        diff = rows - center
         with np.errstate(over="ignore"):  # np.linalg.norm's squares past the float range
-            got, want = distances(rows, center), np.linalg.norm(rows - center, axis=1)
+            got, want = distances(rows, center), unoverflowed(np.linalg.norm(diff, axis=1), diff)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
 
     @fixed_or_fresh(40)
     @given(st.sampled_from([7, 50, 300]), st.integers(0, 2**32 - 1), st.data())

@@ -1,6 +1,8 @@
 """The two-map iteration engine and its step identity."""
 
 import math
+import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     GatePolicy,
+    IndexOutOfRangeError,
     JungckConfig,
     NonFiniteError,
     Operator,
     Schedule,
     SolveError,
+    aitken,
     engine,
     identity_residuals,
     make_operator_pair,
@@ -225,6 +229,37 @@ class TestRun:
             scalar_config(steps=2)
         cfg = scalar_config(steps=2, gates_z=GatePolicy.always_off(), gates_y=GatePolicy.always_off())
         assert run(cfg).n_accel == 0
+
+    def test_corrected_rows_are_computed_together_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(raw, *args, real=aitken.accelerate_sequence):
+            calls.append(raw)
+            return real(raw, *args)
+
+        monkeypatch.setattr(aitken, "accelerate_sequence", counted)
+        tr = run(scalar_config(steps=10, gates_y=GatePolicy.threshold(1e-3)))
+        assert calls == [] and tr.n_accel == 8
+        gates = tr.gates_y
+        assert len(calls) == 2 and calls[0] is tr.sz and calls[1] is tr.sy
+        for name in ("asz", "asy", "gates_z", "gates_y"):
+            part = getattr(tr, name)
+            assert not part.flags.writeable and len(part) == 8
+        assert tr.gates_y is gates and len(calls) == 2
+        want = accelerate_sequence(tr.sy, GatePolicy.threshold(1e-3))
+        assert tr.asy.tobytes() == want[0].tobytes() and gates.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("which", ["gates_z", "gates_y"])
+    def test_a_gate_list_too_short_raises_from_run(self, which):
+        # 10 rows have 8 windows; the corrector refuses 7 gates, and run
+        # refuses them where it used to run the corrector
+        short = GatePolicy.from_values([1] * 7)
+        with pytest.raises(IndexOutOfRangeError) as corrector:
+            accelerate_sequence(run(scalar_config(steps=10)).sz, short)
+        with pytest.raises(IndexOutOfRangeError, match=f"^{re.escape(str(corrector.value))}$"):
+            run(scalar_config(steps=10, **{which: short}))
+        tr = run(scalar_config(steps=10, **{which: GatePolicy.from_values([1] * 8)}))
+        assert getattr(tr, which).shape == (8, 1)
 
 
 class TestIdentityResidual:
@@ -521,9 +556,10 @@ def reference_step_run(cfg):
     else:
         asz = asy = np.empty((0, d))
         gz = gy = np.empty((0, d), dtype=np.int8)
-    return IterationTrace(z=z, y=y, sz=sz, sy=sy, ty=ty, asz=asz, asy=asy, gates_z=gz, gates_y=gy,
-                          a_vals=a_vals[:m], b_vals=b_vals[:m], steps=n_steps,
-                          diverged=failure is not None, failure=failure)
+    # the corrector runs here, on the rows as they are made, not on first read as in a trace
+    return SimpleNamespace(z=z, y=y, sz=sz, sy=sy, ty=ty, asz=asz, asy=asy, gates_z=gz, gates_y=gy,
+                           a_vals=a_vals[:m], b_vals=b_vals[:m], n_raw=m, steps=n_steps,
+                           diverged=failure is not None, failure=failure)
 
 
 def settle_row(trace):
@@ -763,9 +799,8 @@ def residual_traces(draw):
     sz, sy, ty = (rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-300, 300, size=(rows, 1))
                   for _ in range(3))
     a, b = (np.where(rng.random(rows) < 0.2, rng.integers(0, 2, rows), rng.random(rows)) for _ in range(2))
-    empty = np.empty((0, d))
-    return IterationTrace(z=sz, y=sy, sz=sz, sy=sy, ty=ty, asz=empty, asy=empty,
-                          gates_z=empty, gates_y=empty, a_vals=a, b_vals=b, steps=max(rows, 1))
+    return IterationTrace(z=sz, y=sy, sz=sz, sy=sy, ty=ty, a_vals=a, b_vals=b, policy_z=GatePolicy.always_on(),
+                          policy_y=GatePolicy.always_on(), floor_scale=1e-12, steps=max(rows, 1))
 
 
 class TestIdentityResidualsMatchReference:

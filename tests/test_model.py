@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +150,15 @@ class TestOperatorPair:
 
     def test_spectral_norm_of_nonfinite_is_inf(self):
         assert spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]])) == np.inf
+
+    def test_spectral_norm_is_the_2_norm_bit_for_bit(self):
+        # the largest singular value taken directly, d = 1 and far-out scales included
+        rng = np.random.default_rng(2013)
+        for d in range(1, 40):
+            for scale in (1e-100, 1e-10, 1.0, 1e10, 1e100):
+                for m in (rng.normal(size=(d, d)) * scale, rng.uniform(-1, 1, size=(d, d)) * scale):
+                    want = np.float64(np.linalg.norm(m, 2)).tobytes()
+                    assert np.float64(spectral_norm(m)).tobytes() == want, (d, scale)
 
 
 #: the cached-inverse solve stays within SOLVE_C * d * eps * cond(s) of np.linalg.solve,
@@ -408,6 +418,43 @@ class TestSchedule:
             return
         got = sched.array(count)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @given(schedules(), st.lists(st.integers(0, 60), min_size=1, max_size=5))
+    @example(Schedule.inv_pow(k=2, p=400.0), [3, 10, 4])  # 6^400 overflows at n=4
+    @example(Schedule.from_values([0.1, 0.2, 0.3]), [2, 4, 3])
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_is_array_with_each_value_evaluated_once(self, sched, counts):
+        # read in any order, the kept values are array's, read-only, and a
+        # count past them evaluates only the values past them; a count that
+        # raises keeps what was kept
+        evaluated = []
+        real = Schedule._evaluate
+
+        def counted(self, start, stop):
+            values = real(self, start, stop)
+            evaluated.extend(range(start, stop))
+            return values
+
+        with mock.patch.object(Schedule, "_evaluate", counted):
+            for count in counts:
+                try:
+                    expected = reference_array(sched, count)
+                except (IndexOutOfRangeError, ScheduleViolationError) as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        sched.prefix(count)
+                    continue
+                got = sched.prefix(count)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                assert not got.flags.writeable
+        assert evaluated == sorted(set(evaluated)) == list(range(len(evaluated)))
+
+    def test_a_replaced_schedule_keeps_no_values(self):
+        sched = Schedule.constant(0.3)
+        assert sched.prefix(5).tolist() == [0.3] * 5
+        assert dataclasses.replace(sched, c=0.6).prefix(5).tolist() == [0.6] * 5
+        # what a schedule keeps takes no part in equality, hashing or repr
+        fresh = Schedule.constant(0.3)
+        assert fresh == sched and hash(fresh) == hash(sched) and repr(fresh) == repr(sched)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 100])
     @pytest.mark.parametrize("form", ["one-minus-inv", "inv"])

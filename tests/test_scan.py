@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from jungckit import ScanSpec, certify, cross_validate, engine, model, run, run_scan, scan, stability
+from jungckit import ScanSpec, aitken, certify, cross_validate, engine, model, run, run_scan, scan, stability
 from jungckit.scan import sample_config, sample_operators
 from conftest import traced_peak
 
@@ -72,13 +72,14 @@ class TestSweep:
 
     def test_working_memory_does_not_grow_with_steps(self):
         # a d=5 config that certifies (i and iv) and whose state is +0 from
-        # row 40 on; past that row the corrector and the row norms copy or
-        # fill, so run's working memory stays flat, and run plus
-        # cross_validate grows only by the length-steps vectors they return
-        # or compare (the norms and the schedules), not by rows of the trace
+        # row 40 on; past that row the step fills and the row norms fill, so
+        # run's working memory stays flat, and run plus cross_validate grows
+        # only by the length-steps norms of z and y, not by rows of the trace
+        # nor by schedule values: certify evaluated them, and run and
+        # cross_validate read the values it keeps
         spec = ScanSpec(count=1, dim=5, steps=1000, horizon=1000, seed=1)
         base = sample_config(np.random.default_rng(spec.seed), spec)
-        fields = ("z", "y", "sz", "sy", "ty", "asz", "asy", "gates_z", "gates_y", "a_vals", "b_vals")
+        fields = ("z", "y", "sz", "sy", "ty")  # what run allocates; it corrects on first read
 
         def working(steps):
             cfg = dataclasses.replace(base, steps=steps)
@@ -89,17 +90,61 @@ class TestSweep:
             both_peak, checked = traced_peak(lambda: cross_validate(report, run(cfg)))
             assert checked.simulation_agrees
             assert not trace.z[40:].any() and trace.z[39].any()
+            assert not (trace.a_vals.flags.writeable or trace.b_vals.flags.writeable)  # the kept values
             held = sum(getattr(trace, name).nbytes for name in fields)
             return run_peak - held, both_peak - held, held
 
         run_short, both_short, held_short = working(100)
         run_long, both_long, held_long = working(1000)
-        # the trace itself grows by 900 rows of 7 * d + 2 floats and 2 * d
-        # one-byte gates; a corrector and norms over every row grew run's
-        # working memory by 245 B a row
+        # the trace itself grows by 900 rows of 5 * d floats; a corrector and
+        # norms over every row grew run's working memory by 245 B a row; run
+        # plus cross_validate measured 11,251 B
         assert run_long <= 1.1 * run_short
-        assert both_long - both_short <= 900 * 4 * 8
-        assert held_long - held_short == 900 * ((7 * spec.dim + 2) * 8 + 2 * spec.dim)
+        assert both_long - both_short <= 900 * 2 * 8
+        assert held_long - held_short == 900 * 5 * spec.dim * 8
+
+    def test_each_schedule_is_evaluated_once_per_config(self, monkeypatch):
+        # certify asks for the horizon's values first; its checks, run and
+        # cross_validate read the ones it keeps
+        spec = ScanSpec(count=6, dim=5, steps=300, horizon=300, seed=3)
+        evaluated = []
+        real = model.Schedule._evaluate
+
+        def counted(sched, start, stop):
+            evaluated.append((start, stop))
+            return real(sched, start, stop)
+
+        monkeypatch.setattr(model.Schedule, "_evaluate", counted)
+        result = run_scan(spec)
+        assert result.certified_count >= 3
+        assert evaluated == [(0, spec.horizon + 1)] * (2 * spec.count)
+
+    @pytest.mark.parametrize("seed", [3, 574699369])
+    def test_the_sweep_never_runs_the_corrector(self, monkeypatch, seed):
+        # the checks read raw iterate norms alone, so no trace is corrected;
+        # an eager sweep that reads every simulated trace's corrected rows
+        # runs the corrector twice a trace and reports the same outcomes
+        spec = ScanSpec(count=5, dim=5, steps=1000, horizon=1000, seed=seed)
+        calls = []
+
+        def counted(*args, real=aitken.accelerate_sequence):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(aitken, "accelerate_sequence", counted)
+        got = run_scan(spec)
+        assert calls == []
+
+        def eager(cfg, real=run):
+            trace = real(cfg)
+            trace.asz  # noqa: B018 -- the read corrects both sequences
+            return trace
+
+        monkeypatch.setattr(scan, "run", eager)
+        want = run_scan(spec)
+        assert want.certified_count >= 1
+        assert calls == [spec.steps] * (2 * want.certified_count)
+        assert repr(got.outcomes) == repr(want.outcomes)
 
     def test_z_norms_are_computed_once_per_simulated_config(self, monkeypatch):
         # the scan's monotone and final-ratio checks and the certificate

@@ -559,6 +559,25 @@ class TestCrossValidate:
         with pytest.raises(TraceMismatchError):
             cross_validate(report, run(other))
 
+    def test_a_replaced_or_reassigned_schedule_is_read_fresh(self):
+        # each schedule keeps the values it has evaluated; a new schedule
+        # object, whether replaced or assigned, keeps its own
+        cfg = linear_config(2 * np.eye(2), 0.5 * np.eye(2),
+                            Schedule.constant(0.5), Schedule.one_minus_inv(k=2), [1.0, 0.0], steps=30)
+        report = certify(cfg, horizon=30)
+        first = run(cfg)
+        assert cross_validate(report, first).simulation_agrees
+        replaced = dataclasses.replace(cfg, b=dataclasses.replace(cfg.b, k=5))
+        trace = run(replaced)
+        assert np.array_equal(trace.b_vals, 1.0 - 1.0 / (np.arange(30) + 5))
+        assert certify(replaced, horizon=30).constants.k2p == pytest.approx(0.2)
+        with pytest.raises(TraceMismatchError):
+            cross_validate(report, trace)
+        cfg.a = Schedule.constant(0.75)
+        assert np.array_equal(run(cfg).a_vals, np.full(30, 0.75))
+        with pytest.raises(TraceMismatchError):  # the report's config now holds the new a
+            cross_validate(report, first)
+
 
 class TestSoundness:
     def test_certified_traces_are_monotone(self):
