@@ -321,18 +321,52 @@ def geometric_terms(limit: np.ndarray, coeff: np.ndarray, ratio: np.ndarray, len
     """Rows ``limit + coeff * ratio ** n`` for n = 0..length-1 (length >= 3),
     bit for bit as ``ratio ** n`` gives them one row at a time.
 
-    One broadcast ``np.power`` takes every row from n = 3 on: it runs the C
+    One broadcast ``np.power`` takes the rows from n = 3 on: it runs the C
     ``pow`` on each element, as ``ratio ** n`` does for those n.  Rows 0, 1
     and 2 keep the fast paths of ``ratio ** n`` (ones, a copy, a square);
-    ``pow(r, 2.0)`` can differ from ``r * r`` in the last bit.
+    ``pow(r, 2.0)`` can differ from ``r * r`` in the last bit.  The power
+    stops at ``_settled_row``: from there on every term rounds to its
+    limit, which is written as it is.
     """
-    powers = np.power(ratio, np.arange(length, dtype=float)[:, None])
+    settled = _settled_row(limit, coeff, ratio, length)
+    powers = np.empty((length, limit.size))
+    np.power(ratio, np.arange(settled, dtype=float)[:, None], out=powers[:settled])
     for n in range(3):
         powers[n] = ratio ** n
     # in place, with the roundings of limit + coeff * powers: no full-size temporaries
-    powers *= coeff
-    powers += limit
+    live = powers[:settled]
+    live *= coeff
+    live += limit
+    powers[settled:] = limit
     return powers
+
+
+def _settled_row(limit: np.ndarray, coeff: np.ndarray, ratio: np.ndarray, length: int) -> int:
+    """The first row n >= 3 of ``geometric_terms`` from which, in every
+    column, ``limit + coeff * ratio ** n`` rounds to ``limit``; ``length``
+    when some column has no such row in reach.
+
+    A column settles at row n when an upper bound on the computed
+    ``|coeff * ratio ** n|`` is below a quarter of ``np.spacing(|limit|)``: the gap
+    below ``|limit|`` is at least half the spacing (half exactly for a
+    power of two), and round-to-nearest keeps ``limit`` for an addend below
+    half the gap.  The bound lets ``pow`` be off by 2^-40 relative or one
+    subnormal ulp, both at this n and at the n of each term, plus the
+    product's own rounding, with room for the roundings of the bound
+    itself; for ``|ratio| < 1`` it holds at every later n too.  The row is
+    guessed from logarithms and checked with one ``pow`` per column.  A
+    column whose limit is 0 or not finite, or whose ratio is not below 1
+    in size, has no such row.
+    """
+    r, c = np.abs(ratio), np.abs(coeff)
+    quarter = np.spacing(np.abs(limit)) / 4.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # c r^n < quarter / 2 from this n on
+        guess = np.ceil(np.log(quarter / (2.0 * c)) / np.log(r))
+        first = np.clip(np.nan_to_num(guess, nan=3.0), 3.0, float(length))
+        bound = c * (np.power(r, first) + 2.0 ** -1073) * (1.0 + 2.0 ** -38) + 2.0 ** -1073
+    settles = (bound < quarter) & (r < 1.0) & (limit != 0.0) & np.isfinite(limit)
+    return int(np.max(np.where(settles, first, length), initial=3))
 
 
 def _parse_aitken(node: dict) -> AitkenScenario:
@@ -450,15 +484,16 @@ def write_csv(columns, path: Path) -> None:
     trailing cells empty.  Rows are formatted in blocks of about
     ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text.  A
     block is first a matrix of integer codes, one per cell, into a table of
-    the block's distinct cell texts, and then its bytes, taken from that
-    table by the matrix in one step; ``-1`` codes the empty cell past a
-    column's end.  An array of numbers, ``range`` columns included, is coded
-    by ``np.unique``, so each distinct value becomes text once.  The float
-    arrays of a block share one ``np.unique``, and their distinct values
-    become text together, in ``floattext.float_texts``, which writes what
-    ``repr`` writes without a Python call per value.  An integer or bool
-    becomes text through the ``repr`` of its Python scalar; other cells,
-    floats wider than 8 bytes included, go through ``str`` one by one.
+    the block's cell texts, and then its bytes, taken from that table by
+    the matrix in one step; ``-1`` codes the empty cell past a column's
+    end.  The float arrays of a block share one ``np.unique``, so each
+    distinct value becomes text once, in ``floattext.float_texts``, which
+    writes what ``repr`` writes without a Python call per value.  Integers
+    and bools become text in ``floattext.int_texts``, also without a Python
+    call per value: a ``range`` column is coded by position, and an array
+    by ``value - min`` when its items are one byte, else by ``np.unique``.
+    Other cells, floats wider than 8 bytes included, go through ``str`` one
+    by one.
     Nothing is quoted: a name, or a cell of a column that does not hold
     numbers, that holds a comma, a quote or a line break raises
     ``ValueError``, as does an empty cell in a one-column table (it would
@@ -501,68 +536,93 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, see
     distinct floats takes over (a converged trace repeats its values).
 
     The cells are coded first: ``codes[r, c]`` indexes the table of the
-    block's distinct texts, whose last row is the empty cell, so ``-1``
-    fills the cells past a column's end.  Floats are told apart by their
-    float64 bits, since 0.0 and -0.0 compare equal but print differently
-    and a NaN equals nothing.  Each table row is a text padded with
+    block's texts, whose last row is the empty cell, so ``-1`` fills the
+    cells past a column's end.  Each group adds its texts to the table as a
+    ``uint8`` matrix, and codes its cells into them:
+
+    * a ``range`` column by position, since its values are distinct;
+    * a group of bools or one-byte integers by ``value - min``, since the
+      dtype bounds the span to 256 values;
+    * a group of other integers by ``np.unique``;
+    * the float groups of the block together, by ``np.unique`` of their
+      float64 bits, since 0.0 and -0.0 compare equal but print
+      differently and a NaN equals nothing;
+    * any other group cell by cell, its texts written by ``str``.
+
+    The integers' texts come from ``floattext.int_texts`` and the floats'
+    from ``floattext.float_texts``.  Each table row is a text padded with
     ``floattext.FILL`` bytes and a comma; the rows of the cells follow one
     another, the last comma of a line becomes a line break, and deleting
     the ``FILL`` bytes leaves the lines.
     """
     codes = np.full((hi - lo, width), -1, dtype=np.int64)
-    texts, floats = [], []  # floats: (columns, rows) of each float group, coded together
+    tables, floats = [], []  # tables: the texts of the groups, in code order; floats: (columns, rows)
+    count = 0  # the table rows so far
     col = 0
     for names, values in groups:
         part, cols = values[lo:hi], slice(col, col + len(names))
         col += len(names)
+        if not len(part):
+            continue
         if isinstance(part, range):
-            part = np.asarray(part)
-        if not (isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC):
+            keys, local = np.arange(part.start, part.stop, part.step), np.arange(len(part))[:, None]
+        elif not (isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC):
             cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
             _check_cells(f"column {names[0]!r}", cells, lone)
-            codes[:len(cells), cols] = np.arange(len(texts), len(texts) + len(cells))[:, None]
-            texts += cells
-            continue
-        part = part.reshape(len(part), len(names))
-        if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
-            floats.append((cols, part))
-        elif part.dtype.kind == "f":
-            # a wider float: its scalar's repr is np.longdouble('...'), and np.unique
-            # would merge 0.0 with -0.0, so each cell is written by str on its own
-            codes[:len(part), cols] = np.arange(len(texts), len(texts) + part.size).reshape(part.shape)
-            texts += map(str, part.ravel().tolist())
+            keys, local = cells, np.arange(len(cells))[:, None]
         else:
-            keys, inverse = np.unique(part, return_inverse=True)
-            codes[:len(part), cols] = inverse.reshape(part.shape) + len(texts)
-            texts += map(repr, keys.tolist())
-    encoded = [text.encode() for text in texts]
-    size = max(map(len, encoded), default=0)
-    float_texts = np.empty((0, 0), dtype=np.uint8)
+            part = part.reshape(len(part), len(names))
+            if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
+                floats.append((cols, part))
+                continue
+            if part.dtype.kind == "f":
+                # a wider float: its scalar's repr is np.longdouble('...'), and np.unique
+                # would merge 0.0 with -0.0, so each cell is written by str on its own
+                keys, local = list(map(str, part.ravel().tolist())), np.arange(part.size).reshape(part.shape)
+            elif part.dtype.itemsize == 1:
+                small = part.view(np.uint8) if part.dtype.kind == "b" else part
+                low = int(small.min())
+                keys = np.arange(low, int(small.max()) + 1).astype(part.dtype)
+                local = small - np.array(low, dtype=np.int64)
+            else:
+                keys, local = np.unique(part, return_inverse=True)
+                local = local.reshape(part.shape)
+        codes[:len(local), cols] = local + count
+        del local  # freed before the floats are coded
+        tables.append(_text_rows(keys) if isinstance(keys, list) else floattext.int_texts(keys))
+        count += len(tables[-1])
     if floats:
         with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
             flat = np.concatenate([part.ravel() for _, part in floats], dtype=np.float64)
         keys, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-        inverse += len(texts)
+        inverse += count
         start = 0
         for cols, part in floats:
             codes[:len(part), cols] = inverse[start:start + part.size].reshape(part.shape)
             start += part.size
         del flat, inverse  # freed before the texts are made
-        if seen is not None and np.array_equal(keys, seen[0]):
-            float_texts = seen[1]
-        else:
-            float_texts = floattext.float_texts(keys.view(np.float64))
-        seen = keys, float_texts
-    table = np.full((len(texts) + len(float_texts) + 1, max(size, float_texts.shape[1]) + 1),
-                    floattext.FILL, dtype=np.uint8)
+        if seen is None or not np.array_equal(keys, seen[0]):
+            seen = keys, floattext.float_texts(keys.view(np.float64))
+        tables.append(seen[1])
+        count += len(keys)
+    table = np.full((count + 1, max((t.shape[1] for t in tables), default=0) + 1), floattext.FILL, dtype=np.uint8)
     table[:, -1] = ord(",")
-    table[:len(texts), :size] = np.frombuffer(b"".join(t.ljust(size, _FILL) for t in encoded),
-                                              dtype=np.uint8).reshape(len(texts), size)
-    table[len(texts):-1, :float_texts.shape[1]] = float_texts
+    start = 0
+    for texts in tables:
+        table[start:start + len(texts), :texts.shape[1]] = texts
+        start += len(texts)
     cells = np.take(table, codes, axis=0)
     cells[:, -1, -1] = ord("\n")
     fh.write(cells.tobytes().translate(None, _FILL))
     return seen
+
+
+def _text_rows(cells: list) -> np.ndarray:
+    """The texts ``cells`` as a ``uint8`` matrix, one row each, padded with ``FILL`` bytes."""
+    encoded = [cell.encode() for cell in cells]
+    size = max(map(len, encoded), default=0)
+    return np.frombuffer(b"".join(text.ljust(size, _FILL) for text in encoded),
+                         dtype=np.uint8).reshape(len(encoded), size)
 
 
 def _check_cells(where: str, cells: list, lone: bool) -> None:
@@ -609,7 +669,16 @@ class Report:
 
 def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
     cfg = scn.cfg
-    trace = engine.run(cfg)
+    opts = scn.stability
+    fold = None
+    if opts is not None:
+        horizon = max(opts.horizon, cfg.steps)
+        # the certificate constants read the powers the run forms
+        try:
+            fold = stability.ConstantsFold(cfg, horizon, opts.tail_start)
+        except (JungckitError, ValueError):
+            pass  # certify raises it again after the run, where the report places it
+    trace = engine.run(cfg, fold=fold)
     residuals = engine.identity_residuals(trace)
     write_csv([("n", range(trace.n_raw)), ("z", trace.z), ("y", trace.y), ("Sz", trace.sz), ("Sy", trace.sy),
                ("ASz", trace.asz), ("ASy", trace.asy), ("gate_z", trace.gates_z), ("gate_y", trace.gates_y),
@@ -631,12 +700,10 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
     else:
         report.add("INFO", "identity-residual: skipped, trace too short")
 
-    if scn.stability is not None:
-        opts = scn.stability
-        horizon = max(opts.horizon, cfg.steps)
+    if opts is not None:
         try:
-            sreport = stability.certify(cfg, horizon=horizon,
-                                        tail_start=opts.tail_start, tail_tol=opts.tail_tol)
+            sreport = stability.certify(cfg, horizon=horizon, tail_start=opts.tail_start, tail_tol=opts.tail_tol,
+                                        constants=None if fold is None else fold.constants())
         except IndexOutOfRangeError:
             report.add("INFO", f"certificates skipped: schedules not evaluable through horizon {horizon}")
             sreport = None

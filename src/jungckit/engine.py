@@ -147,8 +147,26 @@ def _check_finite(v: Vector, error: type, message: str) -> None:
         raise error(message)
 
 
-def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray) -> tuple[tuple, int, str | None]:
-    """Step the scheme from z0 for cfg.steps indices.
+def _feeding(blocks: Iterator[np.ndarray], fold) -> Iterator[np.ndarray]:
+    """The blocks of ``blocks``, each handed to ``fold.feed`` before it is
+    yielded, while ``fold.wants`` powers.  An overflow of the stream is
+    passed to ``fold.overflow`` too, if the fold still wants powers, and
+    then raised."""
+    try:
+        for block in blocks:
+            if fold.wants:
+                fold.feed(block)
+            yield block
+    except NonFiniteError:
+        if fold.wants:
+            fold.overflow()
+        raise
+
+
+def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray,
+               blocks: Iterator[np.ndarray]) -> tuple[tuple, int, str | None]:
+    """Step the scheme from z0 for cfg.steps indices, reading the powers
+    of t from ``blocks``, a stream of ``matrix_power_blocks``.
 
     Returns the ``(steps, d)`` arrays z, y, sz, sy and ty, the count m of
     their complete rows (the rows after them are unset), and the failure
@@ -170,7 +188,7 @@ def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray) -> tup
         with np.errstate(over="ignore", invalid="ignore"):
             sz[0] = cfg.pair.s(cfg.z0)
             _check_finite(sz[0], NonFiniteError, "s(z0) is non-finite at step 0")
-            for block in matrix_power_blocks(cfg.pair.t):
+            for block in blocks:
                 first = m
                 # the block's steps unchecked, then, only if a row they wrote
                 # is not finite, the same steps with every check (module docstring)
@@ -223,17 +241,31 @@ def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray) -> tup
     return rows, m, None
 
 
-def run(cfg: JungckConfig) -> IterationTrace:
+def run(cfg: JungckConfig, fold=None) -> IterationTrace:
     """Execute the scheme for cfg.steps raw indices.  The trace corrects
     both s-image sequences when its corrected rows are first read.
 
     On overflow or solve failure the trace is truncated to the last complete
     row and flagged ``diverged`` with the failure message.
+
+    ``fold``, when given, is fed the run's stream of powers of t, as
+    ``stability.ConstantsFold`` is: each block before the next one is
+    formed, while it ``wants`` powers.  Past the run's last row, the zero
+    fill or a failed step, the same stream goes on only while the fold
+    wants powers; an overflow ends both.
     """
     n_steps = cfg.steps
     a_vals = cfg.a.prefix(n_steps)
     b_vals = cfg.b.prefix(n_steps)
-    rows, m, failure = _step_rows(cfg, a_vals, b_vals)
+    blocks = matrix_power_blocks(cfg.pair.t)
+    if fold is not None:
+        blocks = _feeding(blocks, fold)
+    rows, m, failure = _step_rows(cfg, a_vals, b_vals, blocks)
+    try:
+        while fold is not None and fold.wants:
+            next(blocks)
+    except NonFiniteError:
+        pass  # passed to the fold
     z, y, sz, sy, ty = (row_kind[:m] for row_kind in rows)
     return IterationTrace(
         z=z, y=y, sz=sz, sy=sy, ty=ty, a_vals=a_vals[:m], b_vals=b_vals[:m],

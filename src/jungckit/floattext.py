@@ -1,7 +1,7 @@
 """Shortest round-trip decimal texts of float64 arrays, byte for byte as ``repr``.
 
 ``float_texts`` writes many floats at once, in place of one ``repr`` call
-per value.  Python's ``repr`` writes the shortest decimal that reads back
+per value; ``int_texts`` does the same for integers and bools.  Python's ``repr`` writes the shortest decimal that reads back
 as the same float, the closest one when several have that length, in fixed
 notation when its decimal point sits at ``-4 < decpt <= 16`` and as
 ``d.ddde+XX`` otherwise.
@@ -171,6 +171,8 @@ def _text_tables():
 
 _NEXT, _DECIDED, _F, _DECPT = _binade_tables()
 _HEAD, _MASK, _CHUNK, _LAST, _EXPONENT = _text_tables()
+_WORDS = np.ascontiguousarray(_CHUNK.view(np.uint8).reshape(10_000, 8)[:, 1::2]).view(np.uint32)[:, 0]  # q's digits
+_BOOLS = np.frombuffer(b"False" + b"True" + bytes([FILL]), dtype=np.uint8).reshape(2, 5)
 _CHUNK_BASE = np.arange(0, 40_000, 10_000)[:, None]
 _STEPS = np.array([[100], [10]])
 
@@ -267,3 +269,39 @@ def float_texts(x: np.ndarray) -> np.ndarray:
         words[:, i] = np.frombuffer(repr(float(x[i])).encode().ljust(WIDTH, bytes([FILL])), dtype=np.uint64)
     used = np.bitwise_and.reduce(words, axis=1).view(np.uint8).reshape(6, 8) != FILL
     return words.view(np.uint8).reshape(6, len(x), 8).transpose(1, 0, 2)[:, used]
+
+
+def int_texts(x: np.ndarray) -> np.ndarray:
+    """The texts of a 1-D integer or bool array ``x`` as a ``uint8`` matrix
+    of ``len(x)`` rows: row i with its ``FILL`` bytes deleted is ``repr``
+    of ``x[i]`` as a Python int or bool (``True``, ``False``), in ASCII.
+
+    The digits of ``|x|`` are written four at a time, each group one word
+    of the table of four-digit chunks, and ``FILL`` goes over the leading
+    zeros and the sign place of a value that is not negative.  The matrix
+    is as wide as the longest text.
+    """
+    if x.dtype == bool:
+        return _BOOLS[x.view(np.uint8)]
+    negative = x < 0
+    magnitude = x.astype(np.uint64)  # a negative value wraps to 2^64 - |x|, and back below
+    signed = bool(negative.any())
+    if signed:
+        np.negative(magnitude, out=magnitude, where=negative)
+    size = len(str(int(magnitude.max(initial=0))))  # the most digits
+    k = (size + 3) // 4
+    words = np.empty((len(x), k), dtype=np.uint32)
+    rest = magnitude
+    for c in range(k - 1, 0, -1):
+        rest, q = np.divmod(rest, np.uint64(10_000))
+        words[:, c] = _WORDS[q.astype(np.intp)]
+    words[:, 0] = _WORDS[rest.astype(np.intp)]
+    digits = words.view(np.uint8)[:, 4 * k - size:]
+    lead = np.logical_and.accumulate(digits[:, :-1] == ord("0"), axis=1)  # a zero value keeps its last digit
+    digits[:, :-1][lead] = FILL
+    if not signed:
+        return digits
+    texts = np.empty((len(x), size + 1), dtype=np.uint8)
+    texts[:, 0] = np.where(negative, ord("-"), FILL)
+    texts[:, 1:] = digits
+    return texts

@@ -161,6 +161,92 @@ class StabilityConstants:
             raise ValueError("need 0 <= tail_start < horizon")
 
 
+class ConstantsFold:
+    """The certificate constants of ``compute_constants``, folded over the
+    stream of powers of t one block at a time.
+
+    Set-up does everything that needs no power: it evaluates the schedules
+    through the horizon, takes the bounds, weights, seeds and suffix maxima,
+    and takes t^0 = I.  Then, while ``wants`` is true, ``feed`` takes the
+    stream's blocks in order, t^0 first; ``overflow`` is called when the
+    stream raises ``NonFiniteError`` in place of a block; and
+    ``constants()`` gives the result.  A feeder hands over each block
+    before it asks for the next one, which may overwrite it.
+    ``compute_constants`` feeds it a stream of its own; a CLI jungck run
+    feeds it the blocks ``engine.run`` forms, and continues the same stream
+    past the run only while the fold wants more.
+    """
+
+    def __init__(self, cfg: JungckConfig, horizon: int, tail_start: int = 0):
+        if horizon < tail_start + 10:
+            raise ValueError("horizon must be at least tail_start + 10")
+        self.pair, self.horizon, self.tail_start = cfg.pair, horizon, tail_start
+        a = cfg.a.prefix(horizon + 1)
+        self.b = cfg.b.prefix(horizon + 1)
+        # rows: the weights of k1, k2 and k1p, zero before the tail
+        weights = np.abs(np.stack([a, self.b, 1.0 - a]))
+        weights[:, :tail_start] = 0.0
+        bound, excess = _power_bounds(self.pair, horizon)
+        with np.errstate(over="ignore"):  # a product past the float range is inf
+            # a zero weight prunes its power: 0, not 0 * inf = nan (an inf bound can only come last)
+            wb = weights * bound if bound[-1] < math.inf else np.multiply(
+                weights, bound, out=np.zeros(weights.shape), where=weights > 0)
+        seeds, self.svds = _seeds(self.pair, weights, wb, excess)
+        self.weights, self.wb = weights, wb
+        self.later = np.maximum.accumulate(wb[:, ::-1], axis=1)[:, ::-1]  # later[:, n]: max of wb[:, n:]
+        self.peaks = np.zeros(3)
+        self.lows = np.nextafter(seeds, -math.inf)
+        # w_n B_n raises a maximum when it is above the maximum so far and not below the seed
+        self.above = np.maximum(self.peaks, self.lows)
+        # t^0 = I has norm 1 (see _norms), so it is taken without forming it,
+        # and the stream is wanted only when a later power can raise a maximum
+        if (wb[:, 0] > self.above).any():
+            self.peaks = np.maximum(self.peaks, weights[:, 0])  # w * 1, with w >= 0
+            self.above = np.maximum(self.peaks, self.lows)
+        self.read = 1  # powers read, t^0 included
+        self.fed = 0  # powers fed, the index of the next block's first power
+        self.wants = bool((self.later[:, 1] > self.above).any())
+
+    def feed(self, block: np.ndarray) -> None:
+        """Fold in the next block of the stream; powers past the horizon are left out."""
+        n = self.fed
+        self.fed += len(block)
+        if n == 0:
+            return  # t^0, the stream's first block, taken at set-up
+        block = block[:self.horizon + 1 - n]
+        read = n + len(block)
+        here = (self.wb[:, n:read] > self.above[:, None]).any(axis=0)
+        if here.any():
+            index = np.flatnonzero(here) + n
+            norms, count = _norms(self.pair, index, block, n)
+            self.svds += count
+            w = self.weights[:, index]
+            with np.errstate(over="ignore"):  # a product past the float range is inf
+                products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
+            self.peaks = np.maximum(self.peaks, products.max(axis=1))
+            self.above = np.maximum(self.peaks, self.lows)
+        self.read = read
+        self.wants = read <= self.horizon and bool((self.later[:, read] > self.above).any())
+
+    def overflow(self) -> None:
+        """The power after the last one read overflowed: it and every later
+        one have norm inf."""
+        weighted = self.weights[:, self.read:].max(axis=1, initial=0.0) > 0
+        self.peaks = np.maximum(self.peaks, np.where(weighted, math.inf, 0.0))
+        self.wants = False
+
+    def constants(self) -> StabilityConstants:
+        """The constants of the powers fed so far: all it wanted, once ``wants`` is false."""
+        b, pair = self.b, self.pair
+        k1, k2, k1p = (float(p) for p in self.peaks)
+        k2p = float(np.max(np.abs(1.0 - b[self.tail_start:])))
+        m_bound = float(np.max((1.0 / pair.s_min_modulus) * (np.abs(1.0 - b) * pair.s_norm + np.abs(b))))
+        return StabilityConstants(
+            k1=k1, k2=k2, k1p=k1p, k2p=k2p, m_bound=m_bound, horizon=self.horizon,
+            tail_start=self.tail_start, powers_read=self.read, svds_run=self.svds,
+        )
+
+
 def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> StabilityConstants:
     """Empirical tail suprema of the schedule-weighted power norms.
 
@@ -202,66 +288,20 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     a map whose powers grow and then decay is read to the horizon unless
     its weights fall.
 
-    The CLI's report states ``powers_read`` (powers formed) and
-    ``svds_run``.
+    The computation is a ``ConstantsFold`` fed a stream of its own, cut at
+    the horizon.  The CLI's report states ``powers_read`` (the powers of t
+    the constants read, t^0 included) and ``svds_run``.
     """
-    if horizon < tail_start + 10:
-        raise ValueError("horizon must be at least tail_start + 10")
-    pair = cfg.pair
-    a = cfg.a.prefix(horizon + 1)
-    b = cfg.b.prefix(horizon + 1)
-    mu_inv = 1.0 / pair.s_min_modulus
-    s_norm = pair.s_norm
-
-    # rows: the weights of k1, k2 and k1p, zero before the tail
-    weights = np.abs(np.stack([a, b, 1.0 - a]))
-    weights[:, :tail_start] = 0.0
-    bound, excess = _power_bounds(pair, horizon)
-    with np.errstate(over="ignore"):  # a product past the float range is inf
-        # a zero weight prunes its power: 0, not 0 * inf = nan (an inf bound can only come last)
-        wb = weights * bound if bound[-1] < math.inf else np.multiply(
-            weights, bound, out=np.zeros(weights.shape), where=weights > 0)
-    seeds, svds = _seeds(pair, weights, wb, excess)
-    later = np.maximum.accumulate(wb[:, ::-1], axis=1)[:, ::-1]  # later[:, n]: max of wb[:, n:]
-
-    peaks = np.zeros(3)
-    lows = np.nextafter(seeds, -math.inf)
-    # w_n B_n raises a maximum when it is above the maximum so far and not below the seed
-    above = np.maximum(peaks, lows)
-    # t^0 = I has norm 1 (see _norms), so it is taken without forming it,
-    # and the stream starts only when a later power can raise a maximum
-    if (wb[:, 0] > above).any():
-        peaks = np.maximum(peaks, weights[:, 0])  # w * 1, with w >= 0
-        above = np.maximum(peaks, lows)
-    read = 1
-    try:
-        if (later[:, 1] > above).any():
-            for n, block in _power_blocks(pair.t, horizon):
-                if n == 0:
-                    continue  # t^0, taken above
-                read = n + len(block)
-                here = (wb[:, n:read] > above[:, None]).any(axis=0)
-                if here.any():
-                    index = np.flatnonzero(here) + n
-                    norms, count = _norms(pair, index, block, n)
-                    svds += count
-                    w = weights[:, index]
-                    with np.errstate(over="ignore"):  # a product past the float range is inf
-                        products = np.multiply(w, norms, out=np.zeros(w.shape), where=w > 0)
-                    peaks = np.maximum(peaks, products.max(axis=1))
-                    above = np.maximum(peaks, lows)
-                if read > horizon or not (later[:, read] > above).any():
+    fold = ConstantsFold(cfg, horizon, tail_start)
+    if fold.wants:
+        try:
+            for _, block in _power_blocks(cfg.pair.t, horizon):
+                fold.feed(block)
+                if not fold.wants:
                     break
-    except NonFiniteError:
-        # the overflowed power and every later one have norm inf
-        peaks = np.maximum(peaks, np.where(weights[:, read:].max(axis=1, initial=0.0) > 0, math.inf, 0.0))
-    k1, k2, k1p = (float(p) for p in peaks)
-    k2p = float(np.max(np.abs(1.0 - b[tail_start:])))
-    m_bound = float(np.max(mu_inv * (np.abs(1.0 - b) * s_norm + np.abs(b))))
-    return StabilityConstants(
-        k1=k1, k2=k2, k1p=k1p, k2p=k2p, m_bound=m_bound,
-        horizon=horizon, tail_start=tail_start, powers_read=read, svds_run=svds,
-    )
+        except NonFiniteError:
+            fold.overflow()
+    return fold.constants()
 
 
 @dataclass
@@ -399,10 +439,14 @@ def certify(
     horizon: int = 200,
     tail_start: int = 0,
     tail_tol: float = 0.01,
+    constants: Optional[StabilityConstants] = None,
 ) -> StabilityReport:
     """Run every certificate on a matrix configuration; raises ``ValueError``
-    unless ``tail_tol >= 0``."""
-    constants = compute_constants(cfg, horizon, tail_start)
+    unless ``tail_tol >= 0``.  ``constants``, when given, are the
+    ``compute_constants`` of this config, horizon and tail start, taken
+    elsewhere (by a ``ConstantsFold`` fed the powers of a run)."""
+    if constants is None:
+        constants = compute_constants(cfg, horizon, tail_start)
     res_i = check_property_i(constants, cfg.pair.s_min_modulus)
     res_ii, res_iii = check_property_ii_iii(cfg, horizon)
     res_iv, res_v = check_property_iv_v(cfg, horizon, tail_tol)

@@ -19,7 +19,7 @@ import yaml
 from hypothesis import assume, example, given, strategies as st
 
 import jungckit
-from jungckit import GatePolicy, Schedule, engine, floattext, venter
+from jungckit import GatePolicy, Schedule, cli, engine, floattext, venter
 from jungckit.aitken import accelerate_sequence
 from jungckit.cli import (
     BLOCK_CELLS,
@@ -296,6 +296,27 @@ aitken:
         limit, coeff = rng.uniform(-5, 5, size=d), rng.uniform(-2, 2, size=d)
         want = np.array([limit + coeff * ratio ** n for n in range(length)])
         assert geometric_terms(limit, coeff, ratio, length).tobytes() == want.tobytes()
+
+    @fixed_or_fresh(200)
+    @given(st.integers(1, 8), st.integers(3, 2000), st.integers(0, 2**32 - 1))
+    def test_geometric_terms_at_edge_values_match_the_per_row_powers(self, d, length, seed):
+        # limits, coefficients and ratios where the rows that skip pow could go wrong
+        rng = np.random.default_rng(seed)
+        limit = rng.choice([0.0, -0.0, 1.0, -2.0, 0.5, 2.0 ** -1022, -(2.0 ** 1023), 5e-324, 1e-300, 1e300,
+                            1.7976931348623157e308, rng.uniform(-5, 5)], size=d)
+        coeff = rng.choice([0.0, -0.0, 1.0, -2.0, 1e300, -1e-300, 5e-324, rng.uniform(-2, 2)], size=d)
+        ratio = rng.choice([0.0, -0.0, 0.5, -0.5, 5e-324, -0.999, 0.9999, rng.uniform(-0.999, 0.999)], size=d)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge coeff over a huge limit is inf
+            want = np.array([limit + coeff * ratio ** n for n in range(length)])
+            got = geometric_terms(limit, coeff, ratio, length)
+        assert got.tobytes() == want.tobytes()
+
+    def test_geometric_terms_skip_pow_once_every_term_is_its_limit(self):
+        # the benchmark's aitken-only shape: about 150 of 3000 rows need pow
+        rng = np.random.default_rng(1)
+        limit, coeff, ratio = rng.uniform(-5, 5, 50), rng.uniform(-2, 2, 50), rng.uniform(0.1, 0.8, 50)
+        assert cli._settled_row(limit, coeff, ratio, 3000) < 200
+        assert cli._settled_row(np.append(limit, 0.0), np.append(coeff, 1.0), np.append(ratio, 0.5), 3000) == 3000
 
     def test_aitken_run_holds_one_block_beyond_its_trace(self, tmp_path):
         # d=50 as in the benchmark's aitken op: past the terms, the corrected
@@ -629,9 +650,9 @@ SHIPPED_REPORT_LABELS = {
 
 
 def test_a_jungck_run_evaluates_each_schedule_value_once(tmp_path, monkeypatch):
-    # run reads the first `steps` values, and the certificates, the
-    # cross-check and the positivity constraints the first horizon + 1; the
-    # second read evaluates only the values past the first
+    # the certificate constants' fold is set up before the run and evaluates
+    # the first horizon + 1 values; run, the certificates, the cross-check
+    # and the positivity constraints read them without evaluating any again
     evaluated = []
     real = Schedule._evaluate
 
@@ -647,7 +668,29 @@ def test_a_jungck_run_evaluates_each_schedule_value_once(tmp_path, monkeypatch):
     steps, horizon = doc["steps"], max(doc["stability"]["horizon"], doc["steps"])
     a, b = {id(sched): sched for sched, _, _ in evaluated}.values()
     for sched in (a, b):
-        assert [(start, stop) for s, start, stop in evaluated if s is sched] == [(0, steps), (steps, horizon + 1)]
+        assert [(start, stop) for s, start, stop in evaluated if s is sched] == [(0, horizon + 1)]
+
+
+def test_a_jungck_trace_holds_views_of_the_one_kept_schedule_array(tmp_path, monkeypatch):
+    # each schedule keeps one array of horizon + 1 values, and the trace's
+    # a_vals and b_vals are views of it, not of a shorter array it outgrew
+    runs = []
+    real = engine.run
+
+    def kept(cfg, **kwargs):
+        trace = real(cfg, **kwargs)
+        runs.append((cfg, trace))
+        return trace
+
+    monkeypatch.setattr(engine, "run", kept)
+    path = CONFIGS / "positivity_demo.yaml"
+    doc = yaml.safe_load(path.read_text())["jungck"]
+    assert main(["--config", str(path), "--output", str(tmp_path), "--quiet"]) == 0
+    horizon = max(doc["stability"]["horizon"], doc["steps"])
+    (cfg, trace), = runs
+    assert trace.n_raw == doc["steps"] < horizon
+    for sched, values in ((cfg.a, trace.a_vals), (cfg.b, trace.b_vals)):
+        assert values.base is sched.prefix(horizon + 1).base and values.base.size == horizon + 1
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
@@ -948,6 +991,28 @@ class TestWriterMatchesCsvModule:
         got = (tmp_path / "got.csv").read_text()
         assert got == (tmp_path / "want.csv").read_text()
         assert "longdouble" not in got and got.splitlines()[2].startswith(f"1,-0.0,{wide[6]},-0.0,")
+
+    @fixed_or_fresh(30)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 100, 3000]))
+    def test_integer_groups_of_every_dtype_among_floats(self, seed, rows):
+        # each integer dtype at its iinfo edges and at random, one-byte and bool groups,
+        # a range that starts past 0, and floats between them, over one or more blocks
+        rng = np.random.default_rng(seed)
+        columns = [("n", range(7, 7 + rows))]
+        for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64, bool):
+            info = np.iinfo(dtype) if dtype is not bool else None
+            if info is None:
+                values = rng.random((rows, 2)) < 0.5
+            else:
+                edges = np.array([v for v in (info.min, info.max, 0, -1) if info.min <= v <= info.max], dtype=dtype)
+                values = np.where(rng.random((rows, 2)) < 0.3, rng.choice(edges, size=(rows, 2)),
+                                  rng.integers(info.min, info.max, size=(rows, 2), dtype=dtype, endpoint=True))
+            columns += [(np.dtype(dtype).name, values), (f"x_{np.dtype(dtype).name}", rng.normal(size=rows // 2 + 1))]
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_csv(columns, got)
+            ref_write_csv(columns, want)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_other_shapes_are_refused(self, tmp_path):
         for values in (np.zeros((2, 2, 2)), np.array([["a", "b"]])):

@@ -121,3 +121,44 @@ def test_the_binade_table_is_a_power_of_two_times_a_power_of_ten():
             head, half, other, tail = floattext._F[:, t].tolist()
             assert abs(Fraction(head) + Fraction(tail) - exact) <= exact / 2 ** 106, t
             assert half + other == head
+
+
+# ---------------------------------------------------------------------------
+# int_texts, the integer and bool formatter
+
+
+def int_rows(texts):
+    return [bytes(row).replace(bytes([floattext.FILL]), b"").decode("ascii") for row in texts]
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+def test_int_edges(dtype):
+    info = np.iinfo(dtype)
+    edges = {info.min, info.min + 1, info.max, info.max - 1, 0, 1, -1, 9, 10, 9999, 10_000, -10_000, 99_999_999,
+             10 ** 8, -(10 ** 12), 10 ** 19, 2**63 - 1}
+    x = np.array(sorted(v for v in edges if info.min <= v <= info.max), dtype=dtype)
+    assert int_rows(floattext.int_texts(x)) == list(map(repr, x.tolist()))
+    assert int_rows(floattext.int_texts(x[::-2])) == list(map(repr, x[::-2].tolist()))  # strided
+
+
+def test_bools_and_empty_arrays():
+    x = np.array([True, False, False, True])
+    assert int_rows(floattext.int_texts(x)) == ["True", "False", "False", "True"]
+    for dtype in (bool, np.int64, np.uint64):
+        assert floattext.int_texts(np.array([], dtype=dtype)).shape[0] == 0
+
+
+@fixed_or_fresh(100)
+@given(st.sampled_from(INT_DTYPES), st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_ints(dtype, seed, count):
+    # uniform over the dtype's range, or over a few digits, where most texts are short
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(seed)
+    top = int(rng.choice([info.max, 10 ** int(rng.integers(1, 6))]))
+    x = rng.integers(max(info.min, -top), min(info.max, top), size=count, dtype=dtype, endpoint=True)
+    texts = floattext.int_texts(x)
+    assert int_rows(texts) == list(map(repr, x.tolist()))
+    assert texts.shape[1] == max(map(len, map(repr, x.tolist())))

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import re
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +28,11 @@ from jungckit import (
     make_operator_pair,
     run,
 )
-from jungckit import engine, stability
+from jungckit import cli, engine, stability
+from jungckit.errors import IndexOutOfRangeError
 from jungckit.scan import ScanSpec, sample_config
 from conftest import fixed_or_fresh, traced_peak
-from test_engine import block_len, reference_power_norms, stream_norms
+from test_engine import assert_same_trace, block_len, reference_power_norms, stream_norms
 
 
 def linear_config(s_mat, t_mat, a, b, z0, steps=50):
@@ -663,3 +668,153 @@ class TestPositivityConstraints:
         assert check_positivity_constraints(direct, horizon=400) == \
             check_positivity_constraints(cfg, horizon=400)
 
+
+
+# ---------------------------------------------------------------------------
+# the one power stream of a CLI jungck run: the constants' fold reads the
+# blocks that run forms, and the stream goes on past the run only for the fold
+
+
+SHARED_KINDS = ("near-unit", "contractive", "overflow", "settles", "long-horizon", "tail", "short-list")
+
+
+@st.composite
+def shared_stream_cases(draw, kind):
+    """``(make, horizon, tail_start)``: ``make()`` builds a fresh copy of a
+    CLI-style config (horizon at least steps) of one kind: near-unit
+    (every power read), contractive (t^0 alone), overflow (a power past
+    the float range, mid-run or after the state overflowed), settles (the zero fill ends the run while
+    the fold reads on), long-horizon (horizon > steps), tail (tail_start >
+    0) or short-list (an explicit b shorter than the horizon)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 5))
+    steps = draw(st.integers(150, 220) if kind == "settles" else st.integers(12, 120))
+    horizon = steps + (draw(st.integers(1, 60)) if kind in ("long-horizon", "short-list") else 0)
+    tail_start = draw(st.integers(1, horizon - 10)) if kind == "tail" else 0
+    target = draw(st.integers(3, steps - 2))  # the overflow's power
+    # a zero state stays finite until a power overflows; a tiny one overflows first
+    scale = draw(st.sampled_from([0.0, 1e-300]))
+    listed = draw(st.integers(steps, horizon))  # the short list's length
+
+    def make():
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        s = (q * rng.uniform(1.02, 1.05, size=d)) @ q.T
+        t = near_unit(rng, d, "symmetric")
+        a, b = Schedule.constant(float(rng.uniform(0.3, 0.9))), Schedule.one_minus_inv(k=int(rng.integers(2, 8)))
+        z0 = rng.normal(size=d)
+        if kind == "contractive":
+            t, b = (q * rng.uniform(0.3, 0.9, size=d)) @ q.T, Schedule.constant(float(rng.uniform(0.3, 0.9)))
+        elif kind == "overflow":
+            t, z0 = 2.0 ** (1024 / (target - 0.5)) * q, z0 * scale
+        elif kind == "settles":
+            s = 1e3 * s  # the state shrinks by about 1e-3 a step and reaches +0
+        elif kind == "short-list":
+            b = Schedule.from_values(b.array(listed))
+        return linear_config(s, t, a, b, z0, steps)
+
+    return make, horizon, tail_start
+
+
+def last_live_row(trace):
+    rows = np.flatnonzero(trace.z.any(axis=1) | trace.sz.any(axis=1))
+    return int(rows[-1]) if rows.size else -1
+
+
+def cli_run_without_the_shared_stream(monkeypatch):
+    """Make the CLI run as it did before the stream was shared: its fold
+    set-up is refused, so it certifies after the run, with a stream of its
+    own."""
+    def refused(*args, **kwargs):
+        raise ValueError("the shared stream is off")
+
+    monkeypatch.setattr(cli, "stability", types.SimpleNamespace(**{**vars(stability), "ConstantsFold": refused}))
+
+
+def cli_outputs(cfg, horizon, tail_start, out):
+    scn = cli.JungckScenario(cfg=cfg, stability=cli.StabilityOptions(horizon=horizon, tail_start=tail_start))
+    code = cli.run_experiment(cli.ExperimentConfig(scenario="jungck", output=None, jungck=scn), out, quiet=True)
+    return code, (out / "trace.csv").read_bytes(), (out / "report.txt").read_bytes()
+
+
+class TestSharedStream:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", SHARED_KINDS)
+    @given(data=st.data())
+    @fixed_or_fresh(10)
+    def test_the_fold_over_the_runs_powers_is_compute_constants(self, kind, data):
+        make, horizon, tail_start = data.draw(shared_stream_cases(kind))
+        cfg, alone = make(), make()
+        if kind == "short-list":
+            # the set-up refuses, so the CLI certifies after the run, which skips the certificates
+            for build in (stability.ConstantsFold, compute_constants):
+                with pytest.raises(IndexOutOfRangeError):
+                    build(make(), horizon, tail_start)
+            return
+        fold = stability.ConstantsFold(cfg, horizon, tail_start)
+        trace = run(cfg, fold=fold)
+        got, want = fold.constants(), compute_constants(alone, horizon, tail_start)
+        assert constant_bits(got) == constant_bits(want)
+        assert (got.horizon, got.tail_start, got.powers_read, got.svds_run) == \
+            (want.horizon, want.tail_start, want.powers_read, want.svds_run)
+        assert_same_trace(trace, run(alone))
+        if kind in ("near-unit", "long-horizon"):
+            assert got.powers_read == horizon + 1 > cfg.steps - (kind == "near-unit")
+        elif kind == "contractive":
+            assert got.powers_read == 1
+        elif kind == "overflow":
+            assert trace.diverged and got.k2 == math.inf
+        elif kind == "settles":
+            assert last_live_row(trace) + 10 < cfg.steps < got.powers_read
+
+    @pytest.mark.parametrize("kind", SHARED_KINDS)
+    @given(data=st.data())
+    @fixed_or_fresh(2)
+    def test_the_cli_writes_what_it_wrote_with_two_streams(self, kind, data):
+        make, horizon, tail_start = data.draw(shared_stream_cases(kind))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+            shared = cli_outputs(make(), horizon, tail_start, Path(tmp) / "shared")
+            cli_run_without_the_shared_stream(monkeypatch)
+            assert cli_outputs(make(), horizon, tail_start, Path(tmp) / "alone") == shared
+        skipped = f"INFO certificates skipped: schedules not evaluable through horizon {horizon}\n".encode()
+        assert (skipped in shared[2]) == (kind == "short-list")
+
+
+def count_products(monkeypatch, t: np.ndarray) -> dict:
+    """Count the products of ``t`` with a power of t that ``np.matmul``
+    forms, and the products that ``np.linalg.matrix_power`` forms by
+    repeated squaring (``_seeds``' X = t^n)."""
+    counts = {"stream": 0, "seeds": 0}
+    matmul, matrix_power = np.matmul, np.linalg.matrix_power
+
+    def counted_matmul(x, y, *args, **kwargs):
+        counts["stream"] += x is t and np.ndim(y) == 2
+        return matmul(x, y, *args, **kwargs)
+
+    def counted_matrix_power(x, n):
+        counts["seeds"] += n.bit_length() - 1 + bin(n).count("1") - 1  # squarings, then the products of bits
+        return matrix_power(x, n)
+
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    monkeypatch.setattr(np.linalg, "matrix_power", counted_matrix_power)
+    return counts
+
+
+@pytest.mark.parametrize("settles", [False, True], ids=["cli-configs-d20", "settles-early"])
+def test_a_cli_jungck_run_forms_each_power_once(tmp_path, monkeypatch, settles):
+    # the CLI benchmark's generated config, or the same with s scaled so that the
+    # zero fill ends the run near step 100 while the constants read on to t^1000
+    cfg = near_unit_d20(9)
+    if settles:
+        cfg = linear_config(1e3 * cfg.pair.s.matrix, cfg.pair.t.matrix, cfg.a, cfg.b, cfg.z0, cfg.steps)
+    horizon = cfg.steps
+    counts = count_products(monkeypatch, cfg.pair.t.matrix)
+    trace = []
+    monkeypatch.setattr(engine, "run", lambda cfg, **kwargs: trace.append(run(cfg, **kwargs)) or trace[-1])
+    scn = cli.JungckScenario(cfg=cfg, stability=cli.StabilityOptions(horizon=horizon))
+    assert cli.run_experiment(cli.ExperimentConfig(scenario="jungck", output=None, jungck=scn), tmp_path,
+                              quiet=True) == 0
+    read = int(re.search(rb"formed (\d+) of", (tmp_path / "report.txt").read_bytes())[1])
+    assert read == horizon + 1 and (last_live_row(trace[0]) < 110) == settles
+    assert 0 < counts["seeds"] < 20
+    assert counts["stream"] <= max(cfg.steps, read) + counts["seeds"]
