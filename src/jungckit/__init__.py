@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     JungckitError,
     LengthMismatchError,
     NonFiniteError,

@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Optional
 
@@ -24,12 +25,13 @@ import numpy as np
 import yaml
 
 from . import diagnostics, engine, floattext, stability, venter
-from .aitken import DEFAULT_FLOOR_SCALE, accelerate_sequence
+from .aitken import BLOCK_ELEMENTS, DEFAULT_FLOOR_SCALE, corrected_blocks, row_blocks
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     JungckitError,
     NotConvergingError,
     SequenceTooShortError,
@@ -216,10 +218,14 @@ class VenterScenario:
 
 @dataclass(frozen=True)
 class AitkenScenario:
-    values: np.ndarray          # raw sequence, one row per term
+    terms: np.ndarray | GeometricSequence  # the raw sequence: the parsed rows, or made block by block
     gate: GatePolicy
     floor_scale: float
-    geometric_limit: Optional[np.ndarray]  # set when the sequence is synthetic
+
+    @property
+    def geometric_limit(self) -> Optional[np.ndarray]:
+        """The limit of a synthetic sequence, None for parsed values."""
+        return self.terms.limit if isinstance(self.terms, GeometricSequence) else None
 
     def __post_init__(self):
         if not self.floor_scale > 0:
@@ -317,32 +323,63 @@ def _parse_venter(node: dict) -> VenterScenario:
     return VenterScenario(cfg=cfg, eps=eps)
 
 
-def geometric_terms(limit: np.ndarray, coeff: np.ndarray, ratio: np.ndarray, length: int) -> np.ndarray:
-    """Rows ``limit + coeff * ratio ** n`` for n = 0..length-1 (length >= 3),
-    bit for bit as ``ratio ** n`` gives them one row at a time.
+@dataclass(frozen=True)
+class GeometricSequence:
+    """The rows ``limit + coeff * ratio ** n`` for n = 0..length-1
+    (length >= 3), made on demand: ``seq[lo:hi]`` is rows lo..hi-1, bit
+    for bit as ``ratio ** n`` gives them one row at a time, and no array of
+    all the rows is made unless ``seq[:]`` asks for it.
 
     One broadcast ``np.power`` takes the rows from n = 3 on: it runs the C
     ``pow`` on each element, as ``ratio ** n`` does for those n.  Rows 0, 1
     and 2 keep the fast paths of ``ratio ** n`` (ones, a copy, a square);
     ``pow(r, 2.0)`` can differ from ``r * r`` in the last bit.  The power
-    stops at ``_settled_row``: from there on every term rounds to its
-    limit, which is written as it is.
+    stops at ``settled`` (``_settled_row``): from there on every term
+    rounds to its limit, which is written as it is.
     """
-    settled = _settled_row(limit, coeff, ratio, length)
-    powers = np.empty((length, limit.size))
-    np.power(ratio, np.arange(settled, dtype=float)[:, None], out=powers[:settled])
-    for n in range(3):
-        powers[n] = ratio ** n
-    # in place, with the roundings of limit + coeff * powers: no full-size temporaries
-    live = powers[:settled]
-    live *= coeff
-    live += limit
-    powers[settled:] = limit
-    return powers
+
+    limit: np.ndarray
+    coeff: np.ndarray
+    ratio: np.ndarray
+    length: int
+
+    @cached_property
+    def settled(self) -> int:
+        return _settled_row(self.limit, self.coeff, self.ratio, self.length)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.length, self.limit.size
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, step = rows.indices(self.length)
+        if step != 1:
+            raise InvalidArgumentError(f"rows of a geometric sequence are taken in order, not by step {step}")
+        out = np.empty((max(hi - lo, 0), self.limit.size))
+        live = out[:max(min(self.settled, hi) - lo, 0)]
+        np.power(self.ratio, np.arange(lo, lo + len(live), dtype=float)[:, None], out=live)
+        for n in range(lo, min(3, hi)):
+            out[n - lo] = self.ratio ** n
+        # in place, with the roundings of limit + coeff * powers: no temporaries
+        live *= self.coeff
+        live += self.limit
+        out[len(live):] = self.limit
+        return out
+
+    def all_finite(self) -> bool:
+        """Whether every term is finite, as testing ``seq[:]`` tells.  Each
+        is when ``ratio`` is a number and ``|limit| + |coeff|`` is finite:
+        ``|ratio ** n| <= 1``, so ``|coeff * ratio ** n| <= |coeff|``, and
+        rounding keeps that order through the sum.  Otherwise the rows are
+        made block by block and tested."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.abs(self.limit) + np.abs(self.coeff) + np.abs(self.ratio)).all():
+                return True
+            return all(np.isfinite(self[block]).all() for block in row_blocks(*self.shape))
 
 
 def _settled_row(limit: np.ndarray, coeff: np.ndarray, ratio: np.ndarray, length: int) -> int:
-    """The first row n >= 3 of ``geometric_terms`` from which, in every
+    """The first row n >= 3 of a ``GeometricSequence`` from which, in every
     column, ``limit + coeff * ratio ** n`` rounds to ``limit``; ``length``
     when some column has no such row in reach.
 
@@ -374,7 +411,6 @@ def _parse_aitken(node: dict) -> AitkenScenario:
     _check_keys(node, {"sequence", "gate", "floor_scale"}, where)
     seq_node = _require_mapping(node.get("sequence"), f"{where}.sequence")
     kind = seq_node.get("kind")
-    geometric_limit = None
     if kind == "geometric":
         _check_keys(seq_node, {"kind", "limit", "coeff", "ratio", "length"}, f"{where}.sequence")
         try:
@@ -395,29 +431,29 @@ def _parse_aitken(node: dict) -> AitkenScenario:
                 f"{where}.sequence: limit, coeff and ratio must be numbers or lists of one length"
             )
         d = max(limit.size, coeff.size, ratio.size)
-        limit, coeff, ratio = (np.broadcast_to(v, (d,)).astype(float) for v in (limit, coeff, ratio))
-        values = geometric_terms(limit, coeff, ratio, length)
-        geometric_limit = limit
+        terms = GeometricSequence(*(np.broadcast_to(v, (d,)).astype(float) for v in (limit, coeff, ratio)), length)
+        finite = terms.all_finite()
     elif kind == "values":
         _check_keys(seq_node, {"kind", "values"}, f"{where}.sequence")
         raw = seq_node.get("values")
         if not isinstance(raw, list) or len(raw) < 3:
             raise ConfigValidationError(f"{where}.sequence.values: need a list of >= 3 terms")
         try:
-            values = np.atleast_2d(np.asarray(_numbers(raw, f"{where}.sequence.values"), dtype=float))
+            terms = np.atleast_2d(np.asarray(_numbers(raw, f"{where}.sequence.values"), dtype=float))
         except ValueError as exc:  # ragged rows
             raise ConfigValidationError(f"{where}.sequence.values: {exc}") from exc
-        if values.ndim != 2:
+        if terms.ndim != 2:
             raise ConfigValidationError(f"{where}.sequence.values: expected numbers or rows of numbers")
-        if values.shape[0] < 3:
-            values = values.T
+        if terms.shape[0] < 3:
+            terms = terms.T
+        finite = np.isfinite(terms).all()
     else:
         raise ConfigValidationError(f"{where}.sequence.kind: unknown kind {kind!r} (geometric, values)")
-    if not np.isfinite(values).all():
+    if not finite:
         raise ConfigValidationError(f"{where}.sequence: every term must be finite")
     gate = parse_gate(node["gate"], f"{where}.gate") if "gate" in node else GatePolicy.always_on()
     floor_scale = _get(node, "floor_scale", where, default=DEFAULT_FLOOR_SCALE)
-    return AitkenScenario(values=values, gate=gate, floor_scale=floor_scale, geometric_limit=geometric_limit)
+    return AitkenScenario(terms=terms, gate=gate, floor_scale=floor_scale)
 
 
 def _parse_scan(node: dict) -> ScanSpec:
@@ -478,10 +514,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 def write_csv(columns, path: Path) -> None:
     """Write ``(name, values)`` columns as one CSV table, in UTF-8.
 
-    A 2-D array of numbers becomes the columns ``name[0]``, ``name[1]``, ...
+    ``columns`` is a list of columns, or an iterator of such lists that
+    gives the table one row block after another, each block with the same
+    columns; a list of whole columns is the simplest source, one block.  A
+    2-D array of numbers becomes the columns ``name[0]``, ``name[1]``, ...
     Every cell is written as ``str`` writes it (a float as its shortest
-    round-trip decimal).  A column shorter than the longest leaves its
-    trailing cells empty.  Rows are formatted in blocks of about
+    round-trip decimal).  A column shorter than the longest of its block
+    leaves its trailing cells empty.  Rows are formatted in blocks of about
     ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text.  A
     block is first a matrix of integer codes, one per cell, into a table of
     the block's cell texts, and then its bytes, taken from that table by
@@ -489,51 +528,79 @@ def write_csv(columns, path: Path) -> None:
     end.  The float arrays of a block share one ``np.unique``, so each
     distinct value becomes text once, in ``floattext.float_texts``, which
     writes what ``repr`` writes without a Python call per value.  Integers
-    and bools become text in ``floattext.int_texts``, also without a Python
-    call per value: a ``range`` column is coded by position, and an array
-    by ``value - min`` when its items are one byte, else by ``np.unique``.
-    Other cells, floats wider than 8 bytes included, go through ``str`` one
-    by one.
+    and bools become text without a Python call per value either: a
+    ``range`` column is coded by position and written by
+    ``floattext.int_texts``, an array of one-byte items by ``value - min``
+    into the fixed table of ``floattext.byte_texts``, and any other integer
+    array by ``np.unique`` and ``int_texts``.  Other cells, floats wider
+    than 8 bytes included, go through ``str`` one by one.
     Nothing is quoted: a name, or a cell of a column that does not hold
     numbers, that holds a comma, a quote or a line break raises
-    ``ValueError``, as does an empty cell in a one-column table (it would
-    read back as a blank line).
+    ``InvalidArgumentError`` (a ``ValueError``), as does an empty cell in a
+    one-column table (it would read back as a blank line), or a row block
+    whose columns differ from the first block's.
     ``path`` stays the last argument: the benchmark's byte counter reads it there.
     """
-    header, groups = [], []
+    blocks = iter([columns] if isinstance(columns, list) else columns)
+    groups = _groups(next(blocks))
+    shape = [group[:3] for group in groups]
+    header = [name if ndim == 1 else f"{name}[{i}]" for name, ndim, width in shape for i in range(width)]
+    lone = len(header) == 1
+    _check_cells("the header", header, lone)
+    step = _block_rows(len(header))
+    seen = []  # the last float keys and their texts, which a block with the same keys takes over
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        while groups is not None:
+            n_rows = max((len(group[3]) for group in groups), default=0)
+            for lo in range(0, n_rows, step):
+                _write_block(fh, groups, lo, min(lo + step, n_rows), len(header), lone, seen)
+            groups = None  # let go before the source makes the next block
+            block = next(blocks, None)
+            if block is not None:
+                groups = _groups(block)
+                if [group[:3] for group in groups] != shape:
+                    raise InvalidArgumentError(f"a row block's columns differ from the first block's, {shape}")
+                del block
+
+
+def _block_rows(width: int) -> int:
+    """The rows of a block of a table ``width`` cells wide."""
+    return max(1, BLOCK_CELLS // width)
+
+
+def _groups(columns) -> list:
+    """``(name, ndim, width, values)`` for each column of ``columns`` that
+    has cells: a 1-D column is one wide, and a 2-D array of numbers as wide
+    as its rows (a width of 0 has no cells)."""
+    groups = []
     for name, values in columns:
         ndim = getattr(values, "ndim", 1)
         if ndim == 2 and values.dtype.kind in _NUMERIC:
-            names = [f"{name}[{i}]" for i in range(values.shape[1])]
+            width = values.shape[1]
         elif ndim == 1:
-            names = [name]
+            width = 1
         else:
-            raise ValueError(f"column {name!r}: expected a 1-D column or a 2-D array of numbers")
-        header += names
-        if names:
-            groups.append((names, values))
-    lone = len(header) == 1
-    _check_cells("the header", header, lone)
-    n_rows = max((len(v) for _, v in groups), default=0)
-    step = max(1, BLOCK_CELLS // len(header))
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        seen = None
-        for lo in range(0, n_rows, step):
-            seen = _write_block(fh, groups, lo, min(lo + step, n_rows), len(header), lone, seen)
+            raise InvalidArgumentError(f"column {name!r}: expected a 1-D column or a 2-D array of numbers")
+        if width:
+            groups.append((name, ndim, width, values))
+    return groups
 
 
 _NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes are written by str
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _FILL = bytes([floattext.FILL])
+#: a block's bytes are taken from its cell matrix in this many row chunks
+BYTE_CHUNKS = 4
 
 
-def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, seen):
+def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, seen: list) -> None:
     """Write rows ``lo:hi`` of the table to ``fh``, each cell as ``str``
-    writes it; cells past the end of a column are empty.  Returns the
-    block's distinct floats and their texts, ``(keys, texts)``; ``seen``
-    is what the block before returned, whose texts a block with the same
-    distinct floats takes over (a converged trace repeats its values).
+    writes it; cells past the end of a column are empty.  ``seen`` holds
+    the distinct floats and their texts, ``(keys, texts)``, of the block
+    before; a block with the same distinct floats takes its texts over (a
+    converged trace repeats its values), and any other block frees them
+    before it makes its own.
 
     The cells are coded first: ``codes[r, c]`` indexes the table of the
     block's texts, whose last row is the empty cell, so ``-1`` fills the
@@ -549,48 +616,54 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, see
       differently and a NaN equals nothing;
     * any other group cell by cell, its texts written by ``str``.
 
-    The integers' texts come from ``floattext.int_texts`` and the floats'
-    from ``floattext.float_texts``.  Each table row is a text padded with
+    The one-byte groups' texts come from ``floattext.byte_texts``, the
+    other integers' from ``floattext.int_texts`` and the floats' from
+    ``floattext.float_texts``.  Each table row is a text padded with
     ``floattext.FILL`` bytes and a comma; the rows of the cells follow one
     another, the last comma of a line becomes a line break, and deleting
-    the ``FILL`` bytes leaves the lines.
+    the ``FILL`` bytes leaves the lines.  The codes and the table are freed
+    once the cells are taken, and the cells become bytes, and lose their
+    ``FILL`` bytes, in ``BYTE_CHUNKS`` row chunks, so one copy of the
+    block's bytes is held beside the cells.
     """
     codes = np.full((hi - lo, width), -1, dtype=np.int64)
     tables, floats = [], []  # tables: the texts of the groups, in code order; floats: (columns, rows)
     count = 0  # the table rows so far
     col = 0
-    for names, values in groups:
-        part, cols = values[lo:hi], slice(col, col + len(names))
-        col += len(names)
+    for name, _, wide, values in groups:
+        part, cols = values[lo:hi], slice(col, col + wide)
+        col += wide
         if not len(part):
             continue
         if isinstance(part, range):
-            keys, local = np.arange(part.start, part.stop, part.step), np.arange(len(part))[:, None]
+            texts = floattext.int_texts(np.arange(part.start, part.stop, part.step))
+            local = np.arange(len(part))[:, None]
         elif not (isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC):
             cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
-            _check_cells(f"column {names[0]!r}", cells, lone)
-            keys, local = cells, np.arange(len(cells))[:, None]
+            _check_cells(f"column {name!r}", cells, lone)
+            texts, local = _text_rows(cells), np.arange(len(cells))[:, None]
         else:
-            part = part.reshape(len(part), len(names))
+            part = part.reshape(len(part), wide)
             if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
                 floats.append((cols, part))
                 continue
             if part.dtype.kind == "f":
                 # a wider float: its scalar's repr is np.longdouble('...'), and np.unique
                 # would merge 0.0 with -0.0, so each cell is written by str on its own
-                keys, local = list(map(str, part.ravel().tolist())), np.arange(part.size).reshape(part.shape)
+                texts = _text_rows(list(map(str, part.ravel().tolist())))
+                local = np.arange(part.size).reshape(part.shape)
             elif part.dtype.itemsize == 1:
                 small = part.view(np.uint8) if part.dtype.kind == "b" else part
                 low = int(small.min())
-                keys = np.arange(low, int(small.max()) + 1).astype(part.dtype)
+                texts = floattext.byte_texts(low, int(small.max()), part.dtype.kind == "b")
                 local = small - np.array(low, dtype=np.int64)
             else:
                 keys, local = np.unique(part, return_inverse=True)
-                local = local.reshape(part.shape)
+                texts, local = floattext.int_texts(keys), local.reshape(part.shape)
         codes[:len(local), cols] = local + count
         del local  # freed before the floats are coded
-        tables.append(_text_rows(keys) if isinstance(keys, list) else floattext.int_texts(keys))
-        count += len(tables[-1])
+        tables.append(texts)
+        count += len(texts)
     if floats:
         with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
             flat = np.concatenate([part.ravel() for _, part in floats], dtype=np.float64)
@@ -600,21 +673,26 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, see
         for cols, part in floats:
             codes[:len(part), cols] = inverse[start:start + part.size].reshape(part.shape)
             start += part.size
-        del flat, inverse  # freed before the texts are made
-        if seen is None or not np.array_equal(keys, seen[0]):
-            seen = keys, floattext.float_texts(keys.view(np.float64))
-        tables.append(seen[1])
+        del flat, inverse, floats  # freed before the texts are made
+        if not (seen and np.array_equal(keys, seen[0][0])):
+            seen.clear()  # the texts of the block before are freed before these are made
+            seen.append((keys, floattext.float_texts(keys.view(np.float64))))
+        tables.append(seen[0][1])
         count += len(keys)
+        del keys
     table = np.full((count + 1, max((t.shape[1] for t in tables), default=0) + 1), floattext.FILL, dtype=np.uint8)
     table[:, -1] = ord(",")
     start = 0
     for texts in tables:
         table[start:start + len(texts), :texts.shape[1]] = texts
         start += len(texts)
+    tables = texts = None
     cells = np.take(table, codes, axis=0)
+    del table, codes  # freed before the cells become bytes
     cells[:, -1, -1] = ord("\n")
-    fh.write(cells.tobytes().translate(None, _FILL))
-    return seen
+    chunk = -(-len(cells) // BYTE_CHUNKS)
+    for r in range(0, len(cells), chunk):
+        fh.write(cells[r:r + chunk].tobytes().translate(None, _FILL))
 
 
 def _text_rows(cells: list) -> np.ndarray:
@@ -629,7 +707,7 @@ def _check_cells(where: str, cells: list, lone: bool) -> None:
     """Raise ``ValueError`` for a cell that would need CSV quoting."""
     if _NEEDS_QUOTES.search("".join(cells)) or (lone and "" in cells):
         bad = next(c for c in cells if _NEEDS_QUOTES.search(c) or (lone and c == ""))
-        raise ValueError(f"{where}: cell {bad!r} needs CSV quoting (a comma, quote or line break, "
+        raise InvalidArgumentError(f"{where}: cell {bad!r} needs CSV quoting (a comma, quote or line break, "
                          "or an empty cell alone in its row)")
 
 
@@ -793,29 +871,62 @@ def _run_venter(scn: VenterScenario, outdir: Path, report: Report) -> None:
         report.add("INFO", f"uniform bound: skipped ({exc})")
 
 
+def _aitken_block_rows(d: int) -> int:
+    """The windows in one block of an aitken-only run of ``d`` columns:
+    whole row blocks of its trace.csv (columns n, x, Ax and gate), about
+    ``aitken.BLOCK_ELEMENTS`` entries of terms in all."""
+    step = _block_rows(1 + 3 * d)
+    return step * max(1, BLOCK_ELEMENTS // (max(d, 1) * step))  # d = 0 is refused by the corrector
+
+
 def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
-    accel, gates = accelerate_sequence(scn.values, scn.gate, scn.floor_scale)
-    write_csv([("n", range(len(scn.values))), ("x", scn.values), ("Ax", accel), ("gate", gates)],
-              outdir / "trace.csv")
-    report.add("INFO", f"aitken run: {scn.values.shape[0]} terms, dim={scn.values.shape[1]}")
-    lim = scn.geometric_limit
-    if lim is not None:
-        tol = 1e-10 * (1.0 + float(exact_row_norms(lim[None])[0]))
-        with np.errstate(over="ignore"):  # a difference past the float range is an inf miss
-            worst = float(np.max(diagnostics.distances(accel, lim)))
-        report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
-    else:
+    """Correct, write and check the sequence one row block at a time: a
+    geometric one is never held whole, and parsed values only as parsed."""
+    terms, lim = scn.terms, scn.geometric_limit
+    geometric = lim is not None
+    n, d = terms.shape
+    # refuses a sequence before any row is written
+    blocks = corrected_blocks(terms, scn.gate, scn.floor_scale, _aitken_block_rows(d))
+    estimate = None  # the report line of the limit estimate of parsed values
+    if lim is None:
         try:
-            est = diagnostics.estimate_limit(scn.values)
-            report.add("INFO", f"limit estimate ({est.method}): {np.array2string(est.value, precision=8)}")
+            est = diagnostics.estimate_limit(terms)  # reads the last 11 terms
+            estimate = f"limit estimate ({est.method}): {np.array2string(est.value, precision=8)}"
             lim = est.value
         except (NotConvergingError, SequenceTooShortError) as exc:
-            report.add("INFO", f"limit estimate skipped: {exc}")
-    if lim is not None:
-        ratios = diagnostics.acceleration_ratio(scn.values, accel, lim)
-        if ratios:
-            report.add("INFO", f"acceleration ratios: first={ratios[0]:.3e} last={ratios[-1]:.3e}")
-    report.add("INFO", f"gates applied: {int(np.sum(gates))} of {gates.size} components")
+            estimate = f"limit estimate skipped: {exc}"
+    worst, applied = 0.0, 0  # the largest |Ax - L| of a geometric sequence, and the gates applied
+    ratios, floored = [], lim is None  # the first and last ratios, taken up to the first raw row at the floor
+
+    def rows():
+        """The trace's row blocks; each is folded into the checks once written."""
+        nonlocal worst, applied, ratios, floored
+        lo = 0
+        for window, accel, gates in blocks:
+            raw = window if lo + len(window) == n else window[:len(accel)]  # the last block ends the trace
+            yield [("n", range(lo, lo + len(raw))), ("x", raw), ("Ax", accel), ("gate", gates)]
+            lo += len(raw)
+            applied += int(np.count_nonzero(gates))
+            if geometric:
+                with np.errstate(over="ignore"):  # a difference past the float range is an inf miss
+                    worst = max(worst, float(np.max(diagnostics.distances(accel, lim))))
+            if not floored:
+                part = diagnostics.acceleration_ratio(window, accel, lim)
+                floored = len(part) < len(accel)
+                if part:  # a block that starts at the floor row adds no ratio
+                    ratios = (ratios or part)[:1] + part[-1:]
+            del window, raw, accel, gates  # let go before the next block is made
+
+    write_csv(rows(), outdir / "trace.csv")
+    report.add("INFO", f"aitken run: {n} terms, dim={d}")
+    if geometric:
+        tol = 1e-10 * (1.0 + float(exact_row_norms(lim[None])[0]))
+        report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
+    if estimate is not None:
+        report.add("INFO", estimate)
+    if ratios:
+        report.add("INFO", f"acceleration ratios: first={ratios[0]:.3e} last={ratios[-1]:.3e}")
+    report.add("INFO", f"gates applied: {applied} of {(n - 2) * d} components")
 
 
 def _run_scan(spec: ScanSpec, outdir: Path, report: Report) -> None:

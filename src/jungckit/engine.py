@@ -59,7 +59,7 @@ from typing import Iterator
 import numpy as np
 
 from .aitken import DEFAULT_FLOOR_SCALE
-from .errors import NonFiniteError, SolveError
+from .errors import InvalidArgumentError, NonFiniteError, SolveError
 from .model import (GatePolicy, IterationTrace, OperatorPair, Operator, Schedule, Vector, as_state, exact_row_norms,
                     safe_row_norms)
 
@@ -128,14 +128,14 @@ class JungckConfig:
 
     def __post_init__(self):
         if self.z0 is None:
-            raise ValueError("z0 is required")
+            raise InvalidArgumentError("z0 is required")
         self.z0 = as_state(self.z0, dim=self.pair.dim)
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise InvalidArgumentError("steps must be >= 1")
         if self.steps < 3 and not (self.gates_z.is_always_off and self.gates_y.is_always_off):
-            raise ValueError("correction gates need steps >= 3 (two-term lookahead)")
+            raise InvalidArgumentError("correction gates need steps >= 3 (two-term lookahead)")
         if not self.floor_scale > 0:  # NaN fails it too
-            raise ValueError(f"floor_scale must be positive, got {self.floor_scale}")
+            raise InvalidArgumentError(f"floor_scale must be positive, got {self.floor_scale}")
 
     @property
     def dim(self) -> int:

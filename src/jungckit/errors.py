@@ -5,6 +5,10 @@ class JungckitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidArgumentError(JungckitError, ValueError):
+    """An argument is outside the values a constructor or function accepts."""
+
+
 class DimensionMismatchError(JungckitError):
     """Operands live in different dimensions."""
 

@@ -1,7 +1,9 @@
 """Shortest round-trip decimal texts of float64 arrays, byte for byte as ``repr``.
 
 ``float_texts`` writes many floats at once, in place of one ``repr`` call
-per value; ``int_texts`` does the same for integers and bools.  Python's ``repr`` writes the shortest decimal that reads back
+per value; ``int_texts`` does the same for integers and bools, and
+``byte_texts`` slices those of one-byte integers and bools from a fixed
+table.  Python's ``repr`` writes the shortest decimal that reads back
 as the same float, the closest one when several have that length, in fixed
 notation when its decimal point sits at ``-4 < decpt <= 16`` and as
 ``d.ddde+XX`` otherwise.
@@ -305,3 +307,16 @@ def int_texts(x: np.ndarray) -> np.ndarray:
     texts[:, 0] = np.where(negative, ord("-"), FILL)
     texts[:, 1:] = digits
     return texts
+
+
+#: the texts of the one-byte integers -128..255, as ``int_texts`` writes them
+_BYTE_TEXTS = int_texts(np.arange(-128, 256))
+
+
+def byte_texts(low: int, high: int, boolean: bool) -> np.ndarray:
+    """``int_texts`` of the values ``low..high`` of a bool (``boolean``) or
+    one-byte integer array, as rows of a fixed table: one slice, where
+    ``int_texts`` makes about 15 numpy calls.  The rows are as wide as the
+    table's widest text, so their ``FILL`` padding can be wider; deleting
+    it leaves the same texts."""
+    return _BOOLS[low:high + 1] if boolean else _BYTE_TEXTS[low + 128:high + 129]

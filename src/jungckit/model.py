@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     NonFiniteError,
     ScheduleViolationError,
     SingularOperatorError,
@@ -172,7 +173,7 @@ class OperatorPair:
     field is derived here, on each construction (``dataclasses.replace``
     too): ``s`` is inverted once into ``s_inverse`` and gets its minimum
     modulus and norm from one SVD, and ``t`` gets its norm.  Every solve is
-    one product with ``s_inverse``.  Raises ``ValueError`` unless
+    one product with ``s_inverse``.  Raises ``InvalidArgumentError`` unless
     ``solve_tol > 0``, ``DimensionMismatchError`` on unequal dimensions and
     ``SingularOperatorError`` when ``s`` has minimum modulus at or below
     ``solve_tol``; logs ``inverse_solve_warning`` when it is set.
@@ -190,7 +191,7 @@ class OperatorPair:
 
     def __post_init__(self):
         if not self.solve_tol > 0:
-            raise ValueError("solve_tol must be positive")
+            raise InvalidArgumentError("solve_tol must be positive")
         if self.s.dim != self.t.dim:
             raise DimensionMismatchError(f"maps live in different dimensions: {self.s.dim} vs {self.t.dim}")
         # one SVD gives both ends: singular values come largest first
@@ -282,14 +283,14 @@ class Schedule:
 
     def __post_init__(self):
         if self.form not in SCHEDULE_FORMS:
-            raise ValueError(f"unknown schedule form {self.form!r}")
+            raise InvalidArgumentError(f"unknown schedule form {self.form!r}")
         lo, hi = self.clamp
         if math.isnan(lo) or math.isnan(hi) or not lo <= hi:
-            raise ValueError(f"bad clamp range {self.clamp!r}")
+            raise InvalidArgumentError(f"bad clamp range {self.clamp!r}")
         if self.form in ("one-minus-inv", "inv", "inv-pow") and self.k < 1:
-            raise ValueError("rational schedules need k >= 1 so n=0 is evaluable")
+            raise InvalidArgumentError("rational schedules need k >= 1 so n=0 is evaluable")
         if not all(math.isfinite(v) for v in (self.c, self.p, *self.values)):
-            raise ValueError("schedule parameters and values must be finite")
+            raise InvalidArgumentError("schedule parameters and values must be finite")
         object.__setattr__(self, "_held", _NO_VALUES)
 
     @classmethod
@@ -410,11 +411,11 @@ class GatePolicy:
 
     def __post_init__(self):
         if self.mode not in GATE_MODES:
-            raise ValueError(f"unknown gate mode {self.mode!r}")
+            raise InvalidArgumentError(f"unknown gate mode {self.mode!r}")
         if not self.tau >= 0:
-            raise ValueError("gate threshold must be nonnegative")
+            raise InvalidArgumentError("gate threshold must be nonnegative")
         if any(v not in (0, 1) for v in self.values):
-            raise ValueError("explicit gate values must be 0 or 1")
+            raise InvalidArgumentError("explicit gate values must be 0 or 1")
 
     @classmethod
     def always_on(cls) -> "GatePolicy":

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import JungckConfig, run
+from .errors import InvalidArgumentError
 from .model import GatePolicy, Operator, Schedule, make_operator_pair, spectral_norm
 from .stability import NORM_FLOOR, certify, cross_validate
 
@@ -36,13 +37,13 @@ class ScanSpec:
 
     def __post_init__(self):
         if self.count < 1 or self.dim < 1 or self.steps < 3:
-            raise ValueError("count >= 1, dim >= 1 and steps >= 3 required")
+            raise InvalidArgumentError("count >= 1, dim >= 1 and steps >= 3 required")
         if self.horizon < 10:
-            raise ValueError("horizon must be >= 10")
+            raise InvalidArgumentError("horizon must be >= 10")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise InvalidArgumentError("seed must be >= 0")
         if not self.tail_tol >= 0:  # NaN fails it too
-            raise ValueError(f"tail_tol must be >= 0, got {self.tail_tol}")
+            raise InvalidArgumentError(f"tail_tol must be >= 0, got {self.tail_tol}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
-from .errors import NonFiniteError, TraceMismatchError
+from .errors import InvalidArgumentError, NonFiniteError, TraceMismatchError
 from .model import IterationTrace, Operator, OperatorPair, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
@@ -158,7 +158,7 @@ class StabilityConstants:
 
     def __post_init__(self):
         if not (0 <= self.tail_start < self.horizon):
-            raise ValueError("need 0 <= tail_start < horizon")
+            raise InvalidArgumentError("need 0 <= tail_start < horizon")
 
 
 class ConstantsFold:
@@ -179,7 +179,7 @@ class ConstantsFold:
 
     def __init__(self, cfg: JungckConfig, horizon: int, tail_start: int = 0):
         if horizon < tail_start + 10:
-            raise ValueError("horizon must be at least tail_start + 10")
+            raise InvalidArgumentError("horizon must be at least tail_start + 10")
         self.pair, self.horizon, self.tail_start = cfg.pair, horizon, tail_start
         a = cfg.a.prefix(horizon + 1)
         self.b = cfg.b.prefix(horizon + 1)
@@ -379,7 +379,7 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
 
 def _tail_close_to_one(sched: Schedule, horizon: int, tol: float) -> tuple[bool, float]:
     if not tol >= 0:  # NaN fails it too
-        raise ValueError(f"tail_tol must be >= 0, got {tol}")
+        raise InvalidArgumentError(f"tail_tol must be >= 0, got {tol}")
     vals = sched.prefix(horizon + 1)[horizon // 2:]
     dev = float(np.max(np.abs(vals - 1.0)))
     return dev <= tol, dev
@@ -441,7 +441,7 @@ def certify(
     tail_tol: float = 0.01,
     constants: Optional[StabilityConstants] = None,
 ) -> StabilityReport:
-    """Run every certificate on a matrix configuration; raises ``ValueError``
+    """Run every certificate on a matrix configuration; raises ``InvalidArgumentError``
     unless ``tail_tol >= 0``.  ``constants``, when given, are the
     ``compute_constants`` of this config, horizon and tail start, taken
     elsewhere (by a ``ConstantsFold`` fed the powers of a run)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisViolatedError, NonFiniteError, ScheduleViolationError
+from .errors import HypothesisViolatedError, InvalidArgumentError, NonFiniteError, ScheduleViolationError
 from .model import Schedule
 
 #: K_hat this close to 1 makes the contraction-style bounds vacuous
@@ -46,7 +46,7 @@ class VenterConfig:
         if not 0 <= self.x0 < math.inf:
             raise ScheduleViolationError("x0 must be finite and >= 0")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise InvalidArgumentError("steps must be >= 1")
 
 
 @dataclass

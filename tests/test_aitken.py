@@ -13,7 +13,7 @@ from jungckit import (
     SequenceTooShortError,
     accelerate_sequence,
 )
-from jungckit.aitken import BLOCK_ELEMENTS, DEFAULT_FLOOR_SCALE
+from jungckit.aitken import BLOCK_ELEMENTS, DEFAULT_FLOOR_SCALE, corrected_blocks
 from jungckit.errors import DimensionMismatchError
 from jungckit.model import GATE_MODES
 
@@ -329,6 +329,51 @@ class TestZeroTail:
             accelerate_sequence(raw, policy)
         with pytest.raises(IndexError):
             reference_accelerate(raw, policy)
+
+
+class TestCorrectedBlocks:
+    """The streamed corrector gives the whole corrector's rows, block by block."""
+
+    @given(zero_tail_sequences(), st.sampled_from([1, 2, 7, 64]))
+    @fixed_or_fresh(60)
+    def test_blocks_join_to_the_reference(self, case, rows):
+        raw, policy, floor_scale = case
+        n, d = raw.shape
+        if policy.mode == "list" and len(policy.values) < n - 2:
+            # refused on the call, before a block is made
+            count = len(policy.values)
+            with pytest.raises(IndexOutOfRangeError, match=f"^explicit gate list has {count} values, "
+                                                           f"asked for index {count}$"):
+                corrected_blocks(raw, policy, floor_scale, rows)
+            return
+        blocks = corrected_blocks(raw, policy, floor_scale, rows)
+        if not np.isfinite(raw).all():
+            with pytest.raises(NonFiniteError, match="^sequence has non-finite entries$"):
+                list(blocks)
+            return
+        windows, accels, gates = zip(*blocks)
+        starts = range(0, n - 2, rows)
+        assert [len(a) for a in accels] == [min(rows, n - 2 - lo) for lo in starts]
+        assert all(w.tobytes() == raw[lo:lo + len(a) + 2].tobytes() for lo, w, a in zip(starts, windows, accels))
+        ref_accel, ref_gates = reference_accelerate(raw, policy, floor_scale)
+        for got, want in zip(map(np.concatenate, (accels, gates)), (ref_accel, ref_gates)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_source_of_rows_is_sliced_block_by_block(self):
+        # rows made on demand: each block asks for its rows and its two-row lookahead
+        values = geometric(3.0, 2.0, 0.5, 20)[:, None]
+        asked = []
+
+        class Rows:
+            shape = values.shape
+
+            def __getitem__(self, rows):
+                asked.append((rows.start, rows.stop))
+                return values[rows]
+
+        parts = list(corrected_blocks(Rows(), GatePolicy.always_on(), DEFAULT_FLOOR_SCALE, 8))
+        assert asked == [(0, 10), (8, 18), (16, 20)]
+        assert np.concatenate([accel for _, accel, _ in parts]).tobytes() == accelerate_sequence(values)[0].tobytes()
 
 
 class TestAccelerationEffect:

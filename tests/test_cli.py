@@ -19,19 +19,20 @@ import yaml
 from hypothesis import assume, example, given, strategies as st
 
 import jungckit
-from jungckit import GatePolicy, Schedule, cli, engine, floattext, venter
+from jungckit import GatePolicy, Schedule, cli, diagnostics, engine, floattext, venter
 from jungckit.aitken import accelerate_sequence
 from jungckit.cli import (
     BLOCK_CELLS,
     ConfigParseError,
     ConfigValidationError,
-    geometric_terms,
+    GeometricSequence,
     main,
     parse_config_text,
     run_experiment,
     write_csv,
 )
-from jungckit.errors import ConfigError
+from jungckit.errors import ConfigError, JungckitError, NotConvergingError, SequenceTooShortError
+from jungckit.model import exact_row_norms
 from jungckit.scan import run_scan
 from conftest import fixed_or_fresh, traced_peak
 from trace_csv import read_jungck_csv
@@ -295,7 +296,7 @@ aitken:
         ratio[rng.random(d) < 0.1] = rng.choice([0.0, -0.0, 0.5, 5e-324])  # exact and subnormal ratios
         limit, coeff = rng.uniform(-5, 5, size=d), rng.uniform(-2, 2, size=d)
         want = np.array([limit + coeff * ratio ** n for n in range(length)])
-        assert geometric_terms(limit, coeff, ratio, length).tobytes() == want.tobytes()
+        assert GeometricSequence(limit, coeff, ratio, length)[:].tobytes() == want.tobytes()
 
     @fixed_or_fresh(200)
     @given(st.integers(1, 8), st.integers(3, 2000), st.integers(0, 2**32 - 1))
@@ -308,7 +309,7 @@ aitken:
         ratio = rng.choice([0.0, -0.0, 0.5, -0.5, 5e-324, -0.999, 0.9999, rng.uniform(-0.999, 0.999)], size=d)
         with np.errstate(over="ignore", invalid="ignore"):  # a huge coeff over a huge limit is inf
             want = np.array([limit + coeff * ratio ** n for n in range(length)])
-            got = geometric_terms(limit, coeff, ratio, length)
+            got = GeometricSequence(limit, coeff, ratio, length)[:]
         assert got.tobytes() == want.tobytes()
 
     def test_geometric_terms_skip_pow_once_every_term_is_its_limit(self):
@@ -319,10 +320,10 @@ aitken:
         assert cli._settled_row(np.append(limit, 0.0), np.append(coeff, 1.0), np.append(ratio, 0.5), 3000) == 3000
 
     def test_aitken_run_holds_one_block_beyond_its_trace(self, tmp_path):
-        # d=50 as in the benchmark's aitken op: past the terms, the corrected
-        # terms and the gates, the run and its checks hold about 0.8 MB at
-        # any length (2.5 MB at 3000 terms and 24 MB at 30000 while the
-        # exactness check and the ratios took differences of every row)
+        # d=50 as in the benchmark's aitken op: the sequence is made, corrected,
+        # written and checked one row block at a time, so the parse and the run
+        # together hold about 0.7 MB at any length (3.4 MB at 3000 terms and 26 MB
+        # at 30000 while they held the sequence, its corrected terms and gates)
         rng = np.random.default_rng(6)
         doc = {"scenario": "aitken-only", "aitken": {
             "sequence": {"kind": "geometric", "limit": rng.uniform(-5, 5, 50).tolist(),
@@ -331,13 +332,13 @@ aitken:
 
         def working(length):
             doc["aitken"]["sequence"]["length"] = length
-            cfg = parse_config_text(yaml.safe_dump(doc))
-            peak, code = traced_peak(lambda: run_experiment(cfg, output_dir=tmp_path, quiet=True))
+            text = yaml.safe_dump(doc)
+            peak, code = traced_peak(lambda: run_experiment(parse_config_text(text), output_dir=tmp_path, quiet=True))
             assert code == 0
-            return peak - (length - 2) * 50 * (8 + 1)  # the corrected terms and the gates
+            return peak
 
         short = working(3000)
-        assert working(30000) <= 1.1 * short and short < 1_000_000
+        assert working(30000) <= 1.1 * short and short < 800_000
 
     def test_scan_scenario(self, tmp_path):
         cfg = parse_config_text(SCAN)
@@ -801,8 +802,9 @@ def ref_write(cfg, path):
     elif cfg.scenario == "venter":
         ref_write_venter_csv(venter.venter_run(scn.cfg), path)
     elif cfg.scenario == "aitken-only":
-        accel, gates = accelerate_sequence(scn.values, scn.gate, scn.floor_scale)
-        ref_write_aitken_csv(scn.values, accel, gates, path)
+        values = scn.terms[:]
+        accel, gates = accelerate_sequence(values, scn.gate, scn.floor_scale)
+        ref_write_aitken_csv(values, accel, gates, path)
     else:
         ref_write_scan_csv(run_scan(scn), path)
 
@@ -849,6 +851,167 @@ class TestWriterMatchesReference:
     def test_aitken_longer_than_one_block(self, tmp_path, dim, length):
         assert length > _block_rows(dim)
         self.check(tmp_path, aitken_config(dim, length))
+
+
+# ---------------------------------------------------------------------------
+# the streamed aitken-only run against the whole-sequence run it replaced
+
+
+def ref_run_aitken(doc: dict, outdir: Path) -> int:
+    """The aitken-only scenario as it ran on whole arrays: the sequence (a
+    geometric one term by term, as ``ratio ** n`` gives each), its corrected
+    terms and gates, all made before a row is written, then the checks over
+    the whole arrays.  Returns the exit code, 2 for a refused sequence."""
+    node, seq = doc["aitken"], doc["aitken"]["sequence"]
+    if seq["kind"] == "geometric":
+        limit, coeff, ratio = (np.array(seq[key], dtype=float) for key in ("limit", "coeff", "ratio"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.array([limit + coeff * ratio ** n for n in range(seq["length"])])
+        lim = limit
+    else:
+        values, lim = np.array(seq["values"], dtype=float), None
+    if not np.isfinite(values).all():
+        return 2
+    gate = cli.parse_gate(node["gate"], "aitken.gate")
+    report = cli.Report()
+    try:
+        accel, gates = accelerate_sequence(values, gate, node.get("floor_scale", 1e-12))
+        ref_write_aitken_csv(values, accel, gates, outdir / "trace.csv")
+        report.add("INFO", f"aitken run: {values.shape[0]} terms, dim={values.shape[1]}")
+        if lim is not None:
+            tol = 1e-10 * (1.0 + float(exact_row_norms(lim[None])[0]))
+            with np.errstate(over="ignore"):
+                worst = float(np.max(diagnostics.distances(accel, lim)))
+            report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
+        else:
+            try:
+                est = diagnostics.estimate_limit(values)
+                report.add("INFO", f"limit estimate ({est.method}): {np.array2string(est.value, precision=8)}")
+                lim = est.value
+            except (NotConvergingError, SequenceTooShortError) as exc:
+                report.add("INFO", f"limit estimate skipped: {exc}")
+        if lim is not None:
+            ratios = diagnostics.acceleration_ratio(values, accel, lim)
+            if ratios:
+                report.add("INFO", f"acceleration ratios: first={ratios[0]:.3e} last={ratios[-1]:.3e}")
+        report.add("INFO", f"gates applied: {int(np.sum(gates))} of {gates.size} components")
+    except JungckitError as exc:
+        report.add("FAIL", f"run aborted: {exc}")
+    if not report.checked:
+        report.add("FAIL", "no check ran: every check of this aitken-only run was skipped or does not apply")
+    (outdir / "report.txt").write_text(report.render(), encoding="utf-8")
+    return 1 if report.failed else 0
+
+
+@st.composite
+def aitken_cases(draw):
+    """An aitken-only config of 3 terms up to about three of the run's row
+    blocks (one for a values sequence), whose windows end 0-2 rows from a
+    block edge or are 1 to 3.  A
+    geometric sequence's columns settle (every later term is the limit) a
+    row before, at or after an edge, or never, or have a random ratio, or
+    terms that overflow or nearly do; a values sequence may end in rows of
+    zeros.  Gates of every mode, a list one window short among them."""
+    d = draw(st.integers(1, 8))
+    rows = cli._aitken_block_rows(d)
+    geometric = draw(st.booleans())
+    edges = [0, 1, 2, 3] if geometric else [0, 1]  # a long values list costs seconds of YAML
+    windows = max(1, draw(st.sampled_from(edges)) * rows + draw(st.integers(-2, 2)))
+    length = windows + 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if geometric:
+        limit, coeff, ratio = rng.uniform(-5, 5, d), rng.uniform(0.5, 2, d) * rng.choice([-1, 1], d), np.zeros(d)
+        # every column settles in half the cases, so that the sequence does
+        kinds = ["settles"] if draw(st.booleans()) else ["settles", "never", "random", "huge"]
+        for i in range(d):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "settles":  # |coeff| r^n falls below a quarter spacing of the limit near row `at`
+                at = max(3, draw(st.sampled_from([1, 2])) * rows + draw(st.integers(-1, 1)))
+                quarter = np.spacing(abs(limit[i])) / 4
+                ratio[i] = (quarter / (2 * abs(coeff[i]))) ** (1 / at) * rng.choice([-1, 1])
+            elif kind == "never":
+                limit[i], ratio[i] = 0.0, rng.uniform(0.5, 0.999)
+            elif kind == "random":
+                ratio[i] = rng.uniform(-0.9, 0.9)
+            else:  # the first term overflows with like signs, and nearly does with unlike ones
+                limit[i], coeff[i], ratio[i] = 1.7e308 * rng.choice([-1, 1]), 1e308 * rng.choice([-1, 1]), 0.5
+        sequence = {"kind": "geometric", "limit": limit.tolist(), "coeff": coeff.tolist(), "ratio": ratio.tolist(),
+                    "length": length}
+    else:
+        values = rng.uniform(1, 2, d) + rng.uniform(-1, 1, d) * rng.uniform(-0.9, 0.9, d) ** np.arange(length)[:, None]
+        values[length - draw(st.sampled_from([0, 0, 1, 2, length // 2])):] = 0.0
+        sequence = {"kind": "values", "values": values.tolist()}
+    mode = draw(st.sampled_from(["always-on", "always-off", "threshold", "list", "short-list"]))
+    gate = {"mode": mode}
+    if mode == "threshold":
+        gate["tau"] = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    elif mode.endswith("list"):
+        short = mode == "short-list" and windows > 1  # a list is never empty
+        gate = {"mode": "list", "values": rng.integers(0, 2, windows - short).tolist()}
+    doc = {"scenario": "aitken-only", "aitken": {"sequence": sequence, "gate": gate}}
+    if draw(st.booleans()):
+        doc["aitken"]["floor_scale"] = draw(st.sampled_from([1e-12, 1e-3]))
+    return doc
+
+
+def settling_doc(d: int, at: int, windows: int, gate: dict) -> dict:
+    """An aitken-only config of ``windows + 2`` geometric terms whose columns
+    all settle (every later term is the limit) at about row ``at``."""
+    limit, coeff = 1.0 + np.arange(d), np.full(d, 1.5)
+    ratio = (np.spacing(limit) / 4 / (2 * coeff)) ** (1 / at)
+    return {"scenario": "aitken-only", "aitken": {"gate": gate, "sequence": {
+        "kind": "geometric", "limit": limit.tolist(), "coeff": coeff.tolist(), "ratio": ratio.tolist(),
+        "length": windows + 2}}}
+
+
+def flooring_doc(at: int, windows: int) -> dict:
+    """An aitken-only config of ``windows + 2`` terms ``ratio ** n`` of one
+    column, limit 0, whose first term at the acceleration ratios' floor
+    (``diagnostics.RATIO_FLOOR_SCALE``) is row ``at``: the ratio puts that
+    floor half a row past ``at - 1``, far beyond the rounding of a term."""
+    ratio = diagnostics.RATIO_FLOOR_SCALE ** (1 / (at - 0.5))
+    return {"scenario": "aitken-only", "aitken": {"gate": {"mode": "always-on"}, "sequence": {
+        "kind": "geometric", "limit": [0.0], "coeff": [1.0], "ratio": [ratio], "length": windows + 2}}}
+
+
+ROWS1 = cli._aitken_block_rows(1)  # the windows in a run block of a 1-column sequence
+ROWS3 = cli._aitken_block_rows(3)  # the windows in a run block of a 3-column sequence
+
+
+@fixed_or_fresh(40)
+@given(aitken_cases())
+# settled a row before, at and after the first block edge, in a run of a block and two rows
+@example(settling_doc(3, ROWS3 - 2, ROWS3 + 2, {"mode": "always-on"}))
+@example(settling_doc(3, ROWS3 - 1, ROWS3 + 2, {"mode": "threshold", "tau": 1e-12}))
+@example(settling_doc(3, ROWS3, ROWS3 + 2, {"mode": "list", "values": [1, 0] * (ROWS3 // 2 + 2)}))
+# a gate list one window short of a two-block run, refused before a row is written
+@example(settling_doc(3, ROWS3 + 1, ROWS3 + 1, {"mode": "list", "values": [1] * ROWS3}))
+# the first raw row at the ratios' floor is the first row of the second block
+@example(flooring_doc(ROWS1, ROWS1 + 10))
+# values over two blocks, ending in rows of zeros, with a gate list one window short
+@example({"scenario": "aitken-only", "aitken": {"gate": {"mode": "list", "values": [0, 1] * (ROWS3 // 2) + [1]},
+                                                "sequence": {"kind": "values", "values": np.concatenate(
+                                                    [1.0 + 0.5 ** np.arange(ROWS3 - 1)[:, None] * [1.0, -2.0, 3.0],
+                                                     np.zeros((4, 3))]).tolist()}}})
+def test_streamed_aitken_run_matches_the_whole_sequence_run(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got", Path(tmp) / "want"
+        want.mkdir()
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
+        code = main(["--config", str(path), "--output", str(got), "--quiet"])
+        assert code == ref_run_aitken(doc, want)
+        for name in ("trace.csv", "report.txt"):
+            assert (got / name).exists() == (want / name).exists()
+            if (want / name).exists():
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_the_flooring_example_reaches_the_floor_at_the_second_block():
+    seq = cli.parse_config_text(yaml.safe_dump(flooring_doc(ROWS1, ROWS1 + 10))).aitken.terms
+    errors = np.abs(seq[:].ravel())  # limit 0
+    floor = diagnostics.RATIO_FLOOR_SCALE
+    assert np.flatnonzero(errors <= floor)[0] == ROWS1 and errors[ROWS1 - 1] > floor
 
 
 # ---------------------------------------------------------------------------
@@ -1092,9 +1255,38 @@ class TestWriterAtBenchmarkShapes:
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
             return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
 
-        # and stay below 4 MB: about 1.8 MB, under the 3.4 MB at which the
-        # benchmark's aitken-only op (d=50, 3000 terms) peaks with its trace held
+        # and stay below 4 MB: about 1.5 MB, under the 2.4 MB at which the
+        # benchmark's jungck op (d=20, 1000 steps) peaks with its trace held
         assert peak(8000) <= 1.1 * peak(1000) < 4_000_000
+
+    def test_working_set_is_one_block_of_cells_and_one_kernel_call(self, tmp_path):
+        # every float distinct, as wide as a d=20 jungck trace: beyond its inputs,
+        # write_csv holds at most one block's cell matrix (a text and a comma a cell)
+        # plus what one float_texts call on the block's distinct floats takes, since
+        # the codes and the table are freed before the cells become bytes, those are
+        # taken in row chunks, and the block before's float texts are freed first
+        rng = np.random.default_rng(7)
+        rows = 1000
+        columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
+        step = BLOCK_CELLS // 162
+        keys = np.unique(np.concatenate([columns[1][1][:step].ravel(), columns[2][1][:step]]))
+        floattext.float_texts(keys)  # numpy's first-use allocations happen outside the measurement
+        kernel, texts = traced_peak(lambda: floattext.float_texts(keys))
+        cells = step * 162 * (texts.shape[1] + 1)
+        write_csv(columns, tmp_path / "trace.csv")
+        peak, _ = traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))
+        assert peak <= cells + kernel  # 1.47 <= 1.53 MB; it held 1.76 MB with all of a block's bytes at once
+
+    def test_a_stream_of_row_blocks_writes_the_table_of_its_columns(self, tmp_path):
+        columns = aitken_columns(np.random.default_rng(4), d=3, rows=500)
+        cuts = [0, 1, 2, 137, 138, 499, 500]  # Ax and gate end two rows before n and x, in the fifth block
+        blocks = ([(name, values[lo:hi]) for name, values in columns] for lo, hi in zip(cuts, cuts[1:]))
+        write_csv(blocks, tmp_path / "got.csv")
+        write_csv(columns, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        other = iter([columns, columns[:-1]])
+        with pytest.raises(ValueError, match="a row block's columns differ from the first block's"):
+            write_csv(other, tmp_path / "got.csv")
 
     def test_one_byte_gates_write_as_eight_byte_ones(self, tmp_path):
         columns = aitken_columns(np.random.default_rng(4))

@@ -162,3 +162,14 @@ def test_ints(dtype, seed, count):
     texts = floattext.int_texts(x)
     assert int_rows(texts) == list(map(repr, x.tolist()))
     assert texts.shape[1] == max(map(len, map(repr, x.tolist())))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, bool])
+def test_byte_texts_are_the_int_texts_of_each_span(dtype):
+    # each value alone, then spans from the fixed table: the whole dtype, 0..1 and a few more
+    values = np.array([False, True]) if dtype is bool else np.arange(np.iinfo(dtype).min, np.iinfo(dtype).max + 1)
+    codes = (values.view(np.uint8) if dtype is bool else values).tolist()
+    for low, high in [(i, i) for i in range(len(values))] + [(0, len(values) - 1), (0, 1), (3, 200), (127, 130)]:
+        if high < len(values):
+            got = floattext.byte_texts(codes[low], codes[high], dtype is bool)
+            assert int_rows(got) == int_rows(floattext.int_texts(values[low:high + 1].astype(dtype)))

@@ -14,7 +14,9 @@ from jungckit import (
     DimensionMismatchError,
     GatePolicy,
     IndexOutOfRangeError,
+    InvalidArgumentError,
     JungckConfig,
+    JungckitError,
     NonFiniteError,
     Operator,
     OperatorPair,
@@ -22,6 +24,7 @@ from jungckit import (
     ScheduleViolationError,
     SingularOperatorError,
     SolveError,
+    VenterConfig,
     accelerate_sequence,
     as_state,
     certify,
@@ -583,3 +586,27 @@ class TestRowNorms:
         rows = np.array(rows, dtype=float)
         assert live_row_count(rows) == count
         assert live_row_count(np.asfortranarray(rows)) == count
+
+
+def _scalar_config(**kwargs):
+    pair = make_operator_pair(Operator.scaled_identity(2.0, 1), Operator.scaled_identity(0.5, 1))
+    return JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5), z0=[1.0], **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Schedule.constant(math.nan),
+    lambda: Schedule.inv(k=0),
+    lambda: Schedule.inv_pow(p=math.nan),
+    lambda: GatePolicy.threshold(math.nan),
+    lambda: GatePolicy.threshold(-1),
+    lambda: _scalar_config(steps=0),
+    lambda: certify(_scalar_config(steps=10), horizon=5),
+    lambda: VenterConfig(alpha=Schedule.constant(0.5), gamma=Schedule.constant(0.0), omega=Schedule.constant(0.0),
+                         steps=0),
+], ids=["constant-nan", "inv-k0", "inv-pow-p-nan", "threshold-nan", "threshold-negative", "jungck-steps-0",
+        "certify-horizon-5", "venter-steps-0"])
+def test_a_refused_argument_is_a_typed_error(call):
+    # a JungckitError, and still the ValueError it was
+    with pytest.raises(JungckitError) as info:
+        call()
+    assert isinstance(info.value, InvalidArgumentError) and isinstance(info.value, ValueError)
