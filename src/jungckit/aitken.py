@@ -41,12 +41,25 @@ DEFAULT_FLOOR_SCALE = 1e-12
 BLOCK_ELEMENTS = 8192
 
 
+def block_rows(width: int) -> int:
+    """The rows of a block of rows ``width`` entries wide: about
+    ``BLOCK_ELEMENTS`` entries, and at least one row."""
+    return max(1, BLOCK_ELEMENTS // max(width, 1))
+
+
 def row_blocks(count: int, width: int) -> Iterator[slice]:
-    """Consecutive slices of ``count`` rows of ``width`` entries, about
-    ``BLOCK_ELEMENTS`` entries a slice, so that a temporary taken over one
+    """Consecutive slices of ``count`` rows of ``width`` entries,
+    ``block_rows(width)`` rows a slice, so that a temporary taken over one
     is never larger than a block."""
-    step = max(1, BLOCK_ELEMENTS // max(width, 1))
+    step = block_rows(width)
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def as_rows(seq) -> np.ndarray:
+    """A sequence of terms as a 2-D float array, one row a term; a sequence
+    of numbers becomes one column."""
+    arr = np.asarray(seq, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
 
 
 def denominator_floor(s0: Vector, floor_scale: float) -> Vector:
@@ -74,9 +87,7 @@ def accelerate_sequence(
     are bit-identical copies of s0, so the output is always finite.
     Raises ``InvalidArgumentError`` unless ``floor_scale > 0``.
     """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = as_rows(raw)
     _check_sequence(arr.shape, floor_scale)
     policy = policy or GatePolicy.always_on()
 

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import diagnostics, engine, floattext, stability, venter
-from .aitken import BLOCK_ELEMENTS, DEFAULT_FLOOR_SCALE, corrected_blocks, row_blocks
+from .aitken import DEFAULT_FLOOR_SCALE, block_rows, corrected_blocks, row_blocks
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -41,7 +41,6 @@ from .scan import ScanSpec, run_scan
 
 IDENTITY_TOL = 1e-9
 NONNEG_SLACK = 1e-12
-BLOCK_CELLS = 8192  # trace.csv is formatted in row blocks of about this many cells
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +441,8 @@ def _parse_aitken(node: dict) -> AitkenScenario:
             terms = np.atleast_2d(np.asarray(_numbers(raw, f"{where}.sequence.values"), dtype=float))
         except ValueError as exc:  # ragged rows
             raise ConfigValidationError(f"{where}.sequence.values: {exc}") from exc
-        if terms.ndim != 2:
-            raise ConfigValidationError(f"{where}.sequence.values: expected numbers or rows of numbers")
+        if terms.ndim != 2 or not terms.size:
+            raise ConfigValidationError(f"{where}.sequence.values: expected numbers or non-empty rows of numbers")
         if terms.shape[0] < 3:
             terms = terms.T
         finite = np.isfinite(terms).all()
@@ -520,8 +519,8 @@ def write_csv(columns, path: Path) -> None:
     2-D array of numbers becomes the columns ``name[0]``, ``name[1]``, ...
     Every cell is written as ``str`` writes it (a float as its shortest
     round-trip decimal).  A column shorter than the longest of its block
-    leaves its trailing cells empty.  Rows are formatted in blocks of about
-    ``BLOCK_CELLS`` cells, so a long trace never sits in memory as text.  A
+    leaves its trailing cells empty.  Rows are formatted in the row blocks
+    of ``aitken.row_blocks``, so a long trace never sits in memory as text.  A
     block is first a matrix of integer codes, one per cell, into a table of
     the block's cell texts, and then its bytes, taken from that table by
     the matrix in one step; ``-1`` codes the empty cell past a column's
@@ -547,14 +546,13 @@ def write_csv(columns, path: Path) -> None:
     header = [name if ndim == 1 else f"{name}[{i}]" for name, ndim, width in shape for i in range(width)]
     lone = len(header) == 1
     _check_cells("the header", header, lone)
-    step = _block_rows(len(header))
     seen = []  # the last float keys and their texts, which a block with the same keys takes over
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         while groups is not None:
             n_rows = max((len(group[3]) for group in groups), default=0)
-            for lo in range(0, n_rows, step):
-                _write_block(fh, groups, lo, min(lo + step, n_rows), len(header), lone, seen)
+            for rows in row_blocks(n_rows, len(header)):
+                _write_block(fh, groups, rows.start, rows.stop, len(header), lone, seen)
             groups = None  # let go before the source makes the next block
             block = next(blocks, None)
             if block is not None:
@@ -562,11 +560,6 @@ def write_csv(columns, path: Path) -> None:
                 if [group[:3] for group in groups] != shape:
                     raise InvalidArgumentError(f"a row block's columns differ from the first block's, {shape}")
                 del block
-
-
-def _block_rows(width: int) -> int:
-    """The rows of a block of a table ``width`` cells wide."""
-    return max(1, BLOCK_CELLS // width)
 
 
 def _groups(columns) -> list:
@@ -875,8 +868,8 @@ def _aitken_block_rows(d: int) -> int:
     """The windows in one block of an aitken-only run of ``d`` columns:
     whole row blocks of its trace.csv (columns n, x, Ax and gate), about
     ``aitken.BLOCK_ELEMENTS`` entries of terms in all."""
-    step = _block_rows(1 + 3 * d)
-    return step * max(1, BLOCK_ELEMENTS // (max(d, 1) * step))  # d = 0 is refused by the corrector
+    step = block_rows(1 + 3 * d)
+    return step * block_rows(d * step)
 
 
 def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:

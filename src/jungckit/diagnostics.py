@@ -7,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aitken import accelerate_sequence, row_blocks
+from .aitken import accelerate_sequence, as_rows, row_blocks
 from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
 from .model import Vector, exact_row_norms, unoverflowed
 
@@ -23,13 +23,6 @@ EQUIVALENCE_TOL = 1e-6
 class LimitEstimate:
     value: Vector
     method: str  # "last-term" | "extrapolation"
-
-
-def _as_rows(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
 
 
 def distances(rows: np.ndarray, center: Vector) -> np.ndarray:
@@ -56,7 +49,7 @@ def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
     ``NotConvergingError`` when the differences have not shrunk at all over
     the last ten steps.
     """
-    arr = _as_rows(seq)
+    arr = as_rows(seq)
     n = arr.shape[0]
     if n < 5:
         raise SequenceTooShortError(f"limit estimation needs >= 5 terms, got {n}")
@@ -95,8 +88,8 @@ def acceleration_ratio(
     the raw error has already hit the limit floor; past it they would be
     quotient noise, and no norm is taken there.
     """
-    raw_arr = _as_rows(raw)
-    acc_arr = _as_rows(accel)
+    raw_arr = as_rows(raw)
+    acc_arr = as_rows(accel)
     if acc_arr.shape[0] != raw_arr.shape[0] - 2:
         raise LengthMismatchError(
             f"corrected length {acc_arr.shape[0]} != raw length {raw_arr.shape[0]} - 2"
@@ -146,7 +139,7 @@ def build_convergence_report(raw, accel) -> ConvergenceReport:
     row whose squares overflow keeps a finite error.  ``equivalent`` is None,
     with the reason as the last note, when either limit cannot be estimated.
     """
-    raw_arr = _as_rows(raw)
+    raw_arr = as_rows(raw)
     est = estimate_limit(raw_arr)
     lim = est.value
     errors = np.empty(raw_arr.shape[0])

@@ -147,22 +147,6 @@ def _check_finite(v: Vector, error: type, message: str) -> None:
         raise error(message)
 
 
-def _feeding(blocks: Iterator[np.ndarray], fold) -> Iterator[np.ndarray]:
-    """The blocks of ``blocks``, each handed to ``fold.feed`` before it is
-    yielded, while ``fold.wants`` powers.  An overflow of the stream is
-    passed to ``fold.overflow`` too, if the fold still wants powers, and
-    then raised."""
-    try:
-        for block in blocks:
-            if fold.wants:
-                fold.feed(block)
-            yield block
-    except NonFiniteError:
-        if fold.wants:
-            fold.overflow()
-        raise
-
-
 def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray,
                blocks: Iterator[np.ndarray]) -> tuple[tuple, int, str | None]:
     """Step the scheme from z0 for cfg.steps indices, reading the powers
@@ -248,24 +232,18 @@ def run(cfg: JungckConfig, fold=None) -> IterationTrace:
     On overflow or solve failure the trace is truncated to the last complete
     row and flagged ``diverged`` with the failure message.
 
-    ``fold``, when given, is fed the run's stream of powers of t, as
-    ``stability.ConstantsFold`` is: each block before the next one is
-    formed, while it ``wants`` powers.  Past the run's last row, the zero
-    fill or a failed step, the same stream goes on only while the fold
-    wants powers; an overflow ends both.
+    ``fold``, a ``stability.ConstantsFold`` when given, supplies the
+    stream of powers (``fold.powers()``), so it reads the powers the run
+    forms; past the run's last row, the zero fill or a failed step, the
+    fold reads on from the same stream while it wants powers.
     """
     n_steps = cfg.steps
     a_vals = cfg.a.prefix(n_steps)
     b_vals = cfg.b.prefix(n_steps)
-    blocks = matrix_power_blocks(cfg.pair.t)
-    if fold is not None:
-        blocks = _feeding(blocks, fold)
+    blocks = matrix_power_blocks(cfg.pair.t) if fold is None else fold.powers()
     rows, m, failure = _step_rows(cfg, a_vals, b_vals, blocks)
-    try:
-        while fold is not None and fold.wants:
-            next(blocks)
-    except NonFiniteError:
-        pass  # passed to the fold
+    if fold is not None:
+        fold.read_on(blocks)
     z, y, sz, sy, ty = (row_kind[:m] for row_kind in rows)
     return IterationTrace(
         z=z, y=y, sz=sz, sy=sy, ty=ty, a_vals=a_vals[:m], b_vals=b_vals[:m],

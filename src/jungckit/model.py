@@ -28,7 +28,6 @@ from .errors import (
     NonFiniteError,
     ScheduleViolationError,
     SingularOperatorError,
-    SolveError,
 )
 
 log = logging.getLogger(__name__)
@@ -233,14 +232,6 @@ class OperatorPair:
         return (f"cond(s)={cond:.3e}: solving with the inverse of s can be off by up to "
                 f"4*d*eps*cond(s)^2={loss:.3e} relative, above solve_tol {self.solve_tol:g}")
 
-    def solve(self, v: Vector) -> Vector:
-        """Solve ``s(u) = v`` for ``u`` as ``s_inverse @ v``; raises
-        ``SolveError`` when the product is not finite."""
-        u = self.s_inverse @ v
-        if not np.isfinite(u).all():
-            raise SolveError("solve produced non-finite values")
-        return u
-
 
 def make_operator_pair(s: Operator, t: Operator, tol: float = 1e-10) -> OperatorPair:
     """``OperatorPair(s, t, tol)``: the pair derives its inverse and norms
@@ -313,19 +304,15 @@ class Schedule:
     def from_values(cls, values: Iterable[float], clamp=(0.0, 1.0)) -> "Schedule":
         return cls(form="list", values=tuple(float(v) for v in values), clamp=clamp)
 
-    def array(self, count: int) -> np.ndarray:
-        """Evaluate at n = 0..count-1, clamped into ``clamp``, as a new
-        array; an explicit list raises past its length."""
-        return self._evaluate(0, count)
-
     def prefix(self, count: int) -> np.ndarray:
-        """The values of ``array(count)``, read-only, from the ones this
-        schedule keeps: only those at n past the kept ones are evaluated,
-        and then kept too.  An explicit list raises past its length, as
-        ``array`` does."""
+        """The values at n = 0..count-1, clamped into ``clamp``, read-only,
+        from the ones this schedule keeps: only those at n past the kept
+        ones are evaluated, and then kept too.  An explicit list raises past
+        its length."""
         held = self._held
         if count > held.size:
-            held = np.concatenate((held, self._evaluate(held.size, count)))
+            fresh = self._evaluate(held.size, count)
+            held = np.concatenate((held, fresh)) if held.size else fresh
             held.flags.writeable = False
             object.__setattr__(self, "_held", held)
         return held[:max(count, 0)]

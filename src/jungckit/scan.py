@@ -9,6 +9,7 @@ implementation reports zero violations on any seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +45,12 @@ class ScanSpec:
             raise InvalidArgumentError("seed must be >= 0")
         if not self.tail_tol >= 0:  # NaN fails it too
             raise InvalidArgumentError(f"tail_tol must be >= 0, got {self.tail_tol}")
+        # each range is sampled by rng.uniform, which needs finite ends; NaN fails every test
+        (mu_lo, mu_hi), (t_lo, t_hi) = self.mu_range, self.t_norm_range
+        if not 0 < mu_lo <= mu_hi < math.inf:
+            raise InvalidArgumentError(f"mu_range must be finite with 0 < low <= high, got {self.mu_range}")
+        if not 0 <= t_lo <= t_hi < math.inf:
+            raise InvalidArgumentError(f"t_norm_range must be finite with 0 <= low <= high, got {self.t_norm_range}")
 
 
 @dataclass

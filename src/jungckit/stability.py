@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import JungckConfig, matrix_power_blocks
 from .errors import InvalidArgumentError, NonFiniteError, TraceMismatchError
-from .model import IterationTrace, Operator, OperatorPair, Schedule, safe_row_norms
+from .model import IterationTrace, OperatorPair, Schedule, safe_row_norms
 
 #: slack used when replaying certified bounds against simulation
 CROSS_VALIDATE_SLACK = 1e-6
@@ -27,20 +27,6 @@ CROSS_VALIDATE_SLACK = 1e-6
 NORM_FLOOR = float(np.finfo(float).tiny)
 #: relative slack of the bound ||t||^n, per power of t and per d^2 eps; see ``_power_bounds``
 POWER_SLACK = 32.0
-
-
-def _power_blocks(t: Operator, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(n, block)``: the blocks of ``matrix_power_blocks``, t^n first,
-    cut off after t^horizon.  Raises ``NonFiniteError`` in place of the block
-    that holds the first overflowed power, after yielding the finite powers
-    before it."""
-    n = 0
-    for block in matrix_power_blocks(t):
-        block = block[:horizon + 1 - n]
-        yield n, block
-        n += len(block)
-        if n > horizon:
-            return
 
 
 def _norms(pair: OperatorPair, index: np.ndarray, block: np.ndarray, first: int) -> tuple[np.ndarray, int]:
@@ -134,6 +120,14 @@ def _seeds(pair: OperatorPair, weights: np.ndarray, wb: np.ndarray, excess: np.n
     return seeds, svds
 
 
+def _y_amplification(pair: OperatorPair, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(growth, m_bound)``: growth[n] = |1-b_n| ||s|| + |b_n|, and m_bound,
+    the largest growth[n] / mu, bounds the per-step y-vs-z amplification
+    ||y_n|| / ||z_n|| while ||t^n|| <= 1."""
+    growth = np.abs(1.0 - b) * pair.s_norm + np.abs(b)
+    return growth, float(np.max((1.0 / pair.s_min_modulus) * growth))
+
+
 @dataclass(frozen=True)
 class StabilityConstants:
     """Finite-horizon surrogates for the certificate constants.
@@ -170,11 +164,14 @@ class ConstantsFold:
     and takes t^0 = I.  Then, while ``wants`` is true, ``feed`` takes the
     stream's blocks in order, t^0 first; ``overflow`` is called when the
     stream raises ``NonFiniteError`` in place of a block; and
-    ``constants()`` gives the result.  A feeder hands over each block
-    before it asks for the next one, which may overwrite it.
-    ``compute_constants`` feeds it a stream of its own; a CLI jungck run
-    feeds it the blocks ``engine.run`` forms, and continues the same stream
-    past the run only while the fold wants more.
+    ``constants()`` gives the result.
+
+    The fold drives that protocol itself: ``powers()`` is the stream of
+    ``matrix_power_blocks``, each block fed before it is handed on (and so
+    before the next one, which may overwrite it, is formed), and
+    ``read_on`` reads on from it while the fold still wants powers.
+    ``compute_constants`` only reads on; a CLI jungck run hands
+    ``powers()`` to ``engine.run``, which steps with it and then reads on.
     """
 
     def __init__(self, cfg: JungckConfig, horizon: int, tail_start: int = 0):
@@ -235,15 +232,36 @@ class ConstantsFold:
         self.peaks = np.maximum(self.peaks, np.where(weighted, math.inf, 0.0))
         self.wants = False
 
+    def powers(self) -> Iterator[np.ndarray]:
+        """The blocks of ``matrix_power_blocks`` of t, each fed before it is
+        yielded while the fold wants powers.  An overflow of the stream is
+        passed to ``overflow`` while the fold wants powers, and then raised."""
+        try:
+            for block in matrix_power_blocks(self.pair.t):
+                if self.wants:
+                    self.feed(block)
+                yield block
+        except NonFiniteError:
+            if self.wants:
+                self.overflow()
+            raise
+
+    def read_on(self, powers: Iterator[np.ndarray]) -> None:
+        """Read on from ``powers``, a stream of ``powers()``, while the fold
+        wants powers; an overflow ends it."""
+        try:
+            while self.wants:
+                next(powers)
+        except NonFiniteError:
+            pass  # passed to overflow() by the stream
+
     def constants(self) -> StabilityConstants:
         """The constants of the powers fed so far: all it wanted, once ``wants`` is false."""
-        b, pair = self.b, self.pair
         k1, k2, k1p = (float(p) for p in self.peaks)
-        k2p = float(np.max(np.abs(1.0 - b[self.tail_start:])))
-        m_bound = float(np.max((1.0 / pair.s_min_modulus) * (np.abs(1.0 - b) * pair.s_norm + np.abs(b))))
+        k2p = float(np.max(np.abs(1.0 - self.b[self.tail_start:])))
         return StabilityConstants(
-            k1=k1, k2=k2, k1p=k1p, k2p=k2p, m_bound=m_bound, horizon=self.horizon,
-            tail_start=self.tail_start, powers_read=self.read, svds_run=self.svds,
+            k1=k1, k2=k2, k1p=k1p, k2p=k2p, m_bound=_y_amplification(self.pair, self.b)[1],
+            horizon=self.horizon, tail_start=self.tail_start, powers_read=self.read, svds_run=self.svds,
         )
 
 
@@ -288,19 +306,12 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     a map whose powers grow and then decay is read to the horizon unless
     its weights fall.
 
-    The computation is a ``ConstantsFold`` fed a stream of its own, cut at
-    the horizon.  The CLI's report states ``powers_read`` (the powers of t
-    the constants read, t^0 included) and ``svds_run``.
+    The computation is a ``ConstantsFold`` that reads its own stream.  The
+    CLI's report states ``powers_read`` (the powers of t the constants
+    read, t^0 included) and ``svds_run``.
     """
     fold = ConstantsFold(cfg, horizon, tail_start)
-    if fold.wants:
-        try:
-            for _, block in _power_blocks(cfg.pair.t, horizon):
-                fold.feed(block)
-                if not fold.wants:
-                    break
-        except NonFiniteError:
-            fold.overflow()
+    fold.read_on(fold.powers())
     return fold.constants()
 
 
@@ -349,14 +360,10 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
     """
     mu = cfg.pair.s_min_modulus
     mu_inv = 1.0 / mu
-    s_norm = cfg.pair.s_norm
     t_norm = cfg.pair.t_norm
     a = cfg.a.prefix(horizon + 1)
-    b = cfg.b.prefix(horizon + 1)
-
-    y_amp = mu_inv * (np.abs(1.0 - b) * s_norm + np.abs(b))
-    m_bound = float(np.max(y_amp))
-    step_factor = mu_inv * (np.abs(1.0 - a) + mu_inv * np.abs(a) * (np.abs(1.0 - b) * s_norm + np.abs(b)))
+    growth, m_bound = _y_amplification(cfg.pair, cfg.b.prefix(horizon + 1))
+    step_factor = mu_inv * (np.abs(1.0 - a) + mu_inv * np.abs(a) * growth)
     max_step_factor = float(np.max(step_factor))
     slack_ii = min(1.0 - t_norm, 1.0 - max_step_factor)
     res_ii = CertificateResult(

@@ -87,9 +87,9 @@ def venter_run(cfg: VenterConfig) -> VenterTrace:
     raises ``NonFiniteError``.
     """
     n_steps = cfg.steps
-    alpha = cfg.alpha.array(n_steps)
-    gamma = cfg.gamma.array(n_steps)
-    omega = cfg.omega.array(n_steps)
+    alpha = cfg.alpha.prefix(n_steps)
+    gamma = cfg.gamma.prefix(n_steps)
+    omega = cfg.omega.prefix(n_steps)
     for name, vals, lo_open in (("alpha", alpha, True), ("gamma", gamma, False), ("omega", omega, False)):
         if lo_open:
             bad = (vals <= 0) | (vals > 1)

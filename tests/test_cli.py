@@ -20,9 +20,8 @@ from hypothesis import assume, example, given, strategies as st
 
 import jungckit
 from jungckit import GatePolicy, Schedule, cli, diagnostics, engine, floattext, venter
-from jungckit.aitken import accelerate_sequence
+from jungckit.aitken import BLOCK_ELEMENTS, accelerate_sequence
 from jungckit.cli import (
-    BLOCK_CELLS,
     ConfigParseError,
     ConfigValidationError,
     GeometricSequence,
@@ -557,11 +556,25 @@ class TestMain:
         (VENTER, "eps: 1.0e-2", "eps: .nan", "venter.eps: must be > 0, got nan"),
         (VENTER, "eps: 1.0e-2", "eps: 0.0", "venter.eps: must be > 0, got 0.0"),
         (SCAN, "seed: 11", "seed: 11, tail_tol: .nan", "scan: tail_tol must be >= 0, got nan"),
+        (SCAN, "seed: 11", "seed: 11, mu_range: [.nan, 1.0]",
+         "scan: mu_range must be finite with 0 < low <= high, got (nan, 1.0)"),
+        (SCAN, "seed: 11", "seed: 11, mu_range: [2.0, 1.0]",
+         "scan: mu_range must be finite with 0 < low <= high, got (2.0, 1.0)"),
+        (SCAN, "seed: 11", "seed: 11, mu_range: [0.0, 1.0]",
+         "scan: mu_range must be finite with 0 < low <= high, got (0.0, 1.0)"),
+        (SCAN, "seed: 11", "seed: 11, t_norm_range: [.inf, .inf]",
+         "scan: t_norm_range must be finite with 0 <= low <= high, got (inf, inf)"),
+        (SCAN, "seed: 11", "seed: 11, t_norm_range: [-0.1, 0.5]",
+         "scan: t_norm_range must be finite with 0 <= low <= high, got (-0.1, 0.5)"),
+        (AITKEN_VALUES, "[1.0, 0.5, 0.25, 0.125, 0.0625]", "[[], [], []]",
+         "aitken.sequence.values: expected numbers or non-empty rows of numbers"),
     ], ids=["scenario-list", "scale-nan", "venter-x0-nan", "venter-sigma-inf", "aitken-values-nan",
             "aitken-values-ragged", "aitken-lengths", "aitken-limit-ragged", "scan-seed-negative",
             "tail-start-past-horizon", "tail-start-negative", "horizon-below-ten", "tail-tol-nan",
             "tail-tol-negative", "jungck-floor-nan", "jungck-floor-negative", "aitken-floor-nan",
-            "aitken-floor-negative", "venter-eps-nan", "venter-eps-zero", "scan-tail-tol-nan"])
+            "aitken-floor-negative", "venter-eps-nan", "venter-eps-zero", "scan-tail-tol-nan",
+            "scan-mu-range-nan", "scan-mu-range-reversed", "scan-mu-range-zero", "scan-t-norm-range-inf",
+            "scan-t-norm-range-negative", "aitken-values-empty-rows"])
     def test_fuzzed_inputs_exit_two(self, tmp_path, capsys, text, old, new, message):
         # each raised an untyped error or ran to a non-finite trace before
         text = text.replace(old, new, 1)
@@ -817,7 +830,7 @@ def aitken_config(dim: int, length: int) -> str:
 
 
 def _block_rows(dim: int) -> int:
-    return BLOCK_CELLS // (1 + 3 * dim)  # columns n, x[...], Ax[...], gate[...]
+    return BLOCK_ELEMENTS // (1 + 3 * dim)  # columns n, x[...], Ax[...], gate[...]
 
 
 class TestWriterMatchesReference:
@@ -1029,7 +1042,7 @@ def ref_write_csv(columns, path: Path) -> None:
             header.append(name)
             flat.append(values)
     n_rows = max((len(v) for v in flat), default=0)
-    step = max(1, BLOCK_CELLS // len(flat))
+    step = max(1, BLOCK_ELEMENTS // len(flat))
     with path.open("w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -1077,7 +1090,7 @@ def ragged_columns(draw):
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
     widths = [draw(st.integers(0, 3)) if kind.endswith("2") else 1 for kind in kinds]
     assume(sum(widths) > 0)
-    step = max(1, BLOCK_CELLS // sum(widths))  # rows per block
+    step = max(1, BLOCK_ELEMENTS // sum(widths))  # rows per block
     lengths = [draw(st.sampled_from([0, 1, 2, step - 1, step, step + 1, 2 * step + 1])) for _ in kinds]
     words = PLAIN_WORDS + (QUOTED_WORDS if draw(st.booleans()) else [])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1135,7 +1148,7 @@ class TestWriterMatchesCsvModule:
                    ("short", rng.choice(pool, size=rows // 2 + 1)),  # ends mid-block
                    ("gate", rng.integers(0, 2, size=(rows, 2))),
                    ("x", pool[rng.integers(0, pool.size, size=rows)].tolist())]
-        assert rows * 10 < BLOCK_CELLS  # one block
+        assert rows * 10 < BLOCK_ELEMENTS  # one block
         write_csv(columns, tmp_path / "got.csv")
         ref_write_csv(columns, tmp_path / "want.csv")
         got = (tmp_path / "got.csv").read_text()
@@ -1229,7 +1242,7 @@ class TestWriterAtBenchmarkShapes:
     def test_bytes_match_the_csv_module(self, tmp_path, build):
         columns = build()
         width = sum(v.shape[1] if getattr(v, "ndim", 1) == 2 else 1 for _, v in columns)
-        assert max(len(v) for _, v in columns) > 10 * max(1, BLOCK_CELLS // width)  # many blocks
+        assert max(len(v) for _, v in columns) > 10 * max(1, BLOCK_ELEMENTS // width)  # many blocks
         write_csv(columns, tmp_path / "got.csv")
         ref_write_csv(columns, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -1268,7 +1281,7 @@ class TestWriterAtBenchmarkShapes:
         rng = np.random.default_rng(7)
         rows = 1000
         columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
-        step = BLOCK_CELLS // 162
+        step = BLOCK_ELEMENTS // 162
         keys = np.unique(np.concatenate([columns[1][1][:step].ravel(), columns[2][1][:step]]))
         floattext.float_texts(keys)  # numpy's first-use allocations happen outside the measurement
         kernel, texts = traced_peak(lambda: floattext.float_texts(keys))

@@ -93,12 +93,12 @@ class TestPowerApply:
         z, sz, rows = z0, pair.s.matrix @ z0, {"z": [], "y": [], "ty": []}
         for n in range(31):
             tz = composed(z, n)
-            y = pair.solve(0.4 * sz + 0.6 * tz)
+            y = reference_solve(pair, 0.4 * sz + 0.6 * tz)
             ty = composed(y, n)
             for name, row in (("z", z), ("y", y), ("ty", ty)):
                 rows[name].append(row)
             sz = 0.6 * tz + 0.4 * ty
-            z = pair.solve(sz)
+            z = reference_solve(pair, sz)
         assert not by_matrix.diverged and by_matrix.n_raw == 31
         for name, want in rows.items():
             a, b = getattr(by_matrix, name), np.array(want)
@@ -358,12 +358,17 @@ def reference_power_norms(cfg, horizon):
 
 def stream_norms(cfg, horizon):
     """The norms of t^0..t^horizon as the certificate constants read them:
-    ``stability._norms`` over the blocks of ``stability._power_blocks``, inf
-    from the first overflowed power on."""
+    ``stability._norms`` over the blocks of ``matrix_power_blocks`` up to
+    t^horizon, inf from the first overflowed power on."""
     norms = np.full(horizon + 1, math.inf)
+    n = 0
     try:
-        for n, block in stability._power_blocks(cfg.pair.t, horizon):
+        for block in matrix_power_blocks(cfg.pair.t):
+            block = block[:horizon + 1 - n]
             norms[n:n + len(block)] = stability._norms(cfg.pair, np.arange(n, n + len(block)), block, n)[0]
+            n += len(block)
+            if n > horizon:
+                break
     except NonFiniteError:
         pass
     return norms
@@ -515,6 +520,15 @@ def reference_check_finite(name, v, n):
     return v
 
 
+def reference_solve(pair, v):
+    """``s^-1 v`` as the run forms it, one product with the cached inverse,
+    and a ``SolveError`` when it is not finite."""
+    u = pair.s_inverse @ v
+    if not np.isfinite(u).all():
+        raise SolveError("solve produced non-finite values")
+    return u
+
+
 def reference_apply_power(power, n, x):
     out = power @ x
     if not np.isfinite(out).all():
@@ -526,7 +540,7 @@ def reference_step_run(cfg):
     """``run`` as a plain step loop that checks every quantity as it is made:
     no blocks, no zero fill, one power at a time from the reference stream."""
     n_steps = cfg.steps
-    a_vals, b_vals = cfg.a.array(n_steps), cfg.b.array(n_steps)
+    a_vals, b_vals = cfg.a.prefix(n_steps), cfg.b.prefix(n_steps)
     stream = reference_matrix_powers(cfg.pair.t)
     d = cfg.dim
     z, y, sz, sy, ty = (np.empty((n_steps, d)) for _ in range(5))
@@ -539,13 +553,13 @@ def reference_step_run(cfg):
             for n, power in zip(range(n_steps), stream):
                 tz = reference_apply_power(power, n, z[n])
                 sy[n] = reference_check_finite("sy_n", (1.0 - b_vals[n]) * sz[n] + b_vals[n] * tz, n)
-                y[n] = cfg.pair.solve(sy[n])
+                y[n] = reference_solve(cfg.pair, sy[n])
                 ty[n] = reference_apply_power(power, n, y[n])
                 m = n + 1
                 if m == n_steps:
                     break
                 sz[m] = reference_check_finite("sz_next", (1.0 - a_vals[n]) * tz + a_vals[n] * ty[n], n)
-                z[m] = cfg.pair.solve(sz[m])
+                z[m] = reference_solve(cfg.pair, sz[m])
     except (NonFiniteError, SolveError) as exc:
         failure = str(exc)
 

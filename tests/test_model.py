@@ -23,7 +23,6 @@ from jungckit import (
     Schedule,
     ScheduleViolationError,
     SingularOperatorError,
-    SolveError,
     VenterConfig,
     accelerate_sequence,
     as_state,
@@ -74,7 +73,7 @@ def schedule_eval(s, n):
 
 
 def reference_array(sched, count):
-    """Schedule.array as it was: schedule_eval at each n."""
+    """A schedule's values as a loop evaluates them: schedule_eval at each n."""
     return np.array([schedule_eval(sched, n) for n in range(count)], dtype=float)
 
 
@@ -133,14 +132,14 @@ class TestOperatorPair:
             make_operator_pair(Operator.identity(2), Operator.identity(3))
 
     def test_solve_probe_residuals(self):
-        # 20 random probes per pair: s(solve(v)) must reproduce v
+        # 20 random probes per pair: s(s_inverse @ v) must reproduce v
         rng = np.random.default_rng(7)
         for _ in range(5):
             m = rng.normal(size=(4, 4)) + 4 * np.eye(4)
             pair = make_operator_pair(Operator.from_matrix(m), Operator.identity(4))
             for _ in range(20):
                 v = rng.normal(size=4)
-                res = np.linalg.norm(pair.s(pair.solve(v)) - v)
+                res = np.linalg.norm(pair.s(pair.s_inverse @ v) - v)
                 assert res <= 1e-10 * (1 + np.linalg.norm(v))
 
     def test_min_modulus_lower_bounds_image_norm(self):
@@ -198,7 +197,7 @@ class TestCachedInverse:
     def test_solve_matches_lu_within_tolerance(self, case):
         s, v, kind = case
         pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(len(v)))
-        x, x_ref = pair.solve(v), np.linalg.solve(s, v)
+        x, x_ref = pair.s_inverse @ v, np.linalg.solve(s, v)
         sv = np.linalg.svd(s, compute_uv=False)
         cond = sv[0] / sv[-1]
         bound = SOLVE_C * len(v) * EPS * cond
@@ -226,8 +225,6 @@ class TestCachedInverse:
         s = rng.normal(size=(6, 6)) + 3 * np.eye(6)
         pair = make_operator_pair(Operator.from_matrix(s), Operator.identity(6))
         assert np.array_equal(pair.s_inverse, np.linalg.inv(s))
-        v = rng.normal(size=6)
-        assert np.array_equal(pair.solve(v), pair.s_inverse @ v)
 
     def test_ill_conditioned_s_is_flagged(self, caplog):
         s = np.diag([1.0e4, 1.0])
@@ -257,19 +254,17 @@ class TestCachedInverse:
         s = np.array([[2.0, 1.0], [0.0, 4.0]])
         pair = OperatorPair(Operator.from_matrix(s), Operator.identity(2), 1e-10)
         assert np.array_equal(pair.s_inverse, np.linalg.inv(s))
-        assert np.array_equal(pair.solve(np.array([1.0, 2.0])), np.linalg.inv(s) @ [1.0, 2.0])
+        assert np.array_equal(pair.s_inverse @ np.array([1.0, 2.0]), np.linalg.inv(s) @ [1.0, 2.0])
         with pytest.raises(TypeError):
             OperatorPair(Operator.from_matrix(s), Operator.identity(2), 1e-10, s_inverse=np.eye(2))
         moved = dataclasses.replace(pair, s=Operator.scaled_identity(4.0, 2))
         assert np.array_equal(moved.s_inverse, 0.25 * np.eye(2))
-        assert np.array_equal(moved.solve(np.array([1.0, 2.0])), [0.25, 0.5])
+        assert np.array_equal(moved.s_inverse @ np.array([1.0, 2.0]), [0.25, 0.5])
         with pytest.raises(SingularOperatorError):
             OperatorPair(Operator.from_matrix(np.zeros((2, 2))), Operator.identity(2), 1e-10)
 
     def test_non_finite_solve_is_a_solve_error_in_the_trace(self):
         pair = make_operator_pair(Operator.scaled_identity(1e-5, 1), Operator.identity(1))
-        with np.errstate(over="ignore"), pytest.raises(SolveError, match="^solve produced non-finite values$"):
-            pair.solve(np.array([1e305]))
         # sy_0 = 0.5 * 1e300 + 0.5 * 1e305 is finite; y_0 = 1e5 * sy_0 is not
         tr = run(JungckConfig(pair=pair, a=Schedule.constant(0.5), b=Schedule.constant(0.5),
                               z0=[1e305], steps=3, gates_z=GatePolicy.always_off(),
@@ -350,18 +345,18 @@ class TestSchedule:
         ],
     )
     def test_evaluation(self, sched, n, expected):
-        assert sched.array(n + 1)[n] == pytest.approx(expected, rel=1e-15)
+        assert sched.prefix(n + 1)[n] == pytest.approx(expected, rel=1e-15)
 
     def test_explicit_list_rejects_past_end(self):
         sched = Schedule.from_values([0.1, 0.2])
         with pytest.raises(IndexOutOfRangeError):
-            sched.array(3)
+            sched.prefix(3)
 
     def test_clamping(self):
         sched = Schedule.constant(1.5, clamp=(0.0, 1.0))
-        assert sched.array(1)[0] == 1.0
+        assert sched.prefix(1)[0] == 1.0
         sched = Schedule.constant(-0.2, clamp=(0.0, 1.0))
-        assert sched.array(4)[3] == 0.0
+        assert sched.prefix(4)[3] == 0.0
 
     @given(
         st.sampled_from(["constant", "one-minus-inv", "inv", "inv-pow"]),
@@ -369,8 +364,9 @@ class TestSchedule:
     )
     def test_evaluation_is_pure(self, form, n):
         # a value depends on its step only, not on how many steps are asked for
-        sched = Schedule(form=form, c=0.3, k=3, p=1.5)
-        assert sched.array(n + 1)[n] == sched.array(n + 5)[n]
+        # (two schedules, so neither reads values the other kept)
+        first, second = (Schedule(form=form, c=0.3, k=3, p=1.5) for _ in range(2))
+        assert first.prefix(n + 1)[n] == second.prefix(n + 5)[n]
 
     @pytest.mark.parametrize(
         "sched,expected",
@@ -391,7 +387,7 @@ class TestSchedule:
     def test_inv_pow_overflow_is_a_schedule_violation(self, p, n):
         # (n + k)^400 overflows once n + k > 5; (n + k)^-2000 underflows to 0 and 1/0 fails
         with pytest.raises(ScheduleViolationError, match=rf"n={n} \(k=2, p={p!r}\)"):
-            Schedule.inv_pow(k=2, p=p).array(n + 1)
+            Schedule.inv_pow(k=2, p=p).prefix(n + 1)
 
     @fixed_or_fresh(200)
     @given(st.integers(1, 10**6), st.floats(-400.0, 400.0), st.integers(0, 300))
@@ -405,9 +401,9 @@ class TestSchedule:
             expected = [_inv_pow(sched, n) for n in range(count)]
         except ScheduleViolationError as exc:
             with pytest.raises(ScheduleViolationError, match=f"^{re.escape(str(exc))}$"):
-                sched.array(count)
+                sched.prefix(count)
             return
-        assert sched.array(count).tobytes() == np.array(expected, dtype=float).tobytes()
+        assert sched.prefix(count).tobytes() == np.array(expected, dtype=float).tobytes()
 
     @given(schedules(), st.integers(0, 60))
     @example(Schedule.constant(-1.0, clamp=(0.0, -0.0)), 2)  # the clamped value keeps hi's sign
@@ -417,9 +413,9 @@ class TestSchedule:
             expected = reference_array(sched, count)
         except (IndexOutOfRangeError, ScheduleViolationError) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                sched.array(count)
+                sched.prefix(count)
             return
-        got = sched.array(count)
+        got = sched.prefix(count)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     @given(schedules(), st.lists(st.integers(0, 60), min_size=1, max_size=5))
@@ -463,12 +459,12 @@ class TestSchedule:
     @pytest.mark.parametrize("form", ["one-minus-inv", "inv"])
     def test_closed_forms_match_over_a_long_range(self, form, k):
         sched = Schedule(form=form, k=k)
-        assert sched.array(20_000).tobytes() == reference_array(sched, 20_000).tobytes()
+        assert sched.prefix(20_000).tobytes() == reference_array(sched, 20_000).tobytes()
 
     def test_array_logs_one_clamp_line(self, caplog):
         sched = Schedule.from_values([0.5, 2.0, 0.3, -1.0])
         with caplog.at_level(logging.DEBUG, logger="jungckit.model"):
-            assert sched.array(4).tolist() == [0.5, 1.0, 0.3, 0.0]
+            assert sched.prefix(4).tolist() == [0.5, 1.0, 0.3, 0.0]
         assert [r.getMessage() for r in caplog.records] == [
             "2 schedule value(s) clamped into [0, 1], first at n=1"
         ]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jungckit import ScanSpec, aitken, certify, cross_validate, engine, model, run, run_scan, scan, stability
+from jungckit.errors import InvalidArgumentError
 from jungckit.scan import sample_config, sample_operators
 from conftest import traced_peak
 
@@ -49,6 +50,21 @@ class TestSweep:
             ScanSpec(count=0)
         with pytest.raises(ValueError):
             ScanSpec(steps=2)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("mu_range", (float("nan"), 1.0)), ("mu_range", (0.5, float("inf"))), ("mu_range", (2.0, 1.0)),
+        ("mu_range", (0.0, 1.0)), ("mu_range", (-1.0, 1.0)),
+        ("t_norm_range", (float("inf"), float("inf"))), ("t_norm_range", (0.1, float("nan"))),
+        ("t_norm_range", (0.9, 0.1)), ("t_norm_range", (-0.1, 0.5)),
+    ])
+    def test_bad_sampling_range_rejected(self, field, bad):
+        # rng.uniform raised an untyped OverflowError for these, or sampled nonsense
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be finite"):
+            ScanSpec(**{field: bad})
+
+    def test_edge_sampling_ranges_accepted(self):
+        spec = ScanSpec(count=1, dim=2, steps=20, horizon=20, mu_range=(1.0, 1.0), t_norm_range=(0.0, 0.0))
+        assert run_scan(spec).spec is spec
 
     @pytest.mark.parametrize("count, seed", [(1, 202139719), (5, 574699369), (5, 1022609264),
                                              (5, 1310565892), (5, 341885161)])

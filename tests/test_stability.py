@@ -104,8 +104,8 @@ class TestConstants:
 
 def reference_compute_constants(cfg, horizon, tail_start=0):
     tn = reference_power_norms(cfg, horizon)[tail_start:]
-    a = cfg.a.array(horizon + 1)
-    b = cfg.b.array(horizon + 1)
+    a = cfg.a.prefix(horizon + 1)
+    b = cfg.b.prefix(horizon + 1)
 
     def sup(weights):
         w = np.abs(weights[tail_start:])
@@ -710,7 +710,7 @@ def shared_stream_cases(draw, kind):
         elif kind == "settles":
             s = 1e3 * s  # the state shrinks by about 1e-3 a step and reaches +0
         elif kind == "short-list":
-            b = Schedule.from_values(b.array(listed))
+            b = Schedule.from_values(b.prefix(listed))
         return linear_config(s, t, a, b, z0, steps)
 
     return make, horizon, tail_start

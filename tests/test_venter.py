@@ -199,7 +199,7 @@ class TestPropertyIV:
 def ref_venter_run(cfg):
     """venter_run as it was: the recursion on numpy scalars, one array entry a step."""
     n_steps = cfg.steps
-    alpha, gamma, omega = (s.array(n_steps) for s in (cfg.alpha, cfg.gamma, cfg.omega))
+    alpha, gamma, omega = (s.prefix(n_steps) for s in (cfg.alpha, cfg.gamma, cfg.omega))
     for name, vals, lo_open in (("alpha", alpha, True), ("gamma", gamma, False), ("omega", omega, False)):
         bad = ((vals <= 0) | (vals > 1)) if lo_open else vals < 0
         if bad.any():
