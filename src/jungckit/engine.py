@@ -12,6 +12,10 @@ read the same config evaluate none again.  The trace feeds both s-image
 sequences through the gated delta-squared corrector the first time its
 corrected rows are read (:class:`jungckit.model.IterationTrace`), so a
 reader of the raw rows alone, such as the soundness sweep, never runs it.
+The five row arrays start at ``FIRST_ROWS`` rows and double, up to
+``steps``, when a block of powers needs more; while they grow, one old
+array at most is held beside the new ones.  A run that ends short of
+their size copies its rows out, so the trace holds no spare rows.
 Non-finite intermediates halt the run; the partial trace is kept and
 flagged instead of raised, because the stability sweeps deliberately
 explore unstable regions.
@@ -31,10 +35,10 @@ blocks, once the block before it has passed its test, so it needs no
 replay.
 
 A contractive run often underflows to an exactly zero state long before
-its last step.  Once z_m and sz_m are both +0 in every entry, the rows
-m onwards are filled with +0 and no later power of t is computed.  That
-is the trace the step would produce, bit for bit, when two conditions
-hold:
+its last step.  Once z_m and sz_m are both +0 in every entry, the run
+stops: the trace stores rows 0..m-1 alone, every later row is +0, and no
+later power of t is computed.  That is the trace the step would produce,
+bit for bit, when two conditions hold:
 
 * the cached ||t|| is at most 1, so no later power can overflow (an
   overflowed power would truncate the trace as diverged);
@@ -43,9 +47,10 @@ hold:
   +0 and gives +0, and a blend (1 - c) * u + c * v of +0 vectors with a
   finite c is +0, because at most one of 1 - c and c is negative.
 
-The corrector and :func:`jungckit.model.safe_row_norms` compute nothing
-on those rows: they find the last nonzero row and give each later one the
-result their formulas give for a zero row.
+The trace builds its full-length public arrays from the stored rows on
+their first read; the library's own readers (the corrector,
+``z_norms``, ``stability.cross_validate`` and the scan's checks) read the
+stored rows and never build them.
 
 Schedule values are finite, or infinite from the first step on, which
 halts the run before any state is tested.
@@ -67,6 +72,10 @@ from .model import (GatePolicy, IterationTrace, OperatorPair, Operator, Schedule
 #: elements per block of powers: blocks grow 1, 2, 4, ... powers up to
 #: max(1, BLOCK_ELEMENTS // d^2) powers each
 BLOCK_ELEMENTS = 2048
+
+#: rows a run's arrays start with; they double as blocks of powers need
+#: more, up to the step count
+FIRST_ROWS = 64
 
 
 def matrix_power_blocks(t: Operator) -> Iterator[np.ndarray]:
@@ -147,17 +156,29 @@ def _check_finite(v: Vector, error: type, message: str) -> None:
         raise error(message)
 
 
+def _grow(rows: list, capacity: int) -> None:
+    """Give each array of ``rows`` ``capacity`` rows, keeping the rows it
+    holds.  Each old array is let go once it is copied, so one old array at
+    most is held beside the new ones."""
+    for i, old in enumerate(rows):
+        rows[i] = np.empty((capacity, old.shape[1]))
+        rows[i][:len(old)] = old
+
+
 def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray,
                blocks: Iterator[np.ndarray]) -> tuple[tuple, int, str | None]:
     """Step the scheme from z0 for cfg.steps indices, reading the powers
     of t from ``blocks``, a stream of ``matrix_power_blocks``.
 
-    Returns the ``(steps, d)`` arrays z, y, sz, sy and ty, the count m of
-    their complete rows (the rows after them are unset), and the failure
-    message, ``None`` when every quantity was finite.
+    Returns the arrays z, y, sz, sy and ty of the stored rows, exactly
+    that many rows each, the trace length (cfg.steps when the state
+    settled, the stored rows' count otherwise) and the failure message,
+    ``None`` when every quantity was finite.
     """
     n_steps = cfg.steps
-    z, y, sz, sy, ty = rows = tuple(np.empty((n_steps, cfg.dim)) for _ in range(5))
+    capacity = min(FIRST_ROWS, n_steps)
+    rows = [np.empty((capacity, cfg.dim)) for _ in range(5)]
+    z, y, sz, sy, ty = rows
     z[0] = cfg.z0
     s_inverse = cfg.pair.s_inverse
     # each call below passes its output array as the third argument, which
@@ -167,6 +188,7 @@ def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray,
     settles = cfg.pair.t_norm <= 1.0
     tz, term = np.empty(cfg.dim), np.empty(cfg.dim)  # t^n(z_n), and the second term of a blend
     m = 0  # complete rows carry all five quantities
+    settled, failure = False, None
 
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,10 +196,19 @@ def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray,
             _check_finite(sz[0], NonFiniteError, "s(z0) is non-finite at step 0")
             for block in blocks:
                 first = m
+                # the block writes z and sz up to row first + len(block)
+                need = min(first + len(block) + 1, n_steps)
+                if capacity < need:
+                    while capacity < need:
+                        capacity = min(2 * capacity, n_steps)
+                    # no name may keep an old array, or a view of one, alive through _grow
+                    z = y = sz = sy = ty = sz_n = sy_n = y_n = ty_n = sz_m = z_m = None
+                    _grow(rows, capacity)
+                    z, y, sz, sy, ty = rows
                 # the block's steps unchecked, then, only if a row they wrote
                 # is not finite, the same steps with every check (module docstring)
                 for checked in (False, True):
-                    m = first
+                    m, settled = first, False
                     for n, power, a_n, b_n in zip(range(first, n_steps), block, a_vals[first:], b_vals[first:]):
                         sz_n, sy_n, y_n, ty_n = sz[n], sy[n], y[n], ty[n]
                         matmul(power, z[n], tz)
@@ -209,20 +240,20 @@ def _step_rows(cfg: JungckConfig, a_vals: np.ndarray, b_vals: np.ndarray,
                         # the scalar test first: it is all a run that never settles pays
                         if (settles and z_m[0] == 0.0
                                 and not z_m.view(np.int64).any() and not sz_m.view(np.int64).any()):
-                            for row_kind in rows:
-                                row_kind[m:] = 0.0
-                            m = n_steps
+                            settled = True  # the rows from m on are +0, and are not stored
                             break
                     # no test of t^n(z_n): a non-finite one makes sy_n non-finite
                     if (checked or (np.isfinite(sy[first:m]).all() and np.isfinite(y[first:m]).all()
                                     and np.isfinite(ty[first:m]).all() and np.isfinite(sz[first + 1:m + 1]).all()
                                     and np.isfinite(z[first + 1:m + 1]).all())):
                         break
-                if m == n_steps:
+                if settled or m == n_steps:
                     break
     except (NonFiniteError, SolveError) as exc:
-        return rows, m, str(exc)
-    return rows, m, None
+        failure = str(exc)
+    # the trace keeps its m rows alone, without the spare ones after them
+    stored = tuple(row_kind[:m].copy() if m < capacity else row_kind for row_kind in rows)
+    return stored, n_steps if settled else m, failure
 
 
 def run(cfg: JungckConfig, fold=None) -> IterationTrace:
@@ -234,21 +265,20 @@ def run(cfg: JungckConfig, fold=None) -> IterationTrace:
 
     ``fold``, a ``stability.ConstantsFold`` when given, supplies the
     stream of powers (``fold.powers()``), so it reads the powers the run
-    forms; past the run's last row, the zero fill or a failed step, the
+    forms; past the run's last row, the settled state or a failed step, the
     fold reads on from the same stream while it wants powers.
     """
     n_steps = cfg.steps
     a_vals = cfg.a.prefix(n_steps)
     b_vals = cfg.b.prefix(n_steps)
     blocks = matrix_power_blocks(cfg.pair.t) if fold is None else fold.powers()
-    rows, m, failure = _step_rows(cfg, a_vals, b_vals, blocks)
+    (z, y, sz, sy, ty), n_raw, failure = _step_rows(cfg, a_vals, b_vals, blocks)
     if fold is not None:
         fold.read_on(blocks)
-    z, y, sz, sy, ty = (row_kind[:m] for row_kind in rows)
     return IterationTrace(
-        z=z, y=y, sz=sz, sy=sy, ty=ty, a_vals=a_vals[:m], b_vals=b_vals[:m],
+        z=z, y=y, sz=sz, sy=sy, ty=ty, a_vals=a_vals[:n_raw], b_vals=b_vals[:n_raw],
         policy_z=cfg.gates_z, policy_y=cfg.gates_y, floor_scale=cfg.floor_scale,
-        steps=n_steps, diverged=failure is not None, failure=failure,
+        steps=n_steps, diverged=failure is not None, failure=failure, n_raw=n_raw,
     )
 
 

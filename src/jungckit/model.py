@@ -7,8 +7,9 @@ iterated map ``t`` and caches the inverse and norm data that the step and
 the stability certificates need.  A :class:`Schedule` holds the values it
 has evaluated, read-only, so a run, its certificates and their
 cross-check read one evaluation of each schedule (``Schedule.prefix``).
-An :class:`IterationTrace` computes its corrected rows and gates the first
-time one of them is read.
+An :class:`IterationTrace` stores the live rows of a run and builds each
+full-length array, and its corrected rows and gates, the first time it is
+read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -313,7 +314,7 @@ class Schedule:
         if count > held.size:
             fresh = self._evaluate(held.size, count)
             held = np.concatenate((held, fresh)) if held.size else fresh
-            held.flags.writeable = False
+            held.setflags(write=False)
             object.__setattr__(self, "_held", held)
         return held[:max(count, 0)]
 
@@ -441,7 +442,27 @@ class GatePolicy:
         return np.broadcast_to(np.array(self.values[start:stop], dtype=bool)[:, None], d2.shape)
 
 
-@dataclass
+class TraceRows(NamedTuple):
+    """The stored rows of a trace's raw sequences, read-only."""
+
+    z: np.ndarray
+    y: np.ndarray
+    sz: np.ndarray
+    sy: np.ndarray
+    ty: np.ndarray
+
+
+def _padded(rows: np.ndarray, length: int) -> np.ndarray:
+    """``rows`` followed by +0 rows up to ``length``, read-only; ``rows``
+    itself when it has ``length`` rows already."""
+    if len(rows) == length:
+        return rows
+    full = np.zeros((length, *rows.shape[1:]), dtype=rows.dtype)
+    full[:len(rows)] = rows
+    full.setflags(write=False)
+    return full
+
+
 class IterationTrace:
     """Per-step record of the two-map iteration plus corrected companions.
 
@@ -449,41 +470,54 @@ class IterationTrace:
     images ty = t^n(y_n).  ``a_vals``/``b_vals`` are the schedule values
     actually used.  The corrected sequences asz/asy live at indices
     0..n_raw-3 (each needs the two following raw terms), alongside the
-    effective per-component gates gates_z/gates_y.  Those four are computed
-    together, from sz and sy with the gate policies ``policy_z``/``policy_y``
-    and ``floor_scale``, the first time one of them is read, and kept
-    read-only; a reader of the raw rows alone never pays for them.  A gate
-    list too short for the trace's windows raises when the trace is built,
-    where the corrector would refuse it.
+    effective per-component gates gates_z/gates_y.
+
+    A trace stores only the live rows of a settled run (``live``, the
+    first ``n_live`` rows of each raw sequence; see :mod:`jungckit.engine`):
+    every row after them is +0.  ``n_raw`` is the trace's length, the
+    stored rows' count unless it is passed.  The row arrays passed in are
+    kept, not copied, and set read-only.  The nine public arrays z, y,
+    sz, sy, ty, asz, asy, gates_z and gates_y have their full length: each
+    is built on its first read by padding what is stored with +0 rows
+    (gate 0), then kept, read-only.  A trace whose rows are all stored
+    returns them, with no copy.  The library's own readers (the corrector,
+    ``z_norms``, ``stability.cross_validate`` and the scan's checks) read
+    the stored rows and never build the full arrays.
+
+    The corrected rows and gates are computed together, from the stored sz
+    and sy with the gate policies ``policy_z``/``policy_y`` and
+    ``floor_scale``, the first time one of them is read; a reader of the
+    raw rows alone never pays for them.  A gate list too short for the
+    trace's windows raises when the trace is built, where the corrector
+    would refuse it.
     """
 
-    z: np.ndarray
-    y: np.ndarray
-    sz: np.ndarray
-    sy: np.ndarray
-    ty: np.ndarray
-    a_vals: np.ndarray
-    b_vals: np.ndarray
-    policy_z: GatePolicy
-    policy_y: GatePolicy
-    floor_scale: float
-    steps: int
-    diverged: bool = False
-    failure: Optional[str] = None
-
-    def __post_init__(self):
+    def __init__(self, z: np.ndarray, y: np.ndarray, sz: np.ndarray, sy: np.ndarray, ty: np.ndarray,
+                 a_vals: np.ndarray, b_vals: np.ndarray, policy_z: GatePolicy, policy_y: GatePolicy,
+                 floor_scale: float, steps: int, diverged: bool = False, failure: Optional[str] = None,
+                 n_raw: Optional[int] = None):
+        self.live = TraceRows(z, y, sz, sy, ty)
+        for rows in self.live:
+            rows.setflags(write=False)
+        self.n_raw = len(z) if n_raw is None else n_raw
+        self.a_vals, self.b_vals = a_vals, b_vals
+        self.policy_z, self.policy_y = policy_z, policy_y
+        self.floor_scale = floor_scale
+        self.steps = steps
+        self.diverged = diverged
+        self.failure = failure
         # asked about every window with no columns, as the corrector asks about a zero tail
         windows = np.empty((self.n_accel, 0))
-        self.policy_z.gates(0, windows)
-        self.policy_y.gates(0, windows)
+        policy_z.gates(0, windows)
+        policy_y.gates(0, windows)
 
     @property
     def dim(self) -> int:
-        return self.z.shape[1]
+        return self.live.z.shape[1]
 
     @property
-    def n_raw(self) -> int:
-        return self.z.shape[0]
+    def n_live(self) -> int:
+        return len(self.live.z)
 
     @property
     def n_accel(self) -> int:
@@ -491,39 +525,41 @@ class IterationTrace:
 
     @cached_property
     def _corrected(self) -> tuple:
-        """``(asz, gates_z, asy, gates_y)`` from the gated delta-squared corrector."""
+        """``(asz, gates_z, asy, gates_y)`` from the gated delta-squared
+        corrector, at the windows that start on a stored row.  The sequence
+        it corrects is the stored rows and the +0 rows of the trace after
+        them that those windows reach, two at most; every later window is
+        +0 throughout, so its term is +0 with gate 0.  The policies were
+        asked about every window when the trace was built."""
         from .aitken import accelerate_sequence  # aitken imports this module
 
-        if self.n_raw >= 3:
-            parts = (*accelerate_sequence(self.sz, self.policy_z, self.floor_scale),
-                     *accelerate_sequence(self.sy, self.policy_y, self.floor_scale))
-        else:
+        if self.n_raw < 3:
             empty, gates = np.empty((0, self.dim)), np.empty((0, self.dim), dtype=np.int8)
             parts = (empty, gates, empty, gates)
+        else:
+            read = min(self.n_live + 2, self.n_raw)
+            parts = []
+            for rows, policy in ((self.live.sz, self.policy_z), (self.live.sy, self.policy_y)):
+                parts += accelerate_sequence(_padded(rows, read), policy, self.floor_scale)
         for part in parts:
-            part.flags.writeable = False
-        return parts
+            part.setflags(write=False)
+        return tuple(parts)
 
-    @property
-    def asz(self) -> np.ndarray:
-        return self._corrected[0]
-
-    @property
-    def gates_z(self) -> np.ndarray:
-        return self._corrected[1]
-
-    @property
-    def asy(self) -> np.ndarray:
-        return self._corrected[2]
-
-    @property
-    def gates_y(self) -> np.ndarray:
-        return self._corrected[3]
+    z = cached_property(lambda self: _padded(self.live.z, self.n_raw))
+    y = cached_property(lambda self: _padded(self.live.y, self.n_raw))
+    sz = cached_property(lambda self: _padded(self.live.sz, self.n_raw))
+    sy = cached_property(lambda self: _padded(self.live.sy, self.n_raw))
+    ty = cached_property(lambda self: _padded(self.live.ty, self.n_raw))
+    asz = cached_property(lambda self: _padded(self._corrected[0], self.n_accel))
+    gates_z = cached_property(lambda self: _padded(self._corrected[1], self.n_accel))
+    asy = cached_property(lambda self: _padded(self._corrected[2], self.n_accel))
+    gates_y = cached_property(lambda self: _padded(self._corrected[3], self.n_accel))
 
     @cached_property
     def z_norms(self) -> np.ndarray:
-        """``safe_row_norms(z)``, computed on first use and kept, read-only:
-        the scan and the certificate cross-check both read it."""
-        norms = safe_row_norms(self.z)
-        norms.flags.writeable = False
-        return norms
+        """``safe_row_norms(z)``, taken over the stored rows on first use and
+        kept, read-only: the scan and the certificate cross-check both read
+        it."""
+        norms = safe_row_norms(self.live.z)
+        norms.setflags(write=False)
+        return _padded(norms, self.n_raw)

@@ -46,11 +46,21 @@ class ScanSpec:
         if not self.tail_tol >= 0:  # NaN fails it too
             raise InvalidArgumentError(f"tail_tol must be >= 0, got {self.tail_tol}")
         # each range is sampled by rng.uniform, which needs finite ends; NaN fails every test
-        (mu_lo, mu_hi), (t_lo, t_hi) = self.mu_range, self.t_norm_range
-        if not 0 < mu_lo <= mu_hi < math.inf:
+        if not _range_holds(self.mu_range, lambda low, high: 0 < low <= high < math.inf):
             raise InvalidArgumentError(f"mu_range must be finite with 0 < low <= high, got {self.mu_range}")
-        if not 0 <= t_lo <= t_hi < math.inf:
+        if not _range_holds(self.t_norm_range, lambda low, high: 0 <= low <= high < math.inf):
             raise InvalidArgumentError(f"t_norm_range must be finite with 0 <= low <= high, got {self.t_norm_range}")
+
+
+def _range_holds(value, test) -> bool:
+    """Whether ``value`` unpacks into ``(low, high)`` and ``test(low, high)``
+    holds; a value of another length, or ends that do not compare with
+    numbers, fail."""
+    try:
+        low, high = value
+        return bool(test(low, high))
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -156,7 +166,9 @@ def _scan_one(index: int, cfg: JungckConfig, spec: ScanSpec) -> ScanOutcome:
         report = cross_validate(report, trace)
         zn = trace.z_norms
         if any(p in certified for p in ("i", "ii", "iii")) and len(zn) >= 2:
-            monotone_ok = bool(np.all(zn[1:] <= zn[:-1] * (1.0 + MONOTONE_SLACK) + NORM_FLOOR))
+            # past the stored rows ||z_n|| = 0, which is below any bound here
+            head = zn[:trace.n_live + 1]
+            monotone_ok = bool(np.all(head[1:] <= head[:-1] * (1.0 + MONOTONE_SLACK) + NORM_FLOOR))
         if ("iv" in certified or "v" in certified) and len(zn) >= 1 and zn[0] > 0:
             final_ratio = float(zn[-1] / zn[0])
     return ScanOutcome(

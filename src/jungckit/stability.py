@@ -496,8 +496,11 @@ def cross_validate(report: StabilityReport, trace: IterationTrace) -> StabilityR
         report.simulation_notes = ["no certificate applies; nothing to check"]
         return report
 
+    # the rows from trace.n_live on are +0, so ||z_n|| = ||y_n|| = 0 there:
+    # the norms and comparisons run over the stored rows alone
+    live = trace.n_live
     zn = trace.z_norms
-    yn = safe_row_norms(trace.y)
+    yn = safe_row_norms(trace.live.y)
     checks: list[bool] = []
     notes: list[str] = []
 
@@ -516,10 +519,14 @@ def cross_validate(report: StabilityReport, trace: IterationTrace) -> StabilityR
             amp = c.k2p + c.k2 / cfg.pair.s_min_modulus
         ref = max(start, 1)
         if ref < n:
-            ok_z = bool(np.all(zn[ref:] <= zn[ref] * (1.0 + CROSS_VALIDATE_SLACK) + NORM_FLOOR))
+            # a +0 row holds: the bound is at least NORM_FLOOR
+            ok_z = bool(np.all(zn[ref:live] <= zn[ref] * (1.0 + CROSS_VALIDATE_SLACK) + NORM_FLOOR))
             checks.append(ok_z)
             notes.append(f"sup ||z_n||, n>={ref}, vs ||z_{ref}||: {'ok' if ok_z else 'VIOLATED'}")
-        ok_y = bool(np.all(yn[start:] <= zn[start:] * (amp + CROSS_VALIDATE_SLACK) + NORM_FLOOR))
+        factor = amp + CROSS_VALIDATE_SLACK
+        # a +0 row holds unless factor is inf or NaN, where 0 * factor is NaN
+        ok_y = (bool(np.all(yn[start:] <= zn[start:live] * factor + NORM_FLOOR))
+                and (max(start, live) >= n or math.isfinite(factor)))
         checks.append(ok_y)
         notes.append(f"||y_n|| <= {amp:.6g} * ||z_n|| from n={start}: {'ok' if ok_y else 'VIOLATED'}")
 

@@ -1,5 +1,6 @@
 """The two-map iteration engine and its step identity."""
 
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -241,7 +242,9 @@ class TestRun:
         tr = run(scalar_config(steps=10, gates_y=GatePolicy.threshold(1e-3)))
         assert calls == [] and tr.n_accel == 8
         gates = tr.gates_y
-        assert len(calls) == 2 and calls[0] is tr.sz and calls[1] is tr.sy
+        # the corrector reads the stored rows: all ten here, as the state never settles
+        assert len(calls) == 2 and calls[0] is tr.live.sz and calls[1] is tr.live.sy
+        assert tr.n_live == tr.n_raw == 10 and tr.sz is tr.live.sz and tr.sy is tr.live.sy
         for name in ("asz", "asy", "gates_z", "gates_y"):
             part = getattr(tr, name)
             assert not part.flags.writeable and len(part) == 8
@@ -637,9 +640,18 @@ def fill_cases(draw):
 
 
 def assert_same_trace(got, want):
+    """``got``, a trace, holds the arrays of ``want`` (gates included),
+    bit for bit (-0.0 apart from +0.0), and the row norms of its z; it
+    stores every row, or the rows before its state settled."""
     for name in TRACE_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    with np.errstate(over="ignore"):  # the norm of a row near the float limit can be inf
+        norms, got_norms = safe_row_norms(want.z), got.z_norms
+    assert got_norms.dtype == norms.dtype and got_norms.tobytes() == norms.tobytes()
+    assert got.z_norms is got_norms
+    assert (got.n_raw, got.n_accel) == (want.n_raw, max(want.n_raw - 2, 0))
+    assert got.n_live == got.n_raw or (not got.diverged and got.n_live == settle_row(want))
     assert (got.diverged, got.failure) == (want.diverged, want.failure)
 
 
@@ -681,6 +693,89 @@ class TestZeroFill:
         # powers 0..settled-1 made rows 1..settled; none after
         assert sum(drawn) == settled
         assert_same_trace(tr, reference_step_run(cfg))
+
+
+#: the nine full-length arrays a trace builds on first read
+PUBLIC_ARRAYS = ("z", "y", "sz", "sy", "ty", "asz", "asy", "gates_z", "gates_y")
+
+
+def d60_config(t_norm, steps, seed=8):
+    """A dense d=60 config (one power per block, as at d=300): a map of norm
+    ``t_norm`` settles to +0 within 100 rows, an orthogonal map (``t_norm``
+    None) never does.  Its schedules are evaluated through 3000 steps, so a
+    run reads values they keep."""
+    rng = np.random.default_rng(seed)
+    d = 60
+    s = rng.normal(size=(d, d)) + 30 * np.eye(d)
+    if t_norm is None:
+        t = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    else:
+        raw = rng.normal(size=(d, d))
+        t = raw * (t_norm / np.linalg.norm(raw, 2))
+    cfg = JungckConfig(pair=make_operator_pair(Operator.from_matrix(s), Operator.from_matrix(t)),
+                       a=Schedule.one_minus_inv(k=2), b=Schedule.constant(0.5), z0=rng.normal(size=d), steps=steps)
+    cfg.a.prefix(3000), cfg.b.prefix(3000)
+    return cfg
+
+
+class TestLiveRows:
+    def test_a_settled_run_peaks_the_same_for_any_step_count(self):
+        # the run stops at its settle row and stores the rows before it; one
+        # that allocated and filled every row peaked about 10x higher at 3000
+        # steps than at 300
+        cfg = d60_config(0.6, 300)
+        run(cfg)  # numpy's first-use allocations happen outside the measurement
+
+        def peak(steps):
+            peak, trace = traced_peak(lambda: run(dataclasses.replace(cfg, steps=steps)))
+            assert trace.n_raw == steps and trace.n_live == settle_row(trace) < 64
+            return peak
+
+        short, long = peak(300), peak(3000)
+        assert long <= 1.1 * short and short <= 1.1 * long
+
+    @pytest.mark.parametrize("steps", [300, 1000])
+    def test_a_run_that_never_settles_stores_exactly_its_rows(self, steps):
+        # the arrays grow 64, 128, 256, ... rows and end at steps rows, with
+        # no spare ones; while they grow, the old arrays are let go one at a
+        # time, so one of them at most, under steps rows, is held beside the
+        # five new ones: the run peaks below 1.2x its trace plus the two
+        # powers of t it holds (and a few small arrays)
+        cfg = d60_config(None, steps)
+        run(cfg)
+        peak, trace = traced_peak(lambda: run(cfg))
+        assert trace.n_live == trace.n_raw == steps and not trace.diverged
+        held = 0
+        for rows in trace.live:
+            assert rows.shape == (steps, 60) and (rows.base is None or rows.base.shape == (steps, 60))
+            held += rows.nbytes
+        assert trace.z is trace.live.z and trace.ty is trace.live.ty  # returned with no copy
+        power = 60 * 60 * 8
+        assert peak <= 1.2 * held + 2 * power + 8192
+
+    @pytest.mark.parametrize("t_norm", [0.6, None])
+    def test_public_arrays_are_built_once_and_read_only(self, t_norm):
+        trace = run(d60_config(t_norm, 200))
+        assert (trace.n_live < trace.n_raw) == (t_norm is not None)
+        for name in PUBLIC_ARRAYS + ("z_norms",):
+            first = getattr(trace, name)
+            assert getattr(trace, name) is first and not first.flags.writeable, name
+            assert len(first) == (trace.n_accel if name.startswith(("a", "gates")) else trace.n_raw), name
+        for rows in trace.live:
+            assert not rows.flags.writeable
+        assert_same_trace(trace, reference_step_run(d60_config(t_norm, 200)))
+
+    def test_a_trace_built_from_full_arrays_reads_the_same(self):
+        # a trace given every row, zero tail included, stores them all, and
+        # corrects and reads them as the run's trace of the live rows does
+        trace = run(d60_config(0.6, 200))
+        assert trace.n_live < trace.n_raw
+        full = IterationTrace(z=np.array(trace.z), y=np.array(trace.y), sz=np.array(trace.sz),
+                              sy=np.array(trace.sy), ty=np.array(trace.ty), a_vals=trace.a_vals,
+                              b_vals=trace.b_vals, policy_z=trace.policy_z, policy_y=trace.policy_y,
+                              floor_scale=trace.floor_scale, steps=trace.steps)
+        assert full.n_live == full.n_raw == trace.n_raw
+        assert_same_trace(trace, full)
 
 
 # ---------------------------------------------------------------------------

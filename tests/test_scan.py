@@ -56,9 +56,13 @@ class TestSweep:
         ("mu_range", (0.0, 1.0)), ("mu_range", (-1.0, 1.0)),
         ("t_norm_range", (float("inf"), float("inf"))), ("t_norm_range", (0.1, float("nan"))),
         ("t_norm_range", (0.9, 0.1)), ("t_norm_range", (-0.1, 0.5)),
+        ("mu_range", (1.0,)), ("mu_range", (0.5, 1.0, 2.0)), ("mu_range", "ab"),
+        ("t_norm_range", (0.5,)), ("t_norm_range", (0.1, 0.2, 0.3)), ("t_norm_range", "ab"),
     ])
     def test_bad_sampling_range_rejected(self, field, bad):
-        # rng.uniform raised an untyped OverflowError for these, or sampled nonsense
+        # rng.uniform raised an untyped OverflowError for these, or sampled
+        # nonsense; a pair of the wrong length or of strings raised an untyped
+        # ValueError or TypeError from unpacking or comparing it
         with pytest.raises(InvalidArgumentError, match=f"^{field} must be finite"):
             ScanSpec(**{field: bad})
 
@@ -87,17 +91,18 @@ class TestSweep:
         assert traced_peak(lambda: run_scan(spec))[0] <= 1.2 * largest_run
 
     def test_working_memory_does_not_grow_with_steps(self):
-        # a d=5 config that certifies (i and iv) and whose state is +0 from
-        # row 40 on; past that row the step fills and the row norms fill, so
-        # run's working memory stays flat, and run plus cross_validate grows
-        # only by the length-steps norms of z and y, not by rows of the trace
-        # nor by schedule values: certify evaluated them, and run and
-        # cross_validate read the values it keeps
+        # a d=5 config that certifies (i and iv) and whose state is 0 from
+        # row 40 on (sz_40 holds -0 entries, so +0 from row 41); the run
+        # stops there and stores rows 0..40 alone, so
+        # run's peak stays flat, and run plus cross_validate grows only by
+        # the length-steps norms of z, not by rows of the trace, nor by the
+        # norms of y, nor by schedule values: certify evaluated them, and run
+        # and cross_validate read the values it keeps
         spec = ScanSpec(count=1, dim=5, steps=1000, horizon=1000, seed=1)
         base = sample_config(np.random.default_rng(spec.seed), spec)
-        fields = ("z", "y", "sz", "sy", "ty")  # what run allocates; it corrects on first read
+        fields = ("z", "y", "sz", "sy", "ty")
 
-        def working(steps):
+        def peaks(steps):
             cfg = dataclasses.replace(base, steps=steps)
             report = certify(cfg, horizon=steps)
             run(cfg)  # numpy's first-use allocations happen outside the measurement
@@ -105,19 +110,20 @@ class TestSweep:
             # the trace is held while cross_validate reads it
             both_peak, checked = traced_peak(lambda: cross_validate(report, run(cfg)))
             assert checked.simulation_agrees
-            assert not trace.z[40:].any() and trace.z[39].any()
+            assert trace.n_live == 41 and trace.n_raw == steps
             assert not (trace.a_vals.flags.writeable or trace.b_vals.flags.writeable)  # the kept values
-            held = sum(getattr(trace, name).nbytes for name in fields)
-            return run_peak - held, both_peak - held, held
+            # the public arrays are built on this read, after the measurements
+            assert not trace.z[40:].any() and trace.z[39].any()
+            public = sum(getattr(trace, name).nbytes for name in fields)
+            return run_peak, both_peak, public
 
-        run_short, both_short, held_short = working(100)
-        run_long, both_long, held_long = working(1000)
-        # the trace itself grows by 900 rows of 5 * d floats; a corrector and
-        # norms over every row grew run's working memory by 245 B a row; run
-        # plus cross_validate measured 11,251 B
+        run_short, both_short, public_short = peaks(100)
+        run_long, both_long, public_long = peaks(1000)
+        # a run that allocated every row grew by 900 rows of 5 * d floats,
+        # and cross_validate by the norms of y and temporaries over every row
         assert run_long <= 1.1 * run_short
-        assert both_long - both_short <= 900 * 2 * 8
-        assert held_long - held_short == 900 * 5 * spec.dim * 8
+        assert both_long - both_short <= 900 * 8
+        assert public_long - public_short == 900 * 5 * spec.dim * 8
 
     def test_each_schedule_is_evaluated_once_per_config(self, monkeypatch):
         # certify asks for the horizon's values first; its checks, run and
@@ -150,32 +156,44 @@ class TestSweep:
         monkeypatch.setattr(aitken, "accelerate_sequence", counted)
         got = run_scan(spec)
         assert calls == []
+        live = []
 
         def eager(cfg, real=run):
             trace = real(cfg)
             trace.asz  # noqa: B018 -- the read corrects both sequences
+            live.append(trace.n_live)
             return trace
 
         monkeypatch.setattr(scan, "run", eager)
         want = run_scan(spec)
-        assert want.certified_count >= 1
-        assert calls == [spec.steps] * (2 * want.certified_count)
+        assert want.certified_count >= 1 and len(live) == want.certified_count
+        # each sequence is corrected over its stored rows and the two +0 rows after them
+        assert calls == [n + 2 for n in live for _ in ("sz", "sy")]
+        assert max(calls) < spec.steps
         assert repr(got.outcomes) == repr(want.outcomes)
 
     def test_z_norms_are_computed_once_per_simulated_config(self, monkeypatch):
         # the scan's monotone and final-ratio checks and the certificate
-        # cross-check read one ||z_n|| array; the cross-check also takes ||y_n||
+        # cross-check read one ||z_n|| array; the cross-check also takes
+        # ||y_n||; both are taken over the trace's stored rows alone
         spec = ScanSpec(count=6, dim=5, steps=300, horizon=300, seed=3)
         want = run_scan(spec)
-        computed = []
+        computed, live = [], []
 
         def counted(rows, real=model.safe_row_norms):
             computed.append(rows.shape)
             return real(rows)
 
+        def recorded(cfg, real=run):
+            trace = real(cfg)
+            live.append(trace.n_live)
+            return trace
+
         for module in (model, engine, scan, stability):
             monkeypatch.setattr(module, "safe_row_norms", counted, raising=False)
+        monkeypatch.setattr(scan, "run", recorded)
         got = run_scan(spec)
-        assert want.certified_count >= 3
-        assert computed == [(spec.steps, spec.dim)] * (2 * want.certified_count)
+        assert want.certified_count >= 3 and len(live) == want.certified_count
+        assert computed == [(n, spec.dim) for n in live for _ in ("z", "y")]
+        assert max(live) < spec.steps
         assert repr(got.outcomes) == repr(want.outcomes)

@@ -28,8 +28,10 @@ from jungckit import (
     make_operator_pair,
     run,
 )
-from jungckit import cli, engine, stability
+from jungckit import GatePolicy, cli, engine, stability
 from jungckit.errors import IndexOutOfRangeError
+from jungckit.model import safe_row_norms
+from jungckit.stability import CertificateResult, StabilityReport
 from jungckit.scan import ScanSpec, sample_config
 from conftest import fixed_or_fresh, traced_peak
 from test_engine import assert_same_trace, block_len, reference_power_norms, stream_norms
@@ -582,6 +584,85 @@ class TestCrossValidate:
         assert np.array_equal(run(cfg).a_vals, np.full(30, 0.75))
         with pytest.raises(TraceMismatchError):  # the report's config now holds the new a
             cross_validate(report, first)
+
+
+def reference_simulation_checks(report, trace):
+    """The checks of ``cross_validate`` as they were, over the full-length
+    norms of z and y: ``(simulation_agrees, simulation_notes)``."""
+    cfg, n, c = report.cfg, trace.n_raw, report.constants
+    applying = report.applying()
+    zn, yn = safe_row_norms(trace.z), safe_row_norms(trace.y)
+    checks, notes = [], []
+    bounded = [p for p in applying if p in ("i", "ii", "iii")]
+    if bounded and n >= 2:
+        if "i" in bounded and c.tail_start == 0:
+            start, amp = 0, c.k2p + c.k2 / cfg.pair.s_min_modulus
+        elif "ii" in bounded or "iii" in bounded:
+            start, amp = 0, c.m_bound
+        else:
+            start, amp = c.tail_start, c.k2p + c.k2 / cfg.pair.s_min_modulus
+        ref = max(start, 1)
+        if ref < n:
+            ok_z = bool(np.all(zn[ref:] <= zn[ref] * (1.0 + stability.CROSS_VALIDATE_SLACK) + stability.NORM_FLOOR))
+            checks.append(ok_z)
+            notes.append(f"sup ||z_n||, n>={ref}, vs ||z_{ref}||: {'ok' if ok_z else 'VIOLATED'}")
+        ok_y = bool(np.all(yn[start:] <= zn[start:] * (amp + stability.CROSS_VALIDATE_SLACK) + stability.NORM_FLOOR))
+        checks.append(ok_y)
+        notes.append(f"||y_n|| <= {amp:.6g} * ||z_n|| from n={start}: {'ok' if ok_y else 'VIOLATED'}")
+    if ("iv" in applying or "v" in applying) and n >= 1:
+        ok_zero = bool(zn[-1] < 1e-6 * zn[0]) if zn[0] > 0 else bool(zn[-1] == 0.0)
+        checks.append(ok_zero)
+        notes.append(f"final ||z||/||z_0|| = {zn[-1] / zn[0] if zn[0] else 0.0:.3e}: {'ok' if ok_zero else 'VIOLATED'}")
+    if trace.diverged:
+        checks.append(False)
+        notes.append("trace diverged under a certified configuration")
+    return (all(checks) if checks else None), notes
+
+
+@st.composite
+def cross_check_cases(draw):
+    """A run of dimension 1..6 and 2..120 steps that settles, never settles
+    or is 0 from row 1, and a report whose applying certificates, tail start
+    and amplification constants (inf and NaN among them) are drawn."""
+    d, steps = draw(st.integers(1, 6)), draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["settles", "never", "zero"]))
+    if kind == "settles":
+        raw = rng.normal(size=(d, d))
+        t = raw * (draw(st.floats(0.05, 0.9)) / np.linalg.norm(raw, 2))
+    elif kind == "never":
+        t = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    else:
+        t = np.zeros((d, d))
+    off = GatePolicy.always_off()
+    cfg = JungckConfig(pair=make_operator_pair(Operator.from_matrix(rng.normal(size=(d, d)) + (d + 2) * np.eye(d)),
+                                               Operator.from_matrix(t)),
+                       a=Schedule.constant(draw(st.floats(0, 1))), b=Schedule.constant(draw(st.floats(0, 1))),
+                       z0=rng.normal(size=d) * draw(st.sampled_from([1.0, 1e-300])), steps=steps,
+                       gates_z=off, gates_y=off)
+    tail_start = draw(st.integers(0, steps + 5))
+    value = st.sampled_from([0.0, 0.3, 1.0, 5.0, math.inf, math.nan])
+    constants = StabilityConstants(k1=0.0, k2=draw(value), k1p=0.0, k2p=draw(value), m_bound=draw(value),
+                                   horizon=tail_start + 10, tail_start=tail_start)
+    applying = draw(st.sets(st.sampled_from(["i", "ii", "iii", "iv", "v"]), min_size=1))
+    properties = {name: CertificateResult(name=name, applies=name in applying, margin=0.0, details={})
+                  for name in ("i", "ii", "iii", "iv", "v")}
+    return StabilityReport(cfg=cfg, constants=constants, properties=properties, predicted="bounded",
+                           horizon=tail_start + 10, tail_tol=0.01)
+
+
+class TestCrossValidateReadsLiveRows:
+    @given(cross_check_cases())
+    @fixed_or_fresh(100)
+    def test_matches_the_checks_over_full_arrays(self, report):
+        # past a settled trace's stored rows, each comparison is made once
+        # for all the +0 rows; an amplification bound of inf or NaN makes it
+        # fail there (0 * inf is NaN), as it failed on every +0 row
+        trace = run(report.cfg)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference_simulation_checks(report, trace)
+            got = cross_validate(report, trace)
+        assert (got.simulation_agrees, got.simulation_notes) == want
 
 
 class TestSoundness:
