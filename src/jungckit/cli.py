@@ -521,38 +521,46 @@ def write_csv(columns, path: Path) -> None:
     round-trip decimal).  A column shorter than the longest of its block
     leaves its trailing cells empty.  Rows are formatted in the row blocks
     of ``aitken.row_blocks``, so a long trace never sits in memory as text.  A
-    block is first a matrix of integer codes, one per cell, into a table of
-    the block's cell texts, and then its bytes, taken from that table by
-    the matrix in one step; ``-1`` codes the empty cell past a column's
-    end.  The float arrays of a block share one ``np.unique``, so each
-    distinct value becomes text once, in ``floattext.float_texts``, which
-    writes what ``repr`` writes without a Python call per value.  Integers
+    block's cells are integer codes into a table of the block's cell texts,
+    and its bytes are taken from that table by the codes; ``-1`` codes the
+    empty cell past a column's end.  The float arrays of a block share one
+    sort, so each distinct value becomes text once, in
+    ``floattext.write_texts``, which writes what ``repr`` writes without a
+    Python call per value.  Integers
     and bools become text without a Python call per value either: a
     ``range`` column is coded by position and written by
     ``floattext.int_texts``, an array of one-byte items by ``value - min``
     into the fixed table of ``floattext.byte_texts``, and any other integer
     array by ``np.unique`` and ``int_texts``.  Other cells, floats wider
     than 8 bytes included, go through ``str`` one by one.
+    The call holds one ``_Scratch``, whose buffers are allocated for the
+    first block that needs them and reused by every later one, so the
+    writer's working set is one block's, whatever ran before it.
     Nothing is quoted: a name, or a cell of a column that does not hold
     numbers, that holds a comma, a quote or a line break raises
     ``InvalidArgumentError`` (a ``ValueError``), as does an empty cell in a
-    one-column table (it would read back as a blank line), or a row block
-    whose columns differ from the first block's.
+    one-column table (it would read back as a blank line), a row block
+    whose columns differ from the first block's, or a stream of no row
+    blocks, before any file is opened.
     ``path`` stays the last argument: the benchmark's byte counter reads it there.
     """
     blocks = iter([columns] if isinstance(columns, list) else columns)
-    groups = _groups(next(blocks))
+    block = next(blocks, None)
+    if block is None:
+        raise InvalidArgumentError("write_csv needs at least one row block, got an empty stream")
+    groups = _groups(block)
+    del block
     shape = [group[:3] for group in groups]
     header = [name if ndim == 1 else f"{name}[{i}]" for name, ndim, width in shape for i in range(width)]
     lone = len(header) == 1
     _check_cells("the header", header, lone)
-    seen = []  # the last float keys and their texts, which a block with the same keys takes over
+    scratch = _Scratch()
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         while groups is not None:
             n_rows = max((len(group[3]) for group in groups), default=0)
             for rows in row_blocks(n_rows, len(header)):
-                _write_block(fh, groups, rows.start, rows.stop, len(header), lone, seen)
+                _write_block(fh, groups, rows.start, rows.stop, len(header), lone, scratch)
             groups = None  # let go before the source makes the next block
             block = next(blocks, None)
             if block is not None:
@@ -583,45 +591,68 @@ def _groups(columns) -> list:
 _NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes are written by str
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _FILL = bytes([floattext.FILL])
-#: a block's bytes are taken from its cell matrix in this many row chunks
-BYTE_CHUNKS = 4
+#: a block's cells are gathered and written in this many row chunks
+BYTE_CHUNKS = 8
 
 
-def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, seen: list) -> None:
+class _Scratch:
+    """The buffers of one ``write_csv`` call, each allocated once, for the
+    first block that needs it, and again only for a block that needs more
+    (the smaller one is freed first):
+
+    * ``table``, the block's cell texts, ``stride`` bytes a row;
+    * ``keys``, the block's distinct float64 bits, sorted;
+    * ``inverse``, each float cell's row of the table;
+    * ``work``, shared by the stages of a block: the sort of the float
+      cells, the float kernel's work buffers, and a row chunk's codes and
+      cells.
+
+    ``texts`` is ``(len(keys), stride)`` while the table's first rows hold
+    the texts of ``keys`` at that stride, which a block with the same
+    distinct floats takes over (a converged trace repeats its values).
+    """
+
+    def __init__(self):
+        self.buffers = {}
+        self.texts = None
+
+    def get(self, name: str, size: int, dtype=np.uint8) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or len(buf) < size:
+            buf = self.buffers[name] = None  # the smaller one is freed first
+            if name == "table":
+                self.texts = None
+            buf = self.buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size]
+
+
+def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scratch: _Scratch) -> None:
     """Write rows ``lo:hi`` of the table to ``fh``, each cell as ``str``
-    writes it; cells past the end of a column are empty.  ``seen`` holds
-    the distinct floats and their texts, ``(keys, texts)``, of the block
-    before; a block with the same distinct floats takes its texts over (a
-    converged trace repeats its values), and any other block frees them
-    before it makes its own.
+    writes it; cells past the end of a column are empty.
 
-    The cells are coded first: ``codes[r, c]`` indexes the table of the
-    block's texts, whose last row is the empty cell, so ``-1`` fills the
-    cells past a column's end.  Each group adds its texts to the table as a
-    ``uint8`` matrix, and codes its cells into them:
+    The table of the block's texts holds the distinct floats first, then
+    each other group's texts, then the empty cell; each group codes its
+    cells into it:
 
+    * the float groups of the block together, by one sort of their float64
+      bits, since 0.0 and -0.0 compare equal but print differently and a
+      NaN equals nothing;
     * a ``range`` column by position, since its values are distinct;
     * a group of bools or one-byte integers by ``value - min``, since the
       dtype bounds the span to 256 values;
     * a group of other integers by ``np.unique``;
-    * the float groups of the block together, by ``np.unique`` of their
-      float64 bits, since 0.0 and -0.0 compare equal but print
-      differently and a NaN equals nothing;
     * any other group cell by cell, its texts written by ``str``.
 
     The one-byte groups' texts come from ``floattext.byte_texts``, the
     other integers' from ``floattext.int_texts`` and the floats' from
-    ``floattext.float_texts``.  Each table row is a text padded with
+    ``floattext.write_texts``.  Each table row is a text padded with
     ``floattext.FILL`` bytes and a comma; the rows of the cells follow one
     another, the last comma of a line becomes a line break, and deleting
-    the ``FILL`` bytes leaves the lines.  The codes and the table are freed
-    once the cells are taken, and the cells become bytes, and lose their
-    ``FILL`` bytes, in ``BYTE_CHUNKS`` row chunks, so one copy of the
-    block's bytes is held beside the cells.
+    the ``FILL`` bytes leaves the lines.  The codes are made in ``scratch``,
+    and the cells gathered into it and their bytes written in
+    ``BYTE_CHUNKS`` row chunks.
     """
-    codes = np.full((hi - lo, width), -1, dtype=np.int64)
-    tables, floats = [], []  # tables: the texts of the groups, in code order; floats: (columns, rows)
-    count = 0  # the table rows so far
+    others, floats = [], []  # others: (columns, codes, texts); floats: (columns, part)
     col = 0
     for name, _, wide, values in groups:
         part, cols = values[lo:hi], slice(col, col + wide)
@@ -649,43 +680,116 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, see
                 small = part.view(np.uint8) if part.dtype.kind == "b" else part
                 low = int(small.min())
                 texts = floattext.byte_texts(low, int(small.max()), part.dtype.kind == "b")
-                local = small - np.array(low, dtype=np.int64)
+                local = (small, -low)
             else:
                 keys, local = np.unique(part, return_inverse=True)
                 texts, local = floattext.int_texts(keys), local.reshape(part.shape)
-        codes[:len(local), cols] = local + count
-        del local  # freed before the floats are coded
-        tables.append(texts)
-        count += len(texts)
+        others.append((cols, local, texts))
+    count = _code_floats(floats, scratch) if floats else 0
+    sources = [(cols, part, 0) for cols, part in floats]
+    stride = max((t.shape[1] for _, _, t in others), default=0) + 1
     if floats:
-        with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
-            flat = np.concatenate([part.ravel() for _, part in floats], dtype=np.float64)
-        keys, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
-        inverse += count
-        start = 0
-        for cols, part in floats:
-            codes[:len(part), cols] = inverse[start:start + part.size].reshape(part.shape)
-            start += part.size
-        del flat, inverse, floats  # freed before the texts are made
-        if not (seen and np.array_equal(keys, seen[0][0])):
-            seen.clear()  # the texts of the block before are freed before these are made
-            seen.append((keys, floattext.float_texts(keys.view(np.float64))))
-        tables.append(seen[0][1])
-        count += len(keys)
-        del keys
-    table = np.full((count + 1, max((t.shape[1] for t in tables), default=0) + 1), floattext.FILL, dtype=np.uint8)
+        stride = max(stride, floattext.WIDTH) + 7 & ~7  # the float texts are written as 8-byte words
+    rows = count + sum(len(t) for _, _, t in others) + 1
+    table = scratch.get("table", rows * stride).reshape(rows, stride)
+    if floats and scratch.texts != (count, stride):
+        keys = scratch.buffers["keys"][:count]
+        if stride > floattext.WIDTH:
+            table[:count, floattext.WIDTH:] = floattext.FILL
+        floattext.write_texts(keys.view(np.float64), table[:count],
+                              scratch.get("work", floattext.work_size(count)))
+        scratch.texts = (count, stride)
+    for cols, local, texts in others:
+        table[count:count + len(texts)] = floattext.FILL
+        table[count:count + len(texts), :texts.shape[1]] = texts
+        offset = count
+        if isinstance(local, tuple):
+            local, shift = local
+            offset += shift
+        sources.append((cols, local, offset))
+        count += len(texts)
+    del others, floats
+    table[count] = floattext.FILL
     table[:, -1] = ord(",")
+
+    n = hi - lo
+    step = -(-n // BYTE_CHUNKS)
+    work = scratch.get("work", n * width * 8 + step * width * stride)
+    codes = work[:n * width * 8].view(np.intp).reshape(n, width)
+    codes.fill(-1)
+    for cols, local, offset in sources:
+        np.add(local, np.intp(offset), out=codes[:len(local), cols])
+    del sources
+    for r in range(0, n, step):
+        m = min(step, n - r)
+        cells = work[n * width * 8:n * width * 8 + m * width * stride].reshape(m, width, stride)
+        np.take(table, codes[r:r + m], axis=0, out=cells, mode="wrap")
+        cells[:, -1, -1] = ord("\n")
+        fh.write(cells.tobytes().translate(None, _FILL))
+
+
+def _code_floats(floats: list, scratch: _Scratch) -> int:
+    """Sort the float cells of ``floats`` (``(columns, part)``, each part 2-D)
+    by their float64 bits, and replace each part by its cells' rows of the
+    table, a view of ``scratch``'s ``inverse``; the distinct bits go to
+    ``scratch``'s ``keys``, unless they are the keys there already (then
+    ``scratch.texts`` is kept, else cleared).  Returns their count.
+
+    The sort runs in the table's buffer, whose texts the block replaces:
+    past the kept texts where it fits there, so that a block with the same
+    distinct floats can take them over, and else over them."""
+    n = sum(part.size for _, part in floats)
+    kept = 0 if scratch.texts is None else scratch.texts[0] * scratch.texts[1]
+    if len(scratch.buffers.get("table", ())) < kept + 17 * n:
+        kept = 0
+        scratch.texts = None
+    space = scratch.get("table", kept + 17 * n)[kept:]
+    flat = space[:8 * n].view(np.float64)
     start = 0
-    for texts in tables:
-        table[start:start + len(texts), :texts.shape[1]] = texts
-        start += len(texts)
-    tables = texts = None
-    cells = np.take(table, codes, axis=0)
-    del table, codes  # freed before the cells become bytes
-    cells[:, -1, -1] = ord("\n")
-    chunk = -(-len(cells) // BYTE_CHUNKS)
-    for r in range(0, len(cells), chunk):
-        fh.write(cells[r:r + chunk].tobytes().translate(None, _FILL))
+    with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
+        for _, part in floats:
+            np.copyto(flat[start:start + part.size].reshape(part.shape), part)
+            start += part.size
+    bits = flat.view(np.uint64)
+    order = bits.argsort()
+    ordered = space[8 * n:16 * n].view(np.uint64)
+    np.take(bits, order, out=ordered, mode="clip")
+    first = space[16 * n:17 * n].view(bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    rank = flat.view(np.intp)  # each sorted cell's row of the table
+    np.copyto(rank, first)
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    count = int(rank[-1]) + 1
+    old = scratch.buffers.get("keys")
+    if not (scratch.texts is not None and scratch.texts[0] == count and _same_keys(old[:count], ordered, first)):
+        scratch.texts = old = None
+        np.put(scratch.get("keys", count, np.uint64), rank, ordered, mode="clip")
+    rank32 = ordered.view(np.int32)[:n]  # the sorted bits are no longer read
+    np.copyto(rank32, rank, casting="same_kind")
+    inverse = scratch.get("inverse", n, np.int32)
+    inverse[order] = rank32
+    del order
+    start = 0
+    for j, (cols, part) in enumerate(floats):
+        floats[j] = (cols, inverse[start:start + part.size].reshape(part.shape))
+        start += part.size
+    return count
+
+
+def _same_keys(keys: np.ndarray, ordered: np.ndarray, first: np.ndarray) -> bool:
+    """Whether ``keys`` are the distinct values of the sorted ``ordered``,
+    ``first`` marking where each starts; compared one row block at a time."""
+    if keys[0] != ordered[0] or keys[-1] != ordered[-1]:
+        return False
+    done = 0
+    for block in row_blocks(len(ordered), 1):
+        new = ordered[block][first[block]]
+        if not np.array_equal(keys[done:done + len(new)], new):
+            return False
+        done += len(new)
+    return True
 
 
 def _text_rows(cells: list) -> np.ndarray:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .aitken import block_rows, row_blocks
 from .errors import HypothesisViolatedError, InvalidArgumentError, NonFiniteError, ScheduleViolationError
 from .model import Schedule
 
@@ -167,13 +168,21 @@ def verify_property_i(trace: VenterTrace, cfg: VenterConfig, eps: float) -> Verd
     partial Horner sum x_n - K^n x_0, so the residual has the telescoping
     identity's scale.
     """
-    if cfg.sigma != 0 or np.any(trace.gamma_vals != 0):
+    if cfg.sigma != 0 or np.count_nonzero(trace.gamma_vals):
         raise HypothesisViolatedError("needs sigma = 0 and gamma = 0")
     k = trace.k_hat_final
-    # Horner evaluation of sum_i K^{N-1-i} * (omega_i - (K + alpha_i - 1) x_i), on Python floats
+    # Horner evaluation of sum_i K^{N-1-i} * (omega_i - (K + alpha_i - 1) x_i), on Python floats,
+    # its terms formed one row block at a time
     r = 0.0
-    for term in memoryview(trace.omega_vals - (k + trace.alpha_vals - 1.0) * trace.x[:-1]):
-        r = k * r + term
+    term = np.empty(min(trace.steps, block_rows(1)))
+    for block in row_blocks(trace.steps, 1):
+        part = term[:block.stop - block.start]
+        np.add(trace.alpha_vals[block], k, out=part)
+        part -= 1.0
+        part *= trace.x[block]
+        np.subtract(trace.omega_vals[block], part, out=part)
+        for value in memoryview(part):
+            r = k * r + value
     expansion_residual = float(trace.x[-1] - k ** trace.steps * trace.x[0] - r)
     final = float(trace.x[-1])
     tol = _identity_tol(trace)
@@ -206,10 +215,17 @@ def verify_summability(trace: VenterTrace, cfg: VenterConfig) -> Verdict:
     """
     if cfg.sigma != 0:
         raise HypothesisViolatedError("needs sigma = 0")
-    lhs = (trace.sum_alpha_x - trace.sum_gamma_x) + trace.x[1:]
-    rhs = trace.x[0] + trace.sum_omega
-    residuals = np.abs(lhs - rhs)
-    worst = float(np.max(residuals)) if len(residuals) else 0.0
+    # |lhs - rhs| one row block at a time; np.max keeps a NaN, as over the whole trace
+    worst = np.zeros(1)
+    lhs, rhs = np.empty((2, min(trace.steps, block_rows(1))))
+    for block in row_blocks(trace.steps, 1):
+        size = block.stop - block.start
+        np.subtract(trace.sum_alpha_x[block], trace.sum_gamma_x[block], out=lhs[:size])
+        lhs[:size] += trace.x[block.start + 1:block.stop + 1]
+        np.add(trace.x[0], trace.sum_omega[block], out=rhs[:size])
+        lhs[:size] -= rhs[:size]
+        worst[0] = np.max(np.abs(lhs[:size], out=lhs[:size]), initial=worst[0])
+    worst = float(worst[0])
     scale = _identity_tol(trace)
     return Verdict(
         name="venter-summability",

@@ -30,7 +30,7 @@ from jungckit.cli import (
     run_experiment,
     write_csv,
 )
-from jungckit.errors import ConfigError, JungckitError, NotConvergingError, SequenceTooShortError
+from jungckit.errors import ConfigError, InvalidArgumentError, JungckitError, NotConvergingError, SequenceTooShortError
 from jungckit.model import exact_row_norms
 from jungckit.scan import run_scan
 from conftest import fixed_or_fresh, traced_peak
@@ -1268,27 +1268,83 @@ class TestWriterAtBenchmarkShapes:
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
             return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
 
-        # and stay below 4 MB: about 1.5 MB, under the 2.4 MB at which the
+        # and stay below 4 MB: about 0.75 MB, under the 1.9 MB at which the
         # benchmark's jungck op (d=20, 1000 steps) peaks with its trace held
         assert peak(8000) <= 1.1 * peak(1000) < 4_000_000
 
     def test_working_set_is_one_block_of_cells_and_one_kernel_call(self, tmp_path):
         # every float distinct, as wide as a d=20 jungck trace: beyond its inputs,
-        # write_csv holds at most one block's cell matrix (a text and a comma a cell)
-        # plus what one float_texts call on the block's distinct floats takes, since
-        # the codes and the table are freed before the cells become bytes, those are
-        # taken in row chunks, and the block before's float texts are freed first
+        # write_csv holds its scratch, sized for one block (the table of the block's
+        # texts, a row each, the distinct floats, each float cell's table row, and
+        # one work buffer that the float sort, the kernel's chunks and a row chunk's
+        # codes and cells share), plus the sort's permutation and one row chunk's bytes
         rng = np.random.default_rng(7)
         rows = 1000
         columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
         step = BLOCK_ELEMENTS // 162
-        keys = np.unique(np.concatenate([columns[1][1][:step].ravel(), columns[2][1][:step]]))
-        floattext.float_texts(keys)  # numpy's first-use allocations happen outside the measurement
-        kernel, texts = traced_peak(lambda: floattext.float_texts(keys))
-        cells = step * 162 * (texts.shape[1] + 1)
+        floats = step * 161
+        chunk = -(-step // cli.BYTE_CHUNKS) * 162 * floattext.WIDTH
+        work = max(floattext.work_size(floats), step * 162 * 8 + chunk)
+        scratch = (floats + step + 1) * floattext.WIDTH + 8 * floats + 4 * floats + work
         write_csv(columns, tmp_path / "trace.csv")
         peak, _ = traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))
-        assert peak <= cells + kernel  # 1.47 <= 1.53 MB; it held 1.76 MB with all of a block's bytes at once
+        # 0.754 <= 0.771 MB; it held 1.47 MB, under a bound of 1.53 MB, with one kernel call's temporaries
+        assert peak <= scratch + 8 * floats + chunk + 48_000
+
+    def test_the_working_set_is_the_same_for_200_and_1000_rows(self, tmp_path):
+        # the scratch is sized for one block, so five times the rows hold what one
+        # fifth of them holds (753,214 and 754,234 bytes)
+        def peak(rows: int) -> int:
+            rng = np.random.default_rng(7)
+            columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
+            write_csv(columns, tmp_path / "trace.csv")
+            return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
+
+        short, long = peak(200), peak(1000)
+        assert abs(long - short) <= 0.01 * short
+
+    def test_page_faults_do_not_depend_on_what_was_freed_before(self):
+        # glibc serves an allocation above its mmap threshold with fresh pages, and
+        # raises the threshold to the largest block a process has freed: with
+        # per-block temporaries, a jungck-shaped write faulted 242 times a call in a
+        # fresh interpreter and none after a 1.2 MB array was freed; the writer's
+        # scratch makes both counts about 0.  A fresh interpreter, so that no earlier
+        # test has moved the threshold.
+        script = (
+            "import json, resource, sys\n"
+            "import numpy as np\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_cli import jungck_columns\n"
+            "from jungckit.cli import write_csv\n"
+            "cols, out = jungck_columns(np.random.default_rng(3)), Path(sys.argv[2])\n"
+            "def faults():\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    write_csv(cols, out)\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "write_csv(cols, out)\n"
+            "alone = [faults() for _ in range(10)]\n"
+            "big = np.ones(150_000)\n"
+            "del big\n"
+            "print(json.dumps([alone, [faults() for _ in range(10)]]))\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent), str(Path(tmp) / "t.csv")],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        alone, after = __import__("json").loads(proc.stdout)
+        assert max(alone) <= 16 and max(after) <= 16, (alone, after)
+
+    def test_an_empty_stream_of_row_blocks_is_refused_before_the_file_is_opened(self, tmp_path):
+        def blocks():
+            return
+            yield
+
+        for stream in (iter([]), blocks()):
+            with pytest.raises(InvalidArgumentError, match="at least one row block"):
+                write_csv(stream, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_a_stream_of_row_blocks_writes_the_table_of_its_columns(self, tmp_path):
         columns = aitken_columns(np.random.default_rng(4), d=3, rows=500)

@@ -1,6 +1,7 @@
 """Randomized certificate sweep."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ class TestSweep:
         largest_run = max(traced_peak(lambda c=c: run(c))[0] for c in cfgs)
         assert run_scan(spec).certified_count == spec.count
         assert traced_peak(lambda: run_scan(spec))[0] <= 1.2 * largest_run
+
+    def test_no_earlier_trace_is_alive_when_a_run_starts(self, monkeypatch):
+        # the property the bound above stands for, without sizes: every trace
+        # the sweep made before is gone, by reference count, when run is called
+        spec = ScanSpec(count=4, dim=5, steps=300, horizon=300, seed=1)
+        made = []
+
+        def recording_run(cfg, *args, **kwargs):
+            assert [ref() for ref in made] == [None] * len(made)
+            trace = run(cfg, *args, **kwargs)
+            made.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(scan, "run", recording_run)
+        assert run_scan(spec).certified_count == spec.count == len(made)
 
     def test_working_memory_does_not_grow_with_steps(self):
         # a d=5 config that certifies (i and iv) and whose state is 0 from

@@ -21,7 +21,7 @@ from jungckit import (
 from jungckit.model import SCHEDULE_FORMS
 from jungckit.venter import VenterTrace
 
-from conftest import fixed_or_fresh
+from conftest import fixed_or_fresh, traced_peak
 
 ZERO = Schedule.constant(0.0, clamp=(0.0, math.inf))
 
@@ -298,3 +298,94 @@ class TestLoopsMatchNumpyScalarReference:
         assert all(bits(getattr(got, name)) == bits(getattr(want, name)) for name in TRACE_ARRAYS)
         info = verify_property_i(got, cfg, eps=1e-3).info
         assert bits(info["expansion_residual"]) == bits(ref_expansion(want)[0])
+
+
+# ---------------------------------------------------------------------------
+# the checks over row blocks against the whole-trace checks they replaced
+
+
+def ref_summability_worst(trace):
+    """verify_summability's worst residual as it was, over whole-trace arrays."""
+    lhs = (trace.sum_alpha_x - trace.sum_gamma_x) + trace.x[1:]
+    rhs = trace.x[0] + trace.sum_omega
+    residuals = np.abs(lhs - rhs)
+    return float(np.max(residuals)) if len(residuals) else 0.0
+
+
+def ref_remainder(trace):
+    """verify_property_i's Horner remainder as it was, its terms one array."""
+    k = trace.k_hat_final
+    r = 0.0
+    for term in memoryview(trace.omega_vals - (k + trace.alpha_vals - 1.0) * trace.x[:-1]):
+        r = k * r + term
+    return r
+
+
+def same_float(a, b) -> bool:
+    """Equal bits, or both NaN (a NaN's payload is not part of a verdict)."""
+    return (math.isnan(a) and math.isnan(b)) or bits(a) == bits(b)
+
+
+#: entries of a hand-made trace: ordinary values, and the ones that reach a verdict as NaN or inf
+ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]))
+
+
+@st.composite
+def hand_made_traces(draw):
+    """A VenterTrace of any length around the row block (8192 rows), its
+    arrays drawn entry by entry, gamma zero or not."""
+    steps = draw(st.sampled_from([1, 2, 7, 8191, 8192, 8193, 20_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    specials = draw(st.lists(st.tuples(st.sampled_from(TRACE_ARRAYS), st.integers(0, steps), ENTRIES),
+                             max_size=6))
+    arrays = {name: rng.uniform(0.0, 2.0, size=steps + (name in ("x", "sum_x"))) for name in TRACE_ARRAYS}
+    if draw(st.booleans()):
+        arrays["gamma_vals"][:] = 0.0
+    for name, index, value in specials:
+        arrays[name][index % len(arrays[name])] = value
+    return VenterTrace(sigma=0.0, **arrays)
+
+
+class TestChecksOverRowBlocks:
+    @fixed_or_fresh(60)
+    @given(hand_made_traces())
+    def test_verdicts_match_the_whole_trace_checks(self, trace):
+        cfg = config(Schedule.constant(0.5), steps=trace.steps)
+        with np.errstate(all="ignore"):
+            want = ref_summability_worst(trace)
+            got = verify_summability(trace, cfg)
+            assert same_float(got.value, want)
+            scale = 1e-10 * (1.0 + trace.x[0] + float(trace.sum_omega[-1]))
+            assert got.passed == (want <= scale) and same_float(got.margin, float(scale - want))
+            if np.count_nonzero(trace.gamma_vals):
+                return
+            remainder = ref_remainder(trace)
+            try:
+                residual = float(trace.x[-1] - trace.k_hat_final ** trace.steps * trace.x[0] - remainder)
+            except OverflowError:  # K_hat > 1, which no run reaches: both raise
+                with pytest.raises(OverflowError):
+                    verify_property_i(trace, cfg, eps=1e-3)
+                return
+            info = verify_property_i(trace, cfg, eps=1e-3).info
+            assert same_float(info["expansion_remainder"], float(remainder))
+            assert same_float(info["expansion_residual"], residual)
+            assert info["expansion_holds"] == bool(abs(residual) <= info["expansion_tol"])
+
+    def test_a_long_recursion_matches_the_whole_trace_checks(self):
+        cfg = config(Schedule.inv_pow(k=3, p=0.7), steps=20_000)
+        trace = venter_run(cfg)
+        assert bits(verify_summability(trace, cfg).value) == bits(ref_summability_worst(trace))
+        assert bits(verify_property_i(trace, cfg, eps=1e-3).info["expansion_remainder"]) == bits(ref_remainder(trace))
+
+    def test_the_checks_hold_one_row_block_whatever_the_trace_length(self):
+        # beyond the trace, each check holds a few row blocks of temporaries:
+        # at 20,000 steps it held three 160 kB arrays before they ran in blocks
+        def peak(steps):
+            cfg = config(Schedule.inv_pow(k=3, p=0.7), steps=steps)
+            trace = venter_run(cfg)
+            verify_summability(trace, cfg), verify_property_i(trace, cfg, eps=1e-3)  # first-use allocations
+            return max(traced_peak(lambda: verify_summability(trace, cfg))[0],
+                       traced_peak(lambda: verify_property_i(trace, cfg, eps=1e-3))[0])
+
+        short, long = peak(2_000), peak(20_000)
+        assert long <= 1.1 * max(short, 2 * 8192 * 8) + 4096
