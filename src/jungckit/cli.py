@@ -592,7 +592,7 @@ _NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _FILL = bytes([floattext.FILL])
 #: a block's cells are gathered and written in this many row chunks
-BYTE_CHUNKS = 8
+BYTE_CHUNKS = 16
 
 
 class _Scratch:
@@ -652,7 +652,9 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scr
     and the cells gathered into it and their bytes written in
     ``BYTE_CHUNKS`` row chunks.
     """
-    others, floats = [], []  # others: (columns, codes, texts); floats: (columns, part)
+    # others: (columns, local, shift, texts), a cell's row being local + shift past the
+    # floats' rows and the other groups' before; floats: (columns, part)
+    others, floats = [], []
     col = 0
     for name, _, wide, values in groups:
         part, cols = values[lo:hi], slice(col, col + wide)
@@ -661,11 +663,11 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scr
             continue
         if isinstance(part, range):
             texts = floattext.int_texts(np.arange(part.start, part.stop, part.step))
-            local = np.arange(len(part))[:, None]
+            local, shift = np.arange(len(part))[:, None], 0
         elif not (isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC):
             cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
             _check_cells(f"column {name!r}", cells, lone)
-            texts, local = _text_rows(cells), np.arange(len(cells))[:, None]
+            texts, local, shift = _text_rows(cells), np.arange(len(cells))[:, None], 0
         else:
             part = part.reshape(len(part), wide)
             if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
@@ -675,22 +677,22 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scr
                 # a wider float: its scalar's repr is np.longdouble('...'), and np.unique
                 # would merge 0.0 with -0.0, so each cell is written by str on its own
                 texts = _text_rows(list(map(str, part.ravel().tolist())))
-                local = np.arange(part.size).reshape(part.shape)
+                local, shift = np.arange(part.size).reshape(part.shape), 0
             elif part.dtype.itemsize == 1:
                 small = part.view(np.uint8) if part.dtype.kind == "b" else part
                 low = int(small.min())
                 texts = floattext.byte_texts(low, int(small.max()), part.dtype.kind == "b")
-                local = (small, -low)
+                local, shift = small, -low
             else:
                 keys, local = np.unique(part, return_inverse=True)
-                texts, local = floattext.int_texts(keys), local.reshape(part.shape)
-        others.append((cols, local, texts))
+                texts, local, shift = floattext.int_texts(keys), local.reshape(part.shape), 0
+        others.append((cols, local, shift, texts))
     count = _code_floats(floats, scratch) if floats else 0
     sources = [(cols, part, 0) for cols, part in floats]
-    stride = max((t.shape[1] for _, _, t in others), default=0) + 1
+    stride = max((t.shape[1] for *_, t in others), default=0) + 1
     if floats:
         stride = max(stride, floattext.WIDTH) + 7 & ~7  # the float texts are written as 8-byte words
-    rows = count + sum(len(t) for _, _, t in others) + 1
+    rows = count + sum(len(t) for *_, t in others) + 1
     table = scratch.get("table", rows * stride).reshape(rows, stride)
     if floats and scratch.texts != (count, stride):
         keys = scratch.buffers["keys"][:count]
@@ -699,14 +701,10 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scr
         floattext.write_texts(keys.view(np.float64), table[:count],
                               scratch.get("work", floattext.work_size(count)))
         scratch.texts = (count, stride)
-    for cols, local, texts in others:
+    for cols, local, shift, texts in others:
         table[count:count + len(texts)] = floattext.FILL
         table[count:count + len(texts), :texts.shape[1]] = texts
-        offset = count
-        if isinstance(local, tuple):
-            local, shift = local
-            offset += shift
-        sources.append((cols, local, offset))
+        sources.append((cols, local, count + shift))
         count += len(texts)
     del others, floats
     table[count] = floattext.FILL
