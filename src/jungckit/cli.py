@@ -592,7 +592,7 @@ _NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _FILL = bytes([floattext.FILL])
 #: a block's cells are gathered and written in this many row chunks
-BYTE_CHUNKS = 16
+BYTE_CHUNKS = 4
 
 
 class _Scratch:

@@ -1268,7 +1268,7 @@ class TestWriterAtBenchmarkShapes:
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
             return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
 
-        # and stay below 4 MB: about 0.74 MB, under the 1.84 MB at which the
+        # and stay below 4 MB: about 0.87 MB, under the 2.03 MB at which the
         # benchmark's jungck op (d=20, 1000 steps) peaks with its trace held
         assert peak(8000) <= 1.1 * peak(1000) < 4_000_000
 
@@ -1288,12 +1288,12 @@ class TestWriterAtBenchmarkShapes:
         scratch = (floats + step + 1) * floattext.WIDTH + 8 * floats + 4 * floats + work
         write_csv(columns, tmp_path / "trace.csv")
         peak, _ = traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))
-        # 0.744 <= 0.753 MB; it held 1.47 MB, under a bound of 1.53 MB, with one kernel call's temporaries
+        # 0.874 <= 0.881 MB; it held 1.47 MB, under a bound of 1.53 MB, with one kernel call's temporaries
         assert peak <= scratch + 8 * floats + chunk + 64_000
 
     def test_the_working_set_is_the_same_for_200_and_1000_rows(self, tmp_path):
         # the scratch is sized for one block, so five times the rows hold what one
-        # fifth of them holds (742,542 and 743,503 bytes)
+        # fifth of them holds (872,544 and 873,564 bytes)
         def peak(rows: int) -> int:
             rng = np.random.default_rng(7)
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
