@@ -521,21 +521,19 @@ def write_csv(columns, path: Path) -> None:
     round-trip decimal).  A column shorter than the longest of its block
     leaves its trailing cells empty.  Rows are formatted in the row blocks
     of ``aitken.row_blocks``, so a long trace never sits in memory as text.  A
-    block's cells are integer codes into a table of the block's cell texts,
-    and its bytes are taken from that table by the codes; ``-1`` codes the
-    empty cell past a column's end.  The float arrays of a block share one
-    sort, so each distinct value becomes text once, in
-    ``floattext.write_texts``, which writes what ``repr`` writes without a
-    Python call per value.  Integers
+    block is first a matrix of integer codes, one per cell, into a table of
+    the block's cell texts, and then its bytes, taken from that table by
+    the matrix in ``BYTE_CHUNKS`` row chunks; ``-1`` codes the empty cell
+    past a column's end.  The float arrays of a block share one
+    ``np.unique``, so each distinct value becomes text once, in
+    ``floattext.float_texts``, which writes what ``repr`` writes without a
+    Python call per value and ``floattext.CHUNK`` floats a kernel call.  Integers
     and bools become text without a Python call per value either: a
     ``range`` column is coded by position and written by
     ``floattext.int_texts``, an array of one-byte items by ``value - min``
     into the fixed table of ``floattext.byte_texts``, and any other integer
     array by ``np.unique`` and ``int_texts``.  Other cells, floats wider
     than 8 bytes included, go through ``str`` one by one.
-    The call holds one ``_Scratch``, whose buffers are allocated for the
-    first block that needs them and reused by every later one, so the
-    writer's working set is one block's, whatever ran before it.
     Nothing is quoted: a name, or a cell of a column that does not hold
     numbers, that holds a comma, a quote or a line break raises
     ``InvalidArgumentError`` (a ``ValueError``), as does an empty cell in a
@@ -554,13 +552,13 @@ def write_csv(columns, path: Path) -> None:
     header = [name if ndim == 1 else f"{name}[{i}]" for name, ndim, width in shape for i in range(width)]
     lone = len(header) == 1
     _check_cells("the header", header, lone)
-    scratch = _Scratch()
+    seen = []  # the last float keys and their texts, which a block with the same keys takes over
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         while groups is not None:
             n_rows = max((len(group[3]) for group in groups), default=0)
             for rows in row_blocks(n_rows, len(header)):
-                _write_block(fh, groups, rows.start, rows.stop, len(header), lone, scratch)
+                _write_block(fh, groups, rows.start, rows.stop, len(header), lone, seen)
             groups = None  # let go before the source makes the next block
             block = next(blocks, None)
             if block is not None:
@@ -591,70 +589,46 @@ def _groups(columns) -> list:
 _NUMERIC = "biuf"  # dtype kinds of arrays of numbers; floats wider than 8 bytes are written by str
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 _FILL = bytes([floattext.FILL])
-#: a block's cells are gathered and written in this many row chunks
+#: a block's cells are taken from its table, and written, in this many row chunks
 BYTE_CHUNKS = 4
 
 
-class _Scratch:
-    """The buffers of one ``write_csv`` call, each allocated once, for the
-    first block that needs it, and again only for a block that needs more
-    (the smaller one is freed first):
-
-    * ``table``, the block's cell texts, ``stride`` bytes a row;
-    * ``keys``, the block's distinct float64 bits, sorted;
-    * ``inverse``, each float cell's row of the table;
-    * ``work``, shared by the stages of a block: the sort of the float
-      cells, the float kernel's work buffers, and a row chunk's codes and
-      cells.
-
-    ``texts`` is ``(len(keys), stride)`` while the table's first rows hold
-    the texts of ``keys`` at that stride, which a block with the same
-    distinct floats takes over (a converged trace repeats its values).
-    """
-
-    def __init__(self):
-        self.buffers = {}
-        self.texts = None
-
-    def get(self, name: str, size: int, dtype=np.uint8) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None or len(buf) < size:
-            buf = self.buffers[name] = None  # the smaller one is freed first
-            if name == "table":
-                self.texts = None
-            buf = self.buffers[name] = np.empty(size, dtype=dtype)
-        return buf[:size]
-
-
-def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scratch: _Scratch) -> None:
+def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, seen: list) -> None:
     """Write rows ``lo:hi`` of the table to ``fh``, each cell as ``str``
-    writes it; cells past the end of a column are empty.
+    writes it; cells past the end of a column are empty.  ``seen`` holds
+    the distinct floats and their texts, ``(keys, texts)``, of the last
+    block with floats, its texts the rows of that block's table; a block
+    whose floats are all among those keys takes them over (a converged
+    trace repeats its values), and any other block frees them, and that
+    table, before it sorts its own.
 
-    The table of the block's texts holds the distinct floats first, then
-    each other group's texts, then the empty cell; each group codes its
-    cells into it:
+    The cells are coded first: ``codes[r, c]`` indexes the table of the
+    block's texts, whose last row is the empty cell, so ``-1`` fills the
+    cells past a column's end.  Each group adds its texts to the table as a
+    ``uint8`` matrix, and codes its cells into them:
 
-    * the float groups of the block together, by one sort of their float64
-      bits, since 0.0 and -0.0 compare equal but print differently and a
-      NaN equals nothing;
     * a ``range`` column by position, since its values are distinct;
     * a group of bools or one-byte integers by ``value - min``, since the
       dtype bounds the span to 256 values;
     * a group of other integers by ``np.unique``;
+    * the float groups of the block together, by ``np.unique`` of their
+      float64 bits, since 0.0 and -0.0 compare equal but print
+      differently and a NaN equals nothing;
     * any other group cell by cell, its texts written by ``str``.
 
     The one-byte groups' texts come from ``floattext.byte_texts``, the
     other integers' from ``floattext.int_texts`` and the floats' from
-    ``floattext.write_texts``.  Each table row is a text padded with
+    ``floattext.float_texts``.  Each table row is a text padded with
     ``floattext.FILL`` bytes and a comma; the rows of the cells follow one
     another, the last comma of a line becomes a line break, and deleting
-    the ``FILL`` bytes leaves the lines.  The codes are made in ``scratch``,
-    and the cells gathered into it and their bytes written in
-    ``BYTE_CHUNKS`` row chunks.
+    the ``FILL`` bytes leaves the lines.  The cells are taken from the
+    table, become bytes and lose their ``FILL`` bytes in ``BYTE_CHUNKS`` row
+    chunks, so one chunk's cells and bytes are held beside the codes and
+    the table.
     """
-    # others: (columns, local, shift, texts), a cell's row being local + shift past the
-    # floats' rows and the other groups' before; floats: (columns, part)
-    others, floats = [], []
+    codes = np.full((hi - lo, width), -1, dtype=np.int32)
+    tables, floats = [], []  # tables: the texts of the groups, in code order; floats: (columns, rows)
+    count = 0  # the table rows so far
     col = 0
     for name, _, wide, values in groups:
         part, cols = values[lo:hi], slice(col, col + wide)
@@ -663,11 +637,11 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scr
             continue
         if isinstance(part, range):
             texts = floattext.int_texts(np.arange(part.start, part.stop, part.step))
-            local, shift = np.arange(len(part))[:, None], 0
+            local = np.arange(len(part))[:, None]
         elif not (isinstance(part, np.ndarray) and part.dtype.kind in _NUMERIC):
             cells = list(map(str, part.tolist() if isinstance(part, np.ndarray) else part))
             _check_cells(f"column {name!r}", cells, lone)
-            texts, local, shift = _text_rows(cells), np.arange(len(cells))[:, None], 0
+            texts, local = _text_rows(cells), np.arange(len(cells))[:, None]
         else:
             part = part.reshape(len(part), wide)
             if part.dtype.kind == "f" and part.dtype.itemsize <= 8:
@@ -677,117 +651,62 @@ def _write_block(fh, groups: list, lo: int, hi: int, width: int, lone: bool, scr
                 # a wider float: its scalar's repr is np.longdouble('...'), and np.unique
                 # would merge 0.0 with -0.0, so each cell is written by str on its own
                 texts = _text_rows(list(map(str, part.ravel().tolist())))
-                local, shift = np.arange(part.size).reshape(part.shape), 0
+                local = np.arange(part.size).reshape(part.shape)
             elif part.dtype.itemsize == 1:
                 small = part.view(np.uint8) if part.dtype.kind == "b" else part
                 low = int(small.min())
                 texts = floattext.byte_texts(low, int(small.max()), part.dtype.kind == "b")
-                local, shift = small, -low
+                local = small - np.array(low, dtype=np.int64)
             else:
                 keys, local = np.unique(part, return_inverse=True)
-                texts, local, shift = floattext.int_texts(keys), local.reshape(part.shape), 0
-        others.append((cols, local, shift, texts))
-    count = _code_floats(floats, scratch) if floats else 0
-    sources = [(cols, part, 0) for cols, part in floats]
-    stride = max((t.shape[1] for *_, t in others), default=0) + 1
-    if floats:
-        stride = max(stride, floattext.WIDTH) + 7 & ~7  # the float texts are written as 8-byte words
-    rows = count + sum(len(t) for *_, t in others) + 1
-    table = scratch.get("table", rows * stride).reshape(rows, stride)
-    if floats and scratch.texts != (count, stride):
-        keys = scratch.buffers["keys"][:count]
-        if stride > floattext.WIDTH:
-            table[:count, floattext.WIDTH:] = floattext.FILL
-        floattext.write_texts(keys.view(np.float64), table[:count],
-                              scratch.get("work", floattext.work_size(count)))
-        scratch.texts = (count, stride)
-    for cols, local, shift, texts in others:
-        table[count:count + len(texts)] = floattext.FILL
-        table[count:count + len(texts), :texts.shape[1]] = texts
-        sources.append((cols, local, count + shift))
+                texts, local = floattext.int_texts(keys), local.reshape(part.shape)
+        codes[:len(local), cols] = local + count
+        del local  # freed before the floats are coded
+        tables.append(texts)
         count += len(texts)
-    del others, floats
-    table[count] = floattext.FILL
+    if floats:
+        with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
+            flat = np.concatenate([part.ravel() for _, part in floats], dtype=np.float64)
+        bits = flat.view(np.uint64)
+        inverse = _positions(seen[0][0], bits) if seen else None
+        if inverse is None:
+            seen.clear()  # the texts of the block before are freed before the sort
+            keys, inverse = np.unique(bits, return_inverse=True)
+        inverse += count
+        start = 0
+        for cols, part in floats:
+            codes[:len(part), cols] = inverse[start:start + part.size].reshape(part.shape)
+            start += part.size
+        del flat, bits, inverse  # freed before the texts are made
+        if not seen:
+            seen.append((keys, floattext.float_texts(keys.view(np.float64))))
+        keys, texts = seen[0]
+        tables.append(texts)
+        count += len(keys)
+    table = np.full((count + 1, max((t.shape[1] for t in tables), default=0) + 1), floattext.FILL, dtype=np.uint8)
     table[:, -1] = ord(",")
-
-    n = hi - lo
-    step = -(-n // BYTE_CHUNKS)
-    work = scratch.get("work", n * width * 8 + step * width * stride)
-    codes = work[:n * width * 8].view(np.intp).reshape(n, width)
-    codes.fill(-1)
-    for cols, local, offset in sources:
-        np.add(local, np.intp(offset), out=codes[:len(local), cols])
-    del sources
-    for r in range(0, n, step):
-        m = min(step, n - r)
-        cells = work[n * width * 8:n * width * 8 + m * width * stride].reshape(m, width, stride)
-        np.take(table, codes[r:r + m], axis=0, out=cells, mode="wrap")
+    start = 0
+    for texts in tables:
+        table[start:start + len(texts), :texts.shape[1]] = texts
+        start += len(texts)
+    if floats:
+        seen[0] = (keys, table[start - len(keys):start, :-1])  # the texts taken over, not held twice
+        del keys
+    tables = texts = None
+    chunk = -(-len(codes) // BYTE_CHUNKS)
+    for r in range(0, len(codes), chunk):
+        cells = np.take(table, codes[r:r + chunk], axis=0)
         cells[:, -1, -1] = ord("\n")
         fh.write(cells.tobytes().translate(None, _FILL))
 
 
-def _code_floats(floats: list, scratch: _Scratch) -> int:
-    """Sort the float cells of ``floats`` (``(columns, part)``, each part 2-D)
-    by their float64 bits, and replace each part by its cells' rows of the
-    table, a view of ``scratch``'s ``inverse``; the distinct bits go to
-    ``scratch``'s ``keys``, unless they are the keys there already (then
-    ``scratch.texts`` is kept, else cleared).  Returns their count.
-
-    The sort runs in the table's buffer, whose texts the block replaces:
-    past the kept texts where it fits there, so that a block with the same
-    distinct floats can take them over, and else over them."""
-    n = sum(part.size for _, part in floats)
-    kept = 0 if scratch.texts is None else scratch.texts[0] * scratch.texts[1]
-    if len(scratch.buffers.get("table", ())) < kept + 17 * n:
-        kept = 0
-        scratch.texts = None
-    space = scratch.get("table", kept + 17 * n)[kept:]
-    flat = space[:8 * n].view(np.float64)
-    start = 0
-    with np.errstate(invalid="ignore"):  # a signaling NaN widens to a quiet one, with a warning
-        for _, part in floats:
-            np.copyto(flat[start:start + part.size].reshape(part.shape), part)
-            start += part.size
-    bits = flat.view(np.uint64)
-    order = bits.argsort()
-    ordered = space[8 * n:16 * n].view(np.uint64)
-    np.take(bits, order, out=ordered, mode="clip")
-    first = space[16 * n:17 * n].view(bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    rank = flat.view(np.intp)  # each sorted cell's row of the table
-    np.copyto(rank, first)
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    count = int(rank[-1]) + 1
-    old = scratch.buffers.get("keys")
-    if not (scratch.texts is not None and scratch.texts[0] == count and _same_keys(old[:count], ordered, first)):
-        scratch.texts = old = None
-        np.put(scratch.get("keys", count, np.uint64), rank, ordered, mode="clip")
-    rank32 = ordered.view(np.int32)[:n]  # the sorted bits are no longer read
-    np.copyto(rank32, rank, casting="same_kind")
-    inverse = scratch.get("inverse", n, np.int32)
-    inverse[order] = rank32
-    del order
-    start = 0
-    for j, (cols, part) in enumerate(floats):
-        floats[j] = (cols, inverse[start:start + part.size].reshape(part.shape))
-        start += part.size
-    return count
-
-
-def _same_keys(keys: np.ndarray, ordered: np.ndarray, first: np.ndarray) -> bool:
-    """Whether ``keys`` are the distinct values of the sorted ``ordered``,
-    ``first`` marking where each starts; compared one row block at a time."""
-    if keys[0] != ordered[0] or keys[-1] != ordered[-1]:
-        return False
-    done = 0
-    for block in row_blocks(len(ordered), 1):
-        new = ordered[block][first[block]]
-        if not np.array_equal(keys[done:done + len(new)], new):
-            return False
-        done += len(new)
-    return True
+def _positions(keys: np.ndarray, bits: np.ndarray) -> np.ndarray | None:
+    """The position of each of ``bits`` in the sorted ``keys``, or ``None``
+    if one of them is not there."""
+    if not (keys[0] <= bits.min() and bits.max() <= keys[-1]):
+        return None
+    positions = keys.searchsorted(bits)
+    return positions if np.array_equal(keys[positions], bits) else None
 
 
 def _text_rows(cells: list) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shortest round-trip decimal texts of float64 arrays, byte for byte as ``repr``.
 
-``float_texts`` and ``write_texts`` write many floats at once, in place of
-one ``repr`` call per value; ``int_texts`` does the same for integers and bools, and
+``float_texts`` writes many floats at once, in place of one ``repr`` call
+per value; ``int_texts`` does the same for integers and bools, and
 ``byte_texts`` slices those of one-byte integers and bools from a fixed
 table.  Python's ``repr`` writes the shortest decimal that reads back
 as the same float, the closest one when several have that length, in fixed
@@ -37,11 +37,10 @@ word 5 the exponent.  The form (fixed with its point, or exponent) and the
 digit count pick word 0's prefix and a mask over words 1-4 from small
 tables.
 
-The kernel takes the floats in passes of ``CHUNK``, every intermediate of
-a pass computed in place in one work buffer, so what it holds does not
-grow with the number of floats.  ``CHUNK`` trades the fixed cost of a pass
-(about 0.1 ms, some 90 numpy calls) against the buffer's size
-(``WORK_BYTES`` a float): 1024 floats take 108.5 kB.
+``float_texts`` runs the kernel on at most ``CHUNK`` floats a call, so its
+temporaries, about 170 bytes a float of the call beside the 48 of each
+text, do not grow with the number of floats.  A call costs about 70 us
+whatever its size, and 190 us at 1024 floats.
 """
 
 from __future__ import annotations
@@ -133,8 +132,8 @@ def _text_tables():
     '0.' and zeros, first digit d), MASK[:, form] (laid over words 1-4 by
     OR: FILL over the digits past the last and over the places without the
     point, '.' at the point), CHUNK[q] (the four digits of q, each after an
-    empty place), LAST[c, q] (the place in the text of the last nonzero
-    digit of q in chunk c, 1 for q = 0) and EXPONENT[decpt + 300]
+    empty place), LAST[c * 10000 + q] (the place in the text of the last
+    nonzero digit of q in chunk c, 1 for q = 0) and EXPONENT[decpt + 300]
     ('e', sign and the two or three digits of decpt - 1; empty for fixed
     notation)."""
     ascii_digits = np.arange(10, dtype=np.uint8) + ord("0")
@@ -174,211 +173,116 @@ def _text_tables():
     exponent[np.abs(e) < 100, 2] = FILL
     exponent[(e >= -4) & (e < 16)] = FILL  # fixed notation
     return (_words(head).ravel(), _words(mask.reshape(-1, 4, 8)).T.copy(), _words(chunk),
-            last, _words(exponent))
+            last.ravel(), _words(exponent))
 
 
 _NEXT, _DECIDED, _F, _DECPT = _binade_tables()
 _HEAD, _MASK, _CHUNK, _LAST, _EXPONENT = _text_tables()
 _WORDS = np.ascontiguousarray(_CHUNK.view(np.uint8).reshape(10_000, 8)[:, 1::2]).view(np.uint32)[:, 0]  # q's digits
 _BOOLS = np.frombuffer(b"False" + b"True" + bytes([FILL]), dtype=np.uint8).reshape(2, 5)
-
-
-#: floats per pass of the kernel; its work buffers hold this many of each intermediate
+_CHUNK_BASE = np.arange(0, 40_000, 10_000)[:, None]
+_STEPS = np.array([[100], [10]])
+#: the most floats one kernel call takes
 CHUNK = 1024
-#: bytes of work buffer per float of a pass: twelve 8-byte and ten 1-byte intermediates
-WORK_BYTES = 12 * 8 + 10
 
 
-def work_size(n: int) -> int:
-    """The bytes of work buffer that the texts of ``n`` floats take."""
-    return WORK_BYTES * min(n, CHUNK)
+def _scaled(bits: np.ndarray):
+    """``(t, w, f, h, decided)`` for the float64 bits ``bits``: the binade
+    table's row t, ``P = w + f`` (w an integer, ``0 <= f < 1``), h, and
+    whether the kernel decides the value."""
+    magnitude = bits & _ABS
+    e2 = magnitude >> 52
+    t = ((e2 << 1) | (magnitude >= _NEXT.take(e2))).view(np.int64)
+    mb = (bits & _FRACTION) | _ONE
+    m = mb.view(np.float64)  # in [1, 2), whatever the value is
+    m1 = (mb & _HEAD26).view(np.float64)
+    m2 = m - m1
+    # P = m F = p + err: Dekker's product of m and F's head, plus m times F's tail
+    fh, f1, f2, fl = _F.take(t, axis=1)
+    p = m * fh
+    err = ((m1 * f1 - p) + m1 * f2 + m2 * f1) + m2 * f2 + m * fl
+    whole = np.floor(err)
+    w = p.astype(np.int64) + whole.astype(np.int64)  # p >= 2^53 is an integer
+    h = fh * 2.0 ** -53  # half an ulp of m, times F
+    return t, w, err - whole, h, _DECIDED.take(e2) & (m != 1.0)
 
 
-def _pass(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(words, undecided)`` for at most ``CHUNK`` float64 ``x``: the ``(6,
-    len(x))`` text words, and the mask of the values whose words are to be
-    redone by ``repr`` (they hold some other text).  Both are views of the
-    ``uint8`` buffer ``work``, at least ``work_size(len(x))`` bytes, in which
-    every intermediate is computed in place.
+def _candidate(w: np.ndarray, f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(z, tied)``: the first of the 15-, 16- and 17-digit candidates of
+    ``P = w + f`` inside ``|C - P| < h``, as a 17-digit integer with
+    trailing zeros, and whether a decision on the way was within ``TIE``
+    of its boundary: is each candidate inside, does each rounding go up (a
+    15-digit rounding halfway leaves both candidates 50 away, outside
+    every interval)."""
+    # rows: P rounded to the nearest multiple of 100 (15 digits) and of 10 (16 digits)
+    base = w // _STEPS * _STEPS
+    rem = (w - base) + f  # P mod 100 and P mod 10
+    up = rem > _STEPS / 2
+    dist = np.minimum(rem, _STEPS - rem)
+    near = np.empty((4, len(w)))
+    np.subtract(dist, h, out=near[:2])
+    np.subtract(rem[1], 5, out=near[2])
+    np.subtract(f, 0.5, out=near[3])
+    tied = np.abs(near, out=near).min(axis=0, initial=np.inf) <= TIE
+    inside = dist < h
+    base += up * _STEPS
+    z = np.where(inside[0], base[0], np.where(inside[1], base[1], w + (f > 0.5)))
+    return z, tied
 
-    ``P = m F = w + f`` (w an integer, ``0 <= f < 1``) is formed from the
-    binade table's row t, with h half an ulp of m times F; its 15-, 16- and
-    17-digit candidates are P rounded to the nearest multiple of 100, 10 and
-    1, and the first inside ``|C - P| < h`` is the text, as a 17-digit
-    integer z with trailing zeros.  ``tied`` marks a decision on the way
-    within ``TIE`` of its boundary: is each candidate inside, does each
-    rounding go up (a 15-digit rounding halfway leaves both candidates 50
-    away, outside every interval).  The words then hold z's digits with the
-    decimal point at decpt, and the sign of x.
-    """
-    n = len(x)
-    bits = x.view(np.uint64)
-    slots = work[:96 * n].view(np.uint64).reshape(12, n)  # twelve 8-byte intermediates
-    flags = work[96 * n:106 * n].reshape(10, n)  # ten 1-byte ones
-    u, i, v = slots, slots.view(np.int64), slots.view(np.float64)
-    ok = flags[:6].view(bool)
-    decided, extra = ok[1], ok[0]
 
-    # t, decided, and P = m F = p + err: Dekker's product of m and F's head, plus m times F's tail
-    np.bitwise_and(bits, _ABS, out=u[0])  # |x|
-    np.right_shift(u[0], 52, out=u[2])  # e2
-    _NEXT.take(i[2], out=u[3], mode="clip")
-    np.greater_equal(u[0], u[3], out=extra)
-    t = u[1]
-    np.left_shift(u[2], 1, out=t)
-    np.add(t, 1, out=t, where=extra)  # t = 2 e2 + (|x| >= 10^(k0 + 1))
-    _DECIDED.take(i[2], out=decided, mode="clip")
-    np.bitwise_and(bits, _FRACTION, out=u[0])
-    np.bitwise_or(u[0], _ONE, out=u[0])
-    m = v[0]  # in [1, 2), whatever the value is
-    np.not_equal(m, 1.0, out=extra)
-    decided &= extra
-    np.bitwise_and(u[0], _HEAD26, out=u[2])
-    m1, m2 = v[2], v[3]
-    np.subtract(m, m1, out=m2)
-    f4 = v[4:8]
-    _F.take(i[1], axis=1, out=f4, mode="clip")
-    fh, f1, f2, fl = f4
-    p, err, tmp = v[8], v[9], v[10]
-    np.multiply(m, fh, out=p)
-    np.multiply(m1, f1, out=err)
-    err -= p
-    for a, b in ((m1, f2), (m2, f1), (m2, f2), (m, fl)):
-        np.multiply(a, b, out=tmp)
-        err += tmp
-    np.floor(err, out=tmp)
-    w = i[0]
-    np.copyto(w, p, casting="unsafe")  # p >= 2^53 is an integer
-    np.copyto(i[2], tmp, casting="unsafe")
-    w += i[2]
-    err -= tmp  # f
-    f, h = err, fh
-    h *= 2.0 ** -53  # half an ulp of m, times F
-
-    # the candidates: P rounded to the nearest multiple of 100 (15 digits) and of 10 (16 digits)
-    rem, dist, near, scratch = v[3], v[5], v[6], v[8]
-    inside, up = ok[2:4], ok[4]
-    for k, step, base in ((0, 100, i[2]), (1, 10, i[7])):
-        np.floor_divide(w, step, out=base)
-        base *= step
-        np.subtract(w, base, out=i[10])
-        np.copyto(rem, i[10])
-        rem += f  # P mod step
-        np.greater(rem, step / 2, out=up)
-        if step == 10:
-            np.subtract(rem, 5, out=scratch)
-            np.abs(scratch, out=scratch)
-            np.minimum(near, scratch, out=near)
-        np.subtract(step, rem, out=dist)
-        np.minimum(rem, dist, out=dist)
-        np.subtract(dist, h, out=scratch if k else near)
-        if k:
-            np.abs(scratch, out=scratch)
-            np.minimum(near, scratch, out=near)
-        else:
-            np.abs(near, out=near)
-        np.less(dist, h, out=inside[k])
-        np.add(base, step, out=base, where=up)
-    np.subtract(f, 0.5, out=scratch)
-    np.abs(scratch, out=scratch)
-    np.minimum(near, scratch, out=near)
-    undecided = decided
-    np.less_equal(near, TIE, out=extra)  # tied
-    np.logical_not(decided, out=undecided)
-    undecided |= extra
-    np.greater(f, 0.5, out=up)
-    z = w
-    np.add(z, 1, out=z, where=up)
-    np.copyto(z, i[7], where=inside[1])
-    np.copyto(z, i[2], where=inside[0])
-
-    # the layout: z rounded up to 10^17 moves the point one place
-    np.equal(z, 10 ** 17, out=extra)
-    np.copyto(z, 10 ** 16, where=extra)
-    decpt, first = i[10], i[11]
-    _DECPT.take(i[1], out=decpt, mode="clip")
-    np.add(decpt, 1, out=decpt, where=extra)
-    np.floor_divide(z, 10 ** 16, out=first)
-    np.multiply(first, 10 ** 16, out=i[2])
-    z -= i[2]
+def _layout(bits: np.ndarray, z: np.ndarray, decpt: np.ndarray, words: np.ndarray) -> None:
+    """Write into ``words`` the ``(6, len(z))`` text words of the digits of
+    the 17-digit ``z`` with the decimal point at ``decpt``, and the sign of
+    ``bits``."""
+    n = len(z)
     # digits 2-17 in chunks of four, q[c] holding digits 2 + 4c .. 5 + 4c
-    q = i[6:10]
-    np.floor_divide(z, 10 ** 8, out=q[1])
-    np.multiply(q[1], 10 ** 8, out=q[3])
-    np.subtract(z, q[3], out=q[3])
-    np.floor_divide(q[1], 10_000, out=q[0])
-    np.floor_divide(q[3], 10_000, out=q[2])
-    for c in (0, 2):
-        np.multiply(q[c], 10_000, out=i[2])
-        q[c + 1] -= i[2]
-    last, digits = flags[6:10], flags[5]
-    for c in range(4):
-        _LAST[c].take(q[c], out=last[c], mode="clip")
-    last.max(axis=0, out=digits)
+    first = z // 10 ** 16
+    rest = z - first * 10 ** 16
+    q = np.empty((4, n), dtype=np.int64)
+    q[1] = rest // 10 ** 8
+    q[3] = rest - q[1] * 10 ** 8
+    q[0] = q[1] // 10_000
+    q[2] = q[3] // 10_000
+    q[1::2] -= q[0::2] * 10_000
+    digits = _LAST.take(q + _CHUNK_BASE).max(axis=0)
 
-    words = u[:6]
-    np.add(decpt, 300, out=i[2])
-    _EXPONENT.take(i[2], out=words[5], mode="clip")
     # decpt + 3 in 0..19 (-4 < decpt <= 16) for fixed notation, 20 for the exponent form
-    form = decpt
-    form += 3
-    np.minimum(form.view(np.uint64), 20, out=form.view(np.uint64))
-    form *= 18
-    form += digits
-    np.right_shift(bits, 63, out=u[1])
-    np.multiply(form, 2, out=i[2])
-    i[1] += i[2]
-    i[1] *= 10
-    i[1] += first
-    _HEAD.take(i[1], out=words[0], mode="clip")
-    _CHUNK.take(q, out=words[1:5], mode="clip")
-    _MASK.take(form, axis=1, out=u[6:10], mode="clip")
-    words[1:5] |= u[6:10]
-    return words, undecided
+    form = np.minimum((decpt + 3).view(np.uint64), 20).view(np.int64) * 18 + digits
+    _HEAD.take((form * 2 + (bits >> 63).view(np.int64)) * 10 + first, out=words[0])
+    _CHUNK.take(q, out=words[1:5])
+    words[1:5] |= _MASK.take(form, axis=1)
+    _EXPONENT.take(decpt + 300, out=words[5])
 
 
-def _passes(x: np.ndarray, work: np.ndarray):
-    """``(lo, words, undecided)`` of ``_pass`` for ``x`` in slices of
-    ``CHUNK`` floats, the slice's first index with each."""
-    for lo in range(0, len(x), CHUNK):
-        yield (lo, *_pass(x[lo:lo + CHUNK], work))
-
-
-def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(words, undecided)`` of ``_pass`` for any number of float64 ``x``."""
-    words, undecided = np.empty((6, len(x)), dtype=np.uint64), np.empty(len(x), dtype=bool)
-    work = np.empty(work_size(len(x)), dtype=np.uint8)
-    for lo, part, off in _passes(x, work):
-        words[:, lo:lo + len(off)] = part
-        undecided[lo:lo + len(off)] = off
-    return words, undecided
-
-
-def write_texts(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """Write the texts of float64 ``x`` into the first ``WIDTH`` bytes of
-    the rows of the ``uint8`` matrix ``out``, whose rows are a multiple of
-    8 bytes long: that row with its ``FILL`` bytes deleted is
-    ``repr(float(x[i]))`` in ASCII, and its byte ``WIDTH - 1`` is ``FILL``.
-    The kernel takes ``x`` in passes of ``CHUNK`` floats, computed in place
-    in ``work``, a ``uint8`` buffer of at least ``work_size(len(x))``
-    bytes, so what it allocates does not grow with ``len(x)``."""
-    rows = out.view(np.uint64)
-    for lo, words, undecided in _passes(x, work):
-        rows[lo:lo + len(undecided), :6] = words.T
-        for i in np.flatnonzero(undecided).tolist():
-            out[lo + i, :WIDTH] = np.frombuffer(repr(float(x[lo + i])).encode().ljust(WIDTH, bytes([FILL])),
-                                                dtype=np.uint8)
+def _shortest(x: np.ndarray, words: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(words, undecided)`` for float64 ``x``: the ``(6, len(x))`` text
+    words, written into ``words`` if given, and the mask of the values whose
+    words are to be redone by ``repr`` (they hold some other text)."""
+    if words is None:
+        words = np.empty((6, len(x)), dtype=np.uint64)
+    bits = x.view(np.uint64)
+    t, w, f, h, decided = _scaled(bits)
+    z, tied = _candidate(w, f, h)
+    del w, f, h
+    carry = z == 10 ** 17  # rounded up to 10^17: the point moves one place
+    z[carry] = 10 ** 16
+    _layout(bits, z, _DECPT.take(t) + carry, words)
+    return words, ~decided | tied
 
 
 def float_texts(x: np.ndarray) -> np.ndarray:
     """The texts of float64 ``x`` as a ``uint8`` matrix of ``len(x)`` rows:
     row i with its ``FILL`` bytes deleted is ``repr(float(x[i]))`` in ASCII.
     The places of the layout that no row uses are left out, so the matrix
-    has at most ``WIDTH`` columns."""
-    out = np.empty((len(x), WIDTH), dtype=np.uint8)
-    write_texts(x, out, np.empty(work_size(len(x)), dtype=np.uint8))
-    used = np.bitwise_and.reduce(out.view(np.uint64), axis=0).view(np.uint8) != FILL
-    return out[:, used]
+    has at most ``WIDTH`` columns.  The kernel takes ``x`` in slices of
+    ``CHUNK`` floats."""
+    words = np.empty((6, len(x)), dtype=np.uint64)
+    for lo in range(0, len(x), CHUNK):
+        _, undecided = _shortest(x[lo:lo + CHUNK], words[:, lo:lo + CHUNK])
+        for i in (lo + np.flatnonzero(undecided)).tolist():
+            words[:, i] = np.frombuffer(repr(float(x[i])).encode().ljust(WIDTH, bytes([FILL])), dtype=np.uint64)
+    used = np.bitwise_and.reduce(words, axis=1).view(np.uint8).reshape(6, 8) != FILL
+    return words.view(np.uint8).reshape(6, len(x), 8).transpose(1, 0, 2)[:, used]
 
 
 def int_texts(x: np.ndarray) -> np.ndarray:

@@ -1268,32 +1268,33 @@ class TestWriterAtBenchmarkShapes:
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
             return traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))[0]
 
-        # and stay below 4 MB: about 0.87 MB, under the 2.03 MB at which the
+        # and stay below 4 MB: about 0.73 MB, under the 1.89 MB at which the
         # benchmark's jungck op (d=20, 1000 steps) peaks with its trace held
         assert peak(8000) <= 1.1 * peak(1000) < 4_000_000
 
     def test_working_set_is_one_block_of_cells_and_one_kernel_call(self, tmp_path):
         # every float distinct, as wide as a d=20 jungck trace: beyond its inputs,
-        # write_csv holds its scratch, sized for one block (the table of the block's
-        # texts, a row each, the distinct floats, each float cell's table row, and
-        # one work buffer that the float sort, the kernel's chunks and a row chunk's
-        # codes and cells share), plus the sort's permutation and one row chunk's bytes
+        # write_csv holds at most one block's cell matrix (a text and a comma a cell)
+        # plus what one float_texts call on the block's distinct floats takes, since
+        # the cells are taken from the table in row chunks, the block before's float
+        # texts are freed first, and float_texts runs the kernel on CHUNK floats a call
         rng = np.random.default_rng(7)
         rows = 1000
         columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
         step = BLOCK_ELEMENTS // 162
-        floats = step * 161
-        chunk = -(-step // cli.BYTE_CHUNKS) * 162 * floattext.WIDTH
-        work = max(floattext.work_size(floats), step * 162 * 8 + chunk)
-        scratch = (floats + step + 1) * floattext.WIDTH + 8 * floats + 4 * floats + work
+        keys = np.unique(np.concatenate([columns[1][1][:step].ravel(), columns[2][1][:step]]))
+        floattext.float_texts(keys)  # numpy's first-use allocations happen outside the measurement
+        kernel, texts = traced_peak(lambda: floattext.float_texts(keys))
+        cells = step * 162 * (texts.shape[1] + 1)
         write_csv(columns, tmp_path / "trace.csv")
         peak, _ = traced_peak(lambda: write_csv(columns, tmp_path / "trace.csv"))
-        # 0.874 <= 0.881 MB; it held 1.47 MB, under a bound of 1.53 MB, with one kernel call's temporaries
-        assert peak <= scratch + 8 * floats + chunk + 64_000
+        # 0.73 <= 0.79 MB; with the kernel on all 8,050 floats in one call, float_texts
+        # took 1.33 MB and the writer 1.47 MB, under a bound of 1.53 MB
+        assert peak <= cells + kernel
 
     def test_the_working_set_is_the_same_for_200_and_1000_rows(self, tmp_path):
-        # the scratch is sized for one block, so five times the rows hold what one
-        # fifth of them holds (872,544 and 873,564 bytes)
+        # what the writer holds is one block's, so five times the rows hold what
+        # one fifth of them holds (732,809 and 732,797 bytes)
         def peak(rows: int) -> int:
             rng = np.random.default_rng(7)
             columns = [("n", range(rows)), ("v", rng.normal(size=(rows, 160))), ("r", rng.normal(size=rows))]
@@ -1345,6 +1346,25 @@ class TestWriterAtBenchmarkShapes:
             with pytest.raises(InvalidArgumentError, match="at least one row block"):
                 write_csv(stream, tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_blocks_take_over_the_float_texts_of_the_block_before(self, tmp_path):
+        # a block whose floats are all among the last float texts' keys takes those
+        # texts over, whether blocks without floats came between or not; any other
+        # block makes its own
+        rng = np.random.default_rng(11)
+        pool = np.array([1.0, 2.0, -0.0, 0.0, math.nan, 0.1, 1e300, -2.5])
+        blocks = []
+        for size in (6, 6, 0, 6, 2, 0, 0, 6, 3, 6):
+            v = rng.choice(pool[:rng.integers(1, 5)], size=size) if size else np.empty(0)
+            blocks.append([("v", v), ("w", rng.choice(pool, size=(size // 2, 2))), ("n", range(4))])
+        blocks[1][0] = ("v", blocks[0][0][1].copy())  # the same floats twice in a row
+        blocks[3][0] = ("v", blocks[0][0][1].copy())  # and again after a block without floats
+        write_csv(iter(blocks), tmp_path / "got.csv")
+        lines = []
+        for block in blocks:
+            ref_write_csv(block, tmp_path / "want.csv")
+            lines += (tmp_path / "want.csv").read_text().splitlines(keepends=True)[1:]
+        assert (tmp_path / "got.csv").read_text() == "v,w[0],w[1],n\n" + "".join(lines)
 
     def test_a_stream_of_row_blocks_writes_the_table_of_its_columns(self, tmp_path):
         columns = aitken_columns(np.random.default_rng(4), d=3, rows=500)

@@ -176,54 +176,7 @@ def test_byte_texts_are_the_int_texts_of_each_span(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the chunked kernel against the whole-array kernel it replaced
-
-
-def ref_shortest(x):
-    """The kernel as it was: every intermediate one array over all of ``x``."""
-    f = floattext
-    bits = x.view(np.uint64)
-    magnitude = bits & f._ABS
-    e2 = magnitude >> 52
-    t = ((e2 << 1) | (magnitude >= np.take(f._NEXT, e2))).view(np.int64)
-    mb = (bits & f._FRACTION) | f._ONE
-    m = mb.view(np.float64)
-    m1 = (mb & f._HEAD26).view(np.float64)
-    m2 = m - m1
-    fh, f1, f2, fl = np.take(f._F, t, axis=1)
-    p = m * fh
-    err = ((m1 * f1 - p) + m1 * f2 + m2 * f1) + m2 * f2 + m * fl
-    whole = np.floor(err)
-    w = p.astype(np.int64) + whole.astype(np.int64)
-    frac, h = err - whole, fh * 2.0 ** -53
-    decided = np.take(f._DECIDED, e2) & (m != 1.0)
-    steps = np.array([[100], [10]])
-    base = w // steps * steps
-    rem = (w - base) + frac
-    dist = np.minimum(rem, steps - rem)
-    near = np.stack([dist[0] - h, dist[1] - h, rem[1] - 5, frac - 0.5])
-    tied = np.abs(near).min(axis=0, initial=np.inf) <= f.TIE
-    inside = dist < h
-    base += (rem > steps / 2) * steps
-    z = np.where(inside[0], base[0], np.where(inside[1], base[1], w + (frac > 0.5)))
-    carry = z == 10 ** 17
-    z[carry] = 10 ** 16
-    decpt = np.take(f._DECPT, t) + carry
-    first = z // 10 ** 16
-    rest = z - first * 10 ** 16
-    q = np.empty((4, len(z)), dtype=np.int64)
-    q[1] = rest // 10 ** 8
-    q[3] = rest - q[1] * 10 ** 8
-    q[0] = q[1] // 10_000
-    q[2] = q[3] // 10_000
-    q[1::2] -= q[0::2] * 10_000
-    digits = np.take(f._LAST.ravel(), q + np.arange(0, 40_000, 10_000)[:, None]).max(axis=0)
-    form = np.minimum((decpt + 3).view(np.uint64), 20).view(np.int64) * 18 + digits
-    words = np.empty((6, len(z)), dtype=np.uint64)
-    words[0] = np.take(f._HEAD, (form * 2 + (bits >> 63).view(np.int64)) * 10 + first)
-    words[1:5] = np.take(f._CHUNK, q) | np.take(f._MASK, form, axis=1)
-    words[5] = np.take(f._EXPONENT, decpt + 300)
-    return words, ~decided | tied
+# float_texts, which calls the kernel on CHUNK floats at a time, against one call on all
 
 
 REFERENCE_SETS = {
@@ -237,28 +190,32 @@ REFERENCE_SETS = {
 }
 
 
+def ref_texts(x):
+    """float_texts as it was: the kernel on all of ``x`` in one call."""
+    words, undecided = floattext._shortest(x)
+    for i in np.flatnonzero(undecided).tolist():
+        words[:, i] = np.frombuffer(repr(float(x[i])).encode().ljust(floattext.WIDTH, bytes([floattext.FILL])),
+                                    dtype=np.uint64)
+    used = np.bitwise_and.reduce(words, axis=1).view(np.uint8).reshape(6, 8) != floattext.FILL
+    return words.view(np.uint8).reshape(6, len(x), 8).transpose(1, 0, 2)[:, used]
+
+
 @pytest.mark.parametrize("name", REFERENCE_SETS)
 def test_chunked_kernel_gives_the_whole_array_kernels_bits(name):
     values = REFERENCE_SETS[name]
-    for x in (values, values[:floattext.CHUNK + 1], values[:1]):
+    for x in (values, values[:floattext.CHUNK + 1], values[:floattext.CHUNK], values[:1]):
         x = np.ascontiguousarray(x)
-        words, undecided = floattext._shortest(x)
-        want_words, want_undecided = ref_shortest(x)
-        assert words.tobytes() == want_words.tobytes() and np.array_equal(undecided, want_undecided)
-        out = np.empty((len(x), floattext.WIDTH + 8), dtype=np.uint8)
-        floattext.write_texts(x, out, np.empty(floattext.work_size(len(x)), dtype=np.uint8))
-        assert [row.tobytes().replace(bytes([floattext.FILL]), b"").decode() for row in out[:, :floattext.WIDTH]] \
-            == [repr(v) for v in x.tolist()]
-        assert (out[:, floattext.WIDTH - 1] == floattext.FILL).all()
+        got = floattext.float_texts(x)
+        assert got.shape == ref_texts(x).shape and got.tobytes() == ref_texts(x).tobytes()
+        assert texts(x) == [repr(v) for v in x.tolist()]
 
 
-def test_the_kernel_allocates_one_chunk_of_work_whatever_the_length():
+def test_the_kernel_holds_one_chunk_of_temporaries_whatever_the_length():
+    # float_texts' words (48 bytes a float) and texts (at most 48) grow with the
+    # length; the kernel's temporaries, about 170 bytes a float of a call, do not
     rng = np.random.default_rng(9)
     x = rng.normal(size=8 * floattext.CHUNK)
-    out = np.empty((len(x), floattext.WIDTH), dtype=np.uint8)
-    work = np.empty(floattext.work_size(len(x)), dtype=np.uint8)
-    assert len(work) == floattext.WORK_BYTES * floattext.CHUNK
-    floattext.write_texts(x, out, work)
-    short = traced_peak(lambda: floattext.write_texts(x[:floattext.CHUNK], out, work))[0]
-    long = traced_peak(lambda: floattext.write_texts(x, out, work))[0]
-    assert long <= short + 4096 and short < 0.25 * len(work)
+    floattext.float_texts(x)
+    short = traced_peak(lambda: floattext.float_texts(x[:floattext.CHUNK]))[0]
+    long = traced_peak(lambda: floattext.float_texts(x))[0]
+    assert long - short <= 2 * floattext.WIDTH * (len(x) - floattext.CHUNK) + 4096
