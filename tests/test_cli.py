@@ -1306,11 +1306,11 @@ class TestWriterAtBenchmarkShapes:
 
     def test_page_faults_do_not_depend_on_what_was_freed_before(self):
         # glibc serves an allocation above its mmap threshold with fresh pages, and
-        # raises the threshold to the largest block a process has freed: with
-        # per-block temporaries, a jungck-shaped write faulted 242 times a call in a
-        # fresh interpreter and none after a 1.2 MB array was freed; the writer's
-        # scratch makes both counts about 0.  A fresh interpreter, so that no earlier
-        # test has moved the threshold.
+        # raises the threshold to the largest block a process has freed, so a writer
+        # whose temporaries grow past the threshold faults on them until something
+        # larger was freed.  A jungck-shaped write, whose kernel calls take 1024
+        # floats, faults 0 or 1 times a call either way.  A fresh interpreter, so
+        # that no earlier test has moved the threshold.
         script = (
             "import json, resource, sys\n"
             "import numpy as np\n"
