@@ -9,18 +9,6 @@ binary gate disables the correction wherever the second difference sits at
 or below a relative floor (so the quotient can never blow up) or wherever
 the caller's policy switches it off.
 
-A settled trace ends in rows of zeros (see :mod:`jungckit.engine`), and
-the corrector computes nothing there.  Only the windows that touch the
-live prefix (:func:`jungckit.model.live_row_count`: the rows up to the
-last one with a nonzero entry, where -0.0 counts as zero and NaN or inf
-as nonzero) run through the formula.  Each later window (s0, s1, s2) is
-+-0 in every entry, so its second difference is +-0, which is never above
-the floor ``floor_scale * (1 + |s0|) > 0``: its gate is 0 whatever the
-policy asks, and the corrected term is s0, the raw row, bit for bit
-(-0.0 included).  Those rows are copied and their gates set to 0.  The
-policy is still asked about them, so a gate list too short for the whole
-sequence raises the same error.
-
 ``corrected_blocks`` gives the same corrected terms and gates one row
 block at a time, from a sequence whose rows may be made on demand, so
 neither the sequence nor its correction need be held whole.
@@ -33,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteError, SequenceTooShortError
-from .model import GatePolicy, Vector, live_row_count
+from .model import GatePolicy, Vector
 
 DEFAULT_FLOOR_SCALE = 1e-12
 
@@ -94,16 +82,8 @@ def accelerate_sequence(
     n, d = arr.shape
     accel = np.empty((n - 2, d))
     gates = np.empty((n - 2, d), dtype=np.int8)
-    # windows past the live prefix hold only zeros (module docstring)
-    live = min(live_row_count(arr), n - 2)
-    for block in row_blocks(live, d):
+    for block in row_blocks(n - 2, d):
         _correct(arr[block.start:block.stop + 2], block.start, policy, floor_scale, accel[block], gates[block])
-    if live < n - 2:
-        # the policy is still asked about the zero windows (with no columns),
-        # so a gate list too short for them raises as when they are computed
-        policy.gates(live, np.empty((n - 2 - live, 0)))
-        accel[live:] = arr[live:n - 2]
-        gates[live:] = 0
     return accel, gates
 
 
@@ -120,9 +100,7 @@ def corrected_blocks(
     1``): the block's raw rows with the two rows after them, and the
     block's corrected terms and gates, bit for bit those of
     ``accelerate_sequence``, whose formula treats each window on its own.
-    Each block asks the policy at its own indices.  The windows past a zero
-    tail go through the formula, which gives them what
-    ``accelerate_sequence`` copies there.  The checks of
+    Each block asks the policy at its own indices.  The checks of
     ``accelerate_sequence``, and that of a gate list long enough for every
     window, run on the call, before any block is made; a non-finite entry
     raises ``NonFiniteError`` at its block.

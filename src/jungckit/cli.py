@@ -211,8 +211,8 @@ class VenterScenario:
     eps: float
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ConfigValidationError(f"venter.eps: must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:  # NaN fails it too
+            raise ConfigValidationError(f"venter.eps: must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)

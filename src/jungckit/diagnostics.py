@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aitken import accelerate_sequence, as_rows, row_blocks
-from .errors import LengthMismatchError, NotConvergingError, SequenceTooShortError
+from .errors import DimensionMismatchError, LengthMismatchError, NotConvergingError, SequenceTooShortError
 from .model import Vector, exact_row_norms, unoverflowed
 
 #: a final difference below this relative scale counts as numerically settled
@@ -86,7 +86,9 @@ def acceleration_ratio(
     ``accel`` must be the two-term-lookahead correction of ``raw`` (length
     N-2, term k from window k..k+2).  Ratios stop at the first index where
     the raw error has already hit the limit floor; past it they would be
-    quotient noise, and no norm is taken there.
+    quotient noise, and no norm is taken there.  Raises
+    ``DimensionMismatchError`` unless ``limit`` is a number or a vector as
+    wide as the rows of ``raw``.
     """
     raw_arr = as_rows(raw)
     acc_arr = as_rows(accel)
@@ -95,6 +97,8 @@ def acceleration_ratio(
             f"corrected length {acc_arr.shape[0]} != raw length {raw_arr.shape[0]} - 2"
         )
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
+    if lim.shape not in ((1,), raw_arr.shape[1:]):
+        raise DimensionMismatchError(f"limit of shape {lim.shape} for rows of width {raw_arr.shape[1]}")
     floor = _ratio_floor(lim)
     ratios: list[float] = []
     for block in row_blocks(*acc_arr.shape):

@@ -76,15 +76,19 @@ class Operator:
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
-        return cls.from_matrix(np.eye(dim))
+        return cls.scaled_identity(1.0, dim)
 
     @classmethod
     def scaled_identity(cls, scale: float, dim: int) -> "Operator":
+        """``scale`` times the identity on R^dim; raises
+        ``DimensionMismatchError`` unless ``dim >= 1``."""
+        if not dim >= 1:
+            raise DimensionMismatchError(f"operator dimension must be >= 1, got {dim}")
         return cls.from_matrix(scale * np.eye(dim))
 
     @classmethod
     def zero(cls, dim: int) -> "Operator":
-        return cls.from_matrix(np.zeros((dim, dim)))
+        return cls.scaled_identity(0.0, dim)
 
     def __call__(self, x: Vector) -> Vector:
         if x.shape != (self.dim,):
@@ -98,7 +102,10 @@ class Operator:
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; +inf when the matrix is not finite.  The
     same bits as ``np.linalg.norm(m, 2)``, which takes the largest of the
-    same SVD's values, and they come largest first."""
+    same SVD's values, and they come largest first.  Raises
+    ``DimensionMismatchError`` unless ``m`` is a 2-D array with entries."""
+    if np.ndim(m) != 2 or np.size(m) == 0:
+        raise DimensionMismatchError(f"need a non-empty 2-D matrix, got shape {np.shape(m)}")
     if not np.isfinite(m).all():
         return math.inf
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -126,42 +133,12 @@ def unoverflowed(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return norms
 
 
-def live_row_count(rows: np.ndarray) -> int:
-    """Length of the live prefix of a 2-D array: the rows up to and
-    including the last one with a nonzero entry.  ``-0.0`` counts as zero;
-    NaN and +-inf count as nonzero.  An array with no entries is all live.
-
-    A settled trace ends in rows of zeros (see :mod:`jungckit.engine`);
-    everything else pays one test of its last row."""
-    n = rows.shape[0]
-    if rows.size == 0 or rows[-1].any():
-        return n
-    # the first nonzero of the reversed entries: one flat compare and an
-    # argmax cost less than a per-row any() or flatnonzero
-    nonzero = (rows != 0).ravel()[::-1]
-    back = int(np.argmax(nonzero))
-    if not nonzero[back]:
-        return 0
-    return n - back // rows.shape[1]
-
-
 def safe_row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, computed on the row scaled by its largest
-    absolute entry so that squares of tiny entries cannot underflow to 0.
-
-    Only the live prefix (:func:`live_row_count`) is computed; each row
-    after it gets ``+0.0``, which the scaled formula gives for a row of
-    +-0 (its peak is +0, the row is divided by 1, and +0 * sqrt(+0) = +0)."""
-    live = live_row_count(rows)
-    head = rows[:live]
-    peak = np.max(np.abs(head), axis=1, keepdims=True)
-    unit = head / np.where(peak > 0, peak, 1.0)
-    norms = peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
-    if live == rows.shape[0]:
-        return norms
-    full = np.zeros(rows.shape[0], dtype=norms.dtype)
-    full[:live] = norms
-    return full
+    absolute entry so that squares of tiny entries cannot underflow to 0."""
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    unit = rows / np.where(peak > 0, peak, 1.0)
+    return peak[:, 0] * np.sqrt(np.sum(unit * unit, axis=1))
 
 
 @dataclass(frozen=True)
@@ -506,7 +483,7 @@ class IterationTrace:
         self.steps = steps
         self.diverged = diverged
         self.failure = failure
-        # asked about every window with no columns, as the corrector asks about a zero tail
+        # asked about every window with no columns, so a gate list too short raises here
         windows = np.empty((self.n_accel, 0))
         policy_z.gates(0, windows)
         policy_y.gates(0, windows)

@@ -167,7 +167,10 @@ def verify_property_i(trace: VenterTrace, cfg: VenterConfig, eps: float) -> Verd
     hypotheses every x_n is at most x_0 + sum omega, and so is every
     partial Horner sum x_n - K^n x_0, so the residual has the telescoping
     identity's scale.
+    Raises ``InvalidArgumentError`` unless ``0 < eps < inf``.
     """
+    if not 0 < eps < math.inf:  # NaN fails it too
+        raise InvalidArgumentError(f"eps must be finite and > 0, got {eps}")
     if cfg.sigma != 0 or np.count_nonzero(trace.gamma_vals):
         raise HypothesisViolatedError("needs sigma = 0 and gamma = 0")
     k = trace.k_hat_final

@@ -133,7 +133,7 @@ class TestAccelerateSequence:
 
     @pytest.mark.parametrize("tail", [0, 5], ids=["live", "zero-tail"])
     def test_gates_take_one_byte(self, tail):
-        # gates are 0 or 1, one byte each, also on the copied windows of a zero tail
+        # gates are 0 or 1, one byte each, also on the windows of a zero tail
         raw = np.concatenate([[[5.0], [4.0], [3.5], [3.25]], np.zeros((tail, 1))])
         _, gates = accelerate_sequence(raw)
         assert gates.dtype == np.int8 and set(gates.ravel().tolist()) <= {0, 1}
@@ -281,8 +281,8 @@ def blocked_error(raw, policy):
 
 
 class TestZeroTail:
-    """Windows past the live prefix are copied, not computed: the results and
-    the errors are those of the formula over every window."""
+    """A sequence that ends in rows of +-0: the results and the errors are
+    those of the formula over every window, zero windows included."""
 
     def check(self, raw, policy, floor_scale=DEFAULT_FLOOR_SCALE):
         error = blocked_error(raw, policy)

@@ -553,8 +553,9 @@ class TestMain:
         (MINIMAL_JUNGCK, "steps: 50", "steps: 50\n  floor_scale: -1.0", "jungck: floor_scale must be positive, got -1.0"),
         (AITKEN_VALUES, "aitken:", "aitken:\n  floor_scale: .nan", "aitken.floor_scale: must be > 0, got nan"),
         (AITKEN_VALUES, "aitken:", "aitken:\n  floor_scale: -1.0", "aitken.floor_scale: must be > 0, got -1.0"),
-        (VENTER, "eps: 1.0e-2", "eps: .nan", "venter.eps: must be > 0, got nan"),
-        (VENTER, "eps: 1.0e-2", "eps: 0.0", "venter.eps: must be > 0, got 0.0"),
+        (VENTER, "eps: 1.0e-2", "eps: .nan", "venter.eps: must be finite and > 0, got nan"),
+        (VENTER, "eps: 1.0e-2", "eps: 0.0", "venter.eps: must be finite and > 0, got 0.0"),
+        (VENTER, "eps: 1.0e-2", "eps: .inf", "venter.eps: must be finite and > 0, got inf"),
         (SCAN, "seed: 11", "seed: 11, tail_tol: .nan", "scan: tail_tol must be >= 0, got nan"),
         (SCAN, "seed: 11", "seed: 11, mu_range: [.nan, 1.0]",
          "scan: mu_range must be finite with 0 < low <= high, got (nan, 1.0)"),
@@ -572,7 +573,7 @@ class TestMain:
             "aitken-values-ragged", "aitken-lengths", "aitken-limit-ragged", "scan-seed-negative",
             "tail-start-past-horizon", "tail-start-negative", "horizon-below-ten", "tail-tol-nan",
             "tail-tol-negative", "jungck-floor-nan", "jungck-floor-negative", "aitken-floor-nan",
-            "aitken-floor-negative", "venter-eps-nan", "venter-eps-zero", "scan-tail-tol-nan",
+            "aitken-floor-negative", "venter-eps-nan", "venter-eps-zero", "venter-eps-inf", "scan-tail-tol-nan",
             "scan-mu-range-nan", "scan-mu-range-reversed", "scan-mu-range-zero", "scan-t-norm-range-inf",
             "scan-t-norm-range-negative", "aitken-values-empty-rows"])
     def test_fuzzed_inputs_exit_two(self, tmp_path, capsys, text, old, new, message):
@@ -586,13 +587,18 @@ class TestMain:
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     @pytest.mark.parametrize("text,message", [
         (MINIMAL_JUNGCK, "jungck: solve_tol must be positive"),
-        (VENTER, "venter.eps: must be > 0, got {}"),
+        (VENTER, "venter.eps: must be finite and > 0, got {}"),
         (AITKEN_VALUES, "aitken.floor_scale: must be > 0, got {}"),
         (SCAN, "scan: tail_tol must be >= 0, got {}"),
     ], ids=["jungck", "venter", "aitken", "scan"])
     def test_tolerance_override_meets_the_config_checks(self, tmp_path, capsys, text, message, tol):
         assert main(["--config", self.write(tmp_path, text), "--tolerance", tol, "--quiet"]) == 2
         assert capsys.readouterr().err == f"config error: {message.format(float(tol))}\n"
+
+    def test_an_infinite_venter_eps_is_refused(self, tmp_path, capsys):
+        # any finite x_N is below inf, so such a PASS would mean nothing
+        assert main(["--config", self.write(tmp_path, VENTER), "--tolerance", "inf", "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: venter.eps: must be finite and > 0, got inf\n"
 
     def test_steps_override_rechecks_the_tail_start(self, tmp_path, capsys):
         text = JUNGCK_SCALAR.replace("horizon: 200", "horizon: 20\n    tail_start: 30")

@@ -766,16 +766,20 @@ class TestLiveRows:
         assert_same_trace(trace, reference_step_run(d60_config(t_norm, 200)))
 
     def test_a_trace_built_from_full_arrays_reads_the_same(self):
-        # a trace given every row, zero tail included, stores them all, and
-        # corrects and reads them as the run's trace of the live rows does
-        trace = run(d60_config(0.6, 200))
-        assert trace.n_live < trace.n_raw
-        full = IterationTrace(z=np.array(trace.z), y=np.array(trace.y), sz=np.array(trace.sz),
-                              sy=np.array(trace.sy), ty=np.array(trace.ty), a_vals=trace.a_vals,
-                              b_vals=trace.b_vals, policy_z=trace.policy_z, policy_y=trace.policy_y,
-                              floor_scale=trace.floor_scale, steps=trace.steps)
-        assert full.n_live == full.n_raw == trace.n_raw
-        assert_same_trace(trace, full)
+        # a trace given every row, zero tail included, stores them all and
+        # corrects them through the formula; under each gate mode it reads
+        # them as the run's trace of the live rows, whose tail is implicit,
+        # does (the list holds one value for each of the 198 windows)
+        for gates in (GatePolicy.always_on(), GatePolicy.always_off(), GatePolicy.threshold(1e-9),
+                      GatePolicy.from_values(np.arange(198) % 2)):
+            trace = run(dataclasses.replace(d60_config(0.6, 200), gates_z=gates, gates_y=gates))
+            assert trace.n_live < trace.n_raw
+            full = IterationTrace(z=np.array(trace.z), y=np.array(trace.y), sz=np.array(trace.sz),
+                                  sy=np.array(trace.sy), ty=np.array(trace.ty), a_vals=trace.a_vals,
+                                  b_vals=trace.b_vals, policy_z=trace.policy_z, policy_y=trace.policy_y,
+                                  floor_scale=trace.floor_scale, steps=trace.steps)
+            assert full.n_live == full.n_raw == trace.n_raw
+            assert_same_trace(trace, full)
 
 
 # ---------------------------------------------------------------------------

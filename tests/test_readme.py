@@ -1,5 +1,5 @@
 """Every ```python block of README.md runs as written, and every constant
-it names in a code span exists."""
+and every ``module.name`` it names in a code span exists."""
 
 import importlib
 import os
@@ -18,6 +18,9 @@ README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
 SPANS = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```$", "", README, flags=re.M | re.S))
 CONSTANTS = sorted({name for span in SPANS for name in re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", span)})
+MODULES = {m.name: importlib.import_module(f"jungckit.{m.name}") for m in pkgutil.iter_modules(jungckit.__path__)}
+#: ``module.name`` and ``module.Class.name`` of a jungckit module, wherever a span holds one
+DOTTED = sorted({name for span in SPANS for name in re.findall(rf"\b(?:{'|'.join(MODULES)})(?:\.\w+)+", span)})
 
 
 def test_readme_has_python_blocks():
@@ -38,5 +41,17 @@ def test_readme_names_constants():
 
 @pytest.mark.parametrize("name", CONSTANTS)
 def test_constant_is_defined(name):
-    modules = [importlib.import_module(f"jungckit.{m.name}") for m in pkgutil.iter_modules(jungckit.__path__)]
-    assert any(hasattr(m, name) for m in modules), f"README names {name}, which no jungckit module defines"
+    assert any(hasattr(m, name) for m in MODULES.values()), f"README names {name}, which no jungckit module defines"
+
+
+def test_readme_names_module_attributes():
+    assert DOTTED
+
+
+@pytest.mark.parametrize("dotted", DOTTED)
+def test_module_attribute_exists(dotted):
+    module, *path = dotted.split(".")
+    found = MODULES[module]
+    for part in path:
+        assert hasattr(found, part), f"README names {dotted}, which jungckit.{module} does not define"
+        found = getattr(found, part)

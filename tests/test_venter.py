@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jungckit import (
     HypothesisViolatedError,
+    InvalidArgumentError,
     NonFiniteError,
     Schedule,
     ScheduleViolationError,
@@ -126,6 +127,14 @@ class TestPropertyI:
         cfg = config(Schedule.constant(0.5), sigma=1.0, steps=20)
         with pytest.raises(HypothesisViolatedError):
             verify_property_i(venter_run(cfg), cfg, eps=1.0)
+
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf])
+    def test_an_eps_that_decides_nothing_is_refused(self, eps):
+        # eps = inf would pass every finite x_N
+        cfg = config(Schedule.constant(0.5), steps=20)
+        with pytest.raises(InvalidArgumentError, match="^eps must be finite and > 0, got "):
+            verify_property_i(venter_run(cfg), cfg, eps=eps)
 
 
 class TestSummability:
