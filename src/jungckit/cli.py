@@ -191,6 +191,7 @@ class StabilityOptions:
 class JungckScenario:
     cfg: engine.JungckConfig
     stability: Optional[StabilityOptions]
+    nonneg_domain: bool = False  # adds an orthant-preservation check on Sz
 
     def __post_init__(self):
         opts = self.stability
@@ -201,8 +202,8 @@ class JungckScenario:
             raise ConfigValidationError(
                 f"jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, where horizon = "
                 f"max(stability.horizon, steps) = {horizon}; got {opts.tail_start}")
-        if not opts.tail_tol >= 0:
-            raise ConfigValidationError(f"jungck.stability.tail_tol: must be >= 0, got {opts.tail_tol}")
+        if not 0 <= opts.tail_tol < math.inf:
+            raise ConfigValidationError(f"jungck.stability.tail_tol: must be finite and >= 0, got {opts.tail_tol}")
 
 
 @dataclass(frozen=True)
@@ -275,26 +276,23 @@ def _parse_jungck(node: dict) -> JungckScenario:
     if "stability" in node:
         sub = _require_mapping(node["stability"], f"{where}.stability")
         _check_keys(sub, {"horizon", "tail_start", "tail_tol", "positivity"}, f"{where}.stability")
-        positivity = sub.get("positivity", False)
-        if not isinstance(positivity, bool):
+        if not isinstance(sub.get("positivity", False), bool):
             raise ConfigValidationError(f"{where}.stability.positivity: expected true/false")
-        stability_opts = StabilityOptions(
-            horizon=_get(sub, "horizon", f"{where}.stability", default=200, integer=True),
-            tail_start=_get(sub, "tail_start", f"{where}.stability", default=0, integer=True),
-            tail_tol=_get(sub, "tail_tol", f"{where}.stability", default=0.01),
-            positivity=positivity,
-        )
+        # only the keys the block sets: StabilityOptions holds the defaults
+        stability_opts = StabilityOptions(**{
+            key: sub[key] if key == "positivity" else _get(sub, key, f"{where}.stability", integer=key != "tail_tol")
+            for key in ("horizon", "tail_start", "tail_tol", "positivity") if key in sub})
 
     try:
         pair = make_operator_pair(s_op, t_op, tol=solve_tol)
         cfg = engine.JungckConfig(
             pair=pair, a=a, b=b, gates_z=gate_z, gates_y=gate_y,
             z0=np.atleast_1d(np.asarray(z0, dtype=float)),
-            steps=steps, floor_scale=floor_scale, nonneg_domain=nonneg,
+            steps=steps, floor_scale=floor_scale,
         )
     except (JungckitError, ValueError, TypeError) as exc:
         raise ConfigValidationError(f"{where}: {exc}") from exc
-    return JungckScenario(cfg=cfg, stability=stability_opts)
+    return JungckScenario(cfg=cfg, stability=stability_opts, nonneg_domain=nonneg)
 
 
 def _parse_venter(node: dict) -> VenterScenario:
@@ -457,18 +455,13 @@ def _parse_aitken(node: dict) -> AitkenScenario:
 
 def _parse_scan(node: dict) -> ScanSpec:
     where = "scan"
-    _check_keys(node, {"count", "dim", "steps", "horizon", "seed", "mu_range", "t_norm_range", "tail_tol"}, where)
+    keys = ("count", "dim", "steps", "horizon", "seed", "mu_range", "t_norm_range", "tail_tol")
+    _check_keys(node, set(keys), where)
+    # only the keys the config sets: ScanSpec holds the defaults
+    given = {key: _get_pair(node, key, where, None) if key.endswith("_range")
+             else _get(node, key, where, integer=key != "tail_tol") for key in keys if key in node}
     try:
-        return ScanSpec(
-            count=_get(node, "count", where, default=100, integer=True),
-            dim=_get(node, "dim", where, default=5, integer=True),
-            steps=_get(node, "steps", where, default=300, integer=True),
-            horizon=_get(node, "horizon", where, default=300, integer=True),
-            seed=_get(node, "seed", where, default=12345, integer=True),
-            mu_range=_get_pair(node, "mu_range", where, (0.8, 2.5)),
-            t_norm_range=_get_pair(node, "t_norm_range", where, (0.05, 0.9)),
-            tail_tol=_get(node, "tail_tol", where, default=0.01),
-        )
+        return ScanSpec(**given)
     except ValueError as exc:
         raise ConfigValidationError(f"{where}: {exc}") from exc
 
@@ -823,7 +816,7 @@ def _run_jungck(scn: JungckScenario, outdir: Path, report: Report) -> None:
                       f"positivity constraint 3: min entry inv(s)={pos.min_s_inv_entry:.3g} "
                       f"t={pos.min_t_entry:.3g}")
 
-    if cfg.nonneg_domain and trace.n_raw:
+    if scn.nonneg_domain and trace.n_raw:
         low = float(np.min(trace.sz))
         report.ok(low >= -NONNEG_SLACK, f"nonnegative orthant: min Sz component {low:.3e}")
 
@@ -923,7 +916,7 @@ def _run_aitken(scn: AitkenScenario, outdir: Path, report: Report) -> None:
             applied += int(np.count_nonzero(gates))
             if geometric:
                 with np.errstate(over="ignore"):  # a difference past the float range is an inf miss
-                    worst = max(worst, float(np.max(diagnostics.distances(accel, lim))))
+                    worst = max(worst, float(np.max(exact_row_norms(accel - lim))))
             if not floored:
                 part = diagnostics.acceleration_ratio(window, accel, lim)
                 floored = len(part) < len(accel)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .aitken import accelerate_sequence, as_rows, row_blocks
 from .errors import DimensionMismatchError, LengthMismatchError, NotConvergingError, SequenceTooShortError
-from .model import Vector, exact_row_norms, unoverflowed
+from .model import Vector, exact_row_norms
 
 #: a final difference below this relative scale counts as numerically settled
 SETTLE_SCALE = 1e-10
@@ -23,20 +23,6 @@ EQUIVALENCE_TOL = 1e-6
 class LimitEstimate:
     value: Vector
     method: str  # "last-term" | "extrapolation"
-
-
-def distances(rows: np.ndarray, center: Vector) -> np.ndarray:
-    """``np.linalg.norm(rows - center, axis=1)``, taken over
-    :func:`jungckit.aitken.row_blocks`.  The norm reduces each row on its
-    own, so every row keeps the bits of the unblocked norm, except a finite
-    difference whose squares overflow: it gets its scaled norm, not inf
-    (:func:`jungckit.model.unoverflowed`)."""
-    out = np.empty(rows.shape[0])
-    for block in row_blocks(*rows.shape):
-        diff = rows[block] - center
-        with np.errstate(over="ignore"):
-            out[block] = unoverflowed(np.linalg.norm(diff, axis=1), diff)
-    return out
 
 
 def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
@@ -55,8 +41,7 @@ def estimate_limit(seq: Sequence[Vector] | np.ndarray) -> LimitEstimate:
         raise SequenceTooShortError(f"limit estimation needs >= 5 terms, got {n}")
     with np.errstate(over="ignore"):
         # the last ten differences are all that is read
-        steps = np.diff(arr[-11:], axis=0)
-        diffs = unoverflowed(np.linalg.norm(steps, axis=1), steps)
+        diffs = exact_row_norms(np.diff(arr[-11:], axis=0))
     scale = 1.0 + float(exact_row_norms(arr[-1:])[0])
     settled = diffs[-1] <= SETTLE_SCALE * scale
 
@@ -87,8 +72,8 @@ def acceleration_ratio(
     N-2, term k from window k..k+2).  Ratios stop at the first index where
     the raw error has already hit the limit floor; past it they would be
     quotient noise, and no norm is taken there.  Raises
-    ``DimensionMismatchError`` unless ``limit`` is a number or a vector as
-    wide as the rows of ``raw``.
+    ``DimensionMismatchError`` unless the rows of ``accel`` (if any) are as
+    wide as those of ``raw``, and ``limit`` is a number or a vector as wide.
     """
     raw_arr = as_rows(raw)
     acc_arr = as_rows(accel)
@@ -96,6 +81,9 @@ def acceleration_ratio(
         raise LengthMismatchError(
             f"corrected length {acc_arr.shape[0]} != raw length {raw_arr.shape[0]} - 2"
         )
+    if acc_arr.shape[0] and acc_arr.shape[1] != raw_arr.shape[1]:
+        raise DimensionMismatchError(f"corrected rows of width {acc_arr.shape[1]} for raw rows of width "
+                                     f"{raw_arr.shape[1]}")
     lim = np.atleast_1d(np.asarray(limit, dtype=float))
     if lim.shape not in ((1,), raw_arr.shape[1:]):
         raise DimensionMismatchError(f"limit of shape {lim.shape} for rows of width {raw_arr.shape[1]}")

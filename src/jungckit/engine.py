@@ -133,7 +133,6 @@ class JungckConfig:
     z0: Vector = None
     steps: int = 50
     floor_scale: float = DEFAULT_FLOOR_SCALE
-    nonneg_domain: bool = False
 
     def __post_init__(self):
         if self.z0 is None:

@@ -307,13 +307,15 @@ class Schedule:
             raw = 1.0 / (n + self.k)
         elif self.form == "inv-pow":
             # numpy's power differs from libm's pow in the last bit on some values
+            k, p, values = self.k, self.p, []
             try:
-                raw = np.array([1.0 / float(i) ** self.p for i in range(self.k + start, self.k + start + n.size)],
-                               dtype=float)
-            except (OverflowError, ZeroDivisionError):
-                for i in n.tolist():
-                    _inv_pow(self, i)  # raises the typed error at the first n that fails
-                raise
+                for m in range(start + k, start + k + n.size):
+                    values.append(1.0 / float(m) ** p)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ScheduleViolationError(
+                    f"inv-pow schedule 1/(n+k)^p overflows in floating point at n={m - k} (k={k}, p={p!r}): {exc}"
+                ) from exc
+            raw = np.array(values, dtype=float)
         else:
             if start + n.size > len(self.values):
                 raise IndexOutOfRangeError(
@@ -345,16 +347,6 @@ class Schedule:
         if self.form == "inv-pow":
             return self.p <= 1
         return None
-
-
-def _inv_pow(s: Schedule, n: int) -> float:
-    """1/(n+k)^p at step n with Python's float power."""
-    try:
-        return 1.0 / float(n + s.k) ** s.p
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ScheduleViolationError(
-            f"inv-pow schedule 1/(n+k)^p overflows in floating point at n={n} (k={s.k}, p={s.p!r}): {exc}"
-        ) from exc
 
 
 GATE_MODES = ("always-on", "always-off", "threshold", "list")

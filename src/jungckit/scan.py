@@ -43,8 +43,8 @@ class ScanSpec:
             raise InvalidArgumentError("horizon must be >= 10")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be >= 0")
-        if not self.tail_tol >= 0:  # NaN fails it too
-            raise InvalidArgumentError(f"tail_tol must be >= 0, got {self.tail_tol}")
+        if not 0 <= self.tail_tol < math.inf:  # NaN fails it too
+            raise InvalidArgumentError(f"tail_tol must be finite and >= 0, got {self.tail_tol}")
         # each range is sampled by rng.uniform, which needs finite ends; NaN fails every test
         if not _range_holds(self.mu_range, lambda low, high: 0 < low <= high < math.inf):
             raise InvalidArgumentError(f"mu_range must be finite with 0 < low <= high, got {self.mu_range}")

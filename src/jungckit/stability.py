@@ -31,26 +31,20 @@ POWER_SLACK = 32.0
 
 def _norms(pair: OperatorPair, index: np.ndarray, block: np.ndarray, first: int) -> tuple[np.ndarray, int]:
     """Spectral norms of the computed powers t^index[j] = ``block[index[j] -
-    first]`` (``index`` ascending), and how many SVDs they took.
+    first]`` (``index`` ascending, from 1 on), and how many SVDs they took.
 
-    Two norms are known without an SVD, with the bits an SVD would give:
-    ||t^0|| = ||I|| = 1, since the Householder reduction of I reflects
-    nothing and leaves a diagonal of ones, and ||t^1|| = ``pair.t_norm``,
-    the SVD of ``t`` itself, whenever the computed t^1 = t @ I is ``t`` bit
-    for bit (the product turns a -0.0 entry into +0.0, and the SVD of such
-    a matrix can differ in the last bit, so then t^1 is SVD'd).  The other
-    powers go through one stacked SVD, which treats each matrix on its own;
-    only they are gathered from the block.
+    ||t^1|| is known without an SVD, with the bits an SVD would give:
+    ``pair.t_norm``, the SVD of ``t`` itself, whenever the computed t^1 =
+    t @ I is ``t`` bit for bit (the product turns a -0.0 entry into +0.0,
+    and the SVD of such a matrix can differ in the last bit, so then t^1
+    is SVD'd).  The other powers go through one stacked SVD, which treats
+    each matrix on its own; only they are gathered from the block.
     """
     norms = np.empty(len(index))
-    known = 0  # t^0 and t^1, when asked for, come first
-    if known < len(index) and index[known] == 0:
-        norms[known] = 1.0
-        known += 1
-    if (known < len(index) and index[known] == 1
-            and np.array_equal(block[1 - first].view(np.uint64), pair.t.matrix.view(np.uint64))):
-        norms[known] = pair.t_norm
-        known += 1
+    known = 0  # t^1, when asked for, comes first
+    if index[0] == 1 and np.array_equal(block[1 - first].view(np.uint64), pair.t.matrix.view(np.uint64)):
+        norms[0] = pair.t_norm
+        known = 1
     if known < len(index):
         # singular values come largest first
         norms[known:] = np.linalg.svd(block[index[known:] - first], compute_uv=False)[:, 0]
@@ -195,8 +189,10 @@ class ConstantsFold:
         self.lows = np.nextafter(seeds, -math.inf)
         # w_n B_n raises a maximum when it is above the maximum so far and not below the seed
         self.above = np.maximum(self.peaks, self.lows)
-        # t^0 = I has norm 1 (see _norms), so it is taken without forming it,
-        # and the stream is wanted only when a later power can raise a maximum
+        # t^0 = I has norm 1, the bits its SVD would give (the Householder reduction
+        # of I reflects nothing and leaves a diagonal of ones), so it is taken
+        # without forming it, and the stream is wanted only when a later power
+        # can raise a maximum
         if (wb[:, 0] > self.above).any():
             self.peaks = np.maximum(self.peaks, weights[:, 0])  # w * 1, with w >= 0
             self.above = np.maximum(self.peaks, self.lows)
@@ -283,12 +279,12 @@ def compute_constants(cfg: JungckConfig, horizon: int, tail_start: int = 0) -> S
     bound on its final maximum, below).  The suffix maxima of w_n B_n are
     taken once, and after each block the stream stops when none of them
     is above its constant's maximum so far.  t^0 and t^1 need no SVD (see
-    ``_norms``), and t^0 is taken before the stream starts, which it does
-    only when a later power can raise a maximum: a contractive d = 300 map
-    whose maxima sit at t^0 forms no power and runs no SVD, and reads one
-    power, t^0.  A map with ||t|| just below 1 whose k2 peaks at the
-    horizon forms every power but SVDs only the seed's X and the few
-    powers next to the peak.
+    ``ConstantsFold`` and ``_norms``), and t^0 is taken before the stream
+    starts, which it does only when a later power can raise a maximum: a
+    contractive d = 300 map whose maxima sit at t^0 forms no power and runs
+    no SVD, and reads one power, t^0.  A map with ||t|| just below 1 whose
+    k2 peaks at the horizon forms every power but SVDs only the seed's X
+    and the few powers next to the peak.
 
     B_n is ``||t||^n`` widened for rounding (``_power_bounds``): with
     u = eps/2, each product T @ P is off by at most d u |T||P| + d
@@ -385,8 +381,8 @@ def check_property_ii_iii(cfg: JungckConfig, horizon: int) -> tuple[CertificateR
 
 
 def _tail_close_to_one(sched: Schedule, horizon: int, tol: float) -> tuple[bool, float]:
-    if not tol >= 0:  # NaN fails it too
-        raise InvalidArgumentError(f"tail_tol must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:  # NaN fails it too
+        raise InvalidArgumentError(f"tail_tol must be finite and >= 0, got {tol}")
     vals = sched.prefix(horizon + 1)[horizon // 2:]
     dev = float(np.max(np.abs(vals - 1.0)))
     return dev <= tol, dev
@@ -449,7 +445,7 @@ def certify(
     constants: Optional[StabilityConstants] = None,
 ) -> StabilityReport:
     """Run every certificate on a matrix configuration; raises ``InvalidArgumentError``
-    unless ``tail_tol >= 0``.  ``constants``, when given, are the
+    unless ``0 <= tail_tol < inf``.  ``constants``, when given, are the
     ``compute_constants`` of this config, horizon and tail start, taken
     elsewhere (by a ``ConstantsFold`` fed the powers of a run)."""
     if constants is None:

@@ -215,8 +215,7 @@ def test_criterion_8_positivity_demo():
     t = Operator.from_matrix(base * (0.4 / np.linalg.norm(base, 2)))
     s = Operator.scaled_identity(2.0, 2)
     cfg = JungckConfig(pair=make_operator_pair(s, t), a=Schedule.constant(1.0),
-                       b=Schedule.one_minus_inv(k=2), z0=[1.0, 0.5], steps=101,
-                       nonneg_domain=True)
+                       b=Schedule.one_minus_inv(k=2), z0=[1.0, 0.5], steps=101)
     tr = run(cfg)
     min_sz = float(np.min(tr.sz))
     final = float(np.linalg.norm(tr.sz[100]))

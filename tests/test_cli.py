@@ -546,9 +546,11 @@ class TestMain:
          "jungck.stability.tail_start: need 0 <= tail_start <= horizon - 10, where horizon = "
          "max(stability.horizon, steps) = 8; got 0"),
         (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_tol: .nan",
-         "jungck.stability.tail_tol: must be >= 0, got nan"),
+         "jungck.stability.tail_tol: must be finite and >= 0, got nan"),
         (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_tol: -0.5",
-         "jungck.stability.tail_tol: must be >= 0, got -0.5"),
+         "jungck.stability.tail_tol: must be finite and >= 0, got -0.5"),
+        (JUNGCK_SCALAR, "horizon: 200", "horizon: 200\n    tail_tol: .inf",
+         "jungck.stability.tail_tol: must be finite and >= 0, got inf"),
         (MINIMAL_JUNGCK, "steps: 50", "steps: 50\n  floor_scale: .nan", "jungck: floor_scale must be positive, got nan"),
         (MINIMAL_JUNGCK, "steps: 50", "steps: 50\n  floor_scale: -1.0", "jungck: floor_scale must be positive, got -1.0"),
         (AITKEN_VALUES, "aitken:", "aitken:\n  floor_scale: .nan", "aitken.floor_scale: must be > 0, got nan"),
@@ -556,7 +558,7 @@ class TestMain:
         (VENTER, "eps: 1.0e-2", "eps: .nan", "venter.eps: must be finite and > 0, got nan"),
         (VENTER, "eps: 1.0e-2", "eps: 0.0", "venter.eps: must be finite and > 0, got 0.0"),
         (VENTER, "eps: 1.0e-2", "eps: .inf", "venter.eps: must be finite and > 0, got inf"),
-        (SCAN, "seed: 11", "seed: 11, tail_tol: .nan", "scan: tail_tol must be >= 0, got nan"),
+        (SCAN, "seed: 11", "seed: 11, tail_tol: .nan", "scan: tail_tol must be finite and >= 0, got nan"),
         (SCAN, "seed: 11", "seed: 11, mu_range: [.nan, 1.0]",
          "scan: mu_range must be finite with 0 < low <= high, got (nan, 1.0)"),
         (SCAN, "seed: 11", "seed: 11, mu_range: [2.0, 1.0]",
@@ -572,7 +574,7 @@ class TestMain:
     ], ids=["scenario-list", "scale-nan", "venter-x0-nan", "venter-sigma-inf", "aitken-values-nan",
             "aitken-values-ragged", "aitken-lengths", "aitken-limit-ragged", "scan-seed-negative",
             "tail-start-past-horizon", "tail-start-negative", "horizon-below-ten", "tail-tol-nan",
-            "tail-tol-negative", "jungck-floor-nan", "jungck-floor-negative", "aitken-floor-nan",
+            "tail-tol-negative", "tail-tol-inf", "jungck-floor-nan", "jungck-floor-negative", "aitken-floor-nan",
             "aitken-floor-negative", "venter-eps-nan", "venter-eps-zero", "venter-eps-inf", "scan-tail-tol-nan",
             "scan-mu-range-nan", "scan-mu-range-reversed", "scan-mu-range-zero", "scan-t-norm-range-inf",
             "scan-t-norm-range-negative", "aitken-values-empty-rows"])
@@ -589,7 +591,7 @@ class TestMain:
         (MINIMAL_JUNGCK, "jungck: solve_tol must be positive"),
         (VENTER, "venter.eps: must be finite and > 0, got {}"),
         (AITKEN_VALUES, "aitken.floor_scale: must be > 0, got {}"),
-        (SCAN, "scan: tail_tol must be >= 0, got {}"),
+        (SCAN, "scan: tail_tol must be finite and >= 0, got {}"),
     ], ids=["jungck", "venter", "aitken", "scan"])
     def test_tolerance_override_meets_the_config_checks(self, tmp_path, capsys, text, message, tol):
         assert main(["--config", self.write(tmp_path, text), "--tolerance", tol, "--quiet"]) == 2
@@ -599,6 +601,12 @@ class TestMain:
         # any finite x_N is below inf, so such a PASS would mean nothing
         assert main(["--config", self.write(tmp_path, VENTER), "--tolerance", "inf", "--quiet"]) == 2
         assert capsys.readouterr().err == "config error: venter.eps: must be finite and > 0, got inf\n"
+
+    def test_an_infinite_scan_tail_tol_is_refused(self, tmp_path, capsys):
+        # every schedule's tail is within inf of 1, so iv and v would hold for any schedule
+        args = ["--config", str(CONFIGS / "stability_scan.yaml"), "--output", str(tmp_path / "out")]
+        assert main([*args, "--tolerance", "inf", "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: scan: tail_tol must be finite and >= 0, got inf\n"
 
     def test_steps_override_rechecks_the_tail_start(self, tmp_path, capsys):
         text = JUNGCK_SCALAR.replace("horizon: 200", "horizon: 20\n    tail_start: 30")
@@ -900,7 +908,7 @@ def ref_run_aitken(doc: dict, outdir: Path) -> int:
         if lim is not None:
             tol = 1e-10 * (1.0 + float(exact_row_norms(lim[None])[0]))
             with np.errstate(over="ignore"):
-                worst = float(np.max(diagnostics.distances(accel, lim)))
+                worst = float(np.max(exact_row_norms(accel - lim)))
             report.ok(worst <= tol, f"geometric exactness: worst |Ax - L| = {worst:.3e} (tol {tol:.3e})")
         else:
             try:

@@ -32,7 +32,7 @@ from jungckit import (
     run,
     spectral_norm,
 )
-from jungckit.model import SCHEDULE_FORMS, _inv_pow, safe_row_norms
+from jungckit.model import SCHEDULE_FORMS, safe_row_norms
 
 from conftest import fixed_or_fresh
 
@@ -50,6 +50,17 @@ def min_modulus(m):
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
+def inv_pow(s, n):
+    """1/(n+k)^p at step n with Python's float power, or the schedule's
+    typed error with its message: a fixed copy of the formula."""
+    try:
+        return 1.0 / float(n + s.k) ** s.p
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ScheduleViolationError(
+            f"inv-pow schedule 1/(n+k)^p overflows in floating point at n={n} (k={s.k}, p={s.p!r}): {exc}"
+        ) from exc
+
+
 def schedule_eval(s, n):
     """A schedule at one step n, clamped, as scalar Python arithmetic."""
     if s.form == "constant":
@@ -59,7 +70,7 @@ def schedule_eval(s, n):
     elif s.form == "inv":
         raw = 1.0 / (n + s.k)
     elif s.form == "inv-pow":
-        raw = _inv_pow(s, n)
+        raw = inv_pow(s, n)
     else:
         if n >= len(s.values):
             raise IndexOutOfRangeError(f"explicit schedule has {len(s.values)} values, asked for n={n}")
@@ -394,7 +405,7 @@ class TestSchedule:
     def test_inv_pow_array_is_inv_pow_bit_for_bit(self, k, p, count):
         sched = Schedule.inv_pow(k=k, p=p, clamp=(0.0, math.inf))  # nothing is clamped
         try:
-            expected = [_inv_pow(sched, n) for n in range(count)]
+            expected = [inv_pow(sched, n) for n in range(count)]
         except ScheduleViolationError as exc:
             with pytest.raises(ScheduleViolationError, match=f"^{re.escape(str(exc))}$"):
                 sched.prefix(count)
@@ -583,12 +594,20 @@ def _scalar_config(**kwargs):
     (lambda: Operator.zero(-1), DimensionMismatchError),
     (lambda: Operator.scaled_identity(1.0, -1), DimensionMismatchError),
     (lambda: acceleration_ratio(np.ones((4, 2)), np.ones((2, 2)), np.zeros(3)), DimensionMismatchError),
+    (lambda: acceleration_ratio(np.arange(1, 7.)[:, None] * np.ones((6, 2)), np.ones((4, 3)), 0.0),
+     DimensionMismatchError),
 ], ids=["constant-nan", "inv-k0", "inv-pow-p-nan", "threshold-nan", "threshold-negative", "jungck-steps-0",
         "certify-horizon-5", "venter-steps-0", "spectral-norm-1d", "spectral-norm-empty", "identity-dim-negative",
-        "zero-dim-negative", "scaled-identity-dim-negative", "acceleration-ratio-limit-width"])
+        "zero-dim-negative", "scaled-identity-dim-negative", "acceleration-ratio-limit-width",
+        "acceleration-ratio-accel-width"])
 def test_a_refused_argument_is_a_typed_error(call, kind):
     # a JungckitError of its own type; a refused value is still the ValueError it was
     with pytest.raises(JungckitError) as info:
         call()
     assert isinstance(info.value, kind)
     assert kind is DimensionMismatchError or isinstance(info.value, ValueError)
+
+
+def test_acceleration_ratio_of_no_corrected_terms_is_empty():
+    # an empty list becomes rows one column wide, which is no width to check
+    assert acceleration_ratio(np.ones((2, 3)), [], 0.0) == []

@@ -59,6 +59,7 @@ class TestSweep:
         ("t_norm_range", (0.9, 0.1)), ("t_norm_range", (-0.1, 0.5)),
         ("mu_range", (1.0,)), ("mu_range", (0.5, 1.0, 2.0)), ("mu_range", "ab"),
         ("t_norm_range", (0.5,)), ("t_norm_range", (0.1, 0.2, 0.3)), ("t_norm_range", "ab"),
+        ("tail_tol", float("inf")),  # iv and v would hold for any schedule
     ])
     def test_bad_sampling_range_rejected(self, field, bad):
         # rng.uniform raised an untyped OverflowError for these, or sampled

@@ -512,16 +512,17 @@ class TestPropertyIVandV:
         _, res_v = check_property_iv_v(cfg, horizon=1000, tol=0.01)
         assert res_v.applies  # b_n within 0.002 of 1 on the checked tail
 
-    @pytest.mark.parametrize("tol", [math.nan, -0.01])
+    @pytest.mark.parametrize("tol", [math.nan, -0.01, math.inf])
     def test_tail_tol_must_be_nonnegative(self, tol):
-        # a NaN tolerance fails every comparison: it turned iv and v off without an error
+        # a NaN tolerance fails every comparison: it turned iv and v off without an error;
+        # an infinite one turned them on for any schedule
         cfg = linear_config(np.eye(2), 0.5 * np.eye(2),
                             Schedule.constant(1.0), Schedule.one_minus_inv(k=2), [1.0, 0.0])
         assert certify(cfg, horizon=100).predicted == "converges-to-zero"
         for check in (lambda: certify(cfg, horizon=100, tail_tol=tol),
                       lambda: check_property_iv_v(cfg, horizon=100, tol=tol),
                       lambda: check_positivity_constraints(cfg, horizon=100, tol=tol)):
-            with pytest.raises(ValueError, match="tail_tol must be >= 0"):
+            with pytest.raises(ValueError, match="tail_tol must be finite and >= 0"):
                 check()
 
     def test_norm_exactly_one_is_excluded(self):
